@@ -1,0 +1,65 @@
+"""Structured exception types shared across the package.
+
+Every error the command-line driver can surface to a user derives from
+ConifoldError and carries an exit code: 2 for bad input, 3 for a refused
+budget. Internal invariant violations are deliberately *not* modelled here;
+those surface as AssertionError and map to exit code 4.
+"""
+
+
+class ConifoldError(Exception):
+    exit_code = 2
+
+
+class EmptyInput(ConifoldError):
+    """A hull was requested for an empty point set."""
+
+
+class NotFullDimensional(ConifoldError):
+    """The affine span of the input points is smaller than the ambient
+    dimension."""
+
+
+class OriginNotInterior(ConifoldError):
+    """The origin is not a strict interior point of the polytope."""
+
+
+class DimensionMismatch(ConifoldError):
+    """Operands live in different ambient dimensions."""
+
+
+class NotReflexive(ConifoldError):
+    """The polytope is not reflexive (some facet level differs from -1)."""
+
+
+class NotReflexiveFacet(ConifoldError):
+    """A facet at level other than -1 was handed to the facet classifier."""
+
+
+class WorseThanNodal(ConifoldError):
+    """Some facet is neither a unimodular triangle nor an empty
+    parallelogram, so the toric variety has worse than ordinary double
+    point singularities.  ``facets`` lists the offending facet indices."""
+
+    def __init__(self, message, facets=()):
+        super().__init__(message)
+        self.facets = tuple(facets)
+
+
+class BudgetExceeded(ConifoldError):
+    """A computation was refused because it exceeds a configured cap."""
+
+    exit_code = 3
+
+
+class InsufficientData(ConifoldError):
+    """Too few sequence terms for the requested recurrence search."""
+
+
+class ParseError(ConifoldError):
+    """A database or input file failed to parse; the message carries the
+    line number and field."""
+
+
+class DuplicateName(ConifoldError):
+    """Two database records share a name."""

@@ -1,0 +1,168 @@
+"""File-backed database of named varieties and invariant-based matching.
+
+The database is line-oriented JSON: one record per line, blank lines
+ignored.  Each record names a variety together with the integer
+invariants of its anticanonical model and a prefix of its period
+sequence, e.g.::
+
+    {"name": "P3", "degree": 64, "e": 4, "b2": 1, "b3": 0,
+     "periods": [1, 0, 0, 0, 24], "provenance": "computed"}
+
+``match`` compares a transition report (the smoothing side) and a
+computed period sequence against the records: a candidate must agree
+exactly on (degree, e, b2, b3) and on every period term where the two
+sequences overlap.  All quantities are integers, so matching is exact;
+there is no fuzzy tolerance.  Candidates are ranked by overlap length
+(longer overlap first), ties broken by name.
+
+The bundled database contains only records this package computed from
+its own bundled polytopes.  Records for non-toric varieties are the
+user's to supply: append lines with ``provenance": "user"``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from .errors import DuplicateName, ParseError
+
+_PROVENANCES = ("computed", "user")
+
+
+@dataclass(frozen=True)
+class PeriodRecord:
+    """A named variety with integer invariants and a period prefix."""
+
+    name: str
+    degree: int
+    e: int
+    b2: int
+    b3: int
+    period_prefix: tuple[int, ...] = ()
+    provenance: str = "user"
+
+    def __post_init__(self):
+        if self.period_prefix and self.period_prefix[0] != 1:
+            raise ParseError(
+                f"record {self.name!r}: period prefix must start with 1, "
+                f"got {self.period_prefix[0]}"
+            )
+        if self.provenance not in _PROVENANCES:
+            raise ParseError(
+                f"record {self.name!r}: provenance must be one of "
+                f"{_PROVENANCES}, got {self.provenance!r}"
+            )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "degree": self.degree,
+            "e": self.e,
+            "b2": self.b2,
+            "b3": self.b3,
+            "periods": list(self.period_prefix),
+            "provenance": self.provenance,
+        }
+
+
+def _record_from_dict(data: dict, where: str) -> PeriodRecord:
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(data).__name__}")
+    name = data.get("name")
+    if not isinstance(name, str) or not name:
+        raise ParseError(f"{where}: missing or invalid 'name'")
+    for f in ("degree", "e", "b2", "b3"):
+        if f not in data:
+            raise ParseError(f"{where}: record {name!r} lacks field {f!r}")
+        if type(data[f]) is not int:
+            raise ParseError(f"{where}: record {name!r} field {f!r} must be an integer")
+    periods = data.get("periods", [])
+    if not isinstance(periods, list) or any(type(c) is not int for c in periods):
+        raise ParseError(f"{where}: record {name!r} field 'periods' must be a list of integers")
+    provenance = data.get("provenance", "user")
+    if not isinstance(provenance, str):
+        raise ParseError(f"{where}: record {name!r} field 'provenance' must be a string")
+    try:
+        return PeriodRecord(
+            name=name,
+            degree=data["degree"],
+            e=data["e"],
+            b2=data["b2"],
+            b3=data["b3"],
+            period_prefix=tuple(periods),
+            provenance=provenance,
+        )
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def load_database(path) -> list[PeriodRecord]:
+    """Parse a line-oriented JSON database file.
+
+    Raises ParseError with the offending line number, DuplicateName if a
+    record name appears twice.
+    """
+    records: list[PeriodRecord] = []
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from None
+            rec = _record_from_dict(data, where)
+            if rec.name in seen:
+                raise DuplicateName(f"{where}: duplicate record name {rec.name!r}")
+            seen.add(rec.name)
+            records.append(rec)
+    return records
+
+
+@dataclass(frozen=True)
+class MatchCandidate:
+    """One database record compatible with an analyzed polytope."""
+
+    record: PeriodRecord
+    overlap: int  # number of period terms compared (and found equal)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.record.name,
+            "degree": self.record.degree,
+            "e": self.record.e,
+            "b2": self.record.b2,
+            "b3": self.record.b3,
+            "overlap": self.overlap,
+            "provenance": self.record.provenance,
+        }
+
+
+def match(report, periods, db) -> list[MatchCandidate]:
+    """Rank database records compatible with a transition report.
+
+    ``report`` supplies the smoothing-side invariants (degree, e_sm,
+    b2_sm, b3_sm); ``periods`` is the period sequence of the fan
+    polytope's vertex Laurent polynomial (or any object indexable like
+    one, or a plain list of integers).  A record survives iff all four
+    invariants agree and the period prefixes agree on their common
+    range.  Extending either sequence can only shrink the candidate
+    set, never grow it.
+    """
+    terms = tuple(getattr(periods, "terms", periods))
+    out = []
+    for rec in db:
+        if rec.degree != report.degree:
+            continue
+        if rec.e != report.e_sm or rec.b2 != report.b2_sm or rec.b3 != report.b3_sm:
+            continue
+        overlap = min(len(terms), len(rec.period_prefix))
+        if any(terms[i] != rec.period_prefix[i] for i in range(overlap)):
+            continue
+        out.append(MatchCandidate(record=rec, overlap=overlap))
+    out.sort(key=lambda c: (-c.overlap, c.record.name))
+    return out

@@ -1,0 +1,381 @@
+"""Exact lattice-polytope geometry: hulls, facets, polar duals, volumes.
+
+Vectors are plain tuples of Python ints (Fractions for rational
+polytopes); every predicate is decided in exact arithmetic and no floating
+point enters this module.  Hulls are computed by exhaustive
+supporting-hyperplane enumeration: every dim-subset of points that spans a
+hyperplane is tested for being a supporting one.  That is quadratic-ish
+and entirely robust, which is the right trade at the scale this package
+targets (tens of points, ambient dimension 2 to 4).
+
+Canonical ordering, used everywhere: polytope vertices sorted
+lexicographically, facets sorted lexicographically by primitive inward
+normal, vertices and lattice points within a facet again lexicographic.
+Two polytopes are equal exactly when their canonical forms coincide;
+lattice-normal-form equivalence is deliberately out of scope.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, product as cartesian
+from math import gcd
+
+from . import linalg
+from .errors import EmptyInput, NotFullDimensional, OriginNotInterior, ParseError
+
+Vec = tuple
+
+
+def dot(u: Vec, v: Vec):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def vsub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vadd(u: Vec, v: Vec) -> Vec:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vneg(u: Vec) -> Vec:
+    return tuple(-a for a in u)
+
+
+def matvec(m, v: Vec) -> Vec:
+    return tuple(dot(row, v) for row in m)
+
+
+def primitive(vec) -> Vec:
+    """Scale a nonzero rational vector to the primitive integer vector on
+    the same ray."""
+    fracs = [Fraction(x) for x in vec]
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in ints)
+
+
+def _affine_rank(points: list) -> int:
+    if len(points) <= 1:
+        return 0
+    base = points[0]
+    return linalg.rank([list(vsub(p, base)) for p in points[1:]])
+
+
+def _hyperplane_normal(pts: list) -> Vec | None:
+    """Primitive normal of the hyperplane spanned by len(pts) == dim
+    affinely independent points, or None when they are degenerate."""
+    base = pts[0]
+    diffs = [list(vsub(p, base)) for p in pts[1:]]
+    d = len(base)
+    cof = []
+    for j in range(d):
+        minor = [row[:j] + row[j + 1 :] for row in diffs]
+        cof.append((-1) ** j * linalg.det(minor))
+    if all(x == 0 for x in cof):
+        return None
+    return primitive(cof)
+
+
+def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, ...]]]:
+    """All facets of conv(points) as (inward primitive normal, level,
+    indices of the points lying on the facet), sorted by normal.
+
+    Assumes the points affinely span the ambient space.  A hyperplane
+    supports the hull iff every point sits on one side of it; the facet is
+    the full equality set, so non-simplicial facets come out whole.
+    """
+    n = len(points)
+    found: dict = {}
+    for subset in combinations(range(n), dim):
+        u = _hyperplane_normal([points[i] for i in subset])
+        if u is None:
+            continue
+        c = dot(u, points[subset[0]])
+        vals = [dot(u, p) for p in points]
+        below = any(v < c for v in vals)
+        above = any(v > c for v in vals)
+        if below and above:
+            continue
+        assert below or above, "input not full-dimensional"
+        if below:  # flip so the normal points inward
+            u = vneg(u)
+            c = -c
+            vals = [-v for v in vals]
+        key = (u, c)
+        if key not in found:
+            found[key] = tuple(i for i, v in enumerate(vals) if v == c)
+    return [(u, c, idx) for (u, c), idx in sorted(found.items())]
+
+
+@dataclass(frozen=True)
+class Facet:
+    """One facet: <normal, x> == level on the facet and > level strictly
+    inside.  ``lattice_points`` holds every lattice point of the facet for
+    integral polytopes and is empty for rational ones."""
+
+    normal: Vec
+    level: object
+    vertices: tuple
+    lattice_points: tuple = ()
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """Full-dimensional lattice polytope in canonical form."""
+
+    dim: int
+    vertices: tuple
+    facets: tuple
+
+    def contains(self, point: Vec, strict: bool = False) -> bool:
+        if strict:
+            return all(dot(f.normal, point) > f.level for f in self.facets)
+        return all(dot(f.normal, point) >= f.level for f in self.facets)
+
+    def transform(self, matrix) -> "Polytope":
+        """Image under a unimodular matrix (rows act on column vectors)."""
+        return convex_hull([matvec(matrix, v) for v in self.vertices], self.dim)
+
+    def to_json_dict(self) -> dict:
+        return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
+
+
+@dataclass(frozen=True)
+class RationalPolytope:
+    """Full-dimensional polytope with rational vertices (e.g. a polar
+    dual).  Facet normals are still primitive integer vectors; levels are
+    Fractions."""
+
+    dim: int
+    vertices: tuple
+    facets: tuple
+
+    def contains(self, point: Vec, strict: bool = False) -> bool:
+        if strict:
+            return all(dot(f.normal, point) > f.level for f in self.facets)
+        return all(dot(f.normal, point) >= f.level for f in self.facets)
+
+    def is_integral(self) -> bool:
+        return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
+
+    def as_lattice(self) -> Polytope:
+        if not self.is_integral():
+            raise ValueError("polytope has non-integer vertices")
+        return convex_hull([tuple(int(x) for x in v) for v in self.vertices], self.dim)
+
+
+def _vertex_indices(points: list, facets_raw: list, dim: int) -> list[int]:
+    """A point is a vertex iff its active facet normals span the ambient
+    space."""
+    on_facets: list[list[Vec]] = [[] for _ in points]
+    for u, _c, idx in facets_raw:
+        for i in idx:
+            on_facets[i].append(list(u))
+    return [
+        i
+        for i in range(len(points))
+        if len(on_facets[i]) >= dim and linalg.rank(on_facets[i]) == dim
+    ]
+
+
+def _dedup_sorted(points) -> list:
+    return sorted(set(tuple(p) for p in points))
+
+
+def _build_hull(points, dim: int, lattice_points: bool):
+    pts = _dedup_sorted(points)
+    if not pts:
+        raise EmptyInput("cannot take the hull of no points")
+    for p in pts:
+        if len(p) != dim:
+            raise NotFullDimensional(
+                f"point {p} does not live in dimension {dim}"
+            )
+    if _affine_rank(pts) < dim:
+        raise NotFullDimensional(
+            f"points span an affine subspace of dimension {_affine_rank(pts)} < {dim}"
+        )
+    facets_raw = _hull_facets(pts, dim)
+    vertex_idx = _vertex_indices(pts, facets_raw, dim)
+    vertex_set = set(vertex_idx)
+    vertices = tuple(pts[i] for i in sorted(vertex_idx))
+    facets = []
+    for u, c, idx in facets_raw:
+        fverts = tuple(sorted(pts[i] for i in idx if i in vertex_set))
+        lat = _facet_lattice_points(fverts, u, c, dim) if lattice_points else ()
+        facets.append(Facet(u, c, fverts, lat))
+    return vertices, tuple(facets)
+
+
+def convex_hull(points, dim: int | None = None) -> Polytope:
+    """Convex hull of integer points as a canonical Polytope.
+
+    Raises EmptyInput for no points and NotFullDimensional when the affine
+    span is a proper subspace.
+    """
+    pts = list(points)
+    if not pts:
+        raise EmptyInput("cannot take the hull of no points")
+    if dim is None:
+        dim = len(pts[0])
+    for p in pts:
+        for x in p:
+            if not isinstance(x, int):
+                raise ValueError(f"lattice polytope vertices must be ints, got {x!r}")
+    vertices, facets = _build_hull(pts, dim, lattice_points=True)
+    return Polytope(dim, vertices, facets)
+
+
+def rational_hull(points, dim: int | None = None) -> RationalPolytope:
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if not pts:
+        raise EmptyInput("cannot take the hull of no points")
+    if dim is None:
+        dim = len(pts[0])
+    vertices, facets = _build_hull(pts, dim, lattice_points=False)
+    return RationalPolytope(dim, vertices, facets)
+
+
+def _facet_lattice_points(fvertices, normal, level, dim) -> tuple:
+    """Every lattice point on a facet, by scanning the bounding box of the
+    facet projected out of one coordinate with nonzero normal entry (an
+    affine bijection on the facet's hyperplane)."""
+    k = next(j for j in range(dim) if normal[j] != 0)
+    proj = [v[:k] + v[k + 1 :] for v in fvertices]
+    if dim == 1:
+        return tuple(sorted(fvertices))
+    edges = _hull_facets(proj, dim - 1) if len(proj[0]) > 0 else []
+    ranges = [
+        range(min(p[j] for p in proj), max(p[j] for p in proj) + 1)
+        for j in range(dim - 1)
+    ]
+    out = []
+    for free in cartesian(*ranges):
+        if not all(dot(u, free) >= c for u, c, _ in edges):
+            continue
+        rest = level - sum(
+            normal[j] * x for j, x in zip([j for j in range(dim) if j != k], free)
+        )
+        if rest % normal[k] != 0:
+            continue
+        xk = rest // normal[k]
+        out.append(free[:k] + (xk,) + free[k:])
+    return tuple(sorted(out))
+
+
+def polar_dual(p) -> RationalPolytope:
+    """Polar dual {u : <u, v> >= -1 for all v in P}.
+
+    Requires the origin strictly inside P; vertices of the dual are the
+    facet normals scaled to level -1.
+    """
+    for f in p.facets:
+        if f.level >= 0:
+            raise OriginNotInterior(
+                "origin not interior: facet at level "
+                f"{f.level} with normal {f.normal}"
+            )
+    verts = [tuple(Fraction(x, -f.level) for x in f.normal) for f in p.facets]
+    return rational_hull(verts, p.dim)
+
+
+def is_reflexive(p: Polytope) -> bool:
+    """True iff every facet lies at level -1 (normals are primitive by
+    construction).  Raises OriginNotInterior when the origin is not
+    strictly inside."""
+    for f in p.facets:
+        if f.level >= 0:
+            raise OriginNotInterior(
+                "origin not interior: facet at level "
+                f"{f.level} with normal {f.normal}"
+            )
+    return all(f.level == -1 for f in p.facets)
+
+
+def _triangulate_full(points: list, dim: int) -> list[tuple[int, ...]]:
+    """Full triangulation of conv(points) by pulling from the least
+    vertex; returns index simplices.  Points need not all be extremal."""
+    if dim == 1:
+        lo = min(range(len(points)), key=lambda i: points[i])
+        hi = max(range(len(points)), key=lambda i: points[i])
+        return [(lo, hi)]
+    p0 = min(range(len(points)), key=lambda i: points[i])
+    simplices = []
+    for u, c, idx in _hull_facets(points, dim):
+        if dot(u, points[p0]) == c:
+            continue
+        k = next(j for j in range(dim) if u[j] != 0)
+        sub = [points[i][:k] + points[i][k + 1 :] for i in idx]
+        for simp in _triangulate_full(sub, dim - 1):
+            simplices.append((p0,) + tuple(idx[j] for j in simp))
+    return simplices
+
+
+def normalized_volume(q) -> Fraction:
+    """dim! times the Euclidean volume, exactly.
+
+    Decomposes the polytope into simplices coned from an interior point
+    (the vertex centroid) over a triangulation of each facet and sums the
+    absolute simplex determinants.
+    """
+    d = q.dim
+    verts = q.vertices
+    o = tuple(Fraction(sum(v[j] for v in verts), len(verts)) for j in range(d))
+    total = Fraction(0)
+    for f in q.facets:
+        k = next(j for j in range(d) if f.normal[j] != 0)
+        proj = [v[:k] + v[k + 1 :] for v in f.vertices]
+        if d == 1:
+            simplices = [(0,)]
+        else:
+            simplices = _triangulate_full(proj, d - 1)
+        for simp in simplices:
+            # rows: simplex corners minus o, one simplex of the cone over
+            # the facet triangulation
+            mat = [list(vsub(f.vertices[i], o)) for i in simp]
+            assert len(mat) == d, "facet simplex has wrong corner count"
+            total += abs(Fraction(linalg.det(mat)))
+    return total
+
+
+def boundary_lattice_points(p: Polytope) -> tuple:
+    """Every lattice point on the boundary of a lattice polytope."""
+    pts = set()
+    for f in p.facets:
+        pts.update(f.lattice_points)
+    return tuple(sorted(pts))
+
+
+def polytope_from_json_dict(data: dict) -> Polytope:
+    """Build a polytope from a parsed JSON object.
+
+    The object needs a ``vertices`` list; ``dim`` is optional and
+    inferred from the first vertex when missing.  Other keys (``name``,
+    comments, ...) are ignored.
+    """
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise ParseError("polytope JSON needs a 'vertices' list")
+    raw = data["vertices"]
+    if not isinstance(raw, list) or not raw:
+        raise ParseError("polytope JSON: 'vertices' must be a non-empty list")
+    verts = []
+    for v in raw:
+        if not isinstance(v, list) or not all(type(x) is int for x in v):
+            raise ParseError(f"polytope JSON: bad vertex {v!r}")
+        verts.append(tuple(v))
+    dim = data.get("dim", len(verts[0]))
+    if type(dim) is not int or dim < 1:
+        raise ParseError(f"polytope JSON: bad dimension {dim!r}")
+    if any(len(v) != dim for v in verts):
+        raise ParseError(f"polytope JSON: vertices are not all of dimension {dim}")
+    return convex_hull(verts, dim)

@@ -1,0 +1,273 @@
+"""Sparse Laurent polynomials over arbitrary-precision integers, and
+period sequences: constant terms of successive powers of the vertex
+polynomial of a fan polytope.
+
+Two period engines live here on purpose.  ``period_sequence`` is the fast
+path (iterated sparse multiplication with Newton-polytope pruning of
+exponents that can no longer reach the constant term).  ``period_term_direct``
+recomputes a single term from scratch as a sum over exponent
+multi-combinations; it shares no code with the fast path and exists to
+check it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import factorial
+
+from . import lattice
+from .errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
+
+ORACLE_DEGREE_CAP = 16
+
+
+class LaurentPolynomial:
+    """Immutable sparse map: exponent tuple -> nonzero integer coefficient.
+
+    Do not mutate ``terms`` after construction; all operations return new
+    objects.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms):
+        items = terms.items() if hasattr(terms, "items") else terms
+        clean: dict = {}
+        for exp, coeff in items:
+            e = tuple(exp)
+            if len(e) != dim:
+                raise DimensionMismatch(
+                    f"exponent {e} has length {len(e)}, expected {dim}"
+                )
+            c = clean.get(e, 0) + coeff
+            if c == 0:
+                clean.pop(e, None)
+            else:
+                clean[e] = c
+        self.dim = dim
+        self.terms = clean
+
+    @classmethod
+    def one(cls, dim: int) -> "LaurentPolynomial":
+        return cls(dim, {(0,) * dim: 1})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LaurentPolynomial)
+            and self.dim == other.dim
+            and self.terms == other.terms
+        )
+
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        if self.dim != other.dim:
+            raise DimensionMismatch(
+                f"cannot multiply polynomials in {self.dim} and {other.dim} variables"
+            )
+        small, big = self.terms, other.terms
+        if len(small) > len(big):
+            small, big = big, small
+        acc: dict = {}
+        for e1, c1 in small.items():
+            for e2, c2 in big.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                c = acc.get(e, 0) + c1 * c2
+                if c == 0:
+                    acc.pop(e, None)
+                else:
+                    acc[e] = c
+        out = LaurentPolynomial.__new__(LaurentPolynomial)
+        out.dim = self.dim
+        out.terms = acc
+        return out
+
+    def __pow__(self, n: int) -> "LaurentPolynomial":
+        if n < 0:
+            raise ValueError("negative powers are not Laurent polynomials here")
+        result = LaurentPolynomial.one(self.dim)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def constant_term(self) -> int:
+        return self.terms.get((0,) * self.dim, 0)
+
+    def support(self) -> list[tuple]:
+        return sorted(self.terms)
+
+    def apply_matrix(self, matrix) -> "LaurentPolynomial":
+        """Monomial substitution z^e -> z^(M e); M unimodular keeps this a
+        bijection on exponents."""
+        return LaurentPolynomial(
+            self.dim,
+            [(lattice.matvec(matrix, e), c) for e, c in self.terms.items()],
+        )
+
+    def __repr__(self) -> str:
+        return f"LaurentPolynomial(dim={self.dim}, {len(self.terms)} terms)"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "terms": [
+                {"exp": list(e), "coeff": str(c)} for e, c in sorted(self.terms.items())
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "LaurentPolynomial":
+        return cls(
+            data["dim"],
+            [(tuple(t["exp"]), int(t["coeff"])) for t in data["terms"]],
+        )
+
+
+@dataclass(frozen=True)
+class PeriodSequence:
+    """Constant terms c_d of W^d for d = 0 .. dmax."""
+
+    terms: tuple
+    dmax: int
+    source: str = ""
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __getitem__(self, i: int) -> int:
+        return self.terms[i]
+
+
+def from_fan_polytope(p, include_boundary_points: bool = False) -> LaurentPolynomial:
+    """The vertex polynomial sum_v z^v of a polytope with the origin
+    strictly inside.  With ``include_boundary_points`` every boundary
+    lattice point contributes a term (off by default: non-vertex boundary
+    points are excluded)."""
+    for f in p.facets:
+        if f.level >= 0:
+            raise OriginNotInterior(
+                f"origin not interior: facet at level {f.level}"
+            )
+    if include_boundary_points:
+        exps = lattice.boundary_lattice_points(p)
+    else:
+        exps = p.vertices
+    return LaurentPolynomial(p.dim, [(e, 1) for e in exps])
+
+
+def _pruning_facets(w: LaurentPolynomial):
+    """Facet inequalities of Newton(W) when pruning is sound, else None.
+
+    Pruning drops an exponent e of W^d once -e falls outside
+    (dmax - d) * Newton(W).  Dropping is safe for the final term because
+    exponents of W^(dmax-d) live in that dilate; it stays safe for every
+    intermediate constant term because the dilates are nested, which needs
+    0 in Newton(W).  Degenerate or origin-missing supports fall back to no
+    pruning (the guarantee is only that output is identical either way).
+    """
+    from .errors import EmptyInput, NotFullDimensional
+
+    try:
+        newton = lattice.convex_hull(list(w.terms), w.dim)
+    except (EmptyInput, NotFullDimensional):
+        return None
+    if any(f.level > 0 for f in newton.facets):
+        return None
+    return [(f.normal, f.level) for f in newton.facets]
+
+
+def period_sequence(
+    w: LaurentPolynomial, dmax: int, prune: bool = True, source: str = ""
+) -> PeriodSequence:
+    """c_d = constant term of W^d for d = 0 .. dmax, by iterated
+    multiplication.  ``prune`` is an optimization only; output is
+    identical with it off."""
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative")
+    facets = _pruning_facets(w) if prune else None
+    cs = [1]
+    power = LaurentPolynomial.one(w.dim)
+    for d in range(1, dmax + 1):
+        power = power * w
+        cs.append(power.constant_term())
+        if facets is not None and d < dmax:
+            r = dmax - d
+            kept = {
+                e: c
+                for e, c in power.terms.items()
+                if all(-dot_int(u, e) >= r * lvl for u, lvl in facets)
+            }
+            trimmed = LaurentPolynomial.__new__(LaurentPolynomial)
+            trimmed.dim = w.dim
+            trimmed.terms = kept
+            power = trimmed
+    return PeriodSequence(tuple(cs), dmax, source)
+
+
+def dot_int(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def period_term_direct(
+    w: LaurentPolynomial, d: int, degree_cap: int = ORACLE_DEGREE_CAP
+) -> int:
+    """Brute-force oracle for one period term.
+
+    Enumerates every way to pick d monomials of W whose exponents sum to
+    zero and adds the multinomial d! / prod(a_v!) times the coefficient
+    product.  Exponential in d, so refuses d above ``degree_cap``.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d > degree_cap:
+        raise BudgetExceeded(
+            f"direct period term at degree {d} exceeds the cap of {degree_cap}"
+        )
+    items = sorted(w.terms.items())
+    if not items:
+        return 0
+    n = len(items)
+    dim = w.dim
+    # suffix-wise coordinate bounds let us cut branches whose partial sum
+    # cannot return to the origin with the remaining degree budget
+    suf_min = [[0] * dim for _ in range(n + 1)]
+    suf_max = [[0] * dim for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        e = items[i][0]
+        for j in range(dim):
+            suf_min[i][j] = min(e[j], suf_min[i + 1][j]) if i < n - 1 else e[j]
+            suf_max[i][j] = max(e[j], suf_max[i + 1][j]) if i < n - 1 else e[j]
+    fact = factorial(d)
+    total = 0
+
+    def walk(i: int, remaining: int, partial: tuple, denom: int, coeff: int):
+        nonlocal total
+        if remaining == 0:
+            if all(x == 0 for x in partial):
+                total += (fact // denom) * coeff
+            return
+        if i == n:
+            return
+        for j in range(dim):
+            lo = partial[j] + remaining * suf_min[i][j]
+            hi = partial[j] + remaining * suf_max[i][j]
+            if lo > 0 or hi < 0:
+                return
+        e, c = items[i]
+        # choose multiplicity a for monomial i
+        power = 1
+        for a in range(remaining + 1):
+            if a:
+                power *= c
+            walk(
+                i + 1,
+                remaining - a,
+                tuple(p + a * x for p, x in zip(partial, e)) if a else partial,
+                denom * factorial(a),
+                coeff * power,
+            )
+
+    walk(0, d, (0,) * dim, 1, 1)
+    return total

@@ -1,0 +1,202 @@
+"""Exact linear algebra over the rationals.
+
+Everything here is dense, small and exact: Gauss-Jordan reduction and
+kernels over Fraction, fraction-free (Bareiss) determinants over the
+integers, an independent rank computation through maximal nonzero minors,
+and a tiny tableau simplex used for strict-feasibility questions.  No
+floating point is ever produced or consumed.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+
+def row_reduce(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction.
+
+    Returns the reduced rows and the list of pivot columns.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def rank(rows: list[list]) -> int:
+    if not rows:
+        return 0
+    return len(row_reduce(rows)[1])
+
+
+def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of {x : rows . x = 0}, one vector per free column.
+
+    With no rows at all the kernel is the full space and the standard
+    basis is returned.
+    """
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols is required when rows is empty")
+        ncols = len(rows[0])
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    reduced, pivots = row_reduce(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def det(matrix: list[list]) -> Fraction | int:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Integer input stays integer throughout; Fraction input is handled by
+    the same recurrence, every division being exact.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    mat = [list(row) for row in matrix]
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
+                if isinstance(num, int) and isinstance(prev, int):
+                    mat[i][j] = num // prev
+                else:
+                    mat[i][j] = num / prev
+            mat[i][k] = 0
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def rank_by_minors(rows: list[list]) -> int:
+    """Rank as the size of the largest nonzero minor.
+
+    Exhaustive over all square submatrices, largest first; this is the slow
+    but independent cross-check for ``rank`` and only suits small matrices.
+    """
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    for size in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), size):
+            for ci in combinations(range(n), size):
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                if det(sub) != 0:
+                    return size
+    return 0
+
+
+def max_slack(rows: list[list], nvars: int) -> Fraction:
+    """Maximize s subject to row . h >= s for every row and s <= 1.
+
+    h ranges over all of Q^nvars.  The system is homogeneous in h, so the
+    optimum is exactly 0 or 1; the value 1 certifies that some h satisfies
+    every inequality strictly.  Solved by a dense exact simplex with
+    Bland's rule (h is split into nonnegative parts; the all-slack basis is
+    feasible at h = 0, s = 0).
+    """
+    m = len(rows)
+    # columns: h+ (nvars) | h- (nvars) | s | slack_cap | slack_row * m
+    ncols = 2 * nvars + 2 + m
+    s_col = 2 * nvars
+    tableau: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    # cap row: s + slack_cap = 1
+    cap = [Fraction(0)] * ncols
+    cap[s_col] = Fraction(1)
+    cap[s_col + 1] = Fraction(1)
+    tableau.append(cap)
+    rhs.append(Fraction(1))
+    # wall rows: -a.h+ + a.h- + s + slack_i = 0  (i.e. a.h - s >= 0)
+    for i, a in enumerate(rows):
+        if len(a) != nvars:
+            raise ValueError("constraint row of wrong length")
+        row = [Fraction(0)] * ncols
+        for j, x in enumerate(a):
+            row[j] = Fraction(-x)
+            row[nvars + j] = Fraction(x)
+        row[s_col] = Fraction(1)
+        row[s_col + 2 + i] = Fraction(1)
+        tableau.append(row)
+        rhs.append(Fraction(0))
+    basis = [s_col + 1] + [s_col + 2 + i for i in range(m)]
+    # objective: maximize s.  Reduced costs start at the objective itself
+    # because every basic column has zero cost.
+    cost = [Fraction(0)] * ncols
+    cost[s_col] = Fraction(1)
+    reduced = list(cost)
+    value = Fraction(0)
+    while True:
+        entering = next((j for j in range(ncols) if reduced[j] > 0), None)
+        if entering is None:
+            return value
+        # ratio test, Bland tie-break on basis index
+        leaving = None
+        best = None
+        for i in range(len(tableau)):
+            coef = tableau[i][entering]
+            if coef > 0:
+                ratio = rhs[i] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        assert leaving is not None, "objective is capped, pivot must exist"
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        rhs[leaving] = rhs[leaving] / piv
+        for i in range(len(tableau)):
+            if i != leaving and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leaving])]
+                rhs[i] = rhs[i] - f * rhs[leaving]
+        f = reduced[entering]
+        reduced = [a - f * b for a, b in zip(reduced, tableau[leaving])]
+        value = value + f * rhs[leaving]
+        basis[leaving] = entering
+
+
+def strictly_feasible(rows: list[list], nvars: int) -> bool:
+    """True iff some h in Q^nvars has row . h > 0 for every row."""
+    if not rows:
+        return True
+    opt = max_slack(rows, nvars)
+    assert opt == 0 or opt == 1, "homogeneous scaling forces a 0/1 optimum"
+    return opt == 1

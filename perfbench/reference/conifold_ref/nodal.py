@@ -1,0 +1,411 @@
+"""Nodal analysis of reflexive 3-polytopes.
+
+A facet of a reflexive 3-polytope whose cone is smooth is a unimodular
+triangle; a facet carrying exactly one ordinary double point is an empty
+parallelogram (four lattice points, opposite vertex sums equal, both
+triangle halves unimodular), the cone over the local model
+{(0,0,1), (1,0,1), (0,1,1), (1,1,1)} with singularity xy = zw.  Each such
+square admits two triangulations, one per diagonal, matching the two small
+resolutions of the node; globally the 2^N diagonal assignments enumerate
+all small resolutions.  A resolution is projective exactly when its
+triangulation is regular, decided here by an exact LP: some height vector
+must bend strictly across every interior wall of the induced fan.
+
+Topology bookkeeping across the transition (resolve all nodes versus
+smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
+Euler number drops by 2 per node on the smoothing side, and the second
+and third Betti numbers split according to the rank k of the matrix of
+relations among the exceptional curve classes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from enum import Enum
+from fractions import Fraction
+from math import gcd
+
+from . import linalg
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    NotReflexive,
+    NotReflexiveFacet,
+    WorseThanNodal,
+)
+from .lattice import Facet, Polytope, is_reflexive, normalized_volume, polar_dual
+
+DEFAULT_RESOLUTION_CAP = 20
+
+LOCAL_MODEL_SQUARE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+
+# The square's vertex cycle (v1, v2, v3, v4) has v1 + v3 == v2 + v4.  The
+# split along the v1-v3 diagonal and the one along v2-v4 correspond to the
+# two small resolutions of the node; for the local model these are the
+# graph closures of (x:z) = (w:y) and of (x:w) = (z:y) respectively.
+Diagonal = Enum("Diagonal", [("DIAG13", "13"), ("DIAG24", "24")])
+
+
+class FacetKind(Enum):
+    SMOOTH_TRIANGLE = "smooth_triangle"
+    CONIFOLD_SQUARE = "conifold_square"
+    OTHER = "other"
+
+
+@dataclass(frozen=True)
+class FacetClass:
+    kind: FacetKind
+    cycle: tuple | None = None
+
+
+@dataclass(frozen=True)
+class NodalProfile:
+    """node_count is N; squares pairs each conifold facet's index (in the
+    polytope's canonical facet order) with its vertex cycle."""
+
+    node_count: int
+    squares: tuple
+
+
+@dataclass(frozen=True)
+class SmallResolution:
+    """One diagonal assignment.  ``diagonals`` follows the square order of
+    the profile; ``triangulation`` lists lattice triangles covering the
+    whole boundary; ``regular`` is None until a regularity check runs."""
+
+    diagonals: tuple
+    triangulation: tuple
+    regular: bool | None = None
+
+    def diagonal_string(self) -> str:
+        return "".join("0" if d is Diagonal.DIAG13 else "1" for d in self.diagonals)
+
+
+@dataclass(frozen=True)
+class TransitionReport:
+    node_count: int
+    relation_rank: int
+    e_res: int
+    e_sm: int
+    b2_res: int
+    b2_sm: int
+    b3_sm: int
+    degree: int
+    smoothable: bool
+    mode: str
+
+
+class SmoothingMode(Enum):
+    FANO = "fano"
+    CY = "cy"
+
+
+def _triangle_unimodular(a, b, c) -> bool:
+    return abs(linalg.det([list(a), list(b), list(c)])) == 1
+
+
+def classify_facet(facet: Facet) -> FacetClass:
+    """Classify one facet of a reflexive 3-polytope.
+
+    SMOOTH_TRIANGLE: three vertices spanning a unimodular cone.
+    CONIFOLD_SQUARE: exactly four lattice points, all vertices, forming a
+    parallelogram whose triangle halves are unimodular; the returned cycle
+    (v1, v2, v3, v4) satisfies v1 + v3 == v2 + v4, with v1 the
+    lexicographically least vertex and v2 the lesser of its neighbours.
+    Everything else: OTHER.
+    """
+    if facet.level != -1:
+        raise NotReflexiveFacet(
+            f"facet at level {facet.level}; a reflexive facet sits at -1"
+        )
+    verts = facet.vertices
+    npts = len(facet.lattice_points)
+    if len(verts) == 3:
+        if npts == 3 and _triangle_unimodular(*verts):
+            return FacetClass(FacetKind.SMOOTH_TRIANGLE)
+        return FacetClass(FacetKind.OTHER)
+    if len(verts) == 4 and npts == 4:
+        a, b, c, d = verts  # lexicographic
+        if tuple(x + y for x, y in zip(a, b)) == tuple(x + y for x, y in zip(c, d)):
+            diag, rest = (a, b), (c, d)
+        elif tuple(x + y for x, y in zip(a, c)) == tuple(x + y for x, y in zip(b, d)):
+            diag, rest = (a, c), (b, d)
+        elif tuple(x + y for x, y in zip(a, d)) == tuple(x + y for x, y in zip(b, c)):
+            diag, rest = (a, d), (b, c)
+        else:
+            return FacetClass(FacetKind.OTHER)
+        v1, v3 = diag  # v1 lexicographically least of all four
+        v2, v4 = rest
+        cycle = (v1, v2, v3, v4)
+        # parallelogram halves all share one absolute determinant
+        if _triangle_unimodular(v1, v2, v3):
+            return FacetClass(FacetKind.CONIFOLD_SQUARE, cycle=cycle)
+        return FacetClass(FacetKind.OTHER)
+    return FacetClass(FacetKind.OTHER)
+
+
+def nodal_profile(p: Polytope) -> NodalProfile:
+    """Locate the conifold squares of a reflexive 3-polytope.
+
+    Raises NotReflexive for non-reflexive input and WorseThanNodal (with
+    the offending facet indices) when any facet is neither a unimodular
+    triangle nor a conifold square.
+    """
+    if p.dim != 3:
+        raise DimensionMismatch(f"nodal analysis is for dimension 3, got {p.dim}")
+    if not is_reflexive(p):
+        raise NotReflexive("polytope has a facet at level other than -1")
+    squares = []
+    offenders = []
+    for i, facet in enumerate(p.facets):
+        cls = classify_facet(facet)
+        if cls.kind is FacetKind.OTHER:
+            offenders.append(i)
+        elif cls.kind is FacetKind.CONIFOLD_SQUARE:
+            squares.append((i, cls.cycle))
+    if offenders:
+        raise WorseThanNodal(
+            "facets "
+            + ", ".join(str(i) for i in offenders)
+            + " are neither unimodular triangles nor conifold squares",
+            facets=offenders,
+        )
+    return NodalProfile(len(squares), tuple(squares))
+
+
+def _square_triangles(cycle: tuple, diagonal: Diagonal) -> list[tuple]:
+    v1, v2, v3, v4 = cycle
+    if diagonal is Diagonal.DIAG13:
+        halves = [(v1, v2, v3), (v1, v3, v4)]
+    else:
+        halves = [(v1, v2, v4), (v2, v3, v4)]
+    return [tuple(sorted(t)) for t in halves]
+
+
+def enumerate_small_resolutions(
+    p: Polytope, profile: NodalProfile, cap: int = DEFAULT_RESOLUTION_CAP
+) -> list[SmallResolution]:
+    """All 2^N diagonal assignments, in binary-counter order over the
+    squares (square 0 is the most significant bit, so the diagonal strings
+    come out in lexicographic order)."""
+    n = profile.node_count
+    if n > cap:
+        raise BudgetExceeded(
+            f"{n} nodes would mean 2^{n} resolutions; cap is {cap}"
+        )
+    square_at = dict(profile.squares)
+    out = []
+    for code in range(2**n):
+        choices = tuple(
+            Diagonal.DIAG13 if (code >> (n - 1 - j)) & 1 == 0 else Diagonal.DIAG24
+            for j in range(n)
+        )
+        triangles = []
+        sq = 0
+        for i, facet in enumerate(p.facets):
+            if i in square_at:
+                triangles.extend(_square_triangles(square_at[i], choices[sq]))
+                sq += 1
+            else:
+                triangles.append(tuple(sorted(facet.vertices)))
+        out.append(SmallResolution(choices, tuple(triangles)))
+    return out
+
+
+def _wall_rows(p: Polytope, resolution: SmallResolution) -> list[list[int]]:
+    """One integer row per interior wall of the fan over the triangulation.
+
+    Writing the off-wall vertex of one side as a rational combination
+    c' = alpha*a + beta*b + gamma*c of the other side's triangle, a height
+    vector h is strictly convex across the wall iff
+    h[c'] - alpha*h[a] - beta*h[b] - gamma*h[c] > 0 (the same inequality,
+    up to positive scale, seen from either side because gamma < 0 for any
+    genuine fan).
+    """
+    index = {v: i for i, v in enumerate(p.vertices)}
+    tris = [tuple(index[v] for v in t) for t in resolution.triangulation]
+    edge_tris: dict = {}
+    for t in tris:
+        for edge in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
+            edge_tris.setdefault(tuple(sorted(edge)), []).append(t)
+    rows = []
+    nverts = len(p.vertices)
+    for edge, owners in sorted(edge_tris.items()):
+        assert len(owners) == 2, "boundary triangulation must close up"
+        t1, t2 = owners
+        a, b = edge
+        c = next(v for v in t1 if v not in edge)
+        cp = next(v for v in t2 if v not in edge)
+        va, vb, vc = p.vertices[a], p.vertices[b], p.vertices[c]
+        vcp = p.vertices[cp]
+        d0 = linalg.det([list(va), list(vb), list(vc)])
+        assert d0 != 0, "triangle rays must be linearly independent"
+        alpha = Fraction(linalg.det([list(vcp), list(vb), list(vc)]), d0)
+        beta = Fraction(linalg.det([list(va), list(vcp), list(vc)]), d0)
+        gamma = Fraction(linalg.det([list(va), list(vb), list(vcp)]), d0)
+        assert gamma < 0, "adjacent cones must sit on opposite sides of a wall"
+        coeff = [Fraction(0)] * nverts
+        coeff[cp] += 1
+        coeff[a] -= alpha
+        coeff[b] -= beta
+        coeff[c] -= gamma
+        mult = 1
+        for f in coeff:
+            mult = mult * f.denominator // gcd(mult, f.denominator)
+        rows.append([int(f * mult) for f in coeff])
+    return rows
+
+
+def is_regular_triangulation(p: Polytope, resolution: SmallResolution) -> bool:
+    """Exact regularity: does some rational height vector on the vertices
+    induce a strictly convex piecewise-linear function on the fan over the
+    triangulation?  Feasibility with positive slack is decided by the
+    exact simplex in linalg."""
+    rows = _wall_rows(p, resolution)
+    return linalg.strictly_feasible(rows, len(p.vertices))
+
+
+def check_regularity(
+    p: Polytope, resolutions: list[SmallResolution], threads: int = 1
+) -> list[SmallResolution]:
+    """The same resolutions with ``regular`` filled in.  ``threads`` > 1
+    fans the independent LP checks over a thread pool; results keep their
+    deterministic order either way."""
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            flags = list(pool.map(lambda r: is_regular_triangulation(p, r), resolutions))
+    else:
+        flags = [is_regular_triangulation(p, r) for r in resolutions]
+    return [replace(r, regular=flag) for r, flag in zip(resolutions, flags)]
+
+
+def exceptional_relation_matrix(p: Polytope, profile: NodalProfile) -> list[list[int]]:
+    """Row per square: +1 at v1 and v3, -1 at v2 and v4, indexed by the
+    polytope's canonical vertex order.  Rows express the linear relations
+    among the exceptional curve classes of a small resolution."""
+    index = {v: i for i, v in enumerate(p.vertices)}
+    rows = []
+    for _fi, (v1, v2, v3, v4) in profile.squares:
+        row = [0] * len(p.vertices)
+        row[index[v1]] += 1
+        row[index[v3]] += 1
+        row[index[v2]] -= 1
+        row[index[v4]] -= 1
+        rows.append(row)
+    return rows
+
+
+def exceptional_relation_rank(p: Polytope, profile: NodalProfile) -> int:
+    rows = exceptional_relation_matrix(p, profile)
+    if not rows:
+        return 0
+    k = linalg.rank(rows)
+    assert 0 <= k <= profile.node_count
+    return k
+
+
+def friedman_smoothable(
+    p: Polytope, profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO
+):
+    """(smoothable?, certificate).
+
+    FANO mode: a Fano threefold with ordinary double points always smooths
+    (and the smoothing is unique); the certificate is that statement.
+    CY mode: a smoothing exists iff some relation lambda^T R = 0 holds
+    with every lambda_i nonzero, i.e. the left kernel of the relation
+    matrix sits inside no coordinate hyperplane; the certificate is such a
+    lambda.
+    """
+    if mode is SmoothingMode.FANO:
+        return True, "ordinary double points on a Fano threefold always smooth"
+    n = profile.node_count
+    if n == 0:
+        return True, ()
+    rows = exceptional_relation_matrix(p, profile)
+    transpose = [[rows[i][j] for i in range(n)] for j in range(len(p.vertices))]
+    basis = linalg.kernel_basis(transpose, ncols=n)
+    if not basis:
+        return False, None
+    for i in range(n):
+        if all(vec[i] == 0 for vec in basis):
+            return False, None
+    # a generic combination of the kernel basis avoids every coordinate
+    # hyperplane; weights 1, w, w^2, ... work for some small w
+    for w in range(1, n * len(basis) + 2):
+        lam = [
+            sum(vec[i] * w**j for j, vec in enumerate(basis)) for i in range(n)
+        ]
+        if all(x != 0 for x in lam):
+            scale = 1
+            for x in lam:
+                scale = scale * x.denominator // gcd(scale, x.denominator)
+            ints = [int(x * scale) for x in lam]
+            content = 0
+            for x in ints:
+                content = gcd(content, x)
+            return True, tuple(x // content for x in ints)
+    raise AssertionError("generic weights must eventually miss all hyperplanes")
+
+
+def transition_invariants(
+    p: Polytope, mode: SmoothingMode = SmoothingMode.FANO
+) -> TransitionReport:
+    """Topology of the two sides of the conifold transition.
+
+    e_res counts the triangles of any small resolution (all 2^N share the
+    count), b2_res = V - 3 for V boundary rays.  Smoothing all N nodes
+    drops the Euler number by 2N and transfers rank: with k the rank of
+    the exceptional relation matrix, b2_sm = b2_res - k and
+    b3_sm = 2(N - k).  The degree is the normalized volume of the polar
+    dual.
+    """
+    profile = nodal_profile(p)
+    n = profile.node_count
+    smooth_facets = len(p.facets) - n
+    e_res = smooth_facets + 2 * n
+    e_sm = e_res - 2 * n
+    nverts = len(p.vertices)
+    b2_res = nverts - 3
+    k = exceptional_relation_rank(p, profile)
+    b2_sm = b2_res - k
+    b3_sm = 2 * (n - k)
+    vol = normalized_volume(polar_dual(p))
+    assert vol.denominator == 1, "dual of a reflexive polytope has integer volume"
+    smoothable, _cert = friedman_smoothable(p, profile, mode)
+    return TransitionReport(
+        node_count=n,
+        relation_rank=k,
+        e_res=e_res,
+        e_sm=e_sm,
+        b2_res=b2_res,
+        b2_sm=b2_sm,
+        b3_sm=b3_sm,
+        degree=int(vol),
+        smoothable=smoothable,
+        mode=mode.value,
+    )
+
+
+def report_json_dict(report: TransitionReport, resolutions=None) -> dict:
+    data = {
+        "N": report.node_count,
+        "k": report.relation_rank,
+        "e_res": report.e_res,
+        "e_sm": report.e_sm,
+        "b2_res": report.b2_res,
+        "b2_sm": report.b2_sm,
+        "b3_sm": report.b3_sm,
+        "degree": report.degree,
+        "smoothable": report.smoothable,
+        "mode": report.mode,
+        "note": "b2_sm/b3_sm split is derived bookkeeping; the intrinsic "
+        "statement is the Euler-number drop of 2 per node",
+    }
+    if resolutions is not None:
+        data["resolutions"] = [
+            {"diagonals": r.diagonal_string(), "regular": r.regular}
+            for r in resolutions
+        ]
+    return data

@@ -1,0 +1,207 @@
+"""Discovery of linear recurrences with polynomial coefficients.
+
+Given integer sequence terms c_0 .. c_L, search for the lexicographically
+least (order r, coefficient degree D) such that
+
+    sum_{i=0}^{r} p_i(d) * c_{d+i} = 0   for every usable d,
+
+with deg p_i <= D and p_r not identically zero.  The last ``holdout``
+positions are excluded from no equation: a candidate must annihilate the
+training window and the held-out window alike, which kills fitted
+coincidences.  All solving is exact (Fraction kernel of an integer
+matrix); no candidate is ever accepted numerically.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from . import linalg
+from .errors import InsufficientData
+
+DEFAULT_HOLDOUT = 5
+
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _sup(n: int) -> str:
+    return str(n).translate(_SUPERSCRIPT)
+
+
+@dataclass(frozen=True)
+class Recurrence:
+    """coeffs[i] lists p_i low power first; normalized so all entries are
+    integers of content 1 and the leading coefficient of p_r is positive."""
+
+    order: int
+    degree: int
+    coeffs: tuple
+
+    def poly_value(self, i: int, d: int) -> int:
+        return sum(a * d**j for j, a in enumerate(self.coeffs[i]))
+
+    def apply(self, seq, d: int) -> int:
+        return sum(self.poly_value(i, d) * seq[d + i] for i in range(self.order + 1))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "order": self.order,
+            "degree": self.degree,
+            "coeffs": [[str(a) for a in poly] for poly in self.coeffs],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Recurrence":
+        coeffs = tuple(tuple(int(Fraction(a)) for a in poly) for poly in data["coeffs"])
+        return cls(int(data["order"]), int(data["degree"]), coeffs)
+
+    def __str__(self) -> str:
+        def render_poly(poly) -> str:
+            # descending powers, conventional signs, no unit coefficients
+            chunks = []
+            for j in range(len(poly) - 1, -1, -1):
+                a = poly[j]
+                if a == 0:
+                    continue
+                mag = abs(a)
+                if j == 0:
+                    body = str(mag)
+                else:
+                    power = "d" if j == 1 else f"d{_sup(j)}"
+                    body = power if mag == 1 else f"{mag}{power}"
+                if not chunks:
+                    chunks.append(body if a > 0 else f"-{body}")
+                else:
+                    chunks.append(f"{'+' if a > 0 else '-'} {body}")
+            return " ".join(chunks) if chunks else "0"
+
+        parts = []
+        for i, poly in enumerate(self.coeffs):
+            if all(a == 0 for a in poly):
+                continue
+            shift = "c(d)" if i == 0 else f"c(d+{i})"
+            parts.append(f"({render_poly(poly)})*{shift}")
+        return " + ".join(parts) + " = 0"
+
+
+def _as_terms(seq) -> list[int]:
+    return list(getattr(seq, "terms", seq))
+
+
+def _normalize(vec: list[Fraction], r: int, dD: int) -> tuple:
+    """Clear denominators, reduce content to 1, make the leading
+    coefficient of p_r positive; idempotent on its own output."""
+    mult = 1
+    for f in vec:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    polys = [ints[i * (dD + 1) : (i + 1) * (dD + 1)] for i in range(r + 1)]
+    lead = next(a for a in reversed(polys[r]) if a != 0)
+    if lead < 0:
+        polys = [[-a for a in poly] for poly in polys]
+    trimmed = []
+    for poly in polys:
+        end = len(poly)
+        while end > 1 and poly[end - 1] == 0:
+            end -= 1
+        trimmed.append(tuple(poly[:end]))
+    return tuple(trimmed)
+
+
+def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
+    """Nontrivial normalized solution for the (r, D) cell over every
+    usable window of ``terms``, or None."""
+    last = len(terms) - 1
+    nvars = (r + 1) * (dD + 1)
+    rows = []
+    for d in range(0, last - r + 1):
+        row = []
+        for i in range(r + 1):
+            c = terms[d + i]
+            for j in range(dD + 1):
+                row.append(c * d**j)
+        rows.append(row)
+    basis = linalg.kernel_basis(rows, ncols=nvars)
+    for vec in basis:
+        pr = vec[r * (dD + 1) : (r + 1) * (dD + 1)]
+        if any(x != 0 for x in pr):
+            return _normalize(vec, r, dD)
+    return None
+
+
+def find_recurrence(
+    seq,
+    rmax: int,
+    degree_max: int,
+    holdout: int = DEFAULT_HOLDOUT,
+    stride: int = 1,
+) -> Recurrence | None:
+    """Least (r, D) <= (rmax, degree_max) in lexicographic order whose
+    exact solution annihilates both the training window and the final
+    ``holdout`` terms; None when no cell admits one.
+
+    With ``stride`` = s the search runs on the subsequence c_0, c_s,
+    c_2s, ... and the recurrence is in the subsequence index.
+    """
+    terms = _as_terms(seq)
+    if stride > 1:
+        terms = terms[::stride]
+    if rmax < 1 or degree_max < 0:
+        raise ValueError("need rmax >= 1 and degree_max >= 0")
+    if holdout < 1:
+        raise ValueError("holdout must be at least 1")
+    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
+    if len(terms) < needed:
+        raise InsufficientData(
+            f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
+            f"with holdout {holdout} needs at least {needed}"
+        )
+    for r in range(1, rmax + 1):
+        for dD in range(0, degree_max + 1):
+            # solving over training and holdout windows together is the
+            # same acceptance rule as solve-then-check: any accepted
+            # candidate must satisfy both sets of equations exactly
+            sol = _solve_cell(terms, r, dD)
+            if sol is None:
+                continue
+            rec = Recurrence(
+                order=r,
+                degree=max(len(p) - 1 for p in sol),
+                coeffs=sol,
+            )
+            assert verify_recurrence(rec, terms)
+            return rec
+    return None
+
+
+def verify_recurrence(rec: Recurrence, seq) -> bool:
+    """Exact check of the recurrence over every window of the sequence."""
+    terms = _as_terms(seq)
+    if len(terms) <= rec.order:
+        raise InsufficientData(
+            f"sequence of length {len(terms)} is shorter than order {rec.order} + 1"
+        )
+    return all(
+        rec.apply(terms, d) == 0 for d in range(0, len(terms) - rec.order)
+    )
+
+
+def gw_labeling(seq) -> list[tuple[int, str | None, int]]:
+    """Label the terms of a period sequence as one-pointed genus-zero
+    descendant invariants: degree d >= 2 carries the label
+    "<psi^(d-2)[pt]>_{0,1,d}"; d = 0 and 1 stay unlabeled."""
+    terms = _as_terms(seq)
+    out = []
+    for d, value in enumerate(terms):
+        if d < 2:
+            out.append((d, None, value))
+        else:
+            label = f"⟨ψ{_sup(d - 2)}[pt]⟩_{{0,1,{d}}}"
+            out.append((d, label, value))
+    return out
