@@ -191,7 +191,7 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     for _, cycle in profile.squares:
         verify_square_is_local_model(cycle)
 
-    report = transition_invariants(p, mode=SmoothingMode.FANO)
+    report = transition_invariants(p, profile, SmoothingMode.FANO)
     check(report.e_sm == 2 + 2 * report.b2_sm - report.b3_sm,
           f"{name}: Euler/Betti bookkeeping identity failed")
     dual_volume = normalized_volume(polar_dual(p))
@@ -200,7 +200,7 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     resolutions = enumerate_small_resolutions(p, profile)
     check(len(resolutions) == 2 ** profile.node_count,
           f"{name}: wrong number of small resolutions")
-    resolutions = check_regularity(p, resolutions)
+    resolutions = check_regularity(p, profile, resolutions)
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
 

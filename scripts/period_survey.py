@@ -58,8 +58,9 @@ def main() -> int:
     print("-" * len(header))
     for stem in stems:
         p = load(stem)
-        rep = transition_invariants(p, mode=SmoothingMode.FANO)
-        rs = check_regularity(p, enumerate_small_resolutions(p, nodal_profile(p)))
+        profile = nodal_profile(p)
+        rep = transition_invariants(p, profile, SmoothingMode.FANO)
+        rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
         nreg = sum(1 for r in rs if r.regular)
         seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX, source=stem)
         print(

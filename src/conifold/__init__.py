@@ -22,7 +22,6 @@ floating point anywhere in the pipeline.
 
 __version__ = "0.1.0"
 
-from .config import Config
 from .errors import (
     BudgetExceeded,
     ConifoldError,
@@ -81,7 +80,6 @@ from .recurrence import Recurrence, find_recurrence, gw_labeling, verify_recurre
 __all__ = [
     "__version__",
     "BudgetExceeded",
-    "Config",
     "ConifoldError",
     "Diagonal",
     "DimensionMismatch",

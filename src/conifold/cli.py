@@ -22,7 +22,6 @@ import json
 import sys
 
 from . import __version__
-from .config import Config, thread_count
 from .errors import ConifoldError, ParseError
 from .fanodb import load_database, match
 from .lattice import polytope_from_json_dict
@@ -70,17 +69,20 @@ def _load_sequence(path) -> list[int]:
     return data
 
 
-def _config_from_args(args) -> Config:
-    try:
-        return Config(
-            dmax=getattr(args, "dmax", 20),
-            prune=not getattr(args, "no_prune", False),
-            resolution_cap=getattr(args, "resolution_cap", 20),
-            holdout=getattr(args, "holdout", 5),
-            output=getattr(args, "output", "json"),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+def _int_at_least(low: int):
+    """argparse ``type=`` for an integer option bounded below.  A bad value
+    raises ParseError, which argparse passes through to ``main``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise ParseError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +115,11 @@ def _emit_kv_table(pairs) -> None:
 
 
 def cmd_periods(args) -> int:
-    cfg = _config_from_args(args)
     p = _load_polytope(args.polytope)
     w = from_fan_polytope(p)
-    seq = period_sequence(w, cfg.dmax, prune=cfg.prune, source=args.polytope)
+    seq = period_sequence(w, args.dmax, prune=not args.no_prune, source=args.polytope)
     payload = {
-        "dmax": cfg.dmax,
+        "dmax": args.dmax,
         "periods": list(seq.terms),
         "gw": [
             {"d": d, "label": label, "value": value}
@@ -130,7 +131,7 @@ def cmd_periods(args) -> int:
             seq,
             rmax=args.rmax,
             degree_max=args.degree_max,
-            holdout=cfg.holdout,
+            holdout=args.holdout,
             stride=args.stride,
         )
         if rec is None:
@@ -138,7 +139,7 @@ def cmd_periods(args) -> int:
         else:
             payload["recurrence"] = rec.to_json_dict()
             payload["recurrence"]["pretty"] = str(rec)
-    if cfg.output == "table":
+    if args.output == "table":
         rows = [(g["d"], g["value"], g["label"] or "") for g in payload["gw"]]
         print(_render_table(("d", "c_d", "gromov-witten"), rows))
         if args.recurrence:
@@ -151,15 +152,13 @@ def cmd_periods(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    cfg = _config_from_args(args)
     p = _load_polytope(args.polytope)
-    mode = SmoothingMode(args.mode)
-    report = transition_invariants(p, mode=mode)
     profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(p, profile, cap=cfg.resolution_cap)
-    resolutions = check_regularity(p, resolutions, threads=thread_count())
+    report = transition_invariants(p, profile, SmoothingMode(args.mode))
+    resolutions = enumerate_small_resolutions(p, profile, cap=args.resolution_cap)
+    resolutions = check_regularity(p, profile, resolutions)
     payload = report_json_dict(report, resolutions=resolutions)
-    if cfg.output == "table":
+    if args.output == "table":
         skip = {"resolutions", "note"}
         _emit_kv_table([(k, payload[k]) for k in sorted(payload) if k not in skip])
         print()
@@ -171,11 +170,10 @@ def cmd_transition(args) -> int:
 
 
 def cmd_match(args) -> int:
-    cfg = _config_from_args(args)
     p = _load_polytope(args.polytope)
-    report = transition_invariants(p, mode=SmoothingMode(args.mode))
+    report = transition_invariants(p, nodal_profile(p), SmoothingMode(args.mode))
     w = from_fan_polytope(p)
-    seq = period_sequence(w, cfg.dmax, prune=cfg.prune, source=args.polytope)
+    seq = period_sequence(w, args.dmax, prune=not args.no_prune, source=args.polytope)
     db = load_database(args.database)
     candidates = match(report, seq, db)
     payload = {
@@ -188,7 +186,7 @@ def cmd_match(args) -> int:
         },
         "candidates": [c.to_json_dict() for c in candidates],
     }
-    if cfg.output == "table":
+    if args.output == "table":
         if not candidates:
             print("no candidates")
         else:
@@ -203,10 +201,9 @@ def cmd_match(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    cfg = _config_from_args(args)
     p = _load_polytope(args.polytope)
     profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(p, profile, cap=cfg.resolution_cap)
+    resolutions = enumerate_small_resolutions(p, profile, cap=args.resolution_cap)
     payload = {
         "N": profile.node_count,
         "count": len(resolutions),
@@ -215,7 +212,7 @@ def cmd_resolve(args) -> int:
             for r in resolutions
         ],
     }
-    if cfg.output == "table":
+    if args.output == "table":
         rows = [(r["diagonals"], r["triangle_count"]) for r in payload["resolutions"]]
         print(_render_table(("diagonals", "triangles"), rows))
     else:
@@ -224,13 +221,12 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
-    cfg = _config_from_args(args)
     terms = _load_sequence(args.sequence)
     rec = find_recurrence(
         terms,
         rmax=args.rmax,
         degree_max=args.degree_max,
-        holdout=cfg.holdout,
+        holdout=args.holdout,
         stride=args.stride,
     )
     if rec is None:
@@ -239,7 +235,7 @@ def cmd_recurrence(args) -> int:
         payload = {"found": True}
         payload.update(rec.to_json_dict())
         payload["pretty"] = str(rec)
-    if cfg.output == "table":
+    if args.output == "table":
         print(payload["pretty"] if payload["found"] else "none found within caps")
     else:
         _emit_json(payload)
@@ -260,13 +256,13 @@ def _add_output_flag(sp) -> None:
 
 
 def _add_recurrence_flags(sp, rmax_default, degree_default) -> None:
-    sp.add_argument("--rmax", type=int, default=rmax_default,
+    sp.add_argument("--rmax", type=_int_at_least(1), default=rmax_default,
                     help=f"largest recurrence order to try (default {rmax_default})")
-    sp.add_argument("--degree-max", type=int, default=degree_default,
+    sp.add_argument("--degree-max", type=_int_at_least(0), default=degree_default,
                     help=f"largest coefficient degree to try (default {degree_default})")
-    sp.add_argument("--holdout", type=int, default=5,
+    sp.add_argument("--holdout", type=_int_at_least(1), default=5,
                     help="terms reserved to confirm a candidate (default 5)")
-    sp.add_argument("--stride", type=int, default=1,
+    sp.add_argument("--stride", type=_int_at_least(1), default=1,
                     help="subsample the sequence: keep every stride-th term")
 
 
@@ -282,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("periods", help="period sequence of a fan polytope")
     sp.add_argument("polytope", help="polytope JSON file")
-    sp.add_argument("--dmax", type=int, default=20, help="highest power computed (default 20)")
+    sp.add_argument("--dmax", type=_int_at_least(0), default=20,
+                    help="highest power computed (default 20)")
     sp.add_argument("--no-prune", action="store_true",
                     help="disable Newton-polytope pruning (same output, slower)")
     sp.add_argument("--recurrence", action="store_true",
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("--mode", choices=("fano", "cy"), default="fano",
                     help="smoothability criterion to apply (default fano)")
-    sp.add_argument("--resolution-cap", type=int, default=20,
+    sp.add_argument("--resolution-cap", type=_int_at_least(0), default=20,
                     help="refuse polytopes with more conifold squares than this")
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_transition)
@@ -304,16 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("database", help="line-oriented JSON database file")
     sp.add_argument("--mode", choices=("fano", "cy"), default="fano")
-    sp.add_argument("--dmax", type=int, default=20,
+    sp.add_argument("--dmax", type=_int_at_least(0), default=20,
                     help="period terms computed for the comparison (default 20)")
     sp.add_argument("--no-prune", action="store_true")
-    sp.add_argument("--resolution-cap", type=int, default=20)
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("resolve", help="enumerate small resolutions only")
     sp.add_argument("polytope", help="polytope JSON file")
-    sp.add_argument("--resolution-cap", type=int, default=20)
+    sp.add_argument("--resolution-cap", type=_int_at_least(0), default=20)
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_resolve)
 
@@ -335,9 +331,8 @@ def _emit_error(exc: BaseException, kind: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConifoldError as exc:
         _emit_error(exc, type(exc).__name__)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product as cartesian
 from math import gcd
 
@@ -121,12 +122,22 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
 class Facet:
     """One facet: <normal, x> == level on the facet and > level strictly
     inside.  ``lattice_points`` holds every lattice point of the facet for
-    integral polytopes and is empty for rational ones."""
+    integral polytopes and is empty for rational ones.  It is computed on
+    first read by a bounding-box scan, whose cost grows with the facet's
+    coordinates; facet classification never reads it."""
 
     normal: Vec
     level: object
     vertices: tuple
-    lattice_points: tuple = ()
+
+    @cached_property
+    def lattice_points(self) -> tuple:
+        # an integral polytope has int levels, a rational hull Fraction ones
+        if not isinstance(self.level, int):
+            return ()
+        return _facet_lattice_points(
+            self.vertices, self.normal, self.level, len(self.normal)
+        )
 
 
 @dataclass(frozen=True)
@@ -192,7 +203,7 @@ def _dedup_sorted(points) -> list:
     return sorted(set(tuple(p) for p in points))
 
 
-def _build_hull(points, dim: int, lattice_points: bool):
+def _build_hull(points, dim: int):
     pts = _dedup_sorted(points)
     if not pts:
         raise EmptyInput("cannot take the hull of no points")
@@ -212,8 +223,7 @@ def _build_hull(points, dim: int, lattice_points: bool):
     facets = []
     for u, c, idx in facets_raw:
         fverts = tuple(sorted(pts[i] for i in idx if i in vertex_set))
-        lat = _facet_lattice_points(fverts, u, c, dim) if lattice_points else ()
-        facets.append(Facet(u, c, fverts, lat))
+        facets.append(Facet(u, c, fverts))
     return vertices, tuple(facets)
 
 
@@ -232,7 +242,7 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
         for x in p:
             if not isinstance(x, int):
                 raise ValueError(f"lattice polytope vertices must be ints, got {x!r}")
-    vertices, facets = _build_hull(pts, dim, lattice_points=True)
+    vertices, facets = _build_hull(pts, dim)
     return Polytope(dim, vertices, facets)
 
 
@@ -242,7 +252,7 @@ def rational_hull(points, dim: int | None = None) -> RationalPolytope:
         raise EmptyInput("cannot take the hull of no points")
     if dim is None:
         dim = len(pts[0])
-    vertices, facets = _build_hull(pts, dim, lattice_points=False)
+    vertices, facets = _build_hull(pts, dim)
     return RationalPolytope(dim, vertices, facets)
 
 

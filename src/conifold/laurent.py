@@ -80,18 +80,6 @@ class LaurentPolynomial:
         out.terms = acc
         return out
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not Laurent polynomials here")
-        result = LaurentPolynomial.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.dim, 0)
 
@@ -140,21 +128,15 @@ class PeriodSequence:
         return self.terms[i]
 
 
-def from_fan_polytope(p, include_boundary_points: bool = False) -> LaurentPolynomial:
+def from_fan_polytope(p) -> LaurentPolynomial:
     """The vertex polynomial sum_v z^v of a polytope with the origin
-    strictly inside.  With ``include_boundary_points`` every boundary
-    lattice point contributes a term (off by default: non-vertex boundary
-    points are excluded)."""
+    strictly inside; non-vertex boundary points contribute no term."""
     for f in p.facets:
         if f.level >= 0:
             raise OriginNotInterior(
                 f"origin not interior: facet at level {f.level}"
             )
-    if include_boundary_points:
-        exps = lattice.boundary_lattice_points(p)
-    else:
-        exps = p.vertices
-    return LaurentPolynomial(p.dim, [(e, 1) for e in exps])
+    return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 
 def _pruning_facets(w: LaurentPolynomial):

@@ -7,9 +7,29 @@ triangle halves unimodular), the cone over the local model
 {(0,0,1), (1,0,1), (0,1,1), (1,1,1)} with singularity xy = zw.  Each such
 square admits two triangulations, one per diagonal, matching the two small
 resolutions of the node; globally the 2^N diagonal assignments enumerate
-all small resolutions.  A resolution is projective exactly when its
-triangulation is regular, decided here by an exact LP: some height vector
-must bend strictly across every interior wall of the induced fan.
+all small resolutions.
+
+Both facet kinds are recognised from their vertices alone.  A reflexive
+facet lies at lattice distance 1 from the origin, so |det(a, b, c)| is the
+normalized area of the triangle abc in the facet's plane; by Pick's
+theorem a triangle of area 1 holds no lattice point besides its vertices,
+and a parallelogram made of two such halves holds none besides its four.
+
+A resolution is projective exactly when its triangulation is regular:
+some height vector on the vertices bends strictly across every interior
+wall of the induced fan (De Loera-Rambau-Santos, *Triangulations*, 2010).
+Only the square diagonals matter.  Let R be the exceptional relation
+matrix and s_i = -1 when square i is split along v1-v3, +1 along v2-v4.
+The triangulation is regular iff some g has s_i * (R_i . g) > 0 for every
+i.  Proof: the gauge of the polytope, 1 on every vertex, equals
+-<u_F, x> on the cone over each facet F and is the maximum of these, so
+it bends strictly across every wall between two facets and is flat across
+every diagonal.  Heights 1 + eps*g keep the strict bends for small
+eps > 0 and bend across diagonal i by eps * s_i * (R_i . g).  Conversely
+the wall inequality of diagonal i is exactly s_i * (R_i . h) > 0, so
+heights h that bend everywhere give g = h.  ``check_regularity`` therefore
+solves one exact LP over N rows; ``is_regular_triangulation``, the LP over
+every wall, stays as the independent check.
 
 Topology bookkeeping across the transition (resolve all nodes versus
 smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
@@ -108,8 +128,9 @@ def classify_facet(facet: Facet) -> FacetClass:
     """Classify one facet of a reflexive 3-polytope.
 
     SMOOTH_TRIANGLE: three vertices spanning a unimodular cone.
-    CONIFOLD_SQUARE: exactly four lattice points, all vertices, forming a
-    parallelogram whose triangle halves are unimodular; the returned cycle
+    CONIFOLD_SQUARE: four vertices forming a parallelogram whose triangle
+    halves are unimodular (so, as the module docstring shows, its only
+    lattice points are its vertices); the returned cycle
     (v1, v2, v3, v4) satisfies v1 + v3 == v2 + v4, with v1 the
     lexicographically least vertex and v2 the lesser of its neighbours.
     Everything else: OTHER.
@@ -119,12 +140,11 @@ def classify_facet(facet: Facet) -> FacetClass:
             f"facet at level {facet.level}; a reflexive facet sits at -1"
         )
     verts = facet.vertices
-    npts = len(facet.lattice_points)
     if len(verts) == 3:
-        if npts == 3 and _triangle_unimodular(*verts):
+        if _triangle_unimodular(*verts):
             return FacetClass(FacetKind.SMOOTH_TRIANGLE)
         return FacetClass(FacetKind.OTHER)
-    if len(verts) == 4 and npts == 4:
+    if len(verts) == 4:
         a, b, c, d = verts  # lexicographic
         if tuple(x + y for x, y in zip(a, b)) == tuple(x + y for x, y in zip(c, d)):
             diag, rest = (a, b), (c, d)
@@ -260,25 +280,28 @@ def is_regular_triangulation(p: Polytope, resolution: SmallResolution) -> bool:
     """Exact regularity: does some rational height vector on the vertices
     induce a strictly convex piecewise-linear function on the fan over the
     triangulation?  Feasibility with positive slack is decided by the
-    exact simplex in linalg."""
+    exact simplex in linalg, over one row per interior wall.  This is the
+    reference that tests hold ``check_regularity`` to."""
     rows = _wall_rows(p, resolution)
     return linalg.strictly_feasible(rows, len(p.vertices))
 
 
 def check_regularity(
-    p: Polytope, resolutions: list[SmallResolution], threads: int = 1
+    p: Polytope, profile: NodalProfile, resolutions: list[SmallResolution]
 ) -> list[SmallResolution]:
-    """The same resolutions with ``regular`` filled in.  ``threads`` > 1
-    fans the independent LP checks over a thread pool; results keep their
-    deterministic order either way."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(lambda r: is_regular_triangulation(p, r), resolutions))
-    else:
-        flags = [is_regular_triangulation(p, r) for r in resolutions]
-    return [replace(r, regular=flag) for r, flag in zip(resolutions, flags)]
+    """The same resolutions with ``regular`` filled in by the sign-vector
+    test of the module docstring: is some g strictly positive on the rows
+    s_i * R_i of the exceptional relation matrix?"""
+    relations = exceptional_relation_matrix(p, profile)
+    out = []
+    for r in resolutions:
+        rows = [
+            row if d is Diagonal.DIAG24 else [-x for x in row]
+            for row, d in zip(relations, r.diagonals)
+        ]
+        regular = linalg.strictly_feasible(rows, len(p.vertices))
+        out.append(replace(r, regular=regular))
+    return out
 
 
 def exceptional_relation_matrix(p: Polytope, profile: NodalProfile) -> list[list[int]]:
@@ -350,9 +373,10 @@ def friedman_smoothable(
 
 
 def transition_invariants(
-    p: Polytope, mode: SmoothingMode = SmoothingMode.FANO
+    p: Polytope, profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO
 ) -> TransitionReport:
-    """Topology of the two sides of the conifold transition.
+    """Topology of the two sides of the conifold transition, for ``profile``
+    = ``nodal_profile(p)``.
 
     e_res counts the triangles of any small resolution (all 2^N share the
     count), b2_res = V - 3 for V boundary rays.  Smoothing all N nodes
@@ -361,7 +385,6 @@ def transition_invariants(
     b3_sm = 2(N - k).  The degree is the normalized volume of the polar
     dual.
     """
-    profile = nodal_profile(p)
     n = profile.node_count
     smooth_facets = len(p.facets) - n
     e_res = smooth_facets + 2 * n

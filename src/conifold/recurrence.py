@@ -54,7 +54,9 @@ class Recurrence:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
-        coeffs = tuple(tuple(int(Fraction(a)) for a in poly) for poly in data["coeffs"])
+        """Inverse of ``to_json_dict``; a coefficient that is not an integer
+        raises ValueError."""
+        coeffs = tuple(tuple(_integer(a) for a in poly) for poly in data["coeffs"])
         return cls(int(data["order"]), int(data["degree"]), coeffs)
 
     def __str__(self) -> str:
@@ -84,6 +86,13 @@ class Recurrence:
             shift = "c(d)" if i == 0 else f"c(d+{i})"
             parts.append(f"({render_poly(poly)})*{shift}")
         return " + ".join(parts) + " = 0"
+
+
+def _integer(raw) -> int:
+    value = Fraction(raw)
+    if value.denominator != 1:
+        raise ValueError(f"recurrence coefficient {raw!r} is not an integer")
+    return int(value)
 
 
 def _as_terms(seq) -> list[int]:
@@ -149,9 +158,9 @@ def find_recurrence(
     With ``stride`` = s the search runs on the subsequence c_0, c_s,
     c_2s, ... and the recurrence is in the subsequence index.
     """
-    terms = _as_terms(seq)
-    if stride > 1:
-        terms = terms[::stride]
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    terms = _as_terms(seq)[::stride]
     if rmax < 1 or degree_max < 0:
         raise ValueError("need rmax >= 1 and degree_max >= 0")
     if holdout < 1:

@@ -47,11 +47,12 @@ def nodal_stems(golden) -> list:
     )
 
 
-def run_cli(*args, expect_exit=0):
+def run_cli(*args, expect_exit=0, timeout=None):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
 
     Uses `python -m conifold` with PYTHONPATH pointing at src/, so the
-    tests do not depend on an installed console script.
+    tests do not depend on an installed console script.  A run longer than
+    ``timeout`` seconds raises subprocess.TimeoutExpired.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
@@ -61,6 +62,7 @@ def run_cli(*args, expect_exit=0):
         text=True,
         env=env,
         cwd=str(REPO_ROOT),
+        timeout=timeout,
     )
     if expect_exit is not None:
         assert proc.returncode == expect_exit, (

@@ -125,7 +125,7 @@ def test_small_resolution_census(corpus, nodal_stems):
     for stem in nodal_stems:
         p = corpus[stem]
         profile = nodal_profile(p)
-        rep = transition_invariants(p)
+        rep = transition_invariants(p, profile)
         res = enumerate_small_resolutions(p, profile)
         assert len(res) == 2 ** profile.node_count
         assert len({len(r.triangulation) for r in res}) == 1
@@ -143,8 +143,9 @@ def test_small_resolution_census(corpus, nodal_stems):
 def test_each_nodal_polytope_has_a_projective_resolution(corpus, nodal_stems, golden):
     for stem in nodal_stems:
         p = corpus[stem]
-        res = enumerate_small_resolutions(p, nodal_profile(p), cap=64)
-        checked = check_regularity(p, res)
+        profile = nodal_profile(p)
+        res = enumerate_small_resolutions(p, profile, cap=64)
+        checked = check_regularity(p, profile, res)
         regular = sum(1 for r in checked if r.regular)
         assert regular >= 1, stem
         assert regular == golden["polytopes"][stem]["regular_count"], stem
@@ -155,11 +156,12 @@ def test_each_nodal_polytope_has_a_projective_resolution(corpus, nodal_stems, go
 def test_topological_bookkeeping(corpus):
     for stem in ALL_STEMS:
         p = corpus[stem]
-        rep = transition_invariants(p)
+        profile = nodal_profile(p)
+        rep = transition_invariants(p, profile)
         assert rep.e_sm == 2 + 2 * rep.b2_sm - rep.b3_sm, stem
         assert 0 <= rep.relation_rank <= rep.node_count, stem
         assert (rep.relation_rank == 0) == (rep.node_count == 0), stem
-        rows = exceptional_relation_matrix(p, nodal_profile(p))
+        rows = exceptional_relation_matrix(p, profile)
         if rows:
             assert rank(rows) == rank_by_minors(rows) == rep.relation_rank, stem
     print("\nPASS: Euler/Betti bookkeeping consistent on all bundled "

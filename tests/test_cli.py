@@ -225,6 +225,44 @@ def test_repeated_runs_are_byte_identical(cli, corpus_paths, data_dir):
         assert first == second, cmd
 
 
+def test_huge_facets_are_refused_without_a_lattice_point_scan(cli, tmp_path):
+    # the facet opposite the vertex (-1,-1,-1) holds about 4.5 million
+    # lattice points; classifying facets must not enumerate them
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(json.dumps({
+        "vertices": [[-1, -1, -1], [3000, 0, 0], [0, 3000, 0], [0, 0, 3000]]
+    }))
+    code, out, err = cli("transition", simplex, expect_exit=2, timeout=10)
+    assert json.loads(err)["error"]["type"] == "NotReflexive"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("periods", "--dmax", "-1"),
+    ("periods", "--dmax", "ten"),
+    ("match", "--dmax", "-1"),
+    ("transition", "--resolution-cap", "-1"),
+    ("resolve", "--resolution-cap", "-1"),
+    ("recurrence", "--rmax", "0"),
+    ("recurrence", "--degree-max", "-1"),
+    ("recurrence", "--holdout", "0"),
+    ("recurrence", "--stride", "0"),
+    ("recurrence", "--stride", "-1"),
+])
+def test_out_of_range_option_is_parse_error(cli, corpus_paths, data_dir, tmp_path,
+                                            command, flag, value):
+    if command == "recurrence":
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps([2 ** d for d in range(40)]))
+        positional = (seq,)
+    elif command == "match":
+        positional = (corpus_paths["p3"], data_dir / "fano.jsonl")
+    else:
+        positional = (corpus_paths["p3"],)
+    code, out, err = cli(command, *positional, flag, value, expect_exit=2)
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 def test_version_flag(cli):
     code, out, err = cli("--version")
     assert out.strip().startswith("conifold")

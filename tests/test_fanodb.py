@@ -153,12 +153,12 @@ def test_match_candidate_json_shape():
 
 def test_bundled_self_consistency(corpus, golden, data_dir):
     from conifold.laurent import from_fan_polytope, period_sequence
-    from conifold.nodal import transition_invariants
+    from conifold.nodal import nodal_profile, transition_invariants
 
     db = load_database(data_dir / "fano.jsonl")
     rename = {"p3": "P3", "octahedron": "P1xP1xP1", "p2xp1": "P2xP1"}
     for stem, p in corpus.items():
-        report = transition_invariants(p)
+        report = transition_invariants(p, nodal_profile(p))
         seq = period_sequence(from_fan_polytope(p), golden["db_dmax"])
         out = match(report, seq, db)
         assert out, f"{stem}: no candidates"

@@ -10,6 +10,7 @@ from conifold import linalg
 from conifold.errors import (
     BudgetExceeded,
     DimensionMismatch,
+    NotFullDimensional,
     NotReflexive,
     NotReflexiveFacet,
     WorseThanNodal,
@@ -31,9 +32,10 @@ from conifold.nodal import (
     report_json_dict,
     transition_invariants,
 )
-from strategies import unimodular_matrices
+from strategies import point_sets, unimodular_matrices
 
 PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (-1, -1, -2)]
+CORPUS_STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
 CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
 
 
@@ -193,25 +195,55 @@ def test_resolution_budget():
 
 def test_regular_counts_match_golden(corpus, golden):
     for stem, p in corpus.items():
-        rs = check_regularity(p, enumerate_small_resolutions(p, nodal_profile(p)))
+        profile = nodal_profile(p)
+        rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
         assert (
             sum(1 for r in rs if r.regular)
             == golden["polytopes"][stem]["regular_count"]
         )
 
 
-def test_regularity_threaded_matches_serial(corpus):
-    p = corpus["nodal_03"]
-    rs = enumerate_small_resolutions(p, nodal_profile(p))
-    serial = [r.regular for r in check_regularity(p, rs, threads=1)]
-    threaded = [r.regular for r in check_regularity(p, rs, threads=4)]
-    assert serial == threaded
-
-
 def test_face_fan_of_smooth_polytope_is_regular(corpus):
     p = corpus["p3"]
     (only,) = enumerate_small_resolutions(p, nodal_profile(p))
     assert is_regular_triangulation(p, only)
+
+
+def test_sign_vector_regularity_matches_wall_lp(corpus):
+    for p in corpus.values():
+        profile = nodal_profile(p)
+        for r in check_regularity(p, profile, enumerate_small_resolutions(p, profile)):
+            assert r.regular == is_regular_triangulation(p, r), r.diagonal_string()
+
+
+@given(
+    unimodular_matrices(dim=3),
+    st.sampled_from(CORPUS_STEMS),
+    st.lists(st.integers(0, 63), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=20, deadline=None)
+def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks):
+    # the wall LP is the slow side, so each image checks a few resolutions
+    p = corpus[stem].transform(m)
+    profile = nodal_profile(p)
+    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    for i in picks:
+        r = rs[i % len(rs)]
+        assert r.regular == is_regular_triangulation(p, r), (stem, r.diagonal_string())
+
+
+@given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS), point_sets(span=2))
+@settings(max_examples=50, deadline=None)
+def test_classified_facets_hold_no_lattice_points_but_vertices(corpus, m, stem, pts):
+    polytopes = [corpus[stem], corpus[stem].transform(m)]
+    try:
+        polytopes.append(convex_hull(pts))
+    except NotFullDimensional:
+        pass
+    for p in polytopes:
+        for f in p.facets:
+            if f.level == -1 and classify_facet(f).kind is not FacetKind.OTHER:
+                assert len(f.lattice_points) == len(f.vertices), f
 
 
 # ------------------------------------------------- relations, friedman
@@ -294,7 +326,7 @@ def test_friedman_cy_proportional_rows_smoothable(corpus):
 def test_reports_match_golden(corpus, golden):
     for stem, p in corpus.items():
         g = golden["polytopes"][stem]
-        rep = transition_invariants(p, mode=SmoothingMode.FANO)
+        rep = transition_invariants(p, nodal_profile(p), SmoothingMode.FANO)
         assert rep.node_count == g["N"]
         assert rep.relation_rank == g["k"]
         assert rep.degree == g["degree"]
@@ -308,7 +340,7 @@ def test_reports_match_golden(corpus, golden):
 
 def test_report_bookkeeping_identities(corpus):
     for p in corpus.values():
-        rep = transition_invariants(p)
+        rep = transition_invariants(p, nodal_profile(p))
         assert rep.e_sm == rep.e_res - 2 * rep.node_count
         assert rep.e_sm == 2 + 2 * rep.b2_sm - rep.b3_sm
         assert rep.b2_res == len(p.vertices) - 3
@@ -317,16 +349,19 @@ def test_report_bookkeeping_identities(corpus):
 
 
 def test_report_cy_mode(corpus):
-    rep = transition_invariants(corpus["nodal_03"], mode=SmoothingMode.CY)
+    p = corpus["nodal_03"]
+    rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
     assert rep.mode == "cy" and rep.smoothable is True
-    rep = transition_invariants(corpus["nodal_01"], mode=SmoothingMode.CY)
+    p = corpus["nodal_01"]
+    rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
     assert rep.smoothable is False
 
 
 def test_report_json_shape(corpus):
     p = corpus["nodal_01"]
-    rs = check_regularity(p, enumerate_small_resolutions(p, nodal_profile(p)))
-    payload = report_json_dict(transition_invariants(p), resolutions=rs)
+    profile = nodal_profile(p)
+    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    payload = report_json_dict(transition_invariants(p, profile), resolutions=rs)
     for key in ("N", "k", "e_res", "e_sm", "b2_res", "b2_sm", "b3_sm",
                 "degree", "smoothable", "mode"):
         assert key in payload
@@ -341,8 +376,8 @@ def test_report_json_shape(corpus):
 def test_report_is_lattice_invariant(m):
     p = convex_hull(PYRAMID)
     q = p.transform(m)
-    a = transition_invariants(p)
-    b = transition_invariants(q)
+    a = transition_invariants(p, nodal_profile(p))
+    b = transition_invariants(q, nodal_profile(q))
     assert (a.node_count, a.relation_rank, a.degree, a.e_sm, a.b2_sm, a.b3_sm) == (
         b.node_count,
         b.relation_rank,

@@ -69,6 +69,8 @@ def test_validation_errors():
         find_recurrence(seq, rmax=1, degree_max=-1)
     with pytest.raises(ValueError):
         find_recurrence(seq, rmax=1, degree_max=1, holdout=0)
+    with pytest.raises(ValueError):
+        find_recurrence(seq, rmax=1, degree_max=1, stride=0)
 
 
 def test_stride_subsamples():
@@ -120,6 +122,12 @@ def test_json_roundtrip():
     rec = find_recurrence(central_binomials(20), rmax=2, degree_max=2)
     again = Recurrence.from_json_dict(rec.to_json_dict())
     assert again == rec
+
+
+def test_from_json_dict_rejects_fractional_coefficients():
+    data = {"order": 1, "degree": 0, "coeffs": [["1/2"], ["1"]]}
+    with pytest.raises(ValueError):
+        Recurrence.from_json_dict(data)
 
 
 def test_str_rendering():
