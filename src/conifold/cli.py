@@ -117,7 +117,7 @@ def _emit_kv_table(pairs) -> None:
 def cmd_periods(args) -> int:
     p = _load_polytope(args.polytope)
     w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax, prune=not args.no_prune, source=args.polytope)
+    seq = period_sequence(w, args.dmax, source=args.polytope)
     payload = {
         "dmax": args.dmax,
         "periods": list(seq.terms),
@@ -173,7 +173,7 @@ def cmd_match(args) -> int:
     p = _load_polytope(args.polytope)
     report = transition_invariants(p, nodal_profile(p), SmoothingMode(args.mode))
     w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax, prune=not args.no_prune, source=args.polytope)
+    seq = period_sequence(w, args.dmax, source=args.polytope)
     db = load_database(args.database)
     candidates = match(report, seq, db)
     payload = {
@@ -266,8 +266,17 @@ def _add_recurrence_flags(sp, rmax_default, degree_default) -> None:
                     help="subsample the sequence: keep every stride-th term")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (missing argument, unknown flag, bad choice) raise
+    ParseError, so ``main`` reports them as JSON like every other input
+    error.  ``add_subparsers`` builds each subcommand with this class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conifold",
         description="Nodal toric Fano threefolds from their fan polytopes: "
         "period sequences, small resolutions, transition topology, "
@@ -280,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("--dmax", type=_int_at_least(0), default=20,
                     help="highest power computed (default 20)")
-    sp.add_argument("--no-prune", action="store_true",
-                    help="disable Newton-polytope pruning (same output, slower)")
     sp.add_argument("--recurrence", action="store_true",
                     help="also search for a polynomial-coefficient recurrence")
     _add_recurrence_flags(sp, rmax_default=3, degree_default=2)
@@ -303,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("fano", "cy"), default="fano")
     sp.add_argument("--dmax", type=_int_at_least(0), default=20,
                     help="period terms computed for the comparison (default 20)")
-    sp.add_argument("--no-prune", action="store_true")
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_match)
 

@@ -3,8 +3,14 @@ period sequences: constant terms of successive powers of the vertex
 polynomial of a fan polytope.
 
 Two period engines live here on purpose.  ``period_sequence`` is the fast
-path (iterated sparse multiplication with Newton-polytope pruning of
-exponents that can no longer reach the constant term).  ``period_term_direct``
+path: it pairs half powers of W by the identity
+
+    c_{a+b} = const(W^a * W^b) = sum_e [W^a]_e * [W^b]_{-e},
+
+so c_0 .. c_dmax need powers of W only up to ceil(dmax / 2).  The identity
+is the definition of the coefficient of z^0 in a product of Laurent
+polynomials; it holds for every coefficient ring and every support, so it
+needs no condition on the Newton polytope of W.  ``period_term_direct``
 recomputes a single term from scratch as a sum over exponent
 multi-combinations; it shares no code with the fast path and exists to
 check it.
@@ -139,57 +145,27 @@ def from_fan_polytope(p) -> LaurentPolynomial:
     return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 
-def _pruning_facets(w: LaurentPolynomial):
-    """Facet inequalities of Newton(W) when pruning is sound, else None.
-
-    Pruning drops an exponent e of W^d once -e falls outside
-    (dmax - d) * Newton(W).  Dropping is safe for the final term because
-    exponents of W^(dmax-d) live in that dilate; it stays safe for every
-    intermediate constant term because the dilates are nested, which needs
-    0 in Newton(W).  Degenerate or origin-missing supports fall back to no
-    pruning (the guarantee is only that output is identical either way).
-    """
-    from .errors import EmptyInput, NotFullDimensional
-
-    try:
-        newton = lattice.convex_hull(list(w.terms), w.dim)
-    except (EmptyInput, NotFullDimensional):
-        return None
-    if any(f.level > 0 for f in newton.facets):
-        return None
-    return [(f.normal, f.level) for f in newton.facets]
+def _pair(a: LaurentPolynomial, b: LaurentPolynomial) -> int:
+    """Constant term of a * b, as sum_e [a]_e [b]_{-e}; never forms a * b."""
+    get = b.terms.get
+    return sum(c * get(tuple(-x for x in e), 0) for e, c in a.terms.items())
 
 
-def period_sequence(
-    w: LaurentPolynomial, dmax: int, prune: bool = True, source: str = ""
-) -> PeriodSequence:
-    """c_d = constant term of W^d for d = 0 .. dmax, by iterated
-    multiplication.  ``prune`` is an optimization only; output is
-    identical with it off."""
+def period_sequence(w: LaurentPolynomial, dmax: int, source: str = "") -> PeriodSequence:
+    """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
+    with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
+    formed is W^{ceil(dmax/2)}."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    facets = _pruning_facets(w) if prune else None
-    cs = [1]
-    power = LaurentPolynomial.one(w.dim)
-    for d in range(1, dmax + 1):
-        power = power * w
-        cs.append(power.constant_term())
-        if facets is not None and d < dmax:
-            r = dmax - d
-            kept = {
-                e: c
-                for e, c in power.terms.items()
-                if all(-dot_int(u, e) >= r * lvl for u, lvl in facets)
-            }
-            trimmed = LaurentPolynomial.__new__(LaurentPolynomial)
-            trimmed.dim = w.dim
-            trimmed.terms = kept
-            power = trimmed
+    cs = []
+    low = LaurentPolynomial.one(w.dim)
+    for a in range(dmax // 2 + 1):
+        cs.append(_pair(low, low))
+        if 2 * a < dmax:
+            high = low * w
+            cs.append(_pair(low, high))
+            low = high
     return PeriodSequence(tuple(cs), dmax, source)
-
-
-def dot_int(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 def period_term_direct(

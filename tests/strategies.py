@@ -1,6 +1,19 @@
-"""Shared hypothesis strategies for geometry tests."""
+"""Shared hypothesis strategies for geometry tests, and the reference
+period engine the fast one is checked against."""
 
 from hypothesis import strategies as st
+
+from conifold.laurent import LaurentPolynomial
+
+
+def iterated_periods(w, dmax):
+    """Reference engine: c_d = constant term of W^d by plain repeated
+    multiplication, for d = 0 .. dmax."""
+    power, cs = LaurentPolynomial.one(w.dim), [1]
+    for _ in range(dmax):
+        power = power * w
+        cs.append(power.constant_term())
+    return cs
 
 
 def _apply_op(m, op):

@@ -32,6 +32,7 @@ from conifold import (
     verify_recurrence,
 )
 from conifold.linalg import rank, rank_by_minors
+from strategies import iterated_periods
 
 ALL_STEMS = ("p3", "octahedron", "p2xp1", "nodal_01", "nodal_02", "nodal_03")
 
@@ -55,17 +56,44 @@ def test_periods_iterative_equals_direct_everywhere(corpus, golden):
     start = time.perf_counter()
     for stem in ALL_STEMS:
         w = from_fan_polytope(corpus[stem])
-        pruned = period_sequence(w, 10, prune=True)
-        unpruned = period_sequence(w, 10, prune=False)
-        direct = [period_term_direct(w, d) for d in range(11)]
-        assert list(pruned.terms) == direct, stem
-        assert pruned.terms == unpruned.terms, stem
-        assert list(pruned.terms) == golden["polytopes"][stem]["periods"], stem
+        engine = list(period_sequence(w, 10).terms)
+        assert engine == iterated_periods(w, 10), stem
+        assert engine == [period_term_direct(w, d) for d in range(11)], stem
+        assert engine == golden["polytopes"][stem]["periods"], stem
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
-    print(f"\nPASS: iterative, pruned, and direct periods agree on all "
+    print(f"\nPASS: half-power, iterated, and direct periods agree on all "
           f"{len(ALL_STEMS)} bundled polytopes through degree 10 "
           f"in {elapsed:.2f}s")
+
+
+def test_high_degree_periods_match_closed_forms(corpus):
+    start = time.perf_counter()
+    fact, comb = math.factorial, math.comb
+
+    def p3(d):
+        return fact(d) // fact(d // 4) ** 4 if d % 4 == 0 else 0
+
+    def nodal_03(d):
+        return comb(d, d // 2) ** 3 if d % 2 == 0 else 0
+
+    def octahedron(d):
+        if d % 2:
+            return 0
+        n = d // 2
+        trinomials = (fact(n) // (fact(a) * fact(b) * fact(n - a - b))
+                      for a in range(n + 1) for b in range(n + 1 - a))
+        return comb(d, n) * sum(t * t for t in trinomials)
+
+    for stem, closed_form, dmax in (
+        ("p3", p3, 40), ("nodal_03", nodal_03, 40), ("octahedron", octahedron, 30),
+    ):
+        seq = period_sequence(from_fan_polytope(corpus[stem]), dmax)
+        assert list(seq.terms) == [closed_form(d) for d in range(dmax + 1)], stem
+    elapsed = time.perf_counter() - start
+    assert elapsed < 30.0, f"took {elapsed:.2f}s"
+    print(f"\nPASS: p3 and nodal_03 periods through degree 40 and octahedron "
+          f"periods through degree 30 equal their closed forms in {elapsed:.2f}s")
 
 
 def _random_unimodular(rng):

@@ -13,7 +13,7 @@ from conifold.laurent import (
     period_sequence,
     period_term_direct,
 )
-from strategies import unimodular_matrices
+from strategies import iterated_periods, unimodular_matrices
 
 P3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_PERIODS_12 = [1, 0, 0, 0, 24, 0, 0, 0, 2520, 0, 0, 0, 369600]
@@ -113,13 +113,6 @@ def test_dmax_zero():
     assert list(seq.terms) == [1]
 
 
-def test_pruned_equals_unpruned_p3():
-    w = w_p3()
-    a = period_sequence(w, 16, prune=True)
-    b = period_sequence(w, 16, prune=False)
-    assert a.terms == b.terms
-
-
 def test_sequence_indexing():
     seq = period_sequence(w_p3(), 8)
     assert len(seq) == 9
@@ -154,10 +147,20 @@ def test_periods_invariant_under_lattice_isomorphism(m):
     assert period_sequence(transformed, 8).terms == period_sequence(w, 8).terms
 
 
-@given(unimodular_matrices(dim=3))
-@settings(max_examples=30, deadline=None)
-def test_pruning_safe_under_lattice_isomorphism(m):
-    w = w_p3().apply_matrix(m)
-    assert period_sequence(w, 10, prune=True).terms == period_sequence(
-        w, 10, prune=False
-    ).terms
+@st.composite
+def sparse_polys(draw):
+    """Sparse Laurent polynomials in 1-3 variables with coefficients in
+    [-3, 3]; the support need not surround the origin."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * dim)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=5))
+    return LaurentPolynomial(dim, terms)
+
+
+@given(
+    st.one_of(sparse_polys(), unimodular_matrices(dim=3).map(w_p3().apply_matrix)),
+    st.integers(0, 9),
+)
+@settings(max_examples=150, deadline=None)
+def test_half_powers_equal_iterated_multiplication(w, dmax):
+    assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
