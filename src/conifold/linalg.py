@@ -1,56 +1,69 @@
 """Exact linear algebra over the rationals.
 
-Everything here is dense, small and exact: Gauss-Jordan reduction and
-kernels over Fraction, fraction-free (Bareiss) determinants over the
-integers, an independent rank computation through maximal nonzero minors,
-and a tiny tableau simplex used for strict-feasibility questions.  No
-floating point is ever produced or consumed.
+Everything here is dense, small and exact: fraction-free (Bareiss)
+Gauss-Jordan reduction over the integers, from which ranks and Fraction
+kernels are read, fraction-free determinants, an independent rank
+computation through maximal nonzero minors, and a tiny tableau simplex
+used for strict-feasibility questions.  No floating point is ever
+produced or consumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
-def row_reduce(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction.
+def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan reduction (Bareiss 1968) over the integers.
 
-    Returns the reduced rows and the list of pivot columns.
+    Returns (R, pivots, d) with R = d * RREF(rows): every row of R is an
+    integer row, the pivot entries of R all equal d, and R[r][c] / d is
+    entry (r, c) of the reduced row echelon form.  Each input row is first
+    scaled to clear its denominators, which changes neither the row space
+    nor the RREF.  Step k sets row_i <- (p * row_i - row_i[c] * row_r) // prev
+    for every other row i, where p is the k-th pivot and prev the one
+    before it (1 at the start); by Sylvester's identity the entries stay
+    minors of the input, so every division is exact.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (m // x.denominator) for x in row])
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        top = mat[r]
+        p = top[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
+            if i != r:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat, pivots
+    return mat, pivots, prev
 
 
 def rank(rows: list[list]) -> int:
-    if not rows:
-        return 0
-    return len(row_reduce(rows)[1])
+    return len(integer_rref(rows)[1])
 
 
 def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of {x : rows . x = 0}, one vector per free column.
 
-    With no rows at all the kernel is the full space and the standard
-    basis is returned.
+    The vector of free column fc has 1 there, 0 in the other free
+    columns and -RREF[r][fc] in the r-th pivot column.  With no rows at
+    all the kernel is the full space and the standard basis is returned.
     """
     if ncols is None:
         if not rows:
@@ -58,14 +71,14 @@ def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[Fracti
         ncols = len(rows[0])
     if not rows:
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = row_reduce(rows)
+    reduced, pivots, d = integer_rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+            v[pc] = Fraction(-reduced[r][fc], d)
         basis.append(v)
     return basis
 

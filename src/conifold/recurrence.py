@@ -8,8 +8,9 @@ least (order r, coefficient degree D) such that
 with deg p_i <= D and p_r not identically zero.  The last ``holdout``
 positions are excluded from no equation: a candidate must annihilate the
 training window and the held-out window alike, which kills fitted
-coincidences.  All solving is exact (Fraction kernel of an integer
-matrix); no candidate is ever accepted numerically.
+coincidences.  All solving is exact: the kernel of the integer matrix
+comes from fraction-free integer elimination (``linalg.integer_rref``) and
+is read off as Fractions; no candidate is ever accepted numerically.
 """
 
 from __future__ import annotations

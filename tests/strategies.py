@@ -1,5 +1,9 @@
-"""Shared hypothesis strategies for geometry tests, and the reference
-period engine the fast one is checked against."""
+"""Shared hypothesis strategies for geometry tests, the reference period
+engine and Fraction elimination the fast ones are checked against, and
+closed forms of four bundled period sequences."""
+
+from fractions import Fraction
+from math import comb, factorial
 
 from hypothesis import strategies as st
 
@@ -14,6 +18,79 @@ def iterated_periods(w, dmax):
         power = power * w
         cs.append(power.constant_term())
     return cs
+
+
+def _p3_period(d):
+    return factorial(d) // factorial(d // 4) ** 4 if d % 4 == 0 else 0
+
+
+def _octahedron_period(d):
+    if d % 2:
+        return 0
+    n = d // 2
+    trinomials = (factorial(n) // (factorial(a) * factorial(b) * factorial(n - a - b))
+                  for a in range(n + 1) for b in range(n + 1 - a))
+    return comb(d, n) * sum(t * t for t in trinomials)
+
+
+def _p2xp1_period(d):
+    return sum(factorial(d) // (factorial(a) ** 3 * factorial((d - 3 * a) // 2) ** 2)
+               for a in range(d // 3 + 1) if (d - 3 * a) % 2 == 0)
+
+
+def _nodal_03_period(d):
+    return comb(d, d // 2) ** 3 if d % 2 == 0 else 0
+
+
+# c_d as a function of d: (4n)!/(n!)^4, C(2n,n) * sum of squared
+# trinomials, sum over 3a + 2b = d of d!/(a!^3 b!^2), and C(2n,n)^3
+CLOSED_FORM_PERIODS = {
+    "p3": _p3_period,
+    "octahedron": _octahedron_period,
+    "p2xp1": _p2xp1_period,
+    "nodal_03": _nodal_03_period,
+}
+
+
+def row_reduce(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction.
+
+    Returns the reduced rows and the list of pivot columns.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def fraction_kernel_basis(rows, ncols):
+    """Reference kernel: the vector of free column fc has 1 there and
+    -RREF[r][fc] in the r-th pivot column, RREF taken by ``row_reduce``."""
+    reduced, pivots = row_reduce(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
 
 
 def _apply_op(m, op):

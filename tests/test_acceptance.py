@@ -32,7 +32,7 @@ from conifold import (
     verify_recurrence,
 )
 from conifold.linalg import rank, rank_by_minors
-from strategies import iterated_periods
+from strategies import CLOSED_FORM_PERIODS, iterated_periods
 
 ALL_STEMS = ("p3", "octahedron", "p2xp1", "nodal_01", "nodal_02", "nodal_03")
 
@@ -69,25 +69,8 @@ def test_periods_iterative_equals_direct_everywhere(corpus, golden):
 
 def test_high_degree_periods_match_closed_forms(corpus):
     start = time.perf_counter()
-    fact, comb = math.factorial, math.comb
-
-    def p3(d):
-        return fact(d) // fact(d // 4) ** 4 if d % 4 == 0 else 0
-
-    def nodal_03(d):
-        return comb(d, d // 2) ** 3 if d % 2 == 0 else 0
-
-    def octahedron(d):
-        if d % 2:
-            return 0
-        n = d // 2
-        trinomials = (fact(n) // (fact(a) * fact(b) * fact(n - a - b))
-                      for a in range(n + 1) for b in range(n + 1 - a))
-        return comb(d, n) * sum(t * t for t in trinomials)
-
-    for stem, closed_form, dmax in (
-        ("p3", p3, 40), ("nodal_03", nodal_03, 40), ("octahedron", octahedron, 30),
-    ):
+    for stem, dmax in (("p3", 40), ("nodal_03", 40), ("octahedron", 30)):
+        closed_form = CLOSED_FORM_PERIODS[stem]
         seq = period_sequence(from_fan_polytope(corpus[stem]), dmax)
         assert list(seq.terms) == [closed_form(d) for d in range(dmax + 1)], stem
     elapsed = time.perf_counter() - start

@@ -132,6 +132,33 @@ def test_biduality():
         assert back.vertices == p.vertices
 
 
+# vertices of the polar duals of the bundled polytopes, frozen from the
+# Fraction elimination that preceded the integer one
+CORPUS_DUAL_VERTICES = {
+    "p3": [(-1, -1, -1), (-1, -1, 3), (-1, 3, -1), (3, -1, -1)],
+    "octahedron": sorted(CUBE),
+    "p2xp1": [(-1, -1, -1), (-1, -1, 1), (-1, 2, -1), (-1, 2, 1), (2, -1, -1), (2, -1, 1)],
+    "nodal_01": [(-3, 0, 2), (0, -3, 2), (0, 0, -1), (0, 3, -1), (3, 0, -1)],
+    "nodal_02": [(-3, -2, 4), (-1, 0, 0), (0, -2, 1), (0, 0, -1), (0, 1, -1),
+                 (0, 1, 1), (2, 0, -1), (2, 1, -1)],
+    "nodal_03": [(-2, 0, 1), (0, -2, 1), (0, 0, -1), (0, 0, 1), (0, 2, -1), (2, 0, -1)],
+}
+
+
+def test_polar_duals_of_corpus_unchanged(corpus):
+    # rational_hull ranks Fraction rows; their denominators must be cleared,
+    # not truncated
+    assert set(corpus) == set(CORPUS_DUAL_VERTICES)
+    for stem, p in corpus.items():
+        q = polar_dual(p)
+        assert list(q.vertices) == CORPUS_DUAL_VERTICES[stem], stem
+        assert {(f.normal, f.level) for f in q.facets} == {(v, -1) for v in p.vertices}
+    half = Fraction(1, 2)
+    q = polar_dual(convex_hull([(2 * x, 2 * y, 2 * z) for x, y, z in P3_VERTICES]))
+    assert list(q.vertices) == [(-half, -half, -half), (-half, -half, 3 * half),
+                                (-half, 3 * half, -half), (3 * half, -half, -half)]
+
+
 def test_polar_dual_requires_interior_origin():
     with pytest.raises(OriginNotInterior):
         polar_dual(convex_hull([(v[0] + 2, v[1], v[2]) for v in OCTAHEDRON]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
+from strategies import fraction_kernel_basis, row_reduce
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -23,15 +24,55 @@ def matrices(max_rows=4, max_cols=4):
     )
 
 
+@st.composite
+def low_rank_products(draw, max_size=9):
+    """A . B with A m x k and B k x n, k <= min(m, n): rank at most k, so
+    pivot columns get skipped and whole rows reduce to zero."""
+    m = draw(st.integers(1, max_size))
+    n = draw(st.integers(1, max_size))
+    k = draw(st.integers(0, min(m, n)))
+    a = draw(st.lists(st.lists(small_int, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(n)] for row in a]
+
+
+@st.composite
+def fraction_rows(draw, max_size=9):
+    m = draw(st.integers(1, max_size))
+    n = draw(st.integers(1, max_size))
+    entry = st.builds(Fraction, small_int, st.integers(1, 7))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
 def test_row_reduce_identity():
-    rref, pivots = linalg.row_reduce([[1, 0], [0, 1]])
+    rref, pivots, d = linalg.integer_rref([[1, 0], [0, 1]])
     assert pivots == [0, 1]
     assert rref == [[1, 0], [0, 1]]
+    assert d == 1
 
 
 def test_row_reduce_dependent_rows():
-    rref, pivots = linalg.row_reduce([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    rref, pivots, d = linalg.integer_rref([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert len(pivots) == 2
+
+
+@given(st.one_of(matrices(9, 9), low_rank_products(), fraction_rows()))
+@settings(max_examples=300, deadline=None)
+def test_integer_elimination_matches_fraction_oracle(m):
+    reduced, pivots = row_reduce(m)
+    scaled, int_pivots, d = linalg.integer_rref(m)
+    assert int_pivots == pivots
+    assert all(type(x) is int for row in scaled for x in row)
+    assert [[Fraction(x, d) for x in row] for row in scaled] == reduced
+    assert linalg.rank(m) == len(pivots)
+    basis = linalg.kernel_basis(m)
+    assert basis == fraction_kernel_basis(m, len(m[0]))
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_rank_clears_denominators_of_rational_rows():
+    # truncating the first row with int() would leave [0, 1] and rank 2
+    assert linalg.rank([[Fraction(1, 2), 1], [1, 2]]) == 1
 
 
 def test_rank_examples():

@@ -13,6 +13,7 @@ from conifold.recurrence import (
     gw_labeling,
     verify_recurrence,
 )
+from strategies import CLOSED_FORM_PERIODS
 
 
 def central_binomials(n):
@@ -128,6 +129,35 @@ def test_from_json_dict_rejects_fractional_coefficients():
     data = {"order": 1, "degree": 0, "coeffs": [["1/2"], ["1"]]}
     with pytest.raises(ValueError):
         Recurrence.from_json_dict(data)
+
+
+# four of the benchmark's searches: sequence, length, rmax, degree cap,
+# stride, and the least (order, degree) with its coefficients, frozen from
+# the Fraction elimination that preceded the integer one; None is an
+# exhaustive miss
+PINNED_SEARCHES = (
+    ("p3", 40, 4, 3, 1, (4, 3),
+     ((-1536, -2816, -1536, -256), (0,), (0,), (0,), (64, 48, 12, 1))),
+    ("octahedron", 80, 4, 4, 2, (2, 3),
+     ((108, 396, 432, 144), (-138, -272, -180, -40), (8, 12, 6, 1))),
+    ("nodal_03", 80, 4, 4, 2, (1, 3), ((-8, -48, -96, -64), (1, 3, 3, 1))),
+    ("p2xp1", 60, 4, 4, 1, None, None),
+)
+
+
+def test_benchmark_searches_are_pinned(golden):
+    # building p2xp1 to degree 60 with period_sequence takes seconds; its
+    # closed form is checked against the golden prefix instead
+    p2xp1 = golden["polytopes"]["p2xp1"]["periods"]
+    assert [CLOSED_FORM_PERIODS["p2xp1"](d) for d in range(len(p2xp1))] == p2xp1
+    for stem, length, rmax, degree_max, stride, cell, coeffs in PINNED_SEARCHES:
+        seq = [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)]
+        rec = find_recurrence(seq, rmax, degree_max, stride=stride)
+        if cell is None:
+            assert rec is None, stem
+        else:
+            assert rec is not None, stem
+            assert ((rec.order, rec.degree), rec.coeffs) == (cell, coeffs), stem
 
 
 def test_str_rendering():
