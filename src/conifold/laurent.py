@@ -7,13 +7,26 @@ path: it pairs half powers of W by the identity
 
     c_{a+b} = const(W^a * W^b) = sum_e [W^a]_e * [W^b]_{-e},
 
-so c_0 .. c_dmax need powers of W only up to ceil(dmax / 2).  The identity
-is the definition of the coefficient of z^0 in a product of Laurent
-polynomials; it holds for every coefficient ring and every support, so it
-needs no condition on the Newton polytope of W.  ``period_term_direct``
-recomputes a single term from scratch as a sum over exponent
-multi-combinations; it shares no code with the fast path and exists to
-check it.
+so c_0 .. c_dmax need powers of W only up to top = ceil(dmax / 2).  The
+identity is the definition of the coefficient of z^0 in a product of
+Laurent polynomials; it holds for every coefficient ring and every
+support, so it needs no condition on the Newton polytope of W.
+
+Inside ``period_sequence`` an exponent vector e is packed into one int,
+key(e) = sum_i e_i * B^i, in the balanced base B = 2 * top * M + 1, where
+M is the largest |coordinate| in the support of W.  The key map is linear,
+so key(e + f) = key(e) + key(f) and key(-e) = -key(e).  Every exponent of
+W^a with a <= top has coordinates in [-top*M, top*M], which are exactly
+the B digits of the balanced base, and a balanced-base expansion with
+such digits is unique; so the map is injective on every exponent the
+engine forms or looks up (a base one smaller lets distinct exponents
+collide).  W^{a+1} is then W^a shifted once per monomial (s, c_v) of W,
+acc[k + key(s)] += c_v * c, and the pairing looks up [W^b] at -k.
+
+``period_term_direct`` recomputes a single term from scratch as a sum
+over exponent multi-combinations; it shares no code with the fast path
+and exists to check it.  ``LaurentPolynomial`` keeps tuple exponents and
+a general sparse product, which the tests use as a third reference.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
 
 ORACLE_DEGREE_CAP = 16
+PERIOD_WORK_BUDGET = 10**7
 
 
 class LaurentPolynomial:
@@ -145,25 +159,40 @@ def from_fan_polytope(p) -> LaurentPolynomial:
     return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 
-def _pair(a: LaurentPolynomial, b: LaurentPolynomial) -> int:
-    """Constant term of a * b, as sum_e [a]_e [b]_{-e}; never forms a * b."""
-    get = b.terms.get
-    return sum(c * get(tuple(-x for x in e), 0) for e, c in a.terms.items())
-
-
 def period_sequence(w: LaurentPolynomial, dmax: int, source: str = "") -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
-    formed is W^{ceil(dmax/2)}."""
+    formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints
+    (see the module docstring) and W^{a+1} is formed from W^a by one
+    shifted add per monomial of W.  Raises BudgetExceeded once the term
+    updates would pass ``PERIOD_WORK_BUDGET``."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
+    top = (dmax + 1) // 2
+    base = 2 * top * max((abs(x) for e in w.terms for x in e), default=0) + 1
+    shifts = [
+        (sum(x * base**i for i, x in enumerate(e)), c) for e, c in w.terms.items()
+    ]
     cs = []
-    low = LaurentPolynomial.one(w.dim)
+    low = {0: 1}
+    work = 0
     for a in range(dmax // 2 + 1):
-        cs.append(_pair(low, low))
+        cs.append(sum(c * low.get(-k, 0) for k, c in low.items()))
         if 2 * a < dmax:
-            high = low * w
-            cs.append(_pair(low, high))
+            work += len(low) * len(shifts)
+            if work > PERIOD_WORK_BUDGET:
+                raise BudgetExceeded(
+                    f"periods to degree {dmax} need more than "
+                    f"{PERIOD_WORK_BUDGET} term updates"
+                )
+            acc: dict = {}
+            get = acc.get
+            for s, cv in shifts:
+                for k, c in low.items():
+                    k += s
+                    acc[k] = get(k, 0) + cv * c
+            high = {k: c for k, c in acc.items() if c}
+            cs.append(sum(c * high.get(-k, 0) for k, c in low.items()))
             low = high
     return PeriodSequence(tuple(cs), dmax, source)
 

@@ -230,6 +230,15 @@ def test_huge_facets_are_refused_without_a_lattice_point_scan(cli, tmp_path):
     assert json.loads(err)["error"]["type"] == "NotReflexive"
 
 
+@pytest.mark.parametrize("command", ["periods", "match"])
+def test_huge_dmax_is_refused_by_the_work_budget(cli, corpus_paths, data_dir, command):
+    extra = [data_dir / "fano.jsonl"] if command == "match" else []
+    code, out, err = cli(command, corpus_paths["nodal_03"], *extra,
+                         "--dmax", 10 ** 9, expect_exit=3, timeout=15)
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
 @pytest.mark.parametrize("argv", [
     ("periods", "{p3}", "--dmax", "-1"),
     ("periods", "{p3}", "--dmax", "ten"),

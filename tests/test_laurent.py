@@ -1,9 +1,10 @@
 """Laurent polynomials and period sequences."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conifold import laurent
 from conifold.errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
 from conifold.lattice import convex_hull
 from conifold.laurent import (
@@ -132,6 +133,20 @@ def test_direct_oracle_budget():
         period_term_direct(w_p3(), ORACLE_DEGREE_CAP + 1)
 
 
+def test_period_work_budget_counts_term_updates(monkeypatch):
+    # forming W^(a+1) from W^a costs len(W^a) * len(W) term updates, and
+    # dmax 16 forms W^1 .. W^8
+    w = w_p3()
+    power, work = LaurentPolynomial.one(3), 0
+    for _ in range(8):
+        work += len(power.terms) * len(w.terms)
+        power = power * w
+    monkeypatch.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+    assert list(period_sequence(w, 16).terms) == iterated_periods(w, 16)
+    with pytest.raises(BudgetExceeded):
+        period_sequence(w, 17)
+
+
 def test_c12_is_the_multinomial():
     import math
 
@@ -149,15 +164,25 @@ def test_periods_invariant_under_lattice_isomorphism(m):
 
 @st.composite
 def sparse_polys(draw):
-    """Sparse Laurent polynomials in 1-3 variables with coefficients in
-    [-3, 3]; the support need not surround the origin."""
-    dim = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(-2, 2)] * dim)
+    """Sparse Laurent polynomials in 1-4 variables with exponents in
+    [-5, 5] and coefficients in [-3, 3]; the support need not surround
+    the origin."""
+    dim = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-5, 5)] * dim)
     terms = draw(st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=5))
     return LaurentPolynomial(dim, terms)
 
 
-@given(sparse_polys(), st.integers(0, 9))
+# The first example packs exponents into keys whose digits reach exactly
+# +-ceil(dmax/2) * max|coordinate|; a packing base one too small makes
+# distinct exponents of W^3 collide and gives c_6 != 0.
+@given(sparse_polys(), st.integers(0, 10))
+@example(LaurentPolynomial(2, {(1, 0): 2, (1, -1): 2}), 6)
+@example(LaurentPolynomial(2, {}), 5)
+@example(LaurentPolynomial(0, {(): 3}), 4)
+@example(LaurentPolynomial(1, {(1,): 1, (-1,): 1}), 0)
+@example(LaurentPolynomial(1, {(1,): 1, (-1,): 1}), 1)
+@example(LaurentPolynomial(1, {(1,): 1, (-1,): 1}), 2)
 @settings(max_examples=150, deadline=None)
 def test_half_powers_equal_iterated_multiplication(w, dmax):
     assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
