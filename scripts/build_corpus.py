@@ -16,6 +16,8 @@ cross-checked along the way:
 * period terms up to ORACLE_CROSS_CHECK_DMAX against the brute-force
   constant-term oracle, and the half-power engine against plain iterated
   multiplication up to DB_DMAX;
+* the circuit test of ``check_regularity`` against the exact wall LP of
+  ``is_regular_triangulation`` on every small resolution;
 * the Euler / Betti bookkeeping identity e_sm = 2 + 2*b2_sm - b3_sm;
 * the recurrence found for the P^3 sequence is re-verified on a longer,
   freshly computed sequence.
@@ -53,6 +55,7 @@ from conifold.nodal import (
     check_regularity,
     enumerate_small_resolutions,
     friedman_smoothable,
+    is_regular_triangulation,
     nodal_profile,
     transition_invariants,
 )
@@ -207,6 +210,9 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     check(len(resolutions) == 2 ** profile.node_count,
           f"{name}: wrong number of small resolutions")
     resolutions = check_regularity(p, profile, resolutions)
+    for r in resolutions:
+        check(r.regular == is_regular_triangulation(p, r),
+              f"{name}: resolution {r.diagonal_string()} disagrees with the wall LP")
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
 

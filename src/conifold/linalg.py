@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything here is dense, small and exact: fraction-free (Bareiss)
-Gauss-Jordan reduction over the integers, from which ranks and Fraction
-kernels are read, fraction-free determinants, an independent rank
-computation through maximal nonzero minors, and a tiny tableau simplex
-used for strict-feasibility questions.  No floating point is ever
-produced or consumed.
+Gauss-Jordan reduction over the integers, from which ranks and integer
+kernel bases are read, fraction-free determinants, and an independent
+rank computation through maximal nonzero minors.  No floating point is
+ever produced or consumed.
+
+``max_slack`` and ``strictly_feasible``, a tiny exact tableau simplex,
+are on no production path: ``nodal.check_regularity`` decides strict
+feasibility by the signed circuits of its matrix, and the simplex stays
+only as the oracle that the tests and ``scripts/build_corpus.py`` hold
+that test to.
 """
 
 from __future__ import annotations
@@ -58,27 +63,31 @@ def rank(rows: list[list]) -> int:
     return len(integer_rref(rows)[1])
 
 
-def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of {x : rows . x = 0}, one vector per free column.
+def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:
+    """Integer basis of {x : rows . x = 0}, one vector per free column.
 
-    The vector of free column fc has 1 there, 0 in the other free
-    columns and -RREF[r][fc] in the r-th pivot column.  With no rows at
-    all the kernel is the full space and the standard basis is returned.
+    With R = d * RREF from ``integer_rref``, the vector of free column fc
+    has d there, 0 in the other free columns and -R[r][fc] in the r-th
+    pivot column, negated when d < 0: |d| times the vector with 1 at fc
+    and -RREF[r][fc] at the pivots.  With no rows at all the kernel is
+    the full space and the standard basis is returned.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols is required when rows is empty")
         ncols = len(rows[0])
     if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     reduced, pivots, d = integer_rref(rows)
+    if d < 0:
+        reduced, d = [[-x for x in row] for row in reduced], -d
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = d
         for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-reduced[r][fc], d)
+            v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
 
@@ -136,7 +145,8 @@ def rank_by_minors(rows: list[list]) -> int:
 
 
 def max_slack(rows: list[list], nvars: int) -> Fraction:
-    """Maximize s subject to row . h >= s for every row and s <= 1.
+    """Maximize s subject to row . h >= s for every row and s <= 1; a
+    test oracle only (see the module docstring).
 
     h ranges over all of Q^nvars.  The system is homogeneous in h, so the
     optimum is exactly 0 or 1; the value 1 certifies that some h satisfies
@@ -207,7 +217,8 @@ def max_slack(rows: list[list], nvars: int) -> Fraction:
 
 
 def strictly_feasible(rows: list[list], nvars: int) -> bool:
-    """True iff some h in Q^nvars has row . h > 0 for every row."""
+    """True iff some h in Q^nvars has row . h > 0 for every row.  Test
+    oracle for ``nodal.is_regular_sign_vector``; see the module docstring."""
     if not rows:
         return True
     opt = max_slack(rows, nvars)

@@ -27,9 +27,25 @@ it bends strictly across every wall between two facets and is flat across
 every diagonal.  Heights 1 + eps*g keep the strict bends for small
 eps > 0 and bend across diagonal i by eps * s_i * (R_i . g).  Conversely
 the wall inequality of diagonal i is exactly s_i * (R_i . h) > 0, so
-heights h that bend everywhere give g = h.  ``check_regularity`` therefore
-solves one exact LP over N rows; ``is_regular_triangulation``, the LP over
-every wall, stays as the independent check.
+heights h that bend everywhere give g = h.
+
+No LP is needed to decide this.  By Gordan's alternative no such g exists
+iff some nonzero lambda >= 0 has sum_i lambda_i * s_i * R_i = 0, that is,
+iff the left kernel of R holds a nonzero vector mu (mu_i = lambda_i * s_i)
+whose nonzero entries all carry the sign of s.  Every vector of a
+subspace is a conformal sum of its elementary vectors, those of minimal
+support, each summand agreeing in sign with the sum wherever it is
+nonzero (Rockafellar, "The elementary vectors of a subspace of R^N",
+1969; Bjorner-Las Vergnas-Sturmfels-White-Ziegler, *Oriented Matroids*,
+1993).  So such a mu exists iff some circuit c of the left kernel has the
+sign pattern of s, or of -s, on its support.  A circuit's support is a
+minimal dependent set of rows of R, at most rank + 1 of them, and the
+circuit is the one vector of those rows' left kernel.
+``check_regularity`` computes the circuits once (``signed_circuits``)
+and then tests each of the 2^N sign vectors against them.  The exact LP on
+the N rows s_i * R_i (``linalg.strictly_feasible``) and
+``is_regular_triangulation``, the LP over every wall, stay as the
+independent checks that tests hold this to.
 
 Topology bookkeeping across the transition (resolve all nodes versus
 smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
@@ -56,6 +72,10 @@ from .errors import (
 from .lattice import Facet, Polytope, is_reflexive, normalized_volume, polar_dual
 
 DEFAULT_RESOLUTION_CAP = 20
+
+# Most row-subset kernels ``signed_circuits`` may take.  N rows have
+# 2^N - 1 nonempty subsets, so every R with N <= 13 fits; nodal_03 takes 56.
+CIRCUIT_WORK_BUDGET = 10**4
 
 LOCAL_MODEL_SQUARE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
@@ -289,19 +309,75 @@ def is_regular_triangulation(p: Polytope, resolution: SmallResolution) -> bool:
 def check_regularity(
     p: Polytope, profile: NodalProfile, resolutions: list[SmallResolution]
 ) -> list[SmallResolution]:
-    """The same resolutions with ``regular`` filled in by the sign-vector
-    test of the module docstring: is some g strictly positive on the rows
-    s_i * R_i of the exceptional relation matrix?"""
-    relations = exceptional_relation_matrix(p, profile)
+    """The same resolutions with ``regular`` filled in by the circuit test
+    of the module docstring: no signed circuit of the exceptional relation
+    matrix may match the resolution's sign vector or its negative.  The
+    exact simplex (``linalg.strictly_feasible`` on the rows s_i * R_i) is
+    only the test oracle for this."""
+    circuits = signed_circuits(exceptional_relation_matrix(p, profile))
     out = []
     for r in resolutions:
-        rows = [
-            row if d is Diagonal.DIAG24 else [-x for x in row]
-            for row, d in zip(relations, r.diagonals)
-        ]
-        regular = linalg.strictly_feasible(rows, len(p.vertices))
-        out.append(replace(r, regular=regular))
+        plus = sum(1 << i for i, d in enumerate(r.diagonals) if d is Diagonal.DIAG24)
+        out.append(replace(r, regular=is_regular_sign_vector(circuits, plus)))
     return out
+
+
+def signed_circuits(rows: list[list[int]]) -> list[tuple[int, int]]:
+    """The circuits of the left kernel of ``rows``, one for each pair
+    +-c, as bit masks (support, plus) over row indices: bit i of support
+    is set where c_i != 0 and bit i of plus where c_i > 0.
+
+    Row subsets are grown one row at a time, from the independent ones
+    only, up to rank + 1 rows (any larger set holds a smaller dependent
+    one).  A subset is tried only when each of its subsets one row
+    smaller is independent, so it is a circuit's support exactly when its
+    rows are dependent, and its left kernel is then one vector with full
+    support.  Raises BudgetExceeded once the kernels taken would pass
+    ``CIRCUIT_WORK_BUDGET``.
+    """
+    n = len(rows)
+    # each column is a combination of the pivot columns, so keeping only
+    # those leaves the left kernel of every row subset unchanged
+    pivots = linalg.integer_rref(rows)[1]
+    k = len(pivots)
+    if k == n:
+        return []
+    circuits: list[tuple[int, int]] = []
+    independent: set[tuple] = {()}
+    work = 0
+    for _ in range(k + 1):
+        grown = set()
+        for base in sorted(independent):
+            for j in range(base[-1] + 1 if base else 0, n):
+                subset = base + (j,)
+                smaller = (subset[:m] + subset[m + 1 :] for m in range(len(base)))
+                if any(part not in independent for part in smaller):
+                    continue
+                work += 1
+                if work > CIRCUIT_WORK_BUDGET:
+                    raise BudgetExceeded(
+                        f"circuits of {n} relation rows of rank {k} need more "
+                        f"than {CIRCUIT_WORK_BUDGET} subset kernels"
+                    )
+                columns = [[rows[i][c] for i in subset] for c in pivots]
+                kernel = linalg.kernel_basis(columns, ncols=len(subset))
+                if not kernel:
+                    grown.add(subset)
+                    continue
+                assert len(kernel) == 1 and all(kernel[0]), "minimal dependent rows"
+                support = sum(1 << i for i in subset)
+                plus = sum(1 << i for i, x in zip(subset, kernel[0]) if x > 0)
+                circuits.append((support, plus))
+        independent = grown
+    return circuits
+
+
+def is_regular_sign_vector(circuits: list[tuple[int, int]], plus: int) -> bool:
+    """Is some g strictly positive on every row s_i * R_i, where s_i = +1
+    on the bits of ``plus`` and -1 elsewhere?  True iff no circuit from
+    ``signed_circuits(R)`` agrees with s, or with -s, on its whole
+    support."""
+    return all((plus ^ c_plus) & sup not in (0, sup) for sup, c_plus in circuits)
 
 
 def exceptional_relation_matrix(p: Polytope, profile: NodalProfile) -> list[list[int]]:
@@ -361,14 +437,8 @@ def friedman_smoothable(
             sum(vec[i] * w**j for j, vec in enumerate(basis)) for i in range(n)
         ]
         if all(x != 0 for x in lam):
-            scale = 1
-            for x in lam:
-                scale = scale * x.denominator // gcd(scale, x.denominator)
-            ints = [int(x * scale) for x in lam]
-            content = 0
-            for x in ints:
-                content = gcd(content, x)
-            return True, tuple(x // content for x in ints)
+            content = gcd(*lam)
+            return True, tuple(x // content for x in lam)
     raise AssertionError("generic weights must eventually miss all hyperplanes")
 
 

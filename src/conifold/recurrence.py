@@ -9,8 +9,8 @@ with deg p_i <= D and p_r not identically zero.  The last ``holdout``
 positions are excluded from no equation: a candidate must annihilate the
 training window and the held-out window alike, which kills fitted
 coincidences.  All solving is exact: the kernel of the integer matrix
-comes from fraction-free integer elimination (``linalg.integer_rref``) and
-is read off as Fractions; no candidate is ever accepted numerically.
+comes from fraction-free integer elimination (``linalg.integer_rref``) as
+integer vectors; no candidate is ever accepted numerically.
 """
 
 from __future__ import annotations
@@ -100,17 +100,11 @@ def _as_terms(seq) -> list[int]:
     return list(getattr(seq, "terms", seq))
 
 
-def _normalize(vec: list[Fraction], r: int, dD: int) -> tuple:
-    """Clear denominators, reduce content to 1, make the leading
-    coefficient of p_r positive; idempotent on its own output."""
-    mult = 1
-    for f in vec:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+def _normalize(vec: list[int], r: int, dD: int) -> tuple:
+    """Reduce content to 1 and make the leading coefficient of p_r
+    positive; idempotent on its own output."""
+    g = gcd(*vec)
+    ints = [x // g for x in vec]
     polys = [ints[i * (dD + 1) : (i + 1) * (dD + 1)] for i in range(r + 1)]
     lead = next(a for a in reversed(polys[r]) if a != 0)
     if lead < 0:

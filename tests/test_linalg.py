@@ -65,9 +65,15 @@ def test_integer_elimination_matches_fraction_oracle(m):
     assert all(type(x) is int for row in scaled for x in row)
     assert [[Fraction(x, d) for x in row] for row in scaled] == reduced
     assert linalg.rank(m) == len(pivots)
+    # each integer kernel vector is a positive multiple of the oracle's
     basis = linalg.kernel_basis(m)
-    assert basis == fraction_kernel_basis(m, len(m[0]))
-    assert all(type(x) is Fraction for v in basis for x in v)
+    oracle = fraction_kernel_basis(m, len(m[0]))
+    assert len(basis) == len(oracle)
+    for v, w in zip(basis, oracle):
+        assert all(type(x) is int for x in v)
+        i = next(i for i, x in enumerate(w) if x)
+        scale = v[i] / w[i]
+        assert scale > 0 and [scale * x for x in w] == v
 
 
 def test_rank_clears_denominators_of_rational_rows():

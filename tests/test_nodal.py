@@ -1,12 +1,13 @@
 """Conifold squares, small resolutions, regularity, transition reports."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conifold import linalg
+from conifold import linalg, nodal
 from conifold.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -27,9 +28,11 @@ from conifold.nodal import (
     exceptional_relation_matrix,
     exceptional_relation_rank,
     friedman_smoothable,
+    is_regular_sign_vector,
     is_regular_triangulation,
     nodal_profile,
     report_json_dict,
+    signed_circuits,
     transition_invariants,
 )
 from strategies import point_sets, unimodular_matrices
@@ -230,6 +233,109 @@ def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks
     for i in picks:
         r = rs[i % len(rs)]
         assert r.regular == is_regular_triangulation(p, r), (stem, r.diagonal_string())
+
+
+def relation_matrices(max_rows=6, max_cols=5):
+    return st.integers(1, max_rows).flatmap(
+        lambda m: st.integers(1, max_cols).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+
+
+def regular_flags(p):
+    profile = nodal_profile(p)
+    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    return [r.regular for r in rs]
+
+
+@given(relation_matrices())
+@example([[0, 0]])
+@example([[1, 2, -1], [0, 0, 0], [2, 1, 1]])
+@example([[1, -1, 2], [1, -1, 2]])
+@example([[1, 2], [-1, -2]])
+@example([[2, -1, 0], [1, 1, 1], [0, 0, 1]])
+@settings(max_examples=100, deadline=None)
+def test_circuit_test_matches_sign_vector_lp(rows):
+    # every sign vector s against the exact simplex on the rows s_i * R_i
+    circuits = signed_circuits(rows)
+    for plus in range(2 ** len(rows)):
+        signed = [r if plus >> i & 1 else [-x for x in r] for i, r in enumerate(rows)]
+        expected = linalg.strictly_feasible(signed, len(rows[0]))
+        assert is_regular_sign_vector(circuits, plus) == expected, (rows, plus)
+
+
+def test_circuits_of_nodal_03(corpus):
+    # three circuits (one per +-pair), each on four of the six squares
+    p = corpus["nodal_03"]
+    rows = exceptional_relation_matrix(p, nodal_profile(p))
+    circuits = signed_circuits(rows)
+    assert len(circuits) == 3
+    for support, plus in circuits:
+        subset = [i for i in range(len(rows)) if support >> i & 1]
+        assert len(subset) == 4 and plus & ~support == 0
+        picked = [rows[i] for i in subset]
+        assert linalg.rank_by_minors(picked) == len(subset) - 1
+
+
+def test_regularity_is_symmetric_under_negating_signs(corpus):
+    # s and -s give the same LP up to g -> -g; flipping every diagonal
+    # reverses the binary-counter order of the resolutions
+    counts = {}
+    for stem, p in corpus.items():
+        flags = regular_flags(p)
+        assert flags == flags[::-1], stem
+        counts[stem] = sum(flags)
+    assert counts == {"nodal_01": 2, "nodal_02": 4, "nodal_03": 46,
+                      "octahedron": 1, "p2xp1": 1, "p3": 1}
+
+
+@given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS))
+@settings(max_examples=20, deadline=None)
+def test_regularity_is_symmetric_under_negating_signs_on_images(corpus, m, stem):
+    flags = regular_flags(corpus[stem].transform(m))
+    assert flags == flags[::-1]
+    assert sum(flags) == sum(regular_flags(corpus[stem]))
+
+
+@given(relation_matrices())
+@settings(max_examples=100, deadline=None)
+def test_full_row_rank_makes_every_sign_vector_regular(rows):
+    # R g = s is solvable for every s: the left kernel is zero
+    assume(linalg.rank(rows) == len(rows))
+    circuits = signed_circuits(rows)
+    assert circuits == []
+    assert all(is_regular_sign_vector(circuits, plus) for plus in range(2 ** len(rows)))
+
+
+def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
+    # a row subset's kernel is taken iff it has at most rank + 1 rows and
+    # every subset one row smaller is independent
+    p = corpus["nodal_03"]
+    profile = nodal_profile(p)
+    rows = exceptional_relation_matrix(p, profile)
+    n, k = len(rows), linalg.rank_by_minors(rows)
+
+    def independent(subset):
+        return linalg.rank_by_minors([rows[i] for i in subset]) == len(subset)
+
+    kernels = sum(
+        1
+        for size in range(1, k + 2)
+        for subset in combinations(range(n), size)
+        if all(independent(smaller) for smaller in combinations(subset, size - 1))
+    )
+    assert kernels == 56
+    resolutions = enumerate_small_resolutions(p, profile)
+    monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels)
+    assert sum(r.regular for r in check_regularity(p, profile, resolutions)) == 46
+    monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels - 1)
+    with pytest.raises(BudgetExceeded):
+        check_regularity(p, profile, resolutions)
 
 
 @given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS), point_sets(span=2))
