@@ -16,6 +16,8 @@ cross-checked along the way:
 * period terms up to ORACLE_CROSS_CHECK_DMAX against the brute-force
   constant-term oracle, and the half-power engine against plain iterated
   multiplication up to DB_DMAX;
+* the degree that ``transition_invariants`` sums from the facet normals
+  against the normalized volume of the polar dual's hull;
 * the circuit test of ``check_regularity`` against the exact wall LP of
   ``is_regular_triangulation`` on every small resolution;
 * the Euler / Betti bookkeeping identity e_sm = 2 + 2*b2_sm - b3_sm;

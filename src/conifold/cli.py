@@ -171,7 +171,7 @@ def cmd_transition(args) -> int:
 
 def cmd_match(args) -> int:
     p = _load_polytope(args.polytope)
-    report = transition_invariants(p, nodal_profile(p), SmoothingMode(args.mode))
+    report = transition_invariants(p, nodal_profile(p))
     w = from_fan_polytope(p)
     seq = period_sequence(w, args.dmax, source=args.polytope)
     db = load_database(args.database)
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("match", help="rank database records against a polytope")
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("database", help="line-oriented JSON database file")
-    sp.add_argument("--mode", choices=("fano", "cy"), default="fano")
     sp.add_argument("--dmax", type=_int_at_least(0), default=20,
                     help="period terms computed for the comparison (default 20)")
     _add_output_flag(sp)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as cartesian
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import EmptyInput, NotFullDimensional, OriginNotInterior, ParseError
@@ -37,10 +37,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
@@ -50,16 +46,12 @@ def matvec(m, v: Vec) -> Vec:
 
 
 def primitive(vec) -> Vec:
-    """Scale a nonzero rational vector to the primitive integer vector on
-    the same ray."""
-    fracs = [Fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    """Scale a nonzero rational vector (ints or Fractions) to the
+    primitive integer vector on the same ray.  Integer input stays in
+    integers."""
+    mult = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (mult // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
@@ -287,7 +279,9 @@ def polar_dual(p) -> RationalPolytope:
     """Polar dual {u : <u, v> >= -1 for all v in P}.
 
     Requires the origin strictly inside P; vertices of the dual are the
-    facet normals scaled to level -1.
+    facet normals scaled to level -1.  Public API and test oracle only:
+    no command calls it, because ``nodal.transition_invariants`` sums the
+    degree from the facet normals without building the dual.
     """
     for f in p.facets:
         if f.level >= 0:
@@ -336,7 +330,10 @@ def normalized_volume(q) -> Fraction:
 
     Decomposes the polytope into simplices coned from an interior point
     (the vertex centroid) over a triangulation of each facet and sums the
-    absolute simplex determinants.
+    absolute simplex determinants.  Public API and test oracle only: no
+    command calls it; ``normalized_volume(polar_dual(p))`` is the
+    reference that the degree of ``nodal.transition_invariants`` is
+    checked against.
     """
     d = q.dim
     verts = q.vertices

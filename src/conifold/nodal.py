@@ -37,12 +37,15 @@ subspace is a conformal sum of its elementary vectors, those of minimal
 support, each summand agreeing in sign with the sum wherever it is
 nonzero (Rockafellar, "The elementary vectors of a subspace of R^N",
 1969; Bjorner-Las Vergnas-Sturmfels-White-Ziegler, *Oriented Matroids*,
-1993).  So such a mu exists iff some circuit c of the left kernel has the
-sign pattern of s, or of -s, on its support.  A circuit's support is a
-minimal dependent set of rows of R, at most rank + 1 of them, and the
-circuit is the one vector of those rows' left kernel.
+1993).  So such a mu exists iff some circuit c of the left kernel K has
+the sign pattern of s, or of -s, on its support.  Take a basis of K as
+the rows of an m x N matrix B, m = N - rank(R).  The vector y^T B of K
+vanishes at row i iff y is orthogonal to column B_i, so it is a circuit
+iff its zero set is a hyperplane of the column matroid of B, spanned by
+some m - 1 columns Z; y then spans the left kernel of the m x (m - 1)
+matrix B_Z (Bjorner et al., *Oriented Matroids*, 1993).
 ``check_regularity`` computes the circuits once (``signed_circuits``)
-and then tests each of the 2^N sign vectors against them.  The exact LP on
+and tests each of the 2^N sign vectors against them.  The exact LP on
 the N rows s_i * R_i (``linalg.strictly_feasible``) and
 ``is_regular_triangulation``, the LP over every wall, stay as the
 independent checks that tests hold this to.
@@ -52,6 +55,17 @@ smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
 Euler number drops by 2 per node on the smoothing side, and the second
 and third Betti numbers split according to the rank k of the matrix of
 relations among the exceptional curve classes.
+
+The degree (-K)^3 is the normalized volume of the polar dual P*
+(Batyrev, "Dual polyhedra and mirror symmetry for Calabi-Yau
+hypersurfaces in toric varieties", 1994).  Every facet F sits at level
+-1, so the vertices of P* are the normals u_F, and a vertex v of P is
+dual to the polygon Q_v = conv{u_F : F contains v}, a facet of P* with an
+edge u_F u_G for each edge of P through v shared by F and G.  Fanning
+each Q_v out from one of its vertices c_v cuts P* into the simplices
+conv(0, c_v, u_F, u_G), so the degree sums |det(c_v, u_F, u_G)| over the
+edges {F, G} of P (facets sharing two vertices) and both endpoints v;
+an edge through c_v adds 0.
 """
 
 from __future__ import annotations
@@ -59,7 +73,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 from . import linalg
 from .errors import (
@@ -69,12 +84,12 @@ from .errors import (
     NotReflexiveFacet,
     WorseThanNodal,
 )
-from .lattice import Facet, Polytope, is_reflexive, normalized_volume, polar_dual
+from .lattice import Facet, Polytope, is_reflexive
 
 DEFAULT_RESOLUTION_CAP = 20
 
-# Most row-subset kernels ``signed_circuits`` may take.  N rows have
-# 2^N - 1 nonempty subsets, so every R with N <= 13 fits; nodal_03 takes 56.
+# Most subset kernels ``signed_circuits`` may take, C(N, m - 1).  Every R
+# with at most 15 rows fits, as C(15, 7) = 6435; nodal_03 takes C(6, 1).
 CIRCUIT_WORK_BUDGET = 10**4
 
 LOCAL_MODEL_SQUARE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
@@ -323,53 +338,38 @@ def check_regularity(
 
 
 def signed_circuits(rows: list[list[int]]) -> list[tuple[int, int]]:
-    """The circuits of the left kernel of ``rows``, one for each pair
-    +-c, as bit masks (support, plus) over row indices: bit i of support
-    is set where c_i != 0 and bit i of plus where c_i > 0.
+    """The circuits of the left kernel of ``rows``, sorted, as bit masks
+    (support, plus) over row indices: bit i of support is set where
+    c_i != 0 and bit i of plus where c_i > 0.  Of c and -c, the one
+    positive at its lowest support bit is kept.
 
-    Row subsets are grown one row at a time, from the independent ones
-    only, up to rank + 1 rows (any larger set holds a smaller dependent
-    one).  A subset is tried only when each of its subsets one row
-    smaller is independent, so it is a circuit's support exactly when its
-    rows are dependent, and its left kernel is then one vector with full
-    support.  Raises BudgetExceeded once the kernels taken would pass
-    ``CIRCUIT_WORK_BUDGET``.
+    Each (m - 1)-subset of rows on which the kernel basis B has rank
+    m - 1 gives the circuit vanishing there (module docstring).  Raises
+    BudgetExceeded, before any subset kernel, when the C(N, m - 1)
+    subsets pass ``CIRCUIT_WORK_BUDGET``.
     """
     n = len(rows)
-    # each column is a combination of the pivot columns, so keeping only
-    # those leaves the left kernel of every row subset unchanged
-    pivots = linalg.integer_rref(rows)[1]
-    k = len(pivots)
-    if k == n:
+    basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=n)
+    m = len(basis)
+    if m == 0:
         return []
-    circuits: list[tuple[int, int]] = []
-    independent: set[tuple] = {()}
-    work = 0
-    for _ in range(k + 1):
-        grown = set()
-        for base in sorted(independent):
-            for j in range(base[-1] + 1 if base else 0, n):
-                subset = base + (j,)
-                smaller = (subset[:m] + subset[m + 1 :] for m in range(len(base)))
-                if any(part not in independent for part in smaller):
-                    continue
-                work += 1
-                if work > CIRCUIT_WORK_BUDGET:
-                    raise BudgetExceeded(
-                        f"circuits of {n} relation rows of rank {k} need more "
-                        f"than {CIRCUIT_WORK_BUDGET} subset kernels"
-                    )
-                columns = [[rows[i][c] for i in subset] for c in pivots]
-                kernel = linalg.kernel_basis(columns, ncols=len(subset))
-                if not kernel:
-                    grown.add(subset)
-                    continue
-                assert len(kernel) == 1 and all(kernel[0]), "minimal dependent rows"
-                support = sum(1 << i for i in subset)
-                plus = sum(1 << i for i, x in zip(subset, kernel[0]) if x > 0)
-                circuits.append((support, plus))
-        independent = grown
-    return circuits
+    if comb(n, m - 1) > CIRCUIT_WORK_BUDGET:
+        raise BudgetExceeded(
+            f"circuits of {n} relation rows with a {m}-dimensional left kernel "
+            f"need C({n}, {m - 1}) > {CIRCUIT_WORK_BUDGET} subset kernels"
+        )
+    circuits = set()
+    for zeros in combinations(range(n), m - 1):
+        ys = linalg.kernel_basis([[b[i] for b in basis] for i in zeros], ncols=m)
+        if len(ys) > 1:  # B has rank < m - 1 on these rows
+            continue
+        c = [sum(y * b[i] for y, b in zip(ys[0], basis)) for i in range(n)]
+        support = sum(1 << i for i, x in enumerate(c) if x)
+        plus = sum(1 << i for i, x in enumerate(c) if x > 0)
+        if not plus & support & -support:
+            plus ^= support
+        circuits.add((support, plus))
+    return sorted(circuits)
 
 
 def is_regular_sign_vector(circuits: list[tuple[int, int]], plus: int) -> bool:
@@ -423,8 +423,7 @@ def friedman_smoothable(
     if n == 0:
         return True, ()
     rows = exceptional_relation_matrix(p, profile)
-    transpose = [[rows[i][j] for i in range(n)] for j in range(len(p.vertices))]
-    basis = linalg.kernel_basis(transpose, ncols=n)
+    basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=n)
     if not basis:
         return False, None
     for i in range(n):
@@ -452,20 +451,24 @@ def transition_invariants(
     count), b2_res = V - 3 for V boundary rays.  Smoothing all N nodes
     drops the Euler number by 2N and transfers rank: with k the rank of
     the exceptional relation matrix, b2_sm = b2_res - k and
-    b3_sm = 2(N - k).  The degree is the normalized volume of the polar
-    dual.
+    b3_sm = 2(N - k).  The degree, the normalized volume of the polar
+    dual, is summed from the facet normals as the module docstring shows.
     """
     n = profile.node_count
-    smooth_facets = len(p.facets) - n
-    e_res = smooth_facets + 2 * n
+    e_res = len(p.facets) + n  # F - N triangles and two halves per square
     e_sm = e_res - 2 * n
-    nverts = len(p.vertices)
-    b2_res = nverts - 3
+    b2_res = len(p.vertices) - 3
     k = exceptional_relation_rank(p, profile)
     b2_sm = b2_res - k
     b3_sm = 2 * (n - k)
-    vol = normalized_volume(polar_dual(p))
-    assert vol.denominator == 1, "dual of a reflexive polytope has integer volume"
+    # c_v may be any vertex of Q_v: the normal of any facet through v
+    corner = {v: list(f.normal) for f in p.facets for v in f.vertices}
+    degree = 0
+    for f, g in combinations(p.facets, 2):
+        edge = set(f.vertices) & set(g.vertices)
+        if len(edge) == 2:
+            for v in edge:
+                degree += abs(linalg.det([corner[v], list(f.normal), list(g.normal)]))
     smoothable, _cert = friedman_smoothable(p, profile, mode)
     return TransitionReport(
         node_count=n,
@@ -475,7 +478,7 @@ def transition_invariants(
         b2_res=b2_res,
         b2_sm=b2_sm,
         b3_sm=b3_sm,
-        degree=int(vol),
+        degree=degree,
         smoothable=smoothable,
         mode=mode.value,
     )

@@ -257,6 +257,7 @@ def test_huge_dmax_is_refused_by_the_work_budget(cli, corpus_paths, data_dir, co
     ("periods", "{p3}", "--output", "xml"),
     ("periods", "{p3}", "--no-prune"),
     ("match", "{p3}", "{db}", "--no-prune"),
+    ("match", "{p3}", "{db}", "--mode", "cy"),
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")))
 def test_out_of_range_option_is_parse_error(cli, corpus_paths, data_dir, tmp_path, argv):
     seq = tmp_path / "seq.json"

@@ -1,7 +1,8 @@
 """Conifold squares, small resolutions, regularity, transition reports."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,7 +17,7 @@ from conifold.errors import (
     NotReflexiveFacet,
     WorseThanNodal,
 )
-from conifold.lattice import convex_hull
+from conifold.lattice import convex_hull, dot, normalized_volume, polar_dual
 from conifold.nodal import (
     LOCAL_MODEL_SQUARE,
     FacetKind,
@@ -259,10 +260,23 @@ def regular_flags(p):
 @example([[1, -1, 2], [1, -1, 2]])
 @example([[1, 2], [-1, -2]])
 @example([[2, -1, 0], [1, 1, 1], [0, 0, 1]])
+@example([[1], [1], [1], [1]])
+@example([[1, 0], [0, 1], [1, 1], [1, -1], [2, 1]])
 @settings(max_examples=100, deadline=None)
 def test_circuit_test_matches_sign_vector_lp(rows):
     # every sign vector s against the exact simplex on the rows s_i * R_i
     circuits = signed_circuits(rows)
+    # sorted, one circuit per support, each positive at its lowest support
+    # bit, and each support a minimal dependent set of rows
+    assert circuits == sorted(circuits)
+    supports = [support for support, _ in circuits]
+    assert len(set(supports)) == len(supports)
+    for support, plus in circuits:
+        assert plus & support & -support and plus & ~support == 0
+        picked = [rows[i] for i in range(len(rows)) if support >> i & 1]
+        assert linalg.rank(picked) == len(picked) - 1
+        assert all(linalg.rank(picked[:j] + picked[j + 1 :]) == len(picked) - 1
+                   for j in range(len(picked)))
     for plus in range(2 ** len(rows)):
         signed = [r if plus >> i & 1 else [-x for x in r] for i, r in enumerate(rows)]
         expected = linalg.strictly_feasible(signed, len(rows[0]))
@@ -313,23 +327,14 @@ def test_full_row_rank_makes_every_sign_vector_regular(rows):
 
 
 def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
-    # a row subset's kernel is taken iff it has at most rank + 1 rows and
-    # every subset one row smaller is independent
+    # one kernel per (m - 1)-subset of the N rows, m = N - k the dimension
+    # of the left kernel; the budget is checked before the first one
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
     rows = exceptional_relation_matrix(p, profile)
     n, k = len(rows), linalg.rank_by_minors(rows)
-
-    def independent(subset):
-        return linalg.rank_by_minors([rows[i] for i in subset]) == len(subset)
-
-    kernels = sum(
-        1
-        for size in range(1, k + 2)
-        for subset in combinations(range(n), size)
-        if all(independent(smaller) for smaller in combinations(subset, size - 1))
-    )
-    assert kernels == 56
+    kernels = comb(n, n - k - 1)
+    assert kernels == 6
     resolutions = enumerate_small_resolutions(p, profile)
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels)
     assert sum(r.regular for r in check_regularity(p, profile, resolutions)) == 46
@@ -475,6 +480,30 @@ def test_report_json_shape(corpus):
     assert payload["mode"] == "fano"
     assert [r["diagonals"] for r in payload["resolutions"]] == ["0", "1"]
     assert all(isinstance(r["regular"], bool) for r in payload["resolutions"])
+
+
+@given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS))
+@settings(max_examples=30, deadline=None)
+def test_degree_is_the_dual_volume_on_images(corpus, m, stem):
+    q = corpus[stem].transform(m)
+    degree = transition_invariants(q, nodal_profile(q)).degree
+    assert degree == normalized_volume(polar_dual(q))
+
+
+def test_degree_obeys_riemann_roch(corpus):
+    # h^0(-K) = |P* cap Z^3| = (-K)^3 / 2 + 3 on a Gorenstein toric Fano
+    # threefold; the dual's points are counted in the box of its vertices
+    counts = {}
+    for stem, p in corpus.items():
+        normals = [f.normal for f in p.facets]
+        box = [range(min(u[j] for u in normals), max(u[j] for u in normals) + 1)
+               for j in range(3)]
+        counts[stem] = sum(all(dot(u, v) >= -1 for v in p.vertices)
+                           for u in product(*box))
+        degree = transition_invariants(p, nodal_profile(p)).degree
+        assert degree == 2 * (counts[stem] - 3), stem
+    assert counts == {"nodal_01": 30, "nodal_02": 26, "nodal_03": 19,
+                      "octahedron": 27, "p2xp1": 30, "p3": 35}
 
 
 @given(unimodular_matrices(dim=3))
