@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .errors import ConifoldError, ParseError
@@ -275,6 +276,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@cache  # built once per process: parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conifold",

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Everything here is dense, small and exact: fraction-free (Bareiss)
-Gauss-Jordan reduction over the integers, from which ranks and integer
-kernel bases are read, fraction-free determinants, and an independent
+Gauss-Jordan reduction over the integers, from which integer kernel bases
+are read, the cheaper forward-only elimination ``pivot_columns``, whose
+pivots ``rank`` counts, fraction-free determinants, and an independent
 rank computation through maximal nonzero minors.  No floating point is
 ever produced or consumed.
 
@@ -20,6 +21,15 @@ from itertools import combinations
 from math import lcm
 
 
+def _integer_rows(rows: list[list]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same row space."""
+    mat = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (m // x.denominator) for x in row])
+    return mat
+
+
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan reduction (Bareiss 1968) over the integers.
 
@@ -32,10 +42,7 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     before it (1 at the start); by Sylvester's identity the entries stay
     minors of the input, so every division is exact.
     """
-    mat = []
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (m // x.denominator) for x in row])
+    mat = _integer_rows(rows)
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
     prev = 1
@@ -59,8 +66,31 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     return mat, pivots, prev
 
 
+def pivot_columns(rows: list[list]) -> list[int]:
+    """Pivot columns by forward-only Bareiss elimination: column c is one
+    iff the first c + 1 columns have larger rank than the first c.  The
+    first unused row nonzero at c is the pivot, and only the unused rows
+    take the exact step of ``integer_rref``, on the columns right of c
+    (so each kept row starts at the current column)."""
+    mat = _integer_rows(rows)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(mat[0]) if mat else 0):
+        k = next((i for i, row in enumerate(mat) if row[0] != 0), None)
+        if k is None:
+            mat = [row[1:] for row in mat]
+            continue
+        top = mat.pop(k)
+        p, tail = top[0], top[1:]
+        mat = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
+               for row in mat]
+        prev = p
+        pivots.append(c)
+    return pivots
+
+
 def rank(rows: list[list]) -> int:
-    return len(integer_rref(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:

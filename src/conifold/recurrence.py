@@ -11,6 +11,15 @@ training window and the held-out window alike, which kills fitted
 coincidences.  All solving is exact: the kernel of the integer matrix
 comes from fraction-free integer elimination (``linalg.integer_rref``) as
 integer vectors; no candidate is ever accepted numerically.
+
+Most cells are never solved.  For each order r one block is eliminated
+forward (``linalg.pivot_columns``): rows d = 0 .. min(L + 1 - r,
+(r+1)(degree_max+1) + holdout) - 1, entry c_{d+i} * d^j in column
+j(r+1) + i.  Its first w = (r+1)(D+1) columns are some rows of the (r, D)
+cell's matrix, columns permuted, and a subset of rows has no larger rank
+than all of them: when w pivots lie below w, the cell's kernel is {0} and
+it is skipped.  Every other cell is solved on all rows as before, so the
+search returns what solving every cell returns.
 """
 
 from __future__ import annotations
@@ -167,7 +176,15 @@ def find_recurrence(
             f"with holdout {holdout} needs at least {needed}"
         )
     for r in range(1, rmax + 1):
+        # the screen of the module docstring: one echelon per order
+        nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + holdout)
+        pivots = linalg.pivot_columns(
+            [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
+             for d in range(nrows)])
         for dD in range(0, degree_max + 1):
+            width = (r + 1) * (dD + 1)
+            if sum(c < width for c in pivots) == width:
+                continue
             # solving over training and holdout windows together is the
             # same acceptance rule as solve-then-check: any accepted
             # candidate must satisfy both sets of equations exactly

@@ -1,13 +1,22 @@
 """Shared hypothesis strategies for geometry tests, the reference period
-engine and Fraction elimination the fast ones are checked against, and
-closed forms of four bundled period sequences."""
+engine, Fraction elimination and the unscreened recurrence search the fast
+ones are checked against, and closed forms of four bundled period
+sequences."""
 
 from fractions import Fraction
 from math import comb, factorial
 
 from hypothesis import strategies as st
 
+from conifold.errors import InsufficientData
 from conifold.laurent import LaurentPolynomial
+from conifold.recurrence import (
+    DEFAULT_HOLDOUT,
+    Recurrence,
+    _as_terms,
+    _solve_cell,
+    verify_recurrence,
+)
 
 
 def iterated_periods(w, dmax):
@@ -91,6 +100,47 @@ def fraction_kernel_basis(rows, ncols):
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
+
+
+def find_recurrence_unscreened(
+    seq,
+    rmax: int,
+    degree_max: int,
+    holdout: int = DEFAULT_HOLDOUT,
+    stride: int = 1,
+) -> Recurrence | None:
+    """Reference search: ``find_recurrence`` without its per-order screen,
+    solving every (r, D) cell in lexicographic order until one has a
+    solution."""
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    terms = _as_terms(seq)[::stride]
+    if rmax < 1 or degree_max < 0:
+        raise ValueError("need rmax >= 1 and degree_max >= 0")
+    if holdout < 1:
+        raise ValueError("holdout must be at least 1")
+    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
+    if len(terms) < needed:
+        raise InsufficientData(
+            f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
+            f"with holdout {holdout} needs at least {needed}"
+        )
+    for r in range(1, rmax + 1):
+        for dD in range(0, degree_max + 1):
+            # solving over training and holdout windows together is the
+            # same acceptance rule as solve-then-check: any accepted
+            # candidate must satisfy both sets of equations exactly
+            sol = _solve_cell(terms, r, dD)
+            if sol is None:
+                continue
+            rec = Recurrence(
+                order=r,
+                degree=max(len(p) - 1 for p in sol),
+                coeffs=sol,
+            )
+            assert verify_recurrence(rec, terms)
+            return rec
+    return None
 
 
 def _apply_op(m, op):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: JSON contracts, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -217,6 +218,29 @@ def test_repeated_runs_are_byte_identical(cli, corpus_paths, data_dir):
         _, first, _ = cli(*cmd)
         _, second, _ = cli(*cmd)
         assert first == second, cmd
+
+
+def test_one_parser_serves_a_sequence_of_in_process_runs(cli, corpus_paths, tmp_path, capsys):
+    # main builds its parser once per process; every run through it must
+    # still give the exit code, stdout and stderr of a fresh process
+    from conifold import cli as cli_module
+
+    sequence = tmp_path / "central.json"
+    sequence.write_text(json.dumps([math.comb(2 * d, d) for d in range(24)]))
+    usage_error = ("frobnicate",)
+    runs = [
+        usage_error,
+        ("periods", corpus_paths["p3"], "--dmax", "-1"),
+        ("recurrence", sequence, "--rmax", 2, "--degree-max", 1),
+        ("periods", corpus_paths["p3"], "--dmax", 8),
+        ("transition", corpus_paths["nodal_01"]),
+        usage_error,
+    ]
+    for argv in runs:
+        code = cli_module.main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == cli(*argv, expect_exit=None), argv
+    assert cli_module.build_parser() is cli_module.build_parser()
 
 
 def test_huge_facets_are_refused_without_a_lattice_point_scan(cli, tmp_path):

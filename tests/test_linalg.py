@@ -76,6 +76,40 @@ def test_integer_elimination_matches_fraction_oracle(m):
         assert scale > 0 and [scale * x for x in w] == v
 
 
+@st.composite
+def echelon_inputs(draw):
+    """Integer, low-rank and Fraction matrices with zero rows and repeated
+    rows spliced in at random places; single columns and no rows at all
+    are among the draws."""
+    rows = draw(st.one_of(matrices(5, 5), low_rank_products(5), fraction_rows(5)))
+    width = len(rows[0])
+    extra = draw(st.lists(st.one_of(st.just([0] * width), st.sampled_from(rows)),
+                          max_size=3))
+    order = draw(st.permutations(range(len(rows) + len(extra))))
+    rows = [list((rows + extra)[i]) for i in order]
+    return draw(st.sampled_from((rows, [row[:1] for row in rows], [])))
+
+
+@given(echelon_inputs())
+@settings(max_examples=200, deadline=None)
+def test_pivot_columns_count_the_rank_of_every_column_prefix(m):
+    pivots = linalg.pivot_columns(m)
+    width = len(m[0]) if m else 0
+    for c in range(width + 1):
+        assert sum(p < c for p in pivots) == linalg.rank_by_minors([row[:c] for row in m])
+    assert linalg.rank(m) == len(pivots) == len(linalg.integer_rref(m)[1])
+    assert pivots == linalg.integer_rref(m)[1]
+
+
+def test_pivot_columns_examples():
+    assert linalg.pivot_columns([]) == []
+    assert linalg.pivot_columns([[0, 0, 0], [0, 0, 0]]) == []
+    # a zero first column and a repeated row: columns 1 and 2 carry the rank
+    assert linalg.pivot_columns([[0, 1, 1, 2], [0, 1, 1, 2], [0, 0, 3, 1]]) == [1, 2]
+    assert linalg.pivot_columns([[Fraction(1, 2), 1], [1, 2]]) == [0]
+    assert linalg.pivot_columns([[0], [5]]) == [0]
+
+
 def test_rank_clears_denominators_of_rational_rows():
     # truncating the first row with int() would leave [0, 1] and rank 2
     assert linalg.rank([[Fraction(1, 2), 1], [1, 2]]) == 1

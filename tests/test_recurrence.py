@@ -1,19 +1,24 @@
 """Recurrence discovery and verification."""
 
 import math
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold import linalg, recurrence
 from conifold.errors import InsufficientData
+from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.recurrence import (
     Recurrence,
+    _solve_cell,
     find_recurrence,
     gw_labeling,
     verify_recurrence,
 )
-from strategies import CLOSED_FORM_PERIODS
+from strategies import CLOSED_FORM_PERIODS, find_recurrence_unscreened
 
 
 def central_binomials(n):
@@ -158,6 +163,127 @@ def test_benchmark_searches_are_pinned(golden):
         else:
             assert rec is not None, stem
             assert ((rec.order, rec.degree), rec.coeffs) == (cell, coeffs), stem
+
+
+def _logging_solver(log):
+    """``_solve_cell`` that appends (r, D, found) to ``log`` on each call."""
+    def logged(terms, r, dD):
+        sol = _solve_cell(terms, r, dD)
+        log.append((r, dD, sol is not None))
+        return sol
+
+    return logged
+
+
+@pytest.fixture
+def solved_cells(monkeypatch):
+    """Every (r, D, found) that ``find_recurrence`` hands to the exact
+    solver, in order."""
+    log = []
+    monkeypatch.setattr(recurrence, "_solve_cell", _logging_solver(log))
+    return log
+
+
+def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
+    # the benchmark's five searches: the screen rules out every cell of
+    # the two exhaustive (4, 4) misses, every cell before the hit of
+    # octahedron and nodal_03, and all but one miss of p3
+    nodal_02 = list(period_sequence(from_fan_polytope(corpus["nodal_02"]), 60).terms)
+    searches = [(stem, [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)],
+                 rmax, degree_max, stride)
+                for stem, length, rmax, degree_max, stride, _, _ in PINNED_SEARCHES]
+    searches.append(("nodal_02", nodal_02, 4, 4, 1))
+    expected = {
+        "p3": [(1, 3, False), (4, 3, True)],
+        "octahedron": [(2, 3, True)],
+        "nodal_03": [(1, 3, True)],
+        "p2xp1": [],
+        "nodal_02": [],
+    }
+    for stem, seq, rmax, degree_max, stride in searches:
+        solved_cells.clear()
+        rec = find_recurrence(seq, rmax, degree_max, stride=stride)
+        assert solved_cells == expected[stem], stem
+        assert rec == find_recurrence_unscreened(seq, rmax, degree_max, stride=stride)
+
+
+def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
+    # p3's sequence is zero off multiples of 4, so its order-1 block (the
+    # first 13 rows) has rank 7 while the (1, 3) cell's full 40 x 8 matrix
+    # has rank 8: the cell is solved and found empty, and the search goes
+    # on to the (4, 3) hit
+    seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
+    block = [[seq[d + i] * d**j for j in range(4) for i in range(2)] for d in range(13)]
+    assert linalg.pivot_columns(block) == [0, 1, 2, 3, 4, 5, 6]
+    rec = find_recurrence(seq, rmax=4, degree_max=3)
+    assert solved_cells == [(1, 3, False), (4, 3, True)]
+    assert rec == find_recurrence_unscreened(seq, rmax=4, degree_max=3)
+    assert (rec.order, rec.degree) == (4, 3)
+
+
+def test_first_hit_above_degree_zero(solved_cells):
+    # (d+1) c_{d+1} = (4d+2) c_d: the (1, 0) cell is ruled out by the
+    # screen and the (1, 1) cell is the first one solved
+    seq = central_binomials(24)
+    rec = find_recurrence(seq, rmax=3, degree_max=3)
+    assert solved_cells == [(1, 1, True)]
+    assert rec == find_recurrence_unscreened(seq, rmax=3, degree_max=3)
+    assert rec.coeffs == ((-2, -4), (1, 1))
+
+
+@st.composite
+def recurrence_generated(draw):
+    """Terms of sum_{i<r} p_i(d) c_{d+i} + c_{d+r} = 0 for random integer
+    polynomials p_i of degree <= 2 and random initial terms."""
+    order = draw(st.integers(1, 3))
+    polys = draw(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                          min_size=order, max_size=order))
+    seq = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    while len(seq) < 70:
+        d = len(seq) - order
+        seq.append(-sum(sum(a * d**j for j, a in enumerate(p)) * seq[d + i]
+                        for i, p in enumerate(polys)))
+    return seq
+
+
+# half of the draws come from a recurrence, so that hits are common
+SEQUENCES = st.one_of(
+    recurrence_generated(),
+    recurrence_generated(),
+    st.lists(st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, 7)), min_size=70, max_size=70),
+    st.lists(st.integers(-10**30, 10**30), min_size=70, max_size=70),
+)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 3), st.integers(1, 6),
+       st.integers(1, 2), st.integers(-3, 10))
+@settings(max_examples=200, deadline=None)
+def test_screened_search_equals_unscreened(seq, rmax, degree_max, holdout, stride, extra):
+    # the sequence is cut to a length near the least the caps accept, so
+    # InsufficientData is raised on a share of the draws
+    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
+    seq = seq[: stride * (needed + extra)]
+    args = (seq, rmax, degree_max, holdout, stride)
+    solved = []
+    with mock.patch.object(recurrence, "_solve_cell", _logging_solver(solved)):
+        screened = _outcome(find_recurrence, *args)
+    assert screened == _outcome(find_recurrence_unscreened, *args)
+    # the screen itself: no cell it ruled out before the hit, or before
+    # the end of a miss, has a solution
+    if isinstance(screened, tuple):
+        return
+    tried = {(r, dD) for r, dD, _ in solved}
+    stop = max(tried) if screened is not None else (rmax, degree_max)
+    for cell in product(range(1, rmax + 1), range(degree_max + 1)):
+        if cell <= stop and cell not in tried:
+            assert _solve_cell(seq[::stride], *cell) is None, cell
 
 
 def test_str_rendering():
