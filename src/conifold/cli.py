@@ -28,6 +28,7 @@ from .fanodb import load_database, match
 from .lattice import polytope_from_json_dict
 from .laurent import from_fan_polytope, period_sequence
 from .nodal import (
+    DEFAULT_RESOLUTION_CAP,
     SmoothingMode,
     check_regularity,
     enumerate_small_resolutions,
@@ -205,11 +206,12 @@ def cmd_resolve(args) -> int:
     p = _load_polytope(args.polytope)
     profile = nodal_profile(p)
     resolutions = enumerate_small_resolutions(p, profile, cap=args.resolution_cap)
+    triangle_count = len(p.facets) + profile.node_count  # e_res of the report
     payload = {
         "N": profile.node_count,
         "count": len(resolutions),
         "resolutions": [
-            {"diagonals": r.diagonal_string(), "triangle_count": len(r.triangulation)}
+            {"diagonals": r.diagonal_string(), "triangle_count": triangle_count}
             for r in resolutions
         ],
     }
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("--mode", choices=("fano", "cy"), default="fano",
                     help="smoothability criterion to apply (default fano)")
-    sp.add_argument("--resolution-cap", type=_int_at_least(0), default=20,
+    sp.add_argument("--resolution-cap", type=_int_at_least(0),
+                    default=DEFAULT_RESOLUTION_CAP,
                     help="refuse polytopes with more conifold squares than this")
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_transition)
@@ -316,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("resolve", help="enumerate small resolutions only")
     sp.add_argument("polytope", help="polytope JSON file")
-    sp.add_argument("--resolution-cap", type=_int_at_least(0), default=20)
+    sp.add_argument("--resolution-cap", type=_int_at_least(0),
+                    default=DEFAULT_RESOLUTION_CAP)
     _add_output_flag(sp)
     sp.set_defaults(func=cmd_resolve)
 

@@ -103,9 +103,6 @@ class LaurentPolynomial:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.dim, 0)
 
-    def support(self) -> list[tuple]:
-        return sorted(self.terms)
-
     def apply_matrix(self, matrix) -> "LaurentPolynomial":
         """Monomial substitution z^e -> z^(M e); M unimodular keeps this a
         bijection on exponents."""
@@ -197,20 +194,18 @@ def period_sequence(w: LaurentPolynomial, dmax: int, source: str = "") -> Period
     return PeriodSequence(tuple(cs), dmax, source)
 
 
-def period_term_direct(
-    w: LaurentPolynomial, d: int, degree_cap: int = ORACLE_DEGREE_CAP
-) -> int:
+def period_term_direct(w: LaurentPolynomial, d: int) -> int:
     """Brute-force oracle for one period term.
 
     Enumerates every way to pick d monomials of W whose exponents sum to
     zero and adds the multinomial d! / prod(a_v!) times the coefficient
-    product.  Exponential in d, so refuses d above ``degree_cap``.
+    product.  Exponential in d, so refuses d above ``ORACLE_DEGREE_CAP``.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d > degree_cap:
+    if d > ORACLE_DEGREE_CAP:
         raise BudgetExceeded(
-            f"direct period term at degree {d} exceeds the cap of {degree_cap}"
+            f"direct period term at degree {d} exceeds the cap of {ORACLE_DEGREE_CAP}"
         )
     items = sorted(w.terms.items())
     if not items:

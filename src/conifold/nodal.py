@@ -44,11 +44,14 @@ vanishes at row i iff y is orthogonal to column B_i, so it is a circuit
 iff its zero set is a hyperplane of the column matroid of B, spanned by
 some m - 1 columns Z; y then spans the left kernel of the m x (m - 1)
 matrix B_Z (Bjorner et al., *Oriented Matroids*, 1993).
-``check_regularity`` computes the circuits once (``signed_circuits``)
-and tests each of the 2^N sign vectors against them.  The exact LP on
-the N rows s_i * R_i (``linalg.strictly_feasible``) and
-``is_regular_triangulation``, the LP over every wall, stay as the
-independent checks that tests hold this to.
+``nodal_profile`` builds R once; the profile takes B from it by one
+``linalg.kernel_basis`` of R^T on first use, and k = N - m, the circuits
+(``signed_circuits``, which ``check_regularity`` tests each of the 2^N
+sign vectors against) and the Calabi-Yau certificate are all read off B.
+Triangles (``resolution_triangles``) are built only for
+``is_regular_triangulation``, the LP over every wall, which stays with the
+exact LP on the rows s_i * R_i (``linalg.strictly_feasible``) as the
+independent check that tests hold this to.
 
 Topology bookkeeping across the transition (resolve all nodes versus
 smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
@@ -70,10 +73,10 @@ an edge through c_v adds 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
 from math import comb, gcd
 
 from . import linalg
@@ -116,20 +119,27 @@ class FacetClass:
 @dataclass(frozen=True)
 class NodalProfile:
     """node_count is N; squares pairs each conifold facet's index (in the
-    polytope's canonical facet order) with its vertex cycle."""
+    polytope's canonical facet order) with its vertex cycle; relations is
+    the exceptional relation matrix R of those squares."""
 
     node_count: int
     squares: tuple
+    relations: tuple
+
+    @cached_property
+    def left_kernel(self) -> tuple:
+        """Integer basis B of {y : y^T R = 0}, one row of length N per
+        vector; taken once, on first use."""
+        rows_t = [list(col) for col in zip(*self.relations)]
+        return tuple(map(tuple, linalg.kernel_basis(rows_t, ncols=self.node_count)))
 
 
 @dataclass(frozen=True)
 class SmallResolution:
     """One diagonal assignment.  ``diagonals`` follows the square order of
-    the profile; ``triangulation`` lists lattice triangles covering the
-    whole boundary; ``regular`` is None until a regularity check runs."""
+    the profile; ``regular`` is None until a regularity check runs."""
 
     diagonals: tuple
-    triangulation: tuple
     regular: bool | None = None
 
     def diagonal_string(self) -> str:
@@ -175,27 +185,17 @@ def classify_facet(facet: Facet) -> FacetClass:
             f"facet at level {facet.level}; a reflexive facet sits at -1"
         )
     verts = facet.vertices
-    if len(verts) == 3:
-        if _triangle_unimodular(*verts):
-            return FacetClass(FacetKind.SMOOTH_TRIANGLE)
-        return FacetClass(FacetKind.OTHER)
+    if len(verts) == 3 and _triangle_unimodular(*verts):
+        return FacetClass(FacetKind.SMOOTH_TRIANGLE)
     if len(verts) == 4:
         a, b, c, d = verts  # lexicographic
-        if tuple(x + y for x, y in zip(a, b)) == tuple(x + y for x, y in zip(c, d)):
-            diag, rest = (a, b), (c, d)
-        elif tuple(x + y for x, y in zip(a, c)) == tuple(x + y for x, y in zip(b, d)):
-            diag, rest = (a, c), (b, d)
-        elif tuple(x + y for x, y in zip(a, d)) == tuple(x + y for x, y in zip(b, c)):
-            diag, rest = (a, d), (b, c)
-        else:
-            return FacetClass(FacetKind.OTHER)
-        v1, v3 = diag  # v1 lexicographically least of all four
-        v2, v4 = rest
-        cycle = (v1, v2, v3, v4)
-        # parallelogram halves all share one absolute determinant
-        if _triangle_unimodular(v1, v2, v3):
-            return FacetClass(FacetKind.CONIFOLD_SQUARE, cycle=cycle)
-        return FacetClass(FacetKind.OTHER)
+        # the order is compatible with addition, so a + b < c + d and
+        # a + c < b + d: only a + d == b + c can make a parallelogram, and
+        # its halves all share one absolute determinant
+        if all(x + y == z + w for x, y, z, w in zip(a, d, b, c)) and (
+            _triangle_unimodular(a, b, d)
+        ):
+            return FacetClass(FacetKind.CONIFOLD_SQUARE, cycle=(a, b, d, c))
     return FacetClass(FacetKind.OTHER)
 
 
@@ -225,16 +225,8 @@ def nodal_profile(p: Polytope) -> NodalProfile:
             + " are neither unimodular triangles nor conifold squares",
             facets=offenders,
         )
-    return NodalProfile(len(squares), tuple(squares))
-
-
-def _square_triangles(cycle: tuple, diagonal: Diagonal) -> list[tuple]:
-    v1, v2, v3, v4 = cycle
-    if diagonal is Diagonal.DIAG13:
-        halves = [(v1, v2, v3), (v1, v3, v4)]
-    else:
-        halves = [(v1, v2, v4), (v2, v3, v4)]
-    return [tuple(sorted(t)) for t in halves]
+    squares = tuple(squares)
+    return NodalProfile(len(squares), squares, exceptional_relation_matrix(p, squares))
 
 
 def enumerate_small_resolutions(
@@ -248,76 +240,80 @@ def enumerate_small_resolutions(
         raise BudgetExceeded(
             f"{n} nodes would mean 2^{n} resolutions; cap is {cap}"
         )
-    square_at = dict(profile.squares)
-    out = []
-    for code in range(2**n):
-        choices = tuple(
-            Diagonal.DIAG13 if (code >> (n - 1 - j)) & 1 == 0 else Diagonal.DIAG24
-            for j in range(n)
-        )
-        triangles = []
-        sq = 0
-        for i, facet in enumerate(p.facets):
-            if i in square_at:
-                triangles.extend(_square_triangles(square_at[i], choices[sq]))
-                sq += 1
-            else:
-                triangles.append(tuple(sorted(facet.vertices)))
-        out.append(SmallResolution(choices, tuple(triangles)))
-    return out
+    return [SmallResolution(d) for d in product(Diagonal, repeat=n)]
 
 
-def _wall_rows(p: Polytope, resolution: SmallResolution) -> list[list[int]]:
+def resolution_triangles(
+    p: Polytope, profile: NodalProfile, resolution: SmallResolution
+) -> list[tuple]:
+    """The lattice triangles of the boundary triangulation, in facet order:
+    each triangle facet, and each square's two halves on its chosen
+    diagonal, with every triangle's vertices sorted.  Only the wall LP
+    needs them; their number is F + N for every resolution."""
+    choice = {i: (cyc, d) for (i, cyc), d in zip(profile.squares, resolution.diagonals)}
+    triangles = []
+    for i, facet in enumerate(p.facets):
+        if i not in choice:
+            triangles.append(tuple(sorted(facet.vertices)))
+            continue
+        (v1, v2, v3, v4), diagonal = choice[i]
+        if diagonal is Diagonal.DIAG13:
+            halves = [(v1, v2, v3), (v1, v3, v4)]
+        else:
+            halves = [(v1, v2, v4), (v2, v3, v4)]
+        triangles.extend(tuple(sorted(t)) for t in halves)
+    return triangles
+
+
+def _wall_rows(
+    p: Polytope, profile: NodalProfile, resolution: SmallResolution
+) -> list[list[int]]:
     """One integer row per interior wall of the fan over the triangulation.
 
-    Writing the off-wall vertex of one side as a rational combination
-    c' = alpha*a + beta*b + gamma*c of the other side's triangle, a height
-    vector h is strictly convex across the wall iff
-    h[c'] - alpha*h[a] - beta*h[b] - gamma*h[c] > 0 (the same inequality,
-    up to positive scale, seen from either side because gamma < 0 for any
-    genuine fan).
+    For the triangle abc on one side of wall ab and c' across it, Cramer's
+    rule gives d0*c' = det(c',b,c)*a + det(a,c',c)*b + det(a,b,c')*c with
+    d0 = det(a,b,c).  A height vector h is strictly convex across the wall
+    iff the row d0*e_c' - det(c',b,c)*e_a - det(a,c',c)*e_b - det(a,b,c')*e_c,
+    over its gcd and signed so its c' entry is positive, is positive on h
+    (the same inequality, up to positive scale, seen from either side,
+    because the e_c entry has the sign of d0 for any genuine fan).
     """
     index = {v: i for i, v in enumerate(p.vertices)}
-    tris = [tuple(index[v] for v in t) for t in resolution.triangulation]
     edge_tris: dict = {}
-    for t in tris:
+    for tri in resolution_triangles(p, profile, resolution):
+        t = [index[v] for v in tri]
         for edge in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
             edge_tris.setdefault(tuple(sorted(edge)), []).append(t)
     rows = []
-    nverts = len(p.vertices)
     for edge, owners in sorted(edge_tris.items()):
         assert len(owners) == 2, "boundary triangulation must close up"
         t1, t2 = owners
         a, b = edge
         c = next(v for v in t1 if v not in edge)
         cp = next(v for v in t2 if v not in edge)
-        va, vb, vc = p.vertices[a], p.vertices[b], p.vertices[c]
-        vcp = p.vertices[cp]
-        d0 = linalg.det([list(va), list(vb), list(vc)])
+        va, vb, vc, vcp = (list(p.vertices[i]) for i in (a, b, c, cp))
+        d0 = linalg.det([va, vb, vc])
         assert d0 != 0, "triangle rays must be linearly independent"
-        alpha = Fraction(linalg.det([list(vcp), list(vb), list(vc)]), d0)
-        beta = Fraction(linalg.det([list(va), list(vcp), list(vc)]), d0)
-        gamma = Fraction(linalg.det([list(va), list(vb), list(vcp)]), d0)
-        assert gamma < 0, "adjacent cones must sit on opposite sides of a wall"
-        coeff = [Fraction(0)] * nverts
-        coeff[cp] += 1
-        coeff[a] -= alpha
-        coeff[b] -= beta
-        coeff[c] -= gamma
-        mult = 1
-        for f in coeff:
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        rows.append([int(f * mult) for f in coeff])
+        coeff = [0] * len(p.vertices)
+        coeff[cp] = d0
+        coeff[a] = -linalg.det([vcp, vb, vc])
+        coeff[b] = -linalg.det([va, vcp, vc])
+        coeff[c] = -linalg.det([va, vb, vcp])
+        assert coeff[c] * d0 > 0, "adjacent cones must sit on opposite sides of a wall"
+        g = gcd(*coeff) if d0 > 0 else -gcd(*coeff)
+        rows.append([x // g for x in coeff])
     return rows
 
 
-def is_regular_triangulation(p: Polytope, resolution: SmallResolution) -> bool:
+def is_regular_triangulation(
+    p: Polytope, profile: NodalProfile, resolution: SmallResolution
+) -> bool:
     """Exact regularity: does some rational height vector on the vertices
     induce a strictly convex piecewise-linear function on the fan over the
     triangulation?  Feasibility with positive slack is decided by the
     exact simplex in linalg, over one row per interior wall.  This is the
     reference that tests hold ``check_regularity`` to."""
-    rows = _wall_rows(p, resolution)
+    rows = _wall_rows(p, profile, resolution)
     return linalg.strictly_feasible(rows, len(p.vertices))
 
 
@@ -329,30 +325,30 @@ def check_regularity(
     matrix may match the resolution's sign vector or its negative.  The
     exact simplex (``linalg.strictly_feasible`` on the rows s_i * R_i) is
     only the test oracle for this."""
-    circuits = signed_circuits(exceptional_relation_matrix(p, profile))
+    circuits = signed_circuits(profile.left_kernel)
     out = []
     for r in resolutions:
         plus = sum(1 << i for i, d in enumerate(r.diagonals) if d is Diagonal.DIAG24)
-        out.append(replace(r, regular=is_regular_sign_vector(circuits, plus)))
+        out.append(SmallResolution(r.diagonals, is_regular_sign_vector(circuits, plus)))
     return out
 
 
-def signed_circuits(rows: list[list[int]]) -> list[tuple[int, int]]:
-    """The circuits of the left kernel of ``rows``, sorted, as bit masks
-    (support, plus) over row indices: bit i of support is set where
-    c_i != 0 and bit i of plus where c_i > 0.  Of c and -c, the one
-    positive at its lowest support bit is kept.
+def signed_circuits(basis: tuple) -> list[tuple[int, int]]:
+    """The circuits of the row space of B = ``basis``, the left kernel
+    basis of the relation matrix (``NodalProfile.left_kernel``), sorted,
+    as bit masks (support, plus) over the matrix's row indices: bit i of
+    support is set where c_i != 0 and bit i of plus where c_i > 0.  Of c
+    and -c, the one positive at its lowest support bit is kept.
 
-    Each (m - 1)-subset of rows on which the kernel basis B has rank
-    m - 1 gives the circuit vanishing there (module docstring).  Raises
-    BudgetExceeded, before any subset kernel, when the C(N, m - 1)
-    subsets pass ``CIRCUIT_WORK_BUDGET``.
+    Each (m - 1)-subset of rows on which B has rank m - 1 gives the
+    circuit vanishing there (module docstring).  Raises BudgetExceeded,
+    before any subset kernel, when the C(N, m - 1) subsets pass
+    ``CIRCUIT_WORK_BUDGET``.
     """
-    n = len(rows)
-    basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=n)
     m = len(basis)
     if m == 0:
         return []
+    n = len(basis[0])
     if comb(n, m - 1) > CIRCUIT_WORK_BUDGET:
         raise BudgetExceeded(
             f"circuits of {n} relation rows with a {m}-dimensional left kernel "
@@ -380,27 +376,27 @@ def is_regular_sign_vector(circuits: list[tuple[int, int]], plus: int) -> bool:
     return all((plus ^ c_plus) & sup not in (0, sup) for sup, c_plus in circuits)
 
 
-def exceptional_relation_matrix(p: Polytope, profile: NodalProfile) -> list[list[int]]:
-    """Row per square: +1 at v1 and v3, -1 at v2 and v4, indexed by the
-    polytope's canonical vertex order.  Rows express the linear relations
-    among the exceptional curve classes of a small resolution."""
+def exceptional_relation_matrix(p: Polytope, squares: tuple) -> tuple:
+    """Row per square of ``squares`` (pairs of facet index and vertex
+    cycle, as in ``NodalProfile``): +1 at v1 and v3, -1 at v2 and v4,
+    indexed by the polytope's canonical vertex order.  Rows express the
+    linear relations among the exceptional curve classes of a small
+    resolution."""
     index = {v: i for i, v in enumerate(p.vertices)}
     rows = []
-    for _fi, (v1, v2, v3, v4) in profile.squares:
+    for _fi, (v1, v2, v3, v4) in squares:
         row = [0] * len(p.vertices)
         row[index[v1]] += 1
         row[index[v3]] += 1
         row[index[v2]] -= 1
         row[index[v4]] -= 1
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def exceptional_relation_rank(p: Polytope, profile: NodalProfile) -> int:
-    rows = exceptional_relation_matrix(p, profile)
-    if not rows:
-        return 0
-    k = linalg.rank(rows)
+    """k = N - m for the m vectors of the left kernel basis."""
+    k = profile.node_count - len(profile.left_kernel)
     assert 0 <= k <= profile.node_count
     return k
 
@@ -422,8 +418,7 @@ def friedman_smoothable(
     n = profile.node_count
     if n == 0:
         return True, ()
-    rows = exceptional_relation_matrix(p, profile)
-    basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=n)
+    basis = profile.left_kernel
     if not basis:
         return False, None
     for i in range(n):

@@ -32,6 +32,7 @@ from conifold import (
     verify_recurrence,
 )
 from conifold.linalg import rank, rank_by_minors
+from conifold.nodal import resolution_triangles
 from strategies import CLOSED_FORM_PERIODS, iterated_periods
 
 ALL_STEMS = ("p3", "octahedron", "p2xp1", "nodal_01", "nodal_02", "nodal_03")
@@ -139,8 +140,8 @@ def test_small_resolution_census(corpus, nodal_stems):
         rep = transition_invariants(p, profile)
         res = enumerate_small_resolutions(p, profile)
         assert len(res) == 2 ** profile.node_count
-        assert len({len(r.triangulation) for r in res}) == 1
-        assert len(res[0].triangulation) == rep.e_res
+        counts = {len(resolution_triangles(p, profile, r)) for r in res}
+        assert counts == {rep.e_res}
         assert rep.e_sm == rep.e_res - 2 * rep.node_count
         assert len({r.diagonals for r in res}) == len(res)
         assert all(
@@ -172,7 +173,7 @@ def test_topological_bookkeeping(corpus):
         assert rep.e_sm == 2 + 2 * rep.b2_sm - rep.b3_sm, stem
         assert 0 <= rep.relation_rank <= rep.node_count, stem
         assert (rep.relation_rank == 0) == (rep.node_count == 0), stem
-        rows = exceptional_relation_matrix(p, profile)
+        rows = profile.relations
         if rows:
             assert rank(rows) == rank_by_minors(rows) == rep.relation_rank, stem
     print("\nPASS: Euler/Betti bookkeeping consistent on all bundled "
@@ -188,16 +189,16 @@ def test_smoothability_criteria(corpus, nodal_stems):
     for stem in ("nodal_01", "nodal_02"):
         p = corpus[stem]
         profile = nodal_profile(p)
-        rows = exceptional_relation_matrix(p, profile)
+        rows = profile.relations
         assert rank(rows) == profile.node_count
         ok, cert = friedman_smoothable(p, profile, SmoothingMode.CY)
         assert not ok and cert is None, stem
 
     p = corpus["nodal_01"]
     pair = nodal_profile(p).squares[0]
-    doubled = NodalProfile(node_count=2, squares=(pair, pair))
+    rows = exceptional_relation_matrix(p, (pair, pair))
+    doubled = NodalProfile(node_count=2, squares=(pair, pair), relations=rows)
     ok, lam = friedman_smoothable(p, doubled, SmoothingMode.CY)
-    rows = exceptional_relation_matrix(p, doubled)
     assert ok and len(lam) == 2 and all(x != 0 for x in lam)
     assert all(
         sum(lam[i] * rows[i][j] for i in range(2)) == 0
@@ -207,7 +208,7 @@ def test_smoothability_criteria(corpus, nodal_stems):
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
     ok, lam = friedman_smoothable(p, profile, SmoothingMode.CY)
-    rows = exceptional_relation_matrix(p, profile)
+    rows = profile.relations
     assert ok and len(lam) == 6 and all(x != 0 for x in lam)
     assert all(
         sum(lam[i] * rows[i][j] for i in range(6)) == 0

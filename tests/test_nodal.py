@@ -33,6 +33,7 @@ from conifold.nodal import (
     is_regular_triangulation,
     nodal_profile,
     report_json_dict,
+    resolution_triangles,
     signed_circuits,
     transition_invariants,
 )
@@ -45,6 +46,12 @@ CUBE = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
 
 def square_facets(p):
     return [f for f in p.facets if len(f.vertices) == 4]
+
+
+def left_kernel(rows):
+    # the basis NodalProfile.left_kernel holds, for any relation matrix
+    basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=len(rows))
+    return tuple(map(tuple, basis))
 
 
 # ------------------------------------------------------- classification
@@ -163,19 +170,21 @@ def test_profile_requires_reflexive():
 def test_resolution_count_and_diagonal_strings(corpus, golden):
     for stem, p in corpus.items():
         g = golden["polytopes"][stem]
-        rs = enumerate_small_resolutions(p, nodal_profile(p))
+        profile = nodal_profile(p)
+        rs = enumerate_small_resolutions(p, profile)
         assert len(rs) == 2 ** g["N"] == g["resolution_count"]
         strings = [r.diagonal_string() for r in rs]
         assert strings == sorted(strings)
         assert len(set(strings)) == len(strings)
-        counts = {len(r.triangulation) for r in rs}
-        assert counts == {g["e_res"]}
+        counts = {len(resolution_triangles(p, profile, r)) for r in rs}
+        assert counts == {g["e_res"]} == {len(p.facets) + g["N"]}
 
 
 def test_resolution_triangles_are_unimodular(corpus):
     p = corpus["nodal_03"]
-    for res in enumerate_small_resolutions(p, nodal_profile(p)):
-        for tri in res.triangulation:
+    profile = nodal_profile(p)
+    for res in enumerate_small_resolutions(p, profile):
+        for tri in resolution_triangles(p, profile, res):
             a, b, c = tri
             assert abs(linalg.det([list(a), list(b), list(c)])) == 1
 
@@ -209,15 +218,18 @@ def test_regular_counts_match_golden(corpus, golden):
 
 def test_face_fan_of_smooth_polytope_is_regular(corpus):
     p = corpus["p3"]
-    (only,) = enumerate_small_resolutions(p, nodal_profile(p))
-    assert is_regular_triangulation(p, only)
+    profile = nodal_profile(p)
+    (only,) = enumerate_small_resolutions(p, profile)
+    assert is_regular_triangulation(p, profile, only)
 
 
 def test_sign_vector_regularity_matches_wall_lp(corpus):
     for p in corpus.values():
         profile = nodal_profile(p)
         for r in check_regularity(p, profile, enumerate_small_resolutions(p, profile)):
-            assert r.regular == is_regular_triangulation(p, r), r.diagonal_string()
+            assert r.regular == is_regular_triangulation(p, profile, r), (
+                r.diagonal_string()
+            )
 
 
 @given(
@@ -233,7 +245,9 @@ def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks
     rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
     for i in picks:
         r = rs[i % len(rs)]
-        assert r.regular == is_regular_triangulation(p, r), (stem, r.diagonal_string())
+        assert r.regular == is_regular_triangulation(p, profile, r), (
+            stem, r.diagonal_string()
+        )
 
 
 def relation_matrices(max_rows=6, max_cols=5):
@@ -265,7 +279,7 @@ def regular_flags(p):
 @settings(max_examples=100, deadline=None)
 def test_circuit_test_matches_sign_vector_lp(rows):
     # every sign vector s against the exact simplex on the rows s_i * R_i
-    circuits = signed_circuits(rows)
+    circuits = signed_circuits(left_kernel(rows))
     # sorted, one circuit per support, each positive at its lowest support
     # bit, and each support a minimal dependent set of rows
     assert circuits == sorted(circuits)
@@ -285,9 +299,9 @@ def test_circuit_test_matches_sign_vector_lp(rows):
 
 def test_circuits_of_nodal_03(corpus):
     # three circuits (one per +-pair), each on four of the six squares
-    p = corpus["nodal_03"]
-    rows = exceptional_relation_matrix(p, nodal_profile(p))
-    circuits = signed_circuits(rows)
+    profile = nodal_profile(corpus["nodal_03"])
+    rows = profile.relations
+    circuits = signed_circuits(profile.left_kernel)
     assert len(circuits) == 3
     for support, plus in circuits:
         subset = [i for i in range(len(rows)) if support >> i & 1]
@@ -321,7 +335,7 @@ def test_regularity_is_symmetric_under_negating_signs_on_images(corpus, m, stem)
 def test_full_row_rank_makes_every_sign_vector_regular(rows):
     # R g = s is solvable for every s: the left kernel is zero
     assume(linalg.rank(rows) == len(rows))
-    circuits = signed_circuits(rows)
+    circuits = signed_circuits(left_kernel(rows))
     assert circuits == []
     assert all(is_regular_sign_vector(circuits, plus) for plus in range(2 ** len(rows)))
 
@@ -331,7 +345,7 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     # of the left kernel; the budget is checked before the first one
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
-    rows = exceptional_relation_matrix(p, profile)
+    rows = profile.relations
     n, k = len(rows), linalg.rank_by_minors(rows)
     kernels = comb(n, n - k - 1)
     assert kernels == 6
@@ -341,6 +355,50 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels - 1)
     with pytest.raises(BudgetExceeded):
         check_regularity(p, profile, resolutions)
+
+
+@pytest.mark.parametrize("argv, kernels", [
+    (["transition"], 1 + 6),
+    (["transition", "--mode", "cy"], 1 + 6),
+    (["match", "DB", "--dmax", "10"], 1),
+    (["resolve"], 0),
+])
+def test_relation_matrix_is_eliminated_once(corpus, corpus_paths, data_dir,
+                                            monkeypatch, capsys, argv, kernels):
+    # nodal_03: R is built once per command and its left kernel B taken at
+    # most once, by one kernel_basis of R^T; k, the C(6, 1) = 6 subset
+    # kernels of the circuits and the CY certificate are read off B, no
+    # rank runs on R, and no command lists a triangle
+    from conifold import cli
+
+    profile = nodal_profile(corpus["nodal_03"])
+    relation_rows = [list(r) for r in profile.relations]
+    transposed = [list(col) for col in zip(*profile.relations)]
+    calls = {name: [] for name in ("exceptional_relation_matrix",
+                                   "resolution_triangles", "rank", "kernel_basis")}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((nodal, "exceptional_relation_matrix"),
+                         (nodal, "resolution_triangles"),
+                         (linalg, "rank"), (linalg, "kernel_basis")):
+        spy(module, name)
+    command, *rest = argv
+    rest = [str(data_dir / "fano.jsonl") if a == "DB" else a for a in rest]
+    assert cli.main([command, str(corpus_paths["nodal_03"]), *rest]) == 0
+    capsys.readouterr()
+    assert len(calls["exceptional_relation_matrix"]) == 1
+    assert calls["resolution_triangles"] == []
+    assert [[list(r) for r in rows] for rows in calls["rank"]].count(relation_rows) == 0
+    assert len(calls["kernel_basis"]) == kernels
+    assert calls["kernel_basis"][:1] == [transposed][:kernels]
 
 
 @given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS), point_sets(span=2))
@@ -363,7 +421,8 @@ def test_classified_facets_hold_no_lattice_points_but_vertices(corpus, m, stem, 
 def test_relation_matrix_shape_and_support(corpus, golden):
     for stem, p in corpus.items():
         profile = nodal_profile(p)
-        rows = exceptional_relation_matrix(p, profile)
+        rows = exceptional_relation_matrix(p, profile.squares)
+        assert rows == profile.relations
         assert len(rows) == profile.node_count
         for row in rows:
             assert len(row) == len(p.vertices)
@@ -378,7 +437,7 @@ def test_relation_matrix_shape_and_support(corpus, golden):
 def test_relation_rank_cross_checked_by_minors(corpus, golden):
     for stem, p in corpus.items():
         profile = nodal_profile(p)
-        rows = exceptional_relation_matrix(p, profile)
+        rows = profile.relations
         k = exceptional_relation_rank(p, profile)
         assert k == golden["polytopes"][stem]["k"]
         assert k == linalg.rank_by_minors([list(r) for r in rows])
@@ -407,7 +466,7 @@ def test_friedman_cy_certificate(corpus, golden):
     assert ok
     assert list(cert) == golden["polytopes"]["nodal_03"]["cy_certificate"]
     assert all(c != 0 for c in cert)
-    rows = exceptional_relation_matrix(p, profile)
+    rows = profile.relations
     for j in range(len(p.vertices)):
         assert sum(cert[i] * rows[i][j] for i in range(len(rows))) == 0
 
@@ -425,7 +484,7 @@ def test_friedman_cy_proportional_rows_smoothable(corpus):
     # coordinate hyperplane and a certificate must come back
     p = corpus["nodal_01"]
     (pair,) = nodal_profile(p).squares
-    doubled = NodalProfile(2, (pair, pair))
+    doubled = NodalProfile(2, (pair, pair), exceptional_relation_matrix(p, (pair, pair)))
     ok, cert = friedman_smoothable(p, doubled, SmoothingMode.CY)
     assert ok
     assert len(cert) == 2 and all(c != 0 for c in cert)
