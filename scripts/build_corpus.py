@@ -150,8 +150,8 @@ def _solve_columns(basis_cols, target_cols):
 
     Row i of M solves (basis^T) x = (row i of target); Cramer per entry.
     """
-    bt = [[Fraction(basis_cols[c][r]) for c in range(3)] for r in range(3)]
-    d = linalg.det([row[:] for row in bt])
+    bt = [[basis_cols[c][r] for c in range(3)] for r in range(3)]
+    d = linalg.det(bt)
     check(d != 0, "square basis is singular")
     rows = []
     for i in range(3):
@@ -159,8 +159,8 @@ def _solve_columns(basis_cols, target_cols):
         for j in range(3):
             a = [r[:] for r in bt]
             for r in range(3):
-                a[r][j] = Fraction(target_cols[i][r])
-            row.append(linalg.det(a) / d)
+                a[r][j] = target_cols[i][r]
+            row.append(Fraction(linalg.det(a), d))
         rows.append(row)
     return rows
 
@@ -208,23 +208,23 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     dual_volume = normalized_volume(polar_dual(p))
     check(dual_volume == report.degree, f"{name}: degree disagrees with dual volume")
 
-    resolutions = enumerate_small_resolutions(p, profile)
+    resolutions = enumerate_small_resolutions(profile)
     check(len(resolutions) == 2 ** profile.node_count,
           f"{name}: wrong number of small resolutions")
-    resolutions = check_regularity(p, profile, resolutions)
+    resolutions = check_regularity(profile, resolutions)
     for r in resolutions:
         check(r.regular == is_regular_triangulation(p, profile, r),
               f"{name}: resolution {r.diagonal_string()} disagrees with the wall LP")
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
 
-    cy_ok, cy_cert = friedman_smoothable(p, profile, mode=SmoothingMode.CY)
+    cy_ok, cy_cert = friedman_smoothable(profile, mode=SmoothingMode.CY)
     if cy_ok and profile.node_count > 0:
         check(cy_cert is not None and all(c != 0 for c in cy_cert),
               f"{name}: smoothability certificate has a zero entry")
 
     w = from_fan_polytope(p)
-    seq = period_sequence(w, DB_DMAX, source=name)
+    seq = period_sequence(w, DB_DMAX)
     power = LaurentPolynomial.one(w.dim)
     for d in range(1, DB_DMAX + 1):
         power = power * w
@@ -257,11 +257,11 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
 def p3_recurrence_golden() -> dict:
     p = convex_hull([tuple(v) for v in CORPUS[0][2]])
     w = from_fan_polytope(p)
-    seq = period_sequence(w, P3_RECURRENCE_DMAX, source="p3")
+    seq = period_sequence(w, P3_RECURRENCE_DMAX)
     rec = find_recurrence(seq, rmax=P3_RECURRENCE_RMAX,
                           degree_max=P3_RECURRENCE_DEGREE_MAX)
     check(rec is not None, "p3: no recurrence found within the caps")
-    longer = period_sequence(w, P3_RECURRENCE_CONFIRM_DMAX, source="p3")
+    longer = period_sequence(w, P3_RECURRENCE_CONFIRM_DMAX)
     check(verify_recurrence(rec, longer),
           "p3: recurrence fails on the longer confirmation sequence")
     return {

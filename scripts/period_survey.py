@@ -60,9 +60,9 @@ def main() -> int:
         p = load(stem)
         profile = nodal_profile(p)
         rep = transition_invariants(p, profile, SmoothingMode.FANO)
-        rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+        rs = check_regularity(profile, enumerate_small_resolutions(profile))
         nreg = sum(1 for r in rs if r.regular)
-        seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX, source=stem)
+        seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX)
         print(
             f"{stem:<12} {rep.node_count:>2} {rep.relation_rank:>2} "
             f"{rep.degree:>4} {rep.e_sm:>4} {rep.b2_sm:>3} {rep.b3_sm:>3} "
@@ -73,7 +73,7 @@ def main() -> int:
     for stem, dmax, rmax, degree_max, stride in HUNTS:
         p = load(stem)
         t0 = time.perf_counter()
-        seq = period_sequence(from_fan_polytope(p), dmax, source=stem)
+        seq = period_sequence(from_fan_polytope(p), dmax)
         rec = find_recurrence(seq, rmax=rmax, degree_max=degree_max, stride=stride)
         dt = time.perf_counter() - t0
         label = f"{stem} (dmax={dmax}, stride={stride})"

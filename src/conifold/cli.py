@@ -119,7 +119,7 @@ def _emit_kv_table(pairs) -> None:
 def cmd_periods(args) -> int:
     p = _load_polytope(args.polytope)
     w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax, source=args.polytope)
+    seq = period_sequence(w, args.dmax)
     payload = {
         "dmax": args.dmax,
         "periods": list(seq.terms),
@@ -157,8 +157,8 @@ def cmd_transition(args) -> int:
     p = _load_polytope(args.polytope)
     profile = nodal_profile(p)
     report = transition_invariants(p, profile, SmoothingMode(args.mode))
-    resolutions = enumerate_small_resolutions(p, profile, cap=args.resolution_cap)
-    resolutions = check_regularity(p, profile, resolutions)
+    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
+    resolutions = check_regularity(profile, resolutions)
     payload = report_json_dict(report, resolutions=resolutions)
     if args.output == "table":
         skip = {"resolutions", "note"}
@@ -175,7 +175,7 @@ def cmd_match(args) -> int:
     p = _load_polytope(args.polytope)
     report = transition_invariants(p, nodal_profile(p))
     w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax, source=args.polytope)
+    seq = period_sequence(w, args.dmax)
     db = load_database(args.database)
     candidates = match(report, seq, db)
     payload = {
@@ -205,7 +205,7 @@ def cmd_match(args) -> int:
 def cmd_resolve(args) -> int:
     p = _load_polytope(args.polytope)
     profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(p, profile, cap=args.resolution_cap)
+    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
     triangle_count = len(p.facets) + profile.node_count  # e_res of the report
     payload = {
         "N": profile.node_count,

@@ -1,12 +1,15 @@
 """Exact lattice-polytope geometry: hulls, facets, polar duals, volumes.
 
-Vectors are plain tuples of Python ints (Fractions for rational
-polytopes); every predicate is decided in exact arithmetic and no floating
-point enters this module.  Hulls are computed by exhaustive
-supporting-hyperplane enumeration: every dim-subset of points that spans a
-hyperplane is tested for being a supporting one.  That is quadratic-ish
-and entirely robust, which is the right trade at the scale this package
-targets (tens of points, ambient dimension 2 to 4).
+Vectors are plain tuples of Python ints and every predicate is decided in
+exact integer arithmetic; no floating point enters this module.  A
+rational point set (a polar dual) is hulled as its points times their
+common denominator L and scaled back by 1/L, so ``Fraction`` appears only
+in the vertices, levels and volumes of rational polytopes.  Hulls are
+computed by exhaustive supporting-hyperplane enumeration: every
+dim-subset of points that spans a hyperplane is tested for being a
+supporting one.  That is quadratic-ish and entirely robust, which is the
+right trade at the scale this package targets (tens of points, ambient
+dimension 2 to 4).
 
 Canonical ordering, used everywhere: polytope vertices sorted
 lexicographically, facets sorted lexicographically by primitive inward
@@ -46,15 +49,12 @@ def matvec(m, v: Vec) -> Vec:
 
 
 def primitive(vec) -> Vec:
-    """Scale a nonzero rational vector (ints or Fractions) to the
-    primitive integer vector on the same ray.  Integer input stays in
-    integers."""
-    mult = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (mult // x.denominator) for x in vec]
-    g = gcd(*ints)
+    """The primitive integer vector on the ray of a nonzero integer
+    vector."""
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 def _affine_rank(points: list) -> int:
@@ -169,7 +169,7 @@ class RationalPolytope:
         return all(dot(f.normal, point) >= f.level for f in self.facets)
 
     def is_integral(self) -> bool:
-        return all(Fraction(x).denominator == 1 for v in self.vertices for x in v)
+        return all(x == int(x) for v in self.vertices for x in v)
 
     def as_lattice(self) -> Polytope:
         if not self.is_integral():
@@ -197,16 +197,15 @@ def _dedup_sorted(points) -> list:
 
 def _build_hull(points, dim: int):
     pts = _dedup_sorted(points)
-    if not pts:
-        raise EmptyInput("cannot take the hull of no points")
     for p in pts:
         if len(p) != dim:
             raise NotFullDimensional(
                 f"point {p} does not live in dimension {dim}"
             )
-    if _affine_rank(pts) < dim:
+    span = _affine_rank(pts)
+    if span < dim:
         raise NotFullDimensional(
-            f"points span an affine subspace of dimension {_affine_rank(pts)} < {dim}"
+            f"points span an affine subspace of dimension {span} < {dim}"
         )
     facets_raw = _hull_facets(pts, dim)
     vertex_idx = _vertex_indices(pts, facets_raw, dim)
@@ -238,14 +237,31 @@ def convex_hull(points, dim: int | None = None) -> Polytope:
     return Polytope(dim, vertices, facets)
 
 
+def _clear_denominators(points) -> tuple[int, list]:
+    """(L, the points times L) for L the least common denominator of the
+    coordinates (ints or Fractions): integer points."""
+    big = lcm(*(x.denominator for p in points for x in p))
+    return big, [tuple(x.numerator * (big // x.denominator) for x in p) for p in points]
+
+
 def rational_hull(points, dim: int | None = None) -> RationalPolytope:
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    """Convex hull of points with int or Fraction coordinates: the lattice
+    hull of the points times their common denominator L, scaled by 1/L.
+    Positive scaling keeps the canonical vertex and facet order and the
+    primitive normals; only the vertices and levels become Fractions."""
+    pts = list(points)
     if not pts:
         raise EmptyInput("cannot take the hull of no points")
     if dim is None:
         dim = len(pts[0])
-    vertices, facets = _build_hull(pts, dim)
-    return RationalPolytope(dim, vertices, facets)
+    big, scaled = _clear_denominators(pts)
+    vertices, facets = _build_hull(scaled, dim)
+
+    def unscale(vs):
+        return tuple(tuple(Fraction(x, big) for x in v) for v in vs)
+
+    facets = [Facet(f.normal, Fraction(f.level, big), unscale(f.vertices)) for f in facets]
+    return RationalPolytope(dim, unscale(vertices), tuple(facets))
 
 
 def _facet_lattice_points(fvertices, normal, level, dim) -> tuple:
@@ -326,33 +342,19 @@ def _triangulate_full(points: list, dim: int) -> list[tuple[int, ...]]:
 
 
 def normalized_volume(q) -> Fraction:
-    """dim! times the Euclidean volume, exactly.
-
-    Decomposes the polytope into simplices coned from an interior point
-    (the vertex centroid) over a triangulation of each facet and sums the
-    absolute simplex determinants.  Public API and test oracle only: no
-    command calls it; ``normalized_volume(polar_dual(p))`` is the
+    """dim! times the Euclidean volume, exactly: the sum of |det(v_i - v_0)|
+    over the simplices of ``_triangulate_full`` on the vertices times their
+    common denominator L, divided by L^dim.  Public API and test oracle
+    only: no command calls it; ``normalized_volume(polar_dual(p))`` is the
     reference that the degree of ``nodal.transition_invariants`` is
     checked against.
     """
-    d = q.dim
-    verts = q.vertices
-    o = tuple(Fraction(sum(v[j] for v in verts), len(verts)) for j in range(d))
-    total = Fraction(0)
-    for f in q.facets:
-        k = next(j for j in range(d) if f.normal[j] != 0)
-        proj = [v[:k] + v[k + 1 :] for v in f.vertices]
-        if d == 1:
-            simplices = [(0,)]
-        else:
-            simplices = _triangulate_full(proj, d - 1)
-        for simp in simplices:
-            # rows: simplex corners minus o, one simplex of the cone over
-            # the facet triangulation
-            mat = [list(vsub(f.vertices[i], o)) for i in simp]
-            assert len(mat) == d, "facet simplex has wrong corner count"
-            total += abs(Fraction(linalg.det(mat)))
-    return total
+    big, pts = _clear_denominators(q.vertices)
+    total = 0
+    for simp in _triangulate_full(pts, q.dim):
+        base = pts[simp[0]]
+        total += abs(linalg.det([list(vsub(pts[i], base)) for i in simp[1:]]))
+    return Fraction(total, big**q.dim)
 
 
 def boundary_lattice_points(p: Polytope) -> tuple:

@@ -136,7 +136,6 @@ class PeriodSequence:
 
     terms: tuple
     dmax: int
-    source: str = ""
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -156,7 +155,7 @@ def from_fan_polytope(p) -> LaurentPolynomial:
     return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 
-def period_sequence(w: LaurentPolynomial, dmax: int, source: str = "") -> PeriodSequence:
+def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
     formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints
@@ -191,7 +190,7 @@ def period_sequence(w: LaurentPolynomial, dmax: int, source: str = "") -> Period
             high = {k: c for k, c in acc.items() if c}
             cs.append(sum(c * high.get(-k, 0) for k, c in low.items()))
             low = high
-    return PeriodSequence(tuple(cs), dmax, source)
+    return PeriodSequence(tuple(cs), dmax)
 
 
 def period_term_direct(w: LaurentPolynomial, d: int) -> int:

@@ -1,11 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
-Everything here is dense, small and exact: fraction-free (Bareiss)
-Gauss-Jordan reduction over the integers, from which integer kernel bases
-are read, the cheaper forward-only elimination ``pivot_columns``, whose
-pivots ``rank`` counts, fraction-free determinants, and an independent
-rank computation through maximal nonzero minors.  No floating point is
-ever produced or consumed.
+Everything here is dense, small and exact, and takes integer rows only:
+fraction-free (Bareiss) Gauss-Jordan reduction, from which integer kernel
+bases are read, the cheaper forward-only elimination ``pivot_columns``,
+whose pivots ``rank`` counts, fraction-free determinants, and an
+independent rank computation through maximal nonzero minors.  No floating
+point is ever produced or consumed, and no ``Fraction`` outside the
+simplex below.
 
 ``max_slack`` and ``strictly_feasible``, a tiny exact tableau simplex,
 are on no production path: ``nodal.check_regularity`` decides strict
@@ -18,16 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-
-
-def _integer_rows(rows: list[list]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: the same row space."""
-    mat = []
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (m // x.denominator) for x in row])
-    return mat
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
@@ -35,14 +26,13 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
 
     Returns (R, pivots, d) with R = d * RREF(rows): every row of R is an
     integer row, the pivot entries of R all equal d, and R[r][c] / d is
-    entry (r, c) of the reduced row echelon form.  Each input row is first
-    scaled to clear its denominators, which changes neither the row space
-    nor the RREF.  Step k sets row_i <- (p * row_i - row_i[c] * row_r) // prev
-    for every other row i, where p is the k-th pivot and prev the one
-    before it (1 at the start); by Sylvester's identity the entries stay
-    minors of the input, so every division is exact.
+    entry (r, c) of the reduced row echelon form.  Step k sets
+    row_i <- (p * row_i - row_i[c] * row_r) // prev for every other row i,
+    where p is the k-th pivot and prev the one before it (1 at the start);
+    by Sylvester's identity the entries stay minors of the input, so every
+    division is exact.
     """
-    mat = _integer_rows(rows)
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
     prev = 1
@@ -72,7 +62,7 @@ def pivot_columns(rows: list[list]) -> list[int]:
     first unused row nonzero at c is the pivot, and only the unused rows
     take the exact step of ``integer_rref``, on the columns right of c
     (so each kept row starts at the current column)."""
-    mat = _integer_rows(rows)
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
     prev = 1
     for c in range(len(mat[0]) if mat else 0):
@@ -122,12 +112,9 @@ def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:
     return basis
 
 
-def det(matrix: list[list]) -> Fraction | int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Integer input stays integer throughout; Fraction input is handled by
-    the same recurrence, every division being exact.
-    """
+def det(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: each step's division by the previous pivot is exact."""
     n = len(matrix)
     if n == 0:
         return 1
@@ -145,11 +132,7 @@ def det(matrix: list[list]) -> Fraction | int:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                if isinstance(num, int) and isinstance(prev, int):
-                    mat[i][j] = num // prev
-                else:
-                    mat[i][j] = num / prev
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
     return sign * mat[n - 1][n - 1]

@@ -230,7 +230,7 @@ def nodal_profile(p: Polytope) -> NodalProfile:
 
 
 def enumerate_small_resolutions(
-    p: Polytope, profile: NodalProfile, cap: int = DEFAULT_RESOLUTION_CAP
+    profile: NodalProfile, cap: int = DEFAULT_RESOLUTION_CAP
 ) -> list[SmallResolution]:
     """All 2^N diagonal assignments, in binary-counter order over the
     squares (square 0 is the most significant bit, so the diagonal strings
@@ -318,7 +318,7 @@ def is_regular_triangulation(
 
 
 def check_regularity(
-    p: Polytope, profile: NodalProfile, resolutions: list[SmallResolution]
+    profile: NodalProfile, resolutions: list[SmallResolution]
 ) -> list[SmallResolution]:
     """The same resolutions with ``regular`` filled in by the circuit test
     of the module docstring: no signed circuit of the exceptional relation
@@ -394,16 +394,14 @@ def exceptional_relation_matrix(p: Polytope, squares: tuple) -> tuple:
     return tuple(rows)
 
 
-def exceptional_relation_rank(p: Polytope, profile: NodalProfile) -> int:
+def exceptional_relation_rank(profile: NodalProfile) -> int:
     """k = N - m for the m vectors of the left kernel basis."""
     k = profile.node_count - len(profile.left_kernel)
     assert 0 <= k <= profile.node_count
     return k
 
 
-def friedman_smoothable(
-    p: Polytope, profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO
-):
+def friedman_smoothable(profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO):
     """(smoothable?, certificate).
 
     FANO mode: a Fano threefold with ordinary double points always smooths
@@ -453,7 +451,7 @@ def transition_invariants(
     e_res = len(p.facets) + n  # F - N triangles and two halves per square
     e_sm = e_res - 2 * n
     b2_res = len(p.vertices) - 3
-    k = exceptional_relation_rank(p, profile)
+    k = exceptional_relation_rank(profile)
     b2_sm = b2_res - k
     b3_sm = 2 * (n - k)
     # c_v may be any vertex of Q_v: the normal of any facet through v
@@ -464,7 +462,7 @@ def transition_invariants(
         if len(edge) == 2:
             for v in edge:
                 degree += abs(linalg.det([corner[v], list(f.normal), list(g.normal)]))
-    smoothable, _cert = friedman_smoothable(p, profile, mode)
+    smoothable, _cert = friedman_smoothable(profile, mode)
     return TransitionReport(
         node_count=n,
         relation_rank=k,

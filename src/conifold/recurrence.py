@@ -25,7 +25,6 @@ search returns what solving every cell returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -99,10 +98,11 @@ class Recurrence:
 
 
 def _integer(raw) -> int:
-    value = Fraction(raw)
-    if value.denominator != 1:
-        raise ValueError(f"recurrence coefficient {raw!r} is not an integer")
-    return int(value)
+    """An int (not a bool), or a string that ``int()`` parses; anything
+    else, "6/2" and "3.0" included, raises ValueError."""
+    if type(raw) is int or isinstance(raw, str):
+        return int(raw)
+    raise ValueError(f"recurrence coefficient {raw!r} is not an integer")
 
 
 def _as_terms(seq) -> list[int]:

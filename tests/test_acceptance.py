@@ -138,7 +138,7 @@ def test_small_resolution_census(corpus, nodal_stems):
         p = corpus[stem]
         profile = nodal_profile(p)
         rep = transition_invariants(p, profile)
-        res = enumerate_small_resolutions(p, profile)
+        res = enumerate_small_resolutions(profile)
         assert len(res) == 2 ** profile.node_count
         counts = {len(resolution_triangles(p, profile, r)) for r in res}
         assert counts == {rep.e_res}
@@ -156,8 +156,8 @@ def test_each_nodal_polytope_has_a_projective_resolution(corpus, nodal_stems, go
     for stem in nodal_stems:
         p = corpus[stem]
         profile = nodal_profile(p)
-        res = enumerate_small_resolutions(p, profile, cap=64)
-        checked = check_regularity(p, profile, res)
+        res = enumerate_small_resolutions(profile, cap=64)
+        checked = check_regularity(profile, res)
         regular = sum(1 for r in checked if r.regular)
         assert regular >= 1, stem
         assert regular == golden["polytopes"][stem]["regular_count"], stem
@@ -183,7 +183,7 @@ def test_topological_bookkeeping(corpus):
 def test_smoothability_criteria(corpus, nodal_stems):
     for stem in ALL_STEMS:
         p = corpus[stem]
-        ok, _ = friedman_smoothable(p, nodal_profile(p), SmoothingMode.FANO)
+        ok, _ = friedman_smoothable(nodal_profile(p), SmoothingMode.FANO)
         assert ok, stem
 
     for stem in ("nodal_01", "nodal_02"):
@@ -191,14 +191,14 @@ def test_smoothability_criteria(corpus, nodal_stems):
         profile = nodal_profile(p)
         rows = profile.relations
         assert rank(rows) == profile.node_count
-        ok, cert = friedman_smoothable(p, profile, SmoothingMode.CY)
+        ok, cert = friedman_smoothable(profile, SmoothingMode.CY)
         assert not ok and cert is None, stem
 
     p = corpus["nodal_01"]
     pair = nodal_profile(p).squares[0]
     rows = exceptional_relation_matrix(p, (pair, pair))
     doubled = NodalProfile(node_count=2, squares=(pair, pair), relations=rows)
-    ok, lam = friedman_smoothable(p, doubled, SmoothingMode.CY)
+    ok, lam = friedman_smoothable(doubled, SmoothingMode.CY)
     assert ok and len(lam) == 2 and all(x != 0 for x in lam)
     assert all(
         sum(lam[i] * rows[i][j] for i in range(2)) == 0
@@ -207,7 +207,7 @@ def test_smoothability_criteria(corpus, nodal_stems):
 
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
-    ok, lam = friedman_smoothable(p, profile, SmoothingMode.CY)
+    ok, lam = friedman_smoothable(profile, SmoothingMode.CY)
     rows = profile.relations
     assert ok and len(lam) == 6 and all(x != 0 for x in lam)
     assert all(

@@ -297,3 +297,52 @@ def test_version_flag(cli):
     assert out.strip().startswith("conifold")
     code, out, err = cli("periods", "--help")
     assert out.startswith("usage: conifold periods")
+
+
+def test_command_path_constructs_no_fraction(corpus_paths, data_dir, tmp_path,
+                                              monkeypatch, capsys):
+    # integers are the only number type on every subcommand; Fraction is
+    # imported only for rational hulls (lattice) and the simplex oracle
+    # (linalg), which no command calls
+    import ast
+    from fractions import Fraction
+    from pathlib import Path
+
+    from conifold import cli as cli_module
+
+    importers = set()
+    for path in Path(cli_module.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(path.name)
+    assert importers == {"lattice.py", "linalg.py"}
+
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+
+    def run(*argv):
+        assert cli_module.main([str(a) for a in argv]) == 0, argv
+        assert made == [], (argv, made[:3])
+        return capsys.readouterr().out
+
+    for path in corpus_paths.values():
+        run("periods", path, "--dmax", 16, "--recurrence", "--rmax", 2, "--degree-max", 2)
+        run("transition", path)
+        run("transition", path, "--mode", "cy", "--output", "table")
+        run("resolve", path)
+        run("match", path, data_dir / "fano.jsonl", "--dmax", 10)
+    stored = tmp_path / "p3.json"
+    stored.write_text(run("periods", corpus_paths["p3"], "--dmax", 40))
+    assert json.loads(run("recurrence", stored, "--rmax", 4, "--degree-max", 3))["found"]

@@ -1,6 +1,7 @@
 """Convex hulls, reflexivity, polar duals, and normalized volumes."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from conifold.lattice import (
     normalized_volume,
     polar_dual,
     polytope_from_json_dict,
+    rational_hull,
 )
 from strategies import point_sets, unimodular_matrices
 
@@ -146,8 +148,8 @@ CORPUS_DUAL_VERTICES = {
 
 
 def test_polar_duals_of_corpus_unchanged(corpus):
-    # rational_hull ranks Fraction rows; their denominators must be cleared,
-    # not truncated
+    # every dual here but the last is integral; the last is hulled over
+    # the common denominator 2 and scaled back
     assert set(corpus) == set(CORPUS_DUAL_VERTICES)
     for stem, p in corpus.items():
         q = polar_dual(p)
@@ -157,6 +159,39 @@ def test_polar_duals_of_corpus_unchanged(corpus):
     q = polar_dual(convex_hull([(2 * x, 2 * y, 2 * z) for x, y, z in P3_VERTICES]))
     assert list(q.vertices) == [(-half, -half, -half), (-half, -half, 3 * half),
                                 (-half, 3 * half, -half), (3 * half, -half, -half)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dual_of_a_multiple_is_the_dual_scaled_down(corpus, k):
+    # the dual of k * P has denominator k: its hull is taken over L = k
+    for stem, p in corpus.items():
+        q = polar_dual(p)
+        qk = polar_dual(convex_hull([tuple(k * x for x in v) for v in p.vertices]))
+        assert qk.vertices == tuple(tuple(x / k for x in v) for v in q.vertices), stem
+        assert k**3 * normalized_volume(qk) == normalized_volume(q), stem
+
+
+@st.composite
+def rational_point_sets(draw):
+    dim = draw(st.integers(2, 3))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=8))
+    return dim, pts
+
+
+@given(rational_point_sets())
+@settings(max_examples=100, deadline=None)
+def test_rational_hull_over_a_common_denominator(case):
+    dim, pts = case
+    try:
+        q = rational_hull(pts, dim)
+    except NotFullDimensional:
+        return
+    assert set(q.vertices) <= set(pts)
+    for f in q.facets:
+        assert all(type(x) is int for x in f.normal) and gcd(*f.normal) == 1
+        assert all(sum(a * b for a, b in zip(f.normal, x)) >= f.level for x in pts)
+        assert all(sum(a * b for a, b in zip(f.normal, v)) == f.level for v in f.vertices)
 
 
 def test_polar_dual_requires_interior_origin():

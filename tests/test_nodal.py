@@ -103,9 +103,8 @@ def _square_to_model_map(cycle):
     the local model cone; an independent check on classify_facet."""
     v1, v2, v3, v4 = cycle
     t1, t2, t3, t4 = (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)
-    bt = [[Fraction(v[r]) for v in (v1, v2, v4)] for r in range(3)]
-    bt = [[bt[c][r] for c in range(3)] for r in range(3)]  # transpose
-    d = linalg.det([row[:] for row in bt])
+    bt = [list(v) for v in (v1, v2, v4)]  # the transpose of the basis
+    d = linalg.det(bt)
     assert d != 0
     m = []
     for i in range(3):
@@ -115,8 +114,8 @@ def _square_to_model_map(cycle):
         for j in range(3):
             a = [r[:] for r in bt]
             for r in range(3):
-                a[r][j] = Fraction(target[r])
-            row.append(linalg.det(a) / d)
+                a[r][j] = target[r]
+            row.append(Fraction(linalg.det(a), d))
         m.append(row)
     assert all(x.denominator == 1 for row in m for x in row)
     mi = [[int(x) for x in row] for row in m]
@@ -171,7 +170,7 @@ def test_resolution_count_and_diagonal_strings(corpus, golden):
     for stem, p in corpus.items():
         g = golden["polytopes"][stem]
         profile = nodal_profile(p)
-        rs = enumerate_small_resolutions(p, profile)
+        rs = enumerate_small_resolutions(profile)
         assert len(rs) == 2 ** g["N"] == g["resolution_count"]
         strings = [r.diagonal_string() for r in rs]
         assert strings == sorted(strings)
@@ -183,7 +182,7 @@ def test_resolution_count_and_diagonal_strings(corpus, golden):
 def test_resolution_triangles_are_unimodular(corpus):
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
-    for res in enumerate_small_resolutions(p, profile):
+    for res in enumerate_small_resolutions(profile):
         for tri in resolution_triangles(p, profile, res):
             a, b, c = tri
             assert abs(linalg.det([list(a), list(b), list(c)])) == 1
@@ -203,13 +202,13 @@ def test_resolution_budget():
         ]
     )
     with pytest.raises(BudgetExceeded):
-        enumerate_small_resolutions(p, nodal_profile(p), cap=5)
+        enumerate_small_resolutions(nodal_profile(p), cap=5)
 
 
 def test_regular_counts_match_golden(corpus, golden):
     for stem, p in corpus.items():
         profile = nodal_profile(p)
-        rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+        rs = check_regularity(profile, enumerate_small_resolutions(profile))
         assert (
             sum(1 for r in rs if r.regular)
             == golden["polytopes"][stem]["regular_count"]
@@ -219,14 +218,14 @@ def test_regular_counts_match_golden(corpus, golden):
 def test_face_fan_of_smooth_polytope_is_regular(corpus):
     p = corpus["p3"]
     profile = nodal_profile(p)
-    (only,) = enumerate_small_resolutions(p, profile)
+    (only,) = enumerate_small_resolutions(profile)
     assert is_regular_triangulation(p, profile, only)
 
 
 def test_sign_vector_regularity_matches_wall_lp(corpus):
     for p in corpus.values():
         profile = nodal_profile(p)
-        for r in check_regularity(p, profile, enumerate_small_resolutions(p, profile)):
+        for r in check_regularity(profile, enumerate_small_resolutions(profile)):
             assert r.regular == is_regular_triangulation(p, profile, r), (
                 r.diagonal_string()
             )
@@ -242,7 +241,7 @@ def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks
     # the wall LP is the slow side, so each image checks a few resolutions
     p = corpus[stem].transform(m)
     profile = nodal_profile(p)
-    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    rs = check_regularity(profile, enumerate_small_resolutions(profile))
     for i in picks:
         r = rs[i % len(rs)]
         assert r.regular == is_regular_triangulation(p, profile, r), (
@@ -264,7 +263,7 @@ def relation_matrices(max_rows=6, max_cols=5):
 
 def regular_flags(p):
     profile = nodal_profile(p)
-    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    rs = check_regularity(profile, enumerate_small_resolutions(profile))
     return [r.regular for r in rs]
 
 
@@ -349,12 +348,12 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     n, k = len(rows), linalg.rank_by_minors(rows)
     kernels = comb(n, n - k - 1)
     assert kernels == 6
-    resolutions = enumerate_small_resolutions(p, profile)
+    resolutions = enumerate_small_resolutions(profile)
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels)
-    assert sum(r.regular for r in check_regularity(p, profile, resolutions)) == 46
+    assert sum(r.regular for r in check_regularity(profile, resolutions)) == 46
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels - 1)
     with pytest.raises(BudgetExceeded):
-        check_regularity(p, profile, resolutions)
+        check_regularity(profile, resolutions)
 
 
 @pytest.mark.parametrize("argv, kernels", [
@@ -438,14 +437,14 @@ def test_relation_rank_cross_checked_by_minors(corpus, golden):
     for stem, p in corpus.items():
         profile = nodal_profile(p)
         rows = profile.relations
-        k = exceptional_relation_rank(p, profile)
+        k = exceptional_relation_rank(profile)
         assert k == golden["polytopes"][stem]["k"]
         assert k == linalg.rank_by_minors([list(r) for r in rows])
 
 
 def test_friedman_fano_mode_always_smoothable(corpus):
     for p in corpus.values():
-        ok, note = friedman_smoothable(p, nodal_profile(p), SmoothingMode.FANO)
+        ok, note = friedman_smoothable(nodal_profile(p), SmoothingMode.FANO)
         assert ok and isinstance(note, str)
 
 
@@ -453,16 +452,14 @@ def test_friedman_cy_full_rank_profiles(corpus, golden):
     for stem in ("nodal_01", "nodal_02"):
         g = golden["polytopes"][stem]
         assert g["k"] == g["N"]  # these profiles have full relation rank
-        ok, cert = friedman_smoothable(
-            corpus[stem], nodal_profile(corpus[stem]), SmoothingMode.CY
-        )
+        ok, cert = friedman_smoothable(nodal_profile(corpus[stem]), SmoothingMode.CY)
         assert not ok and cert is None
 
 
 def test_friedman_cy_certificate(corpus, golden):
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
-    ok, cert = friedman_smoothable(p, profile, SmoothingMode.CY)
+    ok, cert = friedman_smoothable(profile, SmoothingMode.CY)
     assert ok
     assert list(cert) == golden["polytopes"]["nodal_03"]["cy_certificate"]
     assert all(c != 0 for c in cert)
@@ -472,9 +469,7 @@ def test_friedman_cy_certificate(corpus, golden):
 
 
 def test_friedman_cy_smooth_polytope(corpus):
-    ok, cert = friedman_smoothable(
-        corpus["p3"], nodal_profile(corpus["p3"]), SmoothingMode.CY
-    )
+    ok, cert = friedman_smoothable(nodal_profile(corpus["p3"]), SmoothingMode.CY)
     assert ok and cert == ()
 
 
@@ -485,7 +480,7 @@ def test_friedman_cy_proportional_rows_smoothable(corpus):
     p = corpus["nodal_01"]
     (pair,) = nodal_profile(p).squares
     doubled = NodalProfile(2, (pair, pair), exceptional_relation_matrix(p, (pair, pair)))
-    ok, cert = friedman_smoothable(p, doubled, SmoothingMode.CY)
+    ok, cert = friedman_smoothable(doubled, SmoothingMode.CY)
     assert ok
     assert len(cert) == 2 and all(c != 0 for c in cert)
 
@@ -530,7 +525,7 @@ def test_report_cy_mode(corpus):
 def test_report_json_shape(corpus):
     p = corpus["nodal_01"]
     profile = nodal_profile(p)
-    rs = check_regularity(p, profile, enumerate_small_resolutions(p, profile))
+    rs = check_regularity(profile, enumerate_small_resolutions(profile))
     payload = report_json_dict(transition_invariants(p, profile), resolutions=rs)
     for key in ("N", "k", "e_res", "e_sm", "b2_res", "b2_sm", "b3_sm",
                 "degree", "smoothable", "mode"):

@@ -131,9 +131,14 @@ def test_json_roundtrip():
 
 
 def test_from_json_dict_rejects_fractional_coefficients():
-    data = {"order": 1, "degree": 0, "coeffs": [["1/2"], ["1"]]}
-    with pytest.raises(ValueError):
-        Recurrence.from_json_dict(data)
+    # only an int or an int() string is a coefficient; "6/2" and "3.0"
+    # name integers but are forms ``to_json_dict`` never writes
+    for bad in ("1/2", "6/2", "3.0", 3.0, True, None):
+        data = {"order": 1, "degree": 0, "coeffs": [[bad], ["1"]]}
+        with pytest.raises(ValueError):
+            Recurrence.from_json_dict(data)
+    data = {"order": 1, "degree": 0, "coeffs": [[-3], ["12"]]}
+    assert Recurrence.from_json_dict(data).coeffs == ((-3,), (12,))
 
 
 # four of the benchmark's searches: sequence, length, rmax, degree cap,
