@@ -5,11 +5,16 @@ exact integer arithmetic; no floating point enters this module.  A
 rational point set (a polar dual) is hulled as its points times their
 common denominator L and scaled back by 1/L, so ``Fraction`` appears only
 in the vertices, levels and volumes of rational polytopes.  Hulls are
-computed by exhaustive supporting-hyperplane enumeration: every
-dim-subset of points that spans a hyperplane is tested for being a
-supporting one.  That is quadratic-ish and entirely robust, which is the
-right trade at the scale this package targets (tens of points, ambient
-dimension 2 to 4).
+computed by exhaustive supporting-hyperplane enumeration: the normal of
+every dim-subset of points is the single vector of ``linalg.kernel_basis``
+of its difference rows (none when the subset is degenerate), and the
+hyperplane is kept when no point lies strictly on each side.  That costs
+C(n, dim) * n point tests and is entirely robust, which is the right trade
+at the scale this package targets (tens of points, ambient dimension 2 to
+4); ``HULL_WORK_BUDGET`` refuses larger inputs before the scan.  Vertices
+come from facet incidence: a point is a vertex iff no other point lies on
+every facet through it, because those facets cut out the least face that
+contains it (Ziegler, Lectures on Polytopes, 1995).
 
 Canonical ordering, used everywhere: polytope vertices sorted
 lexicographically, facets sorted lexicographically by primitive inward
@@ -24,10 +29,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as cartesian
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from . import linalg
-from .errors import EmptyInput, NotFullDimensional, OriginNotInterior, ParseError
+from .errors import (
+    BudgetExceeded,
+    EmptyInput,
+    NotFullDimensional,
+    OriginNotInterior,
+    ParseError,
+)
+
+HULL_WORK_BUDGET = 10**6
 
 Vec = tuple
 
@@ -64,21 +77,6 @@ def _affine_rank(points: list) -> int:
     return linalg.rank([list(vsub(p, base)) for p in points[1:]])
 
 
-def _hyperplane_normal(pts: list) -> Vec | None:
-    """Primitive normal of the hyperplane spanned by len(pts) == dim
-    affinely independent points, or None when they are degenerate."""
-    base = pts[0]
-    diffs = [list(vsub(p, base)) for p in pts[1:]]
-    d = len(base)
-    cof = []
-    for j in range(d):
-        minor = [row[:j] + row[j + 1 :] for row in diffs]
-        cof.append((-1) ** j * linalg.det(minor))
-    if all(x == 0 for x in cof):
-        return None
-    return primitive(cof)
-
-
 def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, ...]]]:
     """All facets of conv(points) as (inward primitive normal, level,
     indices of the points lying on the facet), sorted by normal.
@@ -86,14 +84,25 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     Assumes the points affinely span the ambient space.  A hyperplane
     supports the hull iff every point sits on one side of it; the facet is
     the full equality set, so non-simplicial facets come out whole.
+    Raises BudgetExceeded, before the scan, when the C(n, dim) * n point
+    tests pass ``HULL_WORK_BUDGET``.
     """
     n = len(points)
+    if comb(n, dim) * n > HULL_WORK_BUDGET:
+        raise BudgetExceeded(
+            f"hull of {n} points in dimension {dim} needs "
+            f"C({n}, {dim}) * {n} > {HULL_WORK_BUDGET} point tests"
+        )
     found: dict = {}
     for subset in combinations(range(n), dim):
-        u = _hyperplane_normal([points[i] for i in subset])
-        if u is None:
+        base = points[subset[0]]
+        kernel = linalg.kernel_basis(
+            [list(vsub(points[i], base)) for i in subset[1:]], ncols=dim
+        )
+        if len(kernel) != 1:  # the subset spans less than a hyperplane
             continue
-        c = dot(u, points[subset[0]])
+        u = primitive(kernel[0])
+        c = dot(u, base)
         vals = [dot(u, p) for p in points]
         below = any(v < c for v in vals)
         above = any(v > c for v in vals)
@@ -132,18 +141,23 @@ class Facet:
         )
 
 
-@dataclass(frozen=True)
-class Polytope:
-    """Full-dimensional lattice polytope in canonical form."""
-
-    dim: int
-    vertices: tuple
-    facets: tuple
+class _FacetInequalities:
+    """Membership in the intersection of the inner half-spaces of
+    ``self.facets``, shared by lattice and rational polytopes."""
 
     def contains(self, point: Vec, strict: bool = False) -> bool:
         if strict:
             return all(dot(f.normal, point) > f.level for f in self.facets)
         return all(dot(f.normal, point) >= f.level for f in self.facets)
+
+
+@dataclass(frozen=True)
+class Polytope(_FacetInequalities):
+    """Full-dimensional lattice polytope in canonical form."""
+
+    dim: int
+    vertices: tuple
+    facets: tuple
 
     def transform(self, matrix) -> "Polytope":
         """Image under a unimodular matrix (rows act on column vectors)."""
@@ -154,7 +168,7 @@ class Polytope:
 
 
 @dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(_FacetInequalities):
     """Full-dimensional polytope with rational vertices (e.g. a polar
     dual).  Facet normals are still primitive integer vectors; levels are
     Fractions."""
@@ -162,11 +176,6 @@ class RationalPolytope:
     dim: int
     vertices: tuple
     facets: tuple
-
-    def contains(self, point: Vec, strict: bool = False) -> bool:
-        if strict:
-            return all(dot(f.normal, point) > f.level for f in self.facets)
-        return all(dot(f.normal, point) >= f.level for f in self.facets)
 
     def is_integral(self) -> bool:
         return all(x == int(x) for v in self.vertices for x in v)
@@ -177,17 +186,17 @@ class RationalPolytope:
         return convex_hull([tuple(int(x) for x in v) for v in self.vertices], self.dim)
 
 
-def _vertex_indices(points: list, facets_raw: list, dim: int) -> list[int]:
-    """A point is a vertex iff its active facet normals span the ambient
-    space."""
-    on_facets: list[list[Vec]] = [[] for _ in points]
-    for u, _c, idx in facets_raw:
+def _vertex_indices(points: list, facets_raw: list) -> list[int]:
+    """A point is a vertex iff no other point lies on every facet through
+    it (module docstring); bit k of a point's mask marks facet k."""
+    masks = [0] * len(points)
+    for k, (_u, _c, idx) in enumerate(facets_raw):
         for i in idx:
-            on_facets[i].append(list(u))
+            masks[i] |= 1 << k
     return [
         i
-        for i in range(len(points))
-        if len(on_facets[i]) >= dim and linalg.rank(on_facets[i]) == dim
+        for i, mask in enumerate(masks)
+        if all(mask & other != mask for j, other in enumerate(masks) if j != i)
     ]
 
 
@@ -208,7 +217,7 @@ def _build_hull(points, dim: int):
             f"points span an affine subspace of dimension {span} < {dim}"
         )
     facets_raw = _hull_facets(pts, dim)
-    vertex_idx = _vertex_indices(pts, facets_raw, dim)
+    vertex_idx = _vertex_indices(pts, facets_raw)
     vertex_set = set(vertex_idx)
     vertices = tuple(pts[i] for i in sorted(vertex_idx))
     facets = []
@@ -291,6 +300,17 @@ def _facet_lattice_points(fvertices, normal, level, dim) -> tuple:
     return tuple(sorted(out))
 
 
+def require_origin_interior(p) -> None:
+    """Raise OriginNotInterior, naming the first facet at a level >= 0,
+    unless the origin lies strictly inside p."""
+    for f in p.facets:
+        if f.level >= 0:
+            raise OriginNotInterior(
+                "origin not interior: facet at level "
+                f"{f.level} with normal {f.normal}"
+            )
+
+
 def polar_dual(p) -> RationalPolytope:
     """Polar dual {u : <u, v> >= -1 for all v in P}.
 
@@ -299,12 +319,7 @@ def polar_dual(p) -> RationalPolytope:
     no command calls it, because ``nodal.transition_invariants`` sums the
     degree from the facet normals without building the dual.
     """
-    for f in p.facets:
-        if f.level >= 0:
-            raise OriginNotInterior(
-                "origin not interior: facet at level "
-                f"{f.level} with normal {f.normal}"
-            )
+    require_origin_interior(p)
     verts = [tuple(Fraction(x, -f.level) for x in f.normal) for f in p.facets]
     return rational_hull(verts, p.dim)
 
@@ -313,12 +328,7 @@ def is_reflexive(p: Polytope) -> bool:
     """True iff every facet lies at level -1 (normals are primitive by
     construction).  Raises OriginNotInterior when the origin is not
     strictly inside."""
-    for f in p.facets:
-        if f.level >= 0:
-            raise OriginNotInterior(
-                "origin not interior: facet at level "
-                f"{f.level} with normal {f.normal}"
-            )
+    require_origin_interior(p)
     return all(f.level == -1 for f in p.facets)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import lattice
-from .errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
+from .errors import BudgetExceeded, DimensionMismatch
 
 ORACLE_DEGREE_CAP = 16
 PERIOD_WORK_BUDGET = 10**7
@@ -147,11 +147,7 @@ class PeriodSequence:
 def from_fan_polytope(p) -> LaurentPolynomial:
     """The vertex polynomial sum_v z^v of a polytope with the origin
     strictly inside; non-vertex boundary points contribute no term."""
-    for f in p.facets:
-        if f.level >= 0:
-            raise OriginNotInterior(
-                f"origin not interior: facet at level {f.level}"
-            )
+    lattice.require_origin_interior(p)
     return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
-Everything here is dense, small and exact, and takes integer rows only:
-fraction-free (Bareiss) Gauss-Jordan reduction, from which integer kernel
-bases are read, the cheaper forward-only elimination ``pivot_columns``,
-whose pivots ``rank`` counts, fraction-free determinants, and an
+Everything here is dense, small and exact, and takes integer rows only.
+There are two eliminations, both fraction-free (Bareiss 1968):
+``integer_rref``, the Gauss-Jordan reduction from which integer kernel
+bases and determinants are read, and the cheaper forward-only
+``pivot_columns``, whose pivots ``rank`` counts.  ``rank_by_minors`` is an
 independent rank computation through maximal nonzero minors.  No floating
 point is ever produced or consumed, and no ``Fraction`` outside the
 simplex below.
@@ -30,7 +31,9 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     row_i <- (p * row_i - row_i[c] * row_r) // prev for every other row i,
     where p is the k-th pivot and prev the one before it (1 at the start);
     by Sylvester's identity the entries stay minors of the input, so every
-    division is exact.
+    division is exact.  A row swap negates the row moved down, which keeps
+    the sign of every minor: the last pivot of a nonsingular square matrix
+    is its determinant.
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
@@ -38,16 +41,19 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     prev = 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
+        for pivot_row in range(r, len(mat)):
+            if mat[pivot_row][c] != 0:
+                break
+        else:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        if pivot_row != r:
+            mat[r], mat[pivot_row] = mat[pivot_row], [-x for x in mat[r]]
         top = mat[r]
         p = top[c]
-        for i in range(len(mat)):
+        for i, row in enumerate(mat):
             if i != r:
-                f = mat[i][c]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+                f = row[c]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
         pivots.append(c)
         r += 1
@@ -113,29 +119,13 @@ def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:
 
 
 def det(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free (Bareiss)
-    elimination: each step's division by the previous pivot is exact."""
+    """Exact determinant of a square integer matrix: the last pivot of
+    ``integer_rref`` when it reaches full rank, and 0 otherwise."""
     n = len(matrix)
-    if n == 0:
-        return 1
-    mat = [list(row) for row in matrix]
-    if any(len(row) != n for row in mat):
+    if any(len(row) != n for row in matrix):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
+    _, pivots, d = integer_rref(matrix)
+    return d if len(pivots) == n else 0
 
 
 def rank_by_minors(rows: list[list]) -> int:

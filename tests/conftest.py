@@ -47,12 +47,13 @@ def nodal_stems(golden) -> list:
     )
 
 
-def run_cli(*args, expect_exit=0, timeout=None):
+def run_cli(*args, expect_exit=0, timeout=60):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
 
     Uses `python -m conifold` with PYTHONPATH pointing at src/, so the
     tests do not depend on an installed console script.  A run longer than
-    ``timeout`` seconds raises subprocess.TimeoutExpired.
+    ``timeout`` seconds raises subprocess.TimeoutExpired, so a hanging
+    command fails the test instead of stalling the suite.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

@@ -203,8 +203,12 @@ def test_origin_not_interior_is_input_error(cli, tmp_path):
     shifted.write_text(json.dumps({
         "vertices": [[3, 0, 0], [2, 1, 0], [2, 0, 1], [1, -1, -1]]
     }))
-    code, out, err = cli("periods", shifted, expect_exit=2)
-    assert json.loads(err)["error"]["type"] == "OriginNotInterior"
+    errors = [json.loads(cli(command, shifted, expect_exit=2)[2])["error"]
+              for command in ("periods", "transition")]
+    assert errors[0]["type"] == "OriginNotInterior"
+    # one check serves every command and names the offending facet
+    assert errors[0] == errors[1]
+    assert errors[0]["message"].endswith("with normal (3, -1, -1)")
 
 
 def test_repeated_runs_are_byte_identical(cli, corpus_paths, data_dir):
@@ -259,6 +263,19 @@ def test_huge_dmax_is_refused_by_the_work_budget(cli, corpus_paths, data_dir, co
     extra = [data_dir / "fano.jsonl"] if command == "match" else []
     code, out, err = cli(command, corpus_paths["nodal_03"], *extra,
                          "--dmax", 10 ** 9, expect_exit=3, timeout=15)
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
+def test_many_points_are_refused_by_the_hull_budget(cli, tmp_path):
+    # the 90 lattice points of the shell 5 <= |x|^2 <= 9 need
+    # C(90, 3) * 90 > HULL_WORK_BUDGET point tests
+    shell = [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
+             for z in range(-3, 4) if 5 <= x * x + y * y + z * z <= 9]
+    assert len(shell) == 90
+    path = tmp_path / "shell.json"
+    path.write_text(json.dumps({"vertices": shell}))
+    code, out, err = cli("periods", path, expect_exit=3, timeout=10)
     assert out == ""
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 

@@ -21,7 +21,9 @@ from conifold.lattice import (
     polar_dual,
     polytope_from_json_dict,
     rational_hull,
+    vsub,
 )
+from conifold.linalg import strictly_feasible
 from strategies import point_sets, unimodular_matrices
 
 P3_VERTICES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
@@ -294,6 +296,38 @@ def test_hull_idempotent(pts):
     assert [(f.normal, f.level) for f in again.facets] == [
         (f.normal, f.level) for f in p.facets
     ]
+
+
+@st.composite
+def spliced_point_sets(draw):
+    """(dim, points): a point set in dimension 2, 3 or 4 scaled by 2n,
+    with the midpoints of some pairs, the centroid and some repeats
+    spliced in; none of the spliced points is a new vertex."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    pts = draw(point_sets(dim=dim, max_points=dim + 4, span=2))
+    n = len(pts)
+    scaled = [tuple(2 * n * x for x in p) for p in pts]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3))
+    mids = [tuple(n * (a + b) for a, b in zip(pts[i], pts[j])) for i, j in pairs]
+    centroid = tuple(2 * sum(col) for col in zip(*pts))
+    repeats = draw(st.lists(st.sampled_from(scaled), max_size=2))
+    return dim, draw(st.permutations(scaled + mids + [centroid] + repeats))
+
+
+@given(spliced_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_hull_vertices_are_the_unique_minima_of_linear_functionals(case):
+    # p is a vertex iff some h has <h, q - p> > 0 for every other point q
+    dim, pts = case
+    try:
+        p = convex_hull(pts, dim)
+    except NotFullDimensional:
+        return
+    distinct = sorted(set(pts))
+    oracle = [x for x in distinct
+              if strictly_feasible([vsub(q, x) for q in distinct if q != x], dim)]
+    assert list(p.vertices) == oracle
 
 
 @given(point_sets(dim=2, max_points=6, span=4))

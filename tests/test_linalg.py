@@ -1,8 +1,10 @@
 """Exact integer linear algebra: reduction, kernels, determinants, LPs."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
@@ -138,6 +140,33 @@ def test_det_known_values():
 def test_det_upper_triangular_product():
     m = [[3, 5, 7], [0, 2, 9], [0, 0, 11]]
     assert linalg.det(m) == 66
+
+
+def leibniz_det(m):
+    """sum over permutations s of sign(s) * prod_i m[i][s(i)]."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+# mostly zeros, so that pivots are missing and the elimination swaps rows
+# at odd and even offsets
+sparse_int = st.one_of(st.just(0), st.just(0), small_int)
+square_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(sparse_int, min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+@given(square_matrices)
+@example([[0, 1], [1, 0]])
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+@example([[0, 0, 2, 0], [0, 0, 0, 3], [0, 5, 0, 0], [7, 0, 0, 1]])
+@settings(max_examples=300, deadline=None)
+def test_det_equals_the_leibniz_expansion(m):
+    assert linalg.det(m) == leibniz_det(m)
 
 
 @given(matrices())
