@@ -1,0 +1,192 @@
+#!/usr/bin/env python3
+"""Digest the CLI's observable behaviour over a fixed set of runs.
+
+Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
+code, stdout and stderr.  The runs cover the bundled polytopes and two
+seeded unimodular images of each under every subcommand, in JSON and in
+table form, ``--mode cy``, the caps, and inputs that must exit 2 or 3.
+A call that raises out of ``main`` is recorded as exit 1 with the
+exception's type on stderr, as ``python -m conifold`` would exit 1 with a
+traceback.
+
+Output: one line per run, ``<sha256 prefix>  <exit>  conifold <argv>``,
+then ``total <sha256>`` over all of them.  Input files are written to a
+temporary directory that is the working directory during the runs, so
+the argv and every message name files relatively and the digests do not
+depend on where the tree lives.  To check that a change leaves the CLI
+bytes alone, run this script on both trees and diff the outputs:
+
+    python3 scripts/cli_digest.py > digest.txt
+
+A run takes a few seconds, and about 8 s more on trees whose hull budget
+admits the 90-dimensional simplex.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from conifold import cli  # noqa: E402
+
+DATA = ROOT / "src" / "conifold" / "data"
+STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
+IMAGES_PER_POLYTOPE = 2
+
+
+def unimodular_image(vertices, rng: random.Random) -> list:
+    """The vertices under a product of four random elementary integer row
+    operations, a matrix of determinant 1."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(4):
+        i, j = rng.sample(range(3), 2)
+        sign = rng.choice((-1, 1))
+        m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
+    return [[sum(a * x for a, x in zip(row, v)) for row in m] for v in vertices]
+
+
+def write_inputs(tmp: Path) -> list[str]:
+    """Write every input file into ``tmp``; return the polytope names."""
+    shutil.copy(DATA / "fano.jsonl", tmp / "fano.jsonl")
+    polytopes = []
+    for stem in STEMS:
+        vertices = json.loads((DATA / "polytopes" / f"{stem}.json").read_text())["vertices"]
+        polytopes.append(f"{stem}.json")
+        (tmp / f"{stem}.json").write_text(json.dumps({"vertices": vertices}))
+        for k in range(IMAGES_PER_POLYTOPE):
+            image = unimodular_image(vertices, random.Random(f"{stem}:{k}"))
+            polytopes.append(f"{stem}_image{k}.json")
+            (tmp / polytopes[-1]).write_text(json.dumps({"vertices": image}))
+    rng = random.Random(7)
+    files = {
+        "powers.json": [2 ** d for d in range(16)],
+        "central.json": {"periods": [1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620,
+                                     184756, 705432, 2704156, 10400600]},
+        "noise.json": [1] + [rng.randrange(1, 10 ** 9) for _ in range(39)],
+        "short.json": [1, 2, 4],
+        "not_a_list.json": {"terms": [1, 2]},
+        "flat.json": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
+        "shifted.json": {"vertices": [[3, 0, 0], [2, 1, 0], [2, 0, 1], [1, -1, -1]]},
+        "cube.json": {"vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                   for z in (-1, 1)]},
+        "big_simplex.json": {"vertices": [[-1, -1, -1], [3000, 0, 0], [0, 3000, 0],
+                                          [0, 0, 3000]]},
+        "shell.json": {"vertices": [[x, y, z] for x in range(-3, 4) for y in range(-3, 4)
+                                    for z in range(-3, 4)
+                                    if 5 <= x * x + y * y + z * z <= 9]},
+        "simplex90.json": {"vertices": [[int(i == j) for j in range(90)] for i in range(90)]
+                           + [[-1] * 90]},
+    }
+    for name, payload in files.items():
+        (tmp / name).write_text(json.dumps(payload))
+    (tmp / "bad.json").write_text("[1, 2")
+    (tmp / "bad.jsonl").write_text("{broken\n")
+    (tmp / "empty.jsonl").write_text("")
+    record = '{"name": "X", "degree": 1, "e": 0, "b2": 1, "b3": 0}\n'
+    (tmp / "duplicate.jsonl").write_text(record * 2)
+    (tmp / "deep.json").write_text("[" * 100_000)
+    (tmp / "deep_vertices.json").write_text('{"vertices": ' + "[" * 5000)
+    (tmp / "deep.jsonl").write_text("[" * 100_000 + "\n")
+    for name in ("latin1.json", "latin1.jsonl"):
+        (tmp / name).write_bytes(b"\xff\xfe")
+    (tmp / "a_directory").mkdir()
+    return polytopes
+
+
+def runs(polytopes: list[str]) -> list[tuple]:
+    out = []
+    for p in polytopes:
+        for argv in (
+            ("transition", p),
+            ("transition", p, "--mode", "cy"),
+            ("resolve", p),
+            ("match", p, "fano.jsonl", "--dmax", "10"),
+            ("periods", p, "--dmax", "12"),
+            ("periods", p, "--dmax", "40", "--recurrence", "--rmax", "4",
+             "--degree-max", "3"),
+        ):
+            out += [argv, (*argv, "--output", "table")]
+        out += [("transition", p, "--resolution-cap", "1"),
+                ("resolve", p, "--resolution-cap", "1"),
+                ("match", p, "empty.jsonl", "--output", "table")]
+    for seq in ("powers.json", "central.json", "noise.json"):
+        argv = ("recurrence", seq, "--rmax", "2", "--degree-max", "1")
+        out += [argv, (*argv, "--output", "table"), ("recurrence", seq, "--stride", "2")]
+    out += [
+        # handled input errors (exit 2) and budgets (exit 3)
+        ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),
+        ("periods", "p3.json", "--bogus"), ("periods", "p3.json", "--output", "xml"),
+        ("periods", "p3.json", "--dmax", "-1"), ("periods", "p3.json", "--dmax", "ten"),
+        ("recurrence", "powers.json", "--rmax", "0"),
+        ("recurrence", "short.json"), ("recurrence", "not_a_list.json"),
+        ("recurrence", "bad.json"), ("recurrence", "missing.json"),
+        ("periods", "missing.json"), ("transition", "bad.json"),
+        ("transition", "a_directory"), ("transition", "flat.json"),
+        ("periods", "shifted.json"), ("transition", "shifted.json"),
+        ("transition", "cube.json"), ("transition", "big_simplex.json"),
+        ("periods", "shell.json"),
+        ("match", "p3.json", "bad.jsonl"), ("match", "p3.json", "duplicate.jsonl"),
+        ("match", "missing.json", "fano.jsonl"),
+        # file failures and nesting that a tree may not handle (exit 1 there)
+        ("match", "p3.json", "missing.jsonl"), ("match", "p3.json", "a_directory"),
+        ("periods", "latin1.json"), ("recurrence", "latin1.json"),
+        ("match", "p3.json", "latin1.jsonl"), ("periods", "a" * 5000),
+        ("match", "p3.json", "b" * 5000), ("recurrence", "deep.json"),
+        ("transition", "deep_vertices.json"), ("match", "p3.json", "deep.jsonl"),
+        ("periods", "simplex90.json"),
+    ]
+    return out
+
+
+def run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+        except Exception as exc:
+            code = 1
+            print(type(exc).__name__, file=sys.stderr)
+    return code, out.getvalue(), err.getvalue()
+
+
+def shown(argv) -> str:
+    return " ".join(a if len(a) <= 60 else f"<{a[0]} x {len(a)}>" for a in argv)
+
+
+def main() -> int:
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        polytopes = write_inputs(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in runs(polytopes):
+                code, out, err = run(argv)
+                digest = hashlib.sha256(
+                    json.dumps([code, out, err]).encode()
+                ).hexdigest()[:16]
+                line = f"{digest}  {code}  conifold {shown(argv)}"
+                total.update(line.encode() + b"\n")
+                print(line, flush=True)
+        finally:
+            os.chdir(here)
+    print(f"total {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,11 +8,14 @@ match       rank database records against an analyzed polytope
 resolve     enumerate the 2^N small resolutions (no regularity scan)
 recurrence  run the recurrence finder on a stored integer sequence
 
-JSON output is the machine contract: stable key order, canonical vertex
-and facet orderings, byte-identical across runs.  Table output is for
-humans only.  Errors are reported as JSON on stderr; exit codes are
-0 success, 2 input error, 3 budget exceeded, 4 internal invariant
-violation.
+Each ``cmd_*`` function returns its subcommand's JSON payload and prints
+nothing; each ``_*_table`` function renders that payload, and nothing
+else, as text.  ``main`` is the one place that reads ``--output`` and
+prints.  JSON output is the machine contract: stable key order,
+canonical vertex and facet orderings, byte-identical across runs.  Table
+output is for humans only.  Errors are reported as JSON on stderr; exit
+codes are 0 success, 2 input error, 3 budget exceeded, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from functools import cache
 
 from . import __version__
-from .errors import ConifoldError, ParseError
+from .errors import ConifoldError, ParseError, read_input
 from .fanodb import load_database, match
 from .lattice import polytope_from_json_dict
 from .laurent import from_fan_polytope, period_sequence
@@ -43,24 +46,8 @@ from .recurrence import find_recurrence, gw_labeling
 # input helpers
 
 
-def _load_json_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ParseError(f"{path}: no such file") from None
-    except IsADirectoryError:
-        raise ParseError(f"{path}: is a directory") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from None
-
-
-def _load_polytope(path):
-    return polytope_from_json_dict(_load_json_file(path))
-
-
 def _load_sequence(path) -> list[int]:
-    data = _load_json_file(path)
+    data = read_input(path)
     if isinstance(data, dict):
         data = data.get("periods")
     if not isinstance(data, list) or not data or any(type(c) is not int for c in data):
@@ -87,12 +74,81 @@ def _int_at_least(low: int):
     return parse
 
 
+def _recurrence_payload(terms, args) -> dict | None:
+    """The recurrence found within the caps of ``args``, with its ``pretty``
+    form, or None."""
+    rec = find_recurrence(terms, rmax=args.rmax, degree_max=args.degree_max,
+                          holdout=args.holdout, stride=args.stride)
+    return None if rec is None else {**rec.to_json_dict(), "pretty": str(rec)}
+
+
 # ---------------------------------------------------------------------------
-# output helpers
+# subcommands: each returns its JSON payload
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def cmd_periods(args) -> dict:
+    p = polytope_from_json_dict(read_input(args.polytope))
+    seq = period_sequence(from_fan_polytope(p), args.dmax)
+    payload = {
+        "dmax": args.dmax,
+        "periods": list(seq.terms),
+        "gw": [
+            {"d": d, "label": label, "value": value}
+            for d, label, value in gw_labeling(seq)
+        ],
+    }
+    if args.recurrence:
+        payload["recurrence"] = _recurrence_payload(seq, args)
+    return payload
+
+
+def cmd_transition(args) -> dict:
+    p = polytope_from_json_dict(read_input(args.polytope))
+    profile = nodal_profile(p)
+    report = transition_invariants(p, profile, SmoothingMode(args.mode))
+    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
+    return report_json_dict(report, resolutions=check_regularity(profile, resolutions))
+
+
+def cmd_match(args) -> dict:
+    p = polytope_from_json_dict(read_input(args.polytope))
+    report = transition_invariants(p, nodal_profile(p))
+    seq = period_sequence(from_fan_polytope(p), args.dmax)
+    candidates = match(report, seq, load_database(args.database))
+    return {
+        "query": {
+            "degree": report.degree,
+            "e": report.e_sm,
+            "b2": report.b2_sm,
+            "b3": report.b3_sm,
+            "periods": list(seq.terms),
+        },
+        "candidates": [c.to_json_dict() for c in candidates],
+    }
+
+
+def cmd_resolve(args) -> dict:
+    p = polytope_from_json_dict(read_input(args.polytope))
+    profile = nodal_profile(p)
+    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
+    triangle_count = len(p.facets) + profile.node_count  # e_res of the report
+    return {
+        "N": profile.node_count,
+        "count": len(resolutions),
+        "resolutions": [
+            {"diagonals": r.diagonal_string(), "triangle_count": triangle_count}
+            for r in resolutions
+        ],
+    }
+
+
+def cmd_recurrence(args) -> dict:
+    rec = _recurrence_payload(_load_sequence(args.sequence), args)
+    return {"found": False} if rec is None else {"found": True, **rec}
+
+
+# ---------------------------------------------------------------------------
+# tables: each renders one subcommand's payload
 
 
 def _render_table(headers, rows) -> str:
@@ -108,154 +164,52 @@ def _render_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _emit_kv_table(pairs) -> None:
-    print(_render_table(("field", "value"), pairs))
+def _periods_table(payload) -> str:
+    rows = [(g["d"], g["value"], g["label"] or "") for g in payload["gw"]]
+    text = _render_table(("d", "c_d", "gromov-witten"), rows)
+    if "recurrence" not in payload:
+        return text
+    rec = payload["recurrence"]
+    return f"{text}\n\nrecurrence: {rec['pretty'] if rec else 'none found within caps'}"
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _transition_table(payload) -> str:
+    fields = [(k, payload[k]) for k in sorted(payload) if k not in {"resolutions", "note"}]
+    rows = [(r["diagonals"], r["regular"]) for r in payload["resolutions"]]
+    return (_render_table(("field", "value"), fields) + "\n\n"
+            + _render_table(("diagonals", "regular"), rows))
 
 
-def cmd_periods(args) -> int:
-    p = _load_polytope(args.polytope)
-    w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax)
-    payload = {
-        "dmax": args.dmax,
-        "periods": list(seq.terms),
-        "gw": [
-            {"d": d, "label": label, "value": value}
-            for d, label, value in gw_labeling(seq)
-        ],
-    }
-    if args.recurrence:
-        rec = find_recurrence(
-            seq,
-            rmax=args.rmax,
-            degree_max=args.degree_max,
-            holdout=args.holdout,
-            stride=args.stride,
-        )
-        if rec is None:
-            payload["recurrence"] = None
-        else:
-            payload["recurrence"] = rec.to_json_dict()
-            payload["recurrence"]["pretty"] = str(rec)
-    if args.output == "table":
-        rows = [(g["d"], g["value"], g["label"] or "") for g in payload["gw"]]
-        print(_render_table(("d", "c_d", "gromov-witten"), rows))
-        if args.recurrence:
-            rec = payload["recurrence"]
-            print()
-            print("recurrence:", rec["pretty"] if rec else "none found within caps")
-    else:
-        _emit_json(payload)
-    return 0
+def _match_table(payload) -> str:
+    if not payload["candidates"]:
+        return "no candidates"
+    headers = ("name", "degree", "e", "b2", "b3", "overlap")
+    return _render_table(headers, [[c[h] for h in headers] for c in payload["candidates"]])
 
 
-def cmd_transition(args) -> int:
-    p = _load_polytope(args.polytope)
-    profile = nodal_profile(p)
-    report = transition_invariants(p, profile, SmoothingMode(args.mode))
-    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
-    resolutions = check_regularity(profile, resolutions)
-    payload = report_json_dict(report, resolutions=resolutions)
-    if args.output == "table":
-        skip = {"resolutions", "note"}
-        _emit_kv_table([(k, payload[k]) for k in sorted(payload) if k not in skip])
-        print()
-        rows = [(r["diagonals"], r["regular"]) for r in payload["resolutions"]]
-        print(_render_table(("diagonals", "regular"), rows))
-    else:
-        _emit_json(payload)
-    return 0
+def _resolve_table(payload) -> str:
+    rows = [(r["diagonals"], r["triangle_count"]) for r in payload["resolutions"]]
+    return _render_table(("diagonals", "triangles"), rows)
 
 
-def cmd_match(args) -> int:
-    p = _load_polytope(args.polytope)
-    report = transition_invariants(p, nodal_profile(p))
-    w = from_fan_polytope(p)
-    seq = period_sequence(w, args.dmax)
-    db = load_database(args.database)
-    candidates = match(report, seq, db)
-    payload = {
-        "query": {
-            "degree": report.degree,
-            "e": report.e_sm,
-            "b2": report.b2_sm,
-            "b3": report.b3_sm,
-            "periods": list(seq.terms),
-        },
-        "candidates": [c.to_json_dict() for c in candidates],
-    }
-    if args.output == "table":
-        if not candidates:
-            print("no candidates")
-        else:
-            rows = [
-                (c["name"], c["degree"], c["e"], c["b2"], c["b3"], c["overlap"])
-                for c in payload["candidates"]
-            ]
-            print(_render_table(("name", "degree", "e", "b2", "b3", "overlap"), rows))
-    else:
-        _emit_json(payload)
-    return 0
-
-
-def cmd_resolve(args) -> int:
-    p = _load_polytope(args.polytope)
-    profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
-    triangle_count = len(p.facets) + profile.node_count  # e_res of the report
-    payload = {
-        "N": profile.node_count,
-        "count": len(resolutions),
-        "resolutions": [
-            {"diagonals": r.diagonal_string(), "triangle_count": triangle_count}
-            for r in resolutions
-        ],
-    }
-    if args.output == "table":
-        rows = [(r["diagonals"], r["triangle_count"]) for r in payload["resolutions"]]
-        print(_render_table(("diagonals", "triangles"), rows))
-    else:
-        _emit_json(payload)
-    return 0
-
-
-def cmd_recurrence(args) -> int:
-    terms = _load_sequence(args.sequence)
-    rec = find_recurrence(
-        terms,
-        rmax=args.rmax,
-        degree_max=args.degree_max,
-        holdout=args.holdout,
-        stride=args.stride,
-    )
-    if rec is None:
-        payload = {"found": False}
-    else:
-        payload = {"found": True}
-        payload.update(rec.to_json_dict())
-        payload["pretty"] = str(rec)
-    if args.output == "table":
-        print(payload["pretty"] if payload["found"] else "none found within caps")
-    else:
-        _emit_json(payload)
-    return 0
+def _recurrence_table(payload) -> str:
+    return payload["pretty"] if payload["found"] else "none found within caps"
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
 
-def _add_output_flag(sp) -> None:
+def _add_output_flag(sp, func, table) -> None:
+    """``--output`` for a subcommand whose payload ``func(args)`` returns
+    and ``table(payload)`` renders."""
     sp.add_argument(
         "--output",
         choices=("json", "table"),
         default="json",
         help="json (machine contract, default) or table (human-readable)",
     )
+    sp.set_defaults(func=func, table=table)
 
 
 def _add_recurrence_flags(sp, rmax_default, degree_default) -> None:
@@ -296,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--recurrence", action="store_true",
                     help="also search for a polynomial-coefficient recurrence")
     _add_recurrence_flags(sp, rmax_default=3, degree_default=2)
-    _add_output_flag(sp)
-    sp.set_defaults(func=cmd_periods)
+    _add_output_flag(sp, cmd_periods, _periods_table)
 
     sp = sub.add_parser("transition", help="nodal analysis and transition report")
     sp.add_argument("polytope", help="polytope JSON file")
@@ -306,51 +259,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution-cap", type=_int_at_least(0),
                     default=DEFAULT_RESOLUTION_CAP,
                     help="refuse polytopes with more conifold squares than this")
-    _add_output_flag(sp)
-    sp.set_defaults(func=cmd_transition)
+    _add_output_flag(sp, cmd_transition, _transition_table)
 
     sp = sub.add_parser("match", help="rank database records against a polytope")
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("database", help="line-oriented JSON database file")
     sp.add_argument("--dmax", type=_int_at_least(0), default=20,
                     help="period terms computed for the comparison (default 20)")
-    _add_output_flag(sp)
-    sp.set_defaults(func=cmd_match)
+    _add_output_flag(sp, cmd_match, _match_table)
 
     sp = sub.add_parser("resolve", help="enumerate small resolutions only")
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("--resolution-cap", type=_int_at_least(0),
                     default=DEFAULT_RESOLUTION_CAP)
-    _add_output_flag(sp)
-    sp.set_defaults(func=cmd_resolve)
+    _add_output_flag(sp, cmd_resolve, _resolve_table)
 
     sp = sub.add_parser("recurrence", help="recurrence finder on a stored sequence")
     sp.add_argument("sequence", help="JSON file: list of integers, or {\"periods\": [...]}")
     _add_recurrence_flags(sp, rmax_default=4, degree_default=3)
-    _add_output_flag(sp)
-    sp.set_defaults(func=cmd_recurrence)
+    _add_output_flag(sp, cmd_recurrence, _recurrence_table)
 
     return parser
-
-
-def _emit_error(exc: BaseException, kind: str) -> None:
-    body = {"type": kind, "message": str(exc) or kind}
-    facets = getattr(exc, "facets", None)
-    if facets:
-        body["facets"] = list(facets)
-    print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ConifoldError as exc:
-        _emit_error(exc, type(exc).__name__)
-        return exc.exit_code
-    except AssertionError as exc:
-        _emit_error(exc, "InternalInvariant")
-        return 4
+        payload = args.func(args)
+    except (ConifoldError, AssertionError) as exc:
+        # a failed assertion is an internal invariant: a bug, exit 4
+        internal = isinstance(exc, AssertionError)
+        kind = "InternalInvariant" if internal else type(exc).__name__
+        body = {"type": kind, "message": str(exc) or kind}
+        if getattr(exc, "facets", None):
+            body["facets"] = list(exc.facets)
+        print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
+        return 4 if internal else exc.exit_code
+    print(args.table(payload) if args.output == "table"
+          else json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

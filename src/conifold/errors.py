@@ -1,10 +1,15 @@
-"""Structured exception types shared across the package.
+"""Structured exception types shared across the package, and the one
+reader of input files.
 
 Every error the command-line driver can surface to a user derives from
 ConifoldError and carries an exit code: 2 for bad input, 3 for a refused
 budget. Internal invariant violations are deliberately *not* modelled here;
-those surface as AssertionError and map to exit code 4.
+those surface as AssertionError and map to exit code 4.  ``read_input``
+turns every failure to open, decode or parse an input file into a
+ParseError.
 """
+
+import json
 
 
 class ConifoldError(Exception):
@@ -63,3 +68,26 @@ class ParseError(ConifoldError):
 
 class DuplicateName(ConifoldError):
     """Two database records share a name."""
+
+
+def read_input(path, parse=json.load):
+    """``parse`` of the file at ``path`` as UTF-8 text: every polytope,
+    sequence and database file is read here.  A file that cannot be opened
+    or decoded, or whose JSON is invalid or nested past the recursion
+    limit, raises ParseError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except FileNotFoundError:
+        reason = "no such file"
+    except IsADirectoryError:
+        reason = "is a directory"
+    except OSError as exc:
+        reason = f"cannot open ({exc.strerror})"
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except RecursionError:
+        reason = "JSON nested too deeply"
+    except json.JSONDecodeError as exc:
+        reason = f"invalid JSON ({exc.msg}, line {exc.lineno})"
+    raise ParseError(f"{path}: {reason}")

@@ -25,9 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DuplicateName, ParseError
+from .errors import DuplicateName, ParseError, read_input
 
 _PROVENANCES = ("computed", "user")
+_INVARIANTS = ("degree", "e", "b2", "b3")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _record_from_dict(data: dict, where: str) -> PeriodRecord:
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ParseError(f"{where}: missing or invalid 'name'")
-    for f in ("degree", "e", "b2", "b3"):
+    for f in _INVARIANTS:
         if f not in data:
             raise ParseError(f"{where}: record {name!r} lacks field {f!r}")
         if type(data[f]) is not int:
@@ -84,15 +85,7 @@ def _record_from_dict(data: dict, where: str) -> PeriodRecord:
     if not isinstance(provenance, str):
         raise ParseError(f"{where}: record {name!r} field 'provenance' must be a string")
     try:
-        return PeriodRecord(
-            name=name,
-            degree=data["degree"],
-            e=data["e"],
-            b2=data["b2"],
-            b3=data["b3"],
-            period_prefix=tuple(periods),
-            provenance=provenance,
-        )
+        return PeriodRecord(name, *(data[f] for f in _INVARIANTS), tuple(periods), provenance)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -103,9 +96,10 @@ def load_database(path) -> list[PeriodRecord]:
     Raises ParseError with the offending line number, DuplicateName if a
     record name appears twice.
     """
-    records: list[PeriodRecord] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+
+    def parse(fh) -> list[PeriodRecord]:
+        records: list[PeriodRecord] = []
+        seen: set[str] = set()
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -120,7 +114,9 @@ def load_database(path) -> list[PeriodRecord]:
                 raise DuplicateName(f"{where}: duplicate record name {rec.name!r}")
             seen.add(rec.name)
             records.append(rec)
-    return records
+        return records
+
+    return read_input(path, parse)
 
 
 @dataclass(frozen=True)

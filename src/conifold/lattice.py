@@ -9,12 +9,13 @@ computed by exhaustive supporting-hyperplane enumeration: the normal of
 every dim-subset of points is the single vector of ``linalg.kernel_basis``
 of its difference rows (none when the subset is degenerate), and the
 hyperplane is kept when no point lies strictly on each side.  That costs
-C(n, dim) * n point tests and is entirely robust, which is the right trade
-at the scale this package targets (tens of points, ambient dimension 2 to
-4); ``HULL_WORK_BUDGET`` refuses larger inputs before the scan.  Vertices
-come from facet incidence: a point is a vertex iff no other point lies on
-every facet through it, because those facets cut out the least face that
-contains it (Ziegler, Lectures on Polytopes, 1995).
+C(n, dim) * n point tests and C(n, dim) eliminations of dim - 1 rows, and
+is entirely robust, which is the right trade at the scale this package
+targets (tens of points, ambient dimension 2 to 4); ``HULL_WORK_BUDGET``
+refuses larger inputs before the scan.  Vertices come from facet
+incidence: a point is a vertex iff no other point lies on every facet
+through it, because those facets cut out the least face that contains it
+(Ziegler, Lectures on Polytopes, 1995).
 
 Canonical ordering, used everywhere: polytope vertices sorted
 lexicographically, facets sorted lexicographically by primitive inward
@@ -84,15 +85,18 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     Assumes the points affinely span the ambient space.  A hyperplane
     supports the hull iff every point sits on one side of it; the facet is
     the full equality set, so non-simplicial facets come out whole.
-    Raises BudgetExceeded, before the scan, when the C(n, dim) * n point
-    tests pass ``HULL_WORK_BUDGET``.
+    Raises BudgetExceeded, before the scan, when its C(n, dim) * n point
+    tests or the entry updates of its C(n, dim) eliminations (dim - 1
+    pivots, each updating dim - 2 rows of dim entries) pass the budget.
     """
     n = len(points)
-    if comb(n, dim) * n > HULL_WORK_BUDGET:
-        raise BudgetExceeded(
-            f"hull of {n} points in dimension {dim} needs "
-            f"C({n}, {dim}) * {n} > {HULL_WORK_BUDGET} point tests"
-        )
+    for per_subset, unit in ((n, "point tests"),
+                             (dim * (dim - 1) * (dim - 2), "entry updates")):
+        if comb(n, dim) * per_subset > HULL_WORK_BUDGET:
+            raise BudgetExceeded(
+                f"hull of {n} points in dimension {dim} needs "
+                f"C({n}, {dim}) * {per_subset} > {HULL_WORK_BUDGET} {unit}"
+            )
     found: dict = {}
     for subset in combinations(range(n), dim):
         base = points[subset[0]]

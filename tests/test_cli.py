@@ -191,6 +191,37 @@ def test_invalid_polytope_json(cli, tmp_path):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("match", "{p3}", "{tmp}/missing.jsonl"), "no such file"),
+    (("match", "{p3}", "{tmp}"), "is a directory"),
+    (("periods", "{tmp}/latin1.json"), "not UTF-8 text"),
+    (("recurrence", "{tmp}/latin1.json"), "not UTF-8 text"),
+    (("match", "{p3}", "{tmp}/latin1.jsonl"), "not UTF-8 text"),
+    (("periods", "a" * 5000), "cannot open"),
+    (("match", "{p3}", "b" * 5000), "cannot open"),
+    (("recurrence", "{tmp}/deep.json"), "JSON nested too deeply"),
+    (("transition", "{tmp}/deep_vertices.json"), "JSON nested too deeply"),
+    (("match", "{p3}", "{tmp}/deep.jsonl"), "JSON nested too deeply"),
+], ids=["missing-db", "directory-db", "latin1-polytope", "latin1-sequence",
+        "latin1-db", "long-polytope-path", "long-db-path", "deep-sequence",
+        "deep-polytope", "deep-db"])
+def test_unreadable_input_is_parse_error(cli, corpus_paths, tmp_path, argv, reason):
+    # one reader opens every input file: a failure to open, decode or
+    # parse it is a ParseError naming the file, never a traceback
+    for name in ("latin1.json", "latin1.jsonl"):
+        (tmp_path / name).write_bytes(b"\xff\xfe")
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "deep_vertices.json").write_text('{"vertices": ' + "[" * 5000)
+    (tmp_path / "deep.jsonl").write_text("[" * 100_000 + "\n")
+    argv = [a.replace("{p3}", str(corpus_paths["p3"])).replace("{tmp}", str(tmp_path))
+            for a in argv]
+    code, out, err = cli(*argv, expect_exit=2)
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{argv[-1]}: {reason}")
+
+
 def test_not_full_dimensional_is_input_error(cli, tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}))
@@ -280,6 +311,19 @@ def test_many_points_are_refused_by_the_hull_budget(cli, tmp_path):
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
 
 
+def test_high_dimensional_simplex_is_refused_by_the_hull_budget(cli, tmp_path):
+    # 91 points in dimension 90 pass only C(91, 90) * 91 point tests, but
+    # each of the 91 subsets needs an elimination of 89 rows of 90 entries
+    simplex = [[int(i == j) for j in range(90)] for i in range(90)] + [[-1] * 90]
+    path = tmp_path / "simplex90.json"
+    path.write_text(json.dumps({"vertices": simplex}))
+    code, out, err = cli("periods", path, expect_exit=3, timeout=10)
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert error["message"].endswith("C(91, 90) * 704880 > 1000000 entry updates")
+
+
 @pytest.mark.parametrize("argv", [
     ("periods", "{p3}", "--dmax", "-1"),
     ("periods", "{p3}", "--dmax", "ten"),
@@ -363,3 +407,58 @@ def test_command_path_constructs_no_fraction(corpus_paths, data_dir, tmp_path,
     stored = tmp_path / "p3.json"
     stored.write_text(run("periods", corpus_paths["p3"], "--dmax", 40))
     assert json.loads(run("recurrence", stored, "--rmax", 4, "--degree-max", 3))["found"]
+
+
+# ------------------------------------------------------------ table output
+
+TABLE_RUNS = [
+    *(run for stem in ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
+      for run in (
+          ("transition", f"{stem}.json"),
+          ("transition", f"{stem}.json", "--mode", "cy"),
+          ("resolve", f"{stem}.json"),
+          ("match", f"{stem}.json", "fano.jsonl", "--dmax", "10"),
+          ("periods", f"{stem}.json", "--dmax", "10"),
+          ("periods", f"{stem}.json", "--dmax", "40", "--recurrence",
+           "--rmax", "4", "--degree-max", "3"),
+      )),
+    ("match", "p3.json", "empty.jsonl"),
+    ("recurrence", "powers.json", "--rmax", "2", "--degree-max", "1"),
+    ("recurrence", "noise.json", "--rmax", "2", "--degree-max", "2"),
+]
+
+
+def table_transcript(paths, capsys) -> str:
+    """``$ conifold <argv> --output table`` followed by its stdout, for
+    every run in TABLE_RUNS; file arguments are shown by name only."""
+    from conifold import cli as cli_module
+
+    blocks = []
+    for argv in TABLE_RUNS:
+        argv = (*argv, "--output", "table")
+        code = cli_module.main([str(paths.get(a, a)) for a in argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        blocks.append(f"$ conifold {' '.join(argv)}\n{out}")
+    return "\n".join(blocks)
+
+
+def test_table_output_is_pinned(corpus_paths, data_dir, tmp_path, capsys):
+    # tests/cli_tables.txt is the expected transcript of TABLE_RUNS: any
+    # change to a table renderer shows up as a diff against it
+    import random
+    from pathlib import Path
+
+    rng = random.Random(7)
+    files = {
+        "powers.json": [2 ** d for d in range(16)],
+        "noise.json": [1] + [rng.randrange(1, 10 ** 9) for _ in range(39)],
+        "empty.jsonl": None,
+    }
+    paths = {f"{stem}.json": path for stem, path in corpus_paths.items()}
+    paths["fano.jsonl"] = data_dir / "fano.jsonl"
+    for name, terms in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text("" if terms is None else json.dumps(terms))
+    expected = (Path(__file__).parent / "cli_tables.txt").read_text(encoding="utf-8")
+    assert table_transcript(paths, capsys) == expected

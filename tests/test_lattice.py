@@ -356,3 +356,18 @@ def test_dual_volume_is_unimodular_invariant(m):
     p = convex_hull(P3_VERTICES)
     q = p.transform(m)
     assert normalized_volume(polar_dual(q)) == 64
+
+
+@pytest.mark.parametrize("dim, largest", [(2, 126), (3, 50), (4, 31)])
+def test_hull_budget_in_low_dimension_counts_point_tests_only(monkeypatch, dim, largest):
+    # in dimensions 2-4 the eliminations' entry updates stay under the
+    # budget whenever the point tests do, so the largest admitted point set
+    # is the one C(n, dim) * n allows; the stub kernel makes the scan free
+    from conifold import lattice
+    from conifold.errors import BudgetExceeded
+
+    monkeypatch.setattr(lattice.linalg, "kernel_basis", lambda rows, ncols: [])
+    points = [tuple(i ** k for k in range(1, dim + 1)) for i in range(largest + 1)]
+    assert lattice._hull_facets(points[:largest], dim) == []
+    with pytest.raises(BudgetExceeded, match="point tests"):
+        lattice._hull_facets(points, dim)
