@@ -214,7 +214,7 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     resolutions = check_regularity(profile, resolutions)
     for r in resolutions:
         check(r.regular == is_regular_triangulation(p, profile, r),
-              f"{name}: resolution {r.diagonal_string()} disagrees with the wall LP")
+              f"{name}: resolution {r.diagonals} disagrees with the wall LP")
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
 

@@ -4,7 +4,7 @@
 Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
 code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
-table form, ``--mode cy``, the caps, and inputs that must exit 2 or 3.
+table form, ``--mode cy``, and inputs that must exit 2 or 3.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -19,7 +19,8 @@ bytes alone, run this script on both trees and diff the outputs:
     python3 scripts/cli_digest.py > digest.txt
 
 A run takes a few seconds, and about 8 s more on trees whose hull budget
-admits the 90-dimensional simplex.
+admits the 90-dimensional simplex; on trees with no recurrence work
+budget the ``noise800.json`` search runs for minutes.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ def write_inputs(tmp: Path) -> list[str]:
     for name in ("latin1.json", "latin1.jsonl"):
         (tmp / name).write_bytes(b"\xff\xfe")
     (tmp / "a_directory").mkdir()
+    long = "1" + "0" * 5000  # past int()'s 4300-digit limit
+    (tmp / "long_vertex.json").write_text(
+        '{"vertices": [[%s, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}' % long)
+    (tmp / "long_term.json").write_text("[1, 2, %s]" % long)
+    (tmp / "long_field.jsonl").write_text(
+        '{"name": "X", "degree": %s, "e": 0, "b2": 1, "b3": 0}\n' % long)
+    noise = random.Random(1)
+    (tmp / "noise800.json").write_text(json.dumps(
+        [1] + [noise.randrange(1, 10 ** 9) for _ in range(799)]))
     return polytopes
 
 
@@ -117,9 +127,7 @@ def runs(polytopes: list[str]) -> list[tuple]:
              "--degree-max", "3"),
         ):
             out += [argv, (*argv, "--output", "table")]
-        out += [("transition", p, "--resolution-cap", "1"),
-                ("resolve", p, "--resolution-cap", "1"),
-                ("match", p, "empty.jsonl", "--output", "table")]
+        out += [("match", p, "empty.jsonl", "--output", "table")]
     for seq in ("powers.json", "central.json", "noise.json"):
         argv = ("recurrence", seq, "--rmax", "2", "--degree-max", "1")
         out += [argv, (*argv, "--output", "table"), ("recurrence", seq, "--stride", "2")]
@@ -145,6 +153,11 @@ def runs(polytopes: list[str]) -> list[tuple]:
         ("match", "p3.json", "b" * 5000), ("recurrence", "deep.json"),
         ("transition", "deep_vertices.json"), ("match", "p3.json", "deep.jsonl"),
         ("periods", "simplex90.json"),
+        # integers past int()'s digit limit, and a recurrence search past
+        # its work budget
+        ("periods", "long_vertex.json"), ("recurrence", "long_term.json"),
+        ("match", "p3.json", "long_field.jsonl"),
+        ("recurrence", "noise800.json", "--rmax", "20", "--degree-max", "30"),
     ]
     return out
 

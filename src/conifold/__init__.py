@@ -5,8 +5,8 @@ and conifold squares (empty parallelograms) defines a toric Fano
 threefold with only ordinary double points.  This package analyzes such
 polytopes end to end:
 
-* lattice geometry: exact convex hulls, reflexivity, polar duals,
-  normalized volumes (``conifold.lattice``);
+* lattice geometry: exact convex hulls and reflexivity, with polar duals
+  and normalized volumes kept as test oracles (``conifold.lattice``);
 * period sequences of the vertex Laurent polynomial, with a brute-force
   cross-check oracle (``conifold.laurent``);
 * recurrence guessing for those sequences (``conifold.recurrence``);
@@ -41,7 +41,6 @@ from .lattice import (
     Facet,
     Polytope,
     RationalPolytope,
-    boundary_lattice_points,
     convex_hull,
     is_reflexive,
     normalized_volume,
@@ -57,7 +56,6 @@ from .laurent import (
     period_term_direct,
 )
 from .nodal import (
-    Diagonal,
     FacetClass,
     FacetKind,
     NodalProfile,
@@ -81,7 +79,6 @@ __all__ = [
     "__version__",
     "BudgetExceeded",
     "ConifoldError",
-    "Diagonal",
     "DimensionMismatch",
     "DuplicateName",
     "EmptyInput",
@@ -106,7 +103,6 @@ __all__ = [
     "SmoothingMode",
     "TransitionReport",
     "WorseThanNodal",
-    "boundary_lattice_points",
     "check_regularity",
     "classify_facet",
     "convex_hull",

@@ -31,7 +31,6 @@ from .fanodb import load_database, match
 from .lattice import polytope_from_json_dict
 from .laurent import from_fan_polytope, period_sequence
 from .nodal import (
-    DEFAULT_RESOLUTION_CAP,
     SmoothingMode,
     check_regularity,
     enumerate_small_resolutions,
@@ -39,7 +38,7 @@ from .nodal import (
     report_json_dict,
     transition_invariants,
 )
-from .recurrence import find_recurrence, gw_labeling
+from .recurrence import DEFAULT_HOLDOUT, find_recurrence, gw_labeling
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def cmd_transition(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     profile = nodal_profile(p)
     report = transition_invariants(p, profile, SmoothingMode(args.mode))
-    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
+    resolutions = enumerate_small_resolutions(profile)
     return report_json_dict(report, resolutions=check_regularity(profile, resolutions))
 
 
@@ -130,13 +129,13 @@ def cmd_match(args) -> dict:
 def cmd_resolve(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(profile, cap=args.resolution_cap)
+    resolutions = enumerate_small_resolutions(profile)
     triangle_count = len(p.facets) + profile.node_count  # e_res of the report
     return {
         "N": profile.node_count,
         "count": len(resolutions),
         "resolutions": [
-            {"diagonals": r.diagonal_string(), "triangle_count": triangle_count}
+            {"diagonals": r.diagonals, "triangle_count": triangle_count}
             for r in resolutions
         ],
     }
@@ -217,8 +216,8 @@ def _add_recurrence_flags(sp, rmax_default, degree_default) -> None:
                     help=f"largest recurrence order to try (default {rmax_default})")
     sp.add_argument("--degree-max", type=_int_at_least(0), default=degree_default,
                     help=f"largest coefficient degree to try (default {degree_default})")
-    sp.add_argument("--holdout", type=_int_at_least(1), default=5,
-                    help="terms reserved to confirm a candidate (default 5)")
+    sp.add_argument("--holdout", type=_int_at_least(1), default=DEFAULT_HOLDOUT,
+                    help=f"terms reserved to confirm a candidate (default {DEFAULT_HOLDOUT})")
     sp.add_argument("--stride", type=_int_at_least(1), default=1,
                     help="subsample the sequence: keep every stride-th term")
 
@@ -256,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("polytope", help="polytope JSON file")
     sp.add_argument("--mode", choices=("fano", "cy"), default="fano",
                     help="smoothability criterion to apply (default fano)")
-    sp.add_argument("--resolution-cap", type=_int_at_least(0),
-                    default=DEFAULT_RESOLUTION_CAP,
-                    help="refuse polytopes with more conifold squares than this")
     _add_output_flag(sp, cmd_transition, _transition_table)
 
     sp = sub.add_parser("match", help="rank database records against a polytope")
@@ -270,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("resolve", help="enumerate small resolutions only")
     sp.add_argument("polytope", help="polytope JSON file")
-    sp.add_argument("--resolution-cap", type=_int_at_least(0),
-                    default=DEFAULT_RESOLUTION_CAP)
     _add_output_flag(sp, cmd_resolve, _resolve_table)
 
     sp = sub.add_parser("recurrence", help="recurrence finder on a stored sequence")

@@ -73,8 +73,8 @@ class DuplicateName(ConifoldError):
 def read_input(path, parse=json.load):
     """``parse`` of the file at ``path`` as UTF-8 text: every polytope,
     sequence and database file is read here.  A file that cannot be opened
-    or decoded, or whose JSON is invalid or nested past the recursion
-    limit, raises ParseError naming ``path``."""
+    or decoded, or whose JSON is invalid, nested too deeply or holds an
+    integer past ``int``'s digit limit, raises ParseError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
@@ -90,4 +90,6 @@ def read_input(path, parse=json.load):
         reason = "JSON nested too deeply"
     except json.JSONDecodeError as exc:
         reason = f"invalid JSON ({exc.msg}, line {exc.lineno})"
+    except ValueError:  # int() refuses a literal past its digit limit
+        reason = "integer literal too long"
     raise ParseError(f"{path}: {reason}")

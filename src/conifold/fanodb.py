@@ -109,6 +109,8 @@ def load_database(path) -> list[PeriodRecord]:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{where}: invalid JSON ({exc.msg})") from None
+            except ValueError:  # int() refuses a literal past its digit limit
+                raise ParseError(f"{where}: integer literal too long") from None
             rec = _record_from_dict(data, where)
             if rec.name in seen:
                 raise DuplicateName(f"{where}: duplicate record name {rec.name!r}")

@@ -54,10 +54,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def matvec(m, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
@@ -114,7 +110,7 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
             continue
         assert below or above, "input not full-dimensional"
         if below:  # flip so the normal points inward
-            u = vneg(u)
+            u = tuple(-a for a in u)
             c = -c
             vals = [-v for v in vals]
         key = (u, c)
@@ -145,18 +141,8 @@ class Facet:
         )
 
 
-class _FacetInequalities:
-    """Membership in the intersection of the inner half-spaces of
-    ``self.facets``, shared by lattice and rational polytopes."""
-
-    def contains(self, point: Vec, strict: bool = False) -> bool:
-        if strict:
-            return all(dot(f.normal, point) > f.level for f in self.facets)
-        return all(dot(f.normal, point) >= f.level for f in self.facets)
-
-
 @dataclass(frozen=True)
-class Polytope(_FacetInequalities):
+class Polytope:
     """Full-dimensional lattice polytope in canonical form."""
 
     dim: int
@@ -167,12 +153,9 @@ class Polytope(_FacetInequalities):
         """Image under a unimodular matrix (rows act on column vectors)."""
         return convex_hull([matvec(matrix, v) for v in self.vertices], self.dim)
 
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
-
 
 @dataclass(frozen=True)
-class RationalPolytope(_FacetInequalities):
+class RationalPolytope:
     """Full-dimensional polytope with rational vertices (e.g. a polar
     dual).  Facet normals are still primitive integer vectors; levels are
     Fractions."""
@@ -180,14 +163,6 @@ class RationalPolytope(_FacetInequalities):
     dim: int
     vertices: tuple
     facets: tuple
-
-    def is_integral(self) -> bool:
-        return all(x == int(x) for v in self.vertices for x in v)
-
-    def as_lattice(self) -> Polytope:
-        if not self.is_integral():
-            raise ValueError("polytope has non-integer vertices")
-        return convex_hull([tuple(int(x) for x in v) for v in self.vertices], self.dim)
 
 
 def _vertex_indices(points: list, facets_raw: list) -> list[int]:
@@ -204,12 +179,8 @@ def _vertex_indices(points: list, facets_raw: list) -> list[int]:
     ]
 
 
-def _dedup_sorted(points) -> list:
-    return sorted(set(tuple(p) for p in points))
-
-
 def _build_hull(points, dim: int):
-    pts = _dedup_sorted(points)
+    pts = sorted(set(map(tuple, points)))
     for p in pts:
         if len(p) != dim:
             raise NotFullDimensional(
@@ -369,14 +340,6 @@ def normalized_volume(q) -> Fraction:
         base = pts[simp[0]]
         total += abs(linalg.det([list(vsub(pts[i], base)) for i in simp[1:]]))
     return Fraction(total, big**q.dim)
-
-
-def boundary_lattice_points(p: Polytope) -> tuple:
-    """Every lattice point on the boundary of a lattice polytope."""
-    pts = set()
-    for f in p.facets:
-        pts.update(f.lattice_points)
-    return tuple(sorted(pts))
 
 
 def polytope_from_json_dict(data: dict) -> Polytope:

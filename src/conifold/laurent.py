@@ -103,39 +103,12 @@ class LaurentPolynomial:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.dim, 0)
 
-    def apply_matrix(self, matrix) -> "LaurentPolynomial":
-        """Monomial substitution z^e -> z^(M e); M unimodular keeps this a
-        bijection on exponents."""
-        return LaurentPolynomial(
-            self.dim,
-            [(lattice.matvec(matrix, e), c) for e, c in self.terms.items()],
-        )
-
-    def __repr__(self) -> str:
-        return f"LaurentPolynomial(dim={self.dim}, {len(self.terms)} terms)"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"exp": list(e), "coeff": str(c)} for e, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPolynomial":
-        return cls(
-            data["dim"],
-            [(tuple(t["exp"]), int(t["coeff"])) for t in data["terms"]],
-        )
-
 
 @dataclass(frozen=True)
 class PeriodSequence:
     """Constant terms c_d of W^d for d = 0 .. dmax."""
 
     terms: tuple
-    dmax: int
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -186,7 +159,7 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
             high = {k: c for k, c in acc.items() if c}
             cs.append(sum(c * high.get(-k, 0) for k, c in low.items()))
             low = high
-    return PeriodSequence(tuple(cs), dmax)
+    return PeriodSequence(tuple(cs))
 
 
 def period_term_direct(w: LaurentPolynomial, d: int) -> int:

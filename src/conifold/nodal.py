@@ -89,19 +89,14 @@ from .errors import (
 )
 from .lattice import Facet, Polytope, is_reflexive
 
-DEFAULT_RESOLUTION_CAP = 20
+# Most squares whose 2^N resolutions are listed; the bundled N are <= 6.
+RESOLUTION_CAP = 20
 
 # Most subset kernels ``signed_circuits`` may take, C(N, m - 1).  Every R
 # with at most 15 rows fits, as C(15, 7) = 6435; nodal_03 takes C(6, 1).
 CIRCUIT_WORK_BUDGET = 10**4
 
 LOCAL_MODEL_SQUARE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-
-# The square's vertex cycle (v1, v2, v3, v4) has v1 + v3 == v2 + v4.  The
-# split along the v1-v3 diagonal and the one along v2-v4 correspond to the
-# two small resolutions of the node; for the local model these are the
-# graph closures of (x:z) = (w:y) and of (x:w) = (z:y) respectively.
-Diagonal = Enum("Diagonal", [("DIAG13", "13"), ("DIAG24", "24")])
 
 
 class FacetKind(Enum):
@@ -136,14 +131,15 @@ class NodalProfile:
 
 @dataclass(frozen=True)
 class SmallResolution:
-    """One diagonal assignment.  ``diagonals`` follows the square order of
-    the profile; ``regular`` is None until a regularity check runs."""
+    """One diagonal assignment: character i of ``diagonals`` is square i of
+    the profile, "0" for the split along v1-v3 of its cycle
+    (v1, v2, v3, v4) and "1" along v2-v4 (s_i = +1).  The two splits are
+    the two small resolutions of the node; for the local model they are
+    the graph closures of (x:z) = (w:y) and of (x:w) = (z:y).  ``regular``
+    is None until a regularity check runs."""
 
-    diagonals: tuple
+    diagonals: str
     regular: bool | None = None
-
-    def diagonal_string(self) -> str:
-        return "".join("0" if d is Diagonal.DIAG13 else "1" for d in self.diagonals)
 
 
 @dataclass(frozen=True)
@@ -229,18 +225,15 @@ def nodal_profile(p: Polytope) -> NodalProfile:
     return NodalProfile(len(squares), squares, exceptional_relation_matrix(p, squares))
 
 
-def enumerate_small_resolutions(
-    profile: NodalProfile, cap: int = DEFAULT_RESOLUTION_CAP
-) -> list[SmallResolution]:
-    """All 2^N diagonal assignments, in binary-counter order over the
-    squares (square 0 is the most significant bit, so the diagonal strings
-    come out in lexicographic order)."""
+def enumerate_small_resolutions(profile: NodalProfile) -> list[SmallResolution]:
+    """All 2^N diagonal strings, in lexicographic order.  Raises
+    BudgetExceeded when N passes ``RESOLUTION_CAP``."""
     n = profile.node_count
-    if n > cap:
+    if n > RESOLUTION_CAP:
         raise BudgetExceeded(
-            f"{n} nodes would mean 2^{n} resolutions; cap is {cap}"
+            f"{n} nodes would mean 2^{n} resolutions; cap is {RESOLUTION_CAP}"
         )
-    return [SmallResolution(d) for d in product(Diagonal, repeat=n)]
+    return [SmallResolution("".join(b)) for b in product("01", repeat=n)]
 
 
 def resolution_triangles(
@@ -257,7 +250,7 @@ def resolution_triangles(
             triangles.append(tuple(sorted(facet.vertices)))
             continue
         (v1, v2, v3, v4), diagonal = choice[i]
-        if diagonal is Diagonal.DIAG13:
+        if diagonal == "0":
             halves = [(v1, v2, v3), (v1, v3, v4)]
         else:
             halves = [(v1, v2, v4), (v2, v3, v4)]
@@ -328,7 +321,7 @@ def check_regularity(
     circuits = signed_circuits(profile.left_kernel)
     out = []
     for r in resolutions:
-        plus = sum(1 << i for i, d in enumerate(r.diagonals) if d is Diagonal.DIAG24)
+        plus = sum(1 << i for i, d in enumerate(r.diagonals) if d == "1")
         out.append(SmallResolution(r.diagonals, is_regular_sign_vector(circuits, plus)))
     return out
 
@@ -477,8 +470,8 @@ def transition_invariants(
     )
 
 
-def report_json_dict(report: TransitionReport, resolutions=None) -> dict:
-    data = {
+def report_json_dict(report: TransitionReport, resolutions) -> dict:
+    return {
         "N": report.node_count,
         "k": report.relation_rank,
         "e_res": report.e_res,
@@ -491,10 +484,7 @@ def report_json_dict(report: TransitionReport, resolutions=None) -> dict:
         "mode": report.mode,
         "note": "b2_sm/b3_sm split is derived bookkeeping; the intrinsic "
         "statement is the Euler-number drop of 2 per node",
+        "resolutions": [
+            {"diagonals": r.diagonals, "regular": r.regular} for r in resolutions
+        ],
     }
-    if resolutions is not None:
-        data["resolutions"] = [
-            {"diagonals": r.diagonal_string(), "regular": r.regular}
-            for r in resolutions
-        ]
-    return data

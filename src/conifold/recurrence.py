@@ -28,9 +28,12 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .errors import InsufficientData
+from .errors import BudgetExceeded, InsufficientData
 
 DEFAULT_HOLDOUT = 5
+# Most entry updates one search may charge; the largest search in the
+# tests and the benchmark charges 36,016.
+RECURRENCE_WORK_BUDGET = 10**6
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -127,6 +130,17 @@ def _normalize(vec: list[int], r: int, dD: int) -> tuple:
     return tuple(trimmed)
 
 
+def _charge(work: int, nrows: int, ncols: int) -> int:
+    """``work`` plus the nrows * ncols * min(nrows, ncols) entry updates of
+    one elimination, charged before it runs; raises BudgetExceeded past
+    ``RECURRENCE_WORK_BUDGET``."""
+    work += nrows * ncols * min(nrows, ncols)
+    if work > RECURRENCE_WORK_BUDGET:
+        raise BudgetExceeded(f"recurrence search needs more than "
+                             f"{RECURRENCE_WORK_BUDGET} entry updates")
+    return work
+
+
 def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
     """Nontrivial normalized solution for the (r, D) cell over every
     usable window of ``terms``, or None."""
@@ -175,9 +189,11 @@ def find_recurrence(
             f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
             f"with holdout {holdout} needs at least {needed}"
         )
+    work = 0
     for r in range(1, rmax + 1):
         # the screen of the module docstring: one echelon per order
         nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + holdout)
+        work = _charge(work, nrows, (r + 1) * (degree_max + 1))
         pivots = linalg.pivot_columns(
             [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
              for d in range(nrows)])
@@ -188,6 +204,7 @@ def find_recurrence(
             # solving over training and holdout windows together is the
             # same acceptance rule as solve-then-check: any accepted
             # candidate must satisfy both sets of equations exactly
+            work = _charge(work, len(terms) - r, width)
             sol = _solve_cell(terms, r, dD)
             if sol is None:
                 continue

@@ -133,10 +133,18 @@ def test_resolve_counts(cli, corpus_paths, golden):
         assert strings == sorted(strings)
 
 
-def test_resolve_budget_exceeded(cli, corpus_paths):
-    code, out, err = cli("resolve", corpus_paths["nodal_03"],
-                         "--resolution-cap", 5, expect_exit=3)
-    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+def test_resolve_budget_exceeded(corpus_paths, monkeypatch, capsys):
+    from conifold import cli as cli_module
+    from conifold import nodal
+
+    monkeypatch.setattr(nodal, "RESOLUTION_CAP", 5)  # nodal_03 has 6 squares
+    assert cli_module.main(["resolve", str(corpus_paths["nodal_03"])]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "BudgetExceeded",
+        "message": "6 nodes would mean 2^6 resolutions; cap is 5",
+    }
 
 
 # ------------------------------------------------------------ recurrence
@@ -324,10 +332,46 @@ def test_high_dimensional_simplex_is_refused_by_the_hull_budget(cli, tmp_path):
     assert error["message"].endswith("C(91, 90) * 704880 > 1000000 entry updates")
 
 
+def test_recurrence_search_is_refused_by_the_work_budget(cli, tmp_path):
+    # 800 noise terms: the order-1 screen (67 x 62 entries) is charged
+    # 257,548 updates, and the order-2 screen (98 x 93 entries up to
+    # 10^9 * 97^30, seconds of big-integer work) would pass 10^6
+    import random
+
+    rng = random.Random(1)
+    path = tmp_path / "noise800.json"
+    path.write_text(json.dumps([1] + [rng.randrange(1, 10 ** 9) for _ in range(799)]))
+    code, out, err = cli("recurrence", path, "--rmax", 20, "--degree-max", 30,
+                         expect_exit=3, timeout=10)
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+
+
+LONG = "1" + "0" * 5000  # past int()'s 4300-digit limit
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("periods", '{"vertices": [[LONG, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}', ""),
+    ("recurrence", "[1, 2, LONG]", ""),
+    ("match", '{"name": "X", "degree": LONG, "e": 0, "b2": 1, "b3": 0}\n', ":1"),
+])
+def test_oversized_integer_is_parse_error(cli, corpus_paths, tmp_path, command, text, where):
+    path = tmp_path / "long.json"
+    path.write_text(text.replace("LONG", LONG))
+    argv = (corpus_paths["p3"], path) if command == "match" else (path,)
+    code, out, err = cli(command, *argv, expect_exit=2)
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParseError",
+        "message": f"{path}{where}: integer literal too long",
+    }
+
+
 @pytest.mark.parametrize("argv", [
     ("periods", "{p3}", "--dmax", "-1"),
     ("periods", "{p3}", "--dmax", "ten"),
     ("match", "{p3}", "{db}", "--dmax", "-1"),
+    # the resolution cap is a constant, so its old flag is unknown
     ("transition", "{p3}", "--resolution-cap", "-1"),
     ("resolve", "{p3}", "--resolution-cap", "-1"),
     ("recurrence", "{seq}", "--rmax", "0"),

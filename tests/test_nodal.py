@@ -173,7 +173,7 @@ def test_resolution_count_and_diagonal_strings(corpus, golden):
         profile = nodal_profile(p)
         rs = enumerate_small_resolutions(profile)
         assert len(rs) == 2 ** g["N"] == g["resolution_count"]
-        strings = [r.diagonal_string() for r in rs]
+        strings = [r.diagonals for r in rs]
         assert strings == sorted(strings)
         assert len(set(strings)) == len(strings)
         counts = {len(resolution_triangles(p, profile, r)) for r in rs}
@@ -189,7 +189,7 @@ def test_resolution_triangles_are_unimodular(corpus):
             assert abs(linalg.det([list(a), list(b), list(c)])) == 1
 
 
-def test_resolution_budget():
+def test_resolution_budget(monkeypatch):
     p = convex_hull(
         [
             (0, 0, 1),
@@ -202,8 +202,12 @@ def test_resolution_budget():
             (0, 0, -1),
         ]
     )
+    profile = nodal_profile(p)
+    monkeypatch.setattr(nodal, "RESOLUTION_CAP", profile.node_count)
+    assert len(enumerate_small_resolutions(profile)) == 2 ** profile.node_count
+    monkeypatch.setattr(nodal, "RESOLUTION_CAP", profile.node_count - 1)
     with pytest.raises(BudgetExceeded):
-        enumerate_small_resolutions(nodal_profile(p), cap=5)
+        enumerate_small_resolutions(profile)
 
 
 def test_regular_counts_match_golden(corpus, golden):
@@ -228,7 +232,7 @@ def test_sign_vector_regularity_matches_wall_lp(corpus):
         profile = nodal_profile(p)
         for r in check_regularity(profile, enumerate_small_resolutions(profile)):
             assert r.regular == is_regular_triangulation(p, profile, r), (
-                r.diagonal_string()
+                r.diagonals
             )
 
 
@@ -246,7 +250,7 @@ def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks
     for i in picks:
         r = rs[i % len(rs)]
         assert r.regular == is_regular_triangulation(p, profile, r), (
-            stem, r.diagonal_string()
+            stem, r.diagonals
         )
 
 

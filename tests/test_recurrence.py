@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg, recurrence
-from conifold.errors import InsufficientData
+from conifold.errors import BudgetExceeded, InsufficientData
 from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.recurrence import (
     Recurrence,
@@ -210,6 +210,25 @@ def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
         rec = find_recurrence(seq, rmax, degree_max, stride=stride)
         assert solved_cells == expected[stem], stem
         assert rec == find_recurrence_unscreened(seq, rmax, degree_max, stride=stride)
+
+
+def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
+    # p3 to degree 40: the screens of orders 1-4, min(41 - r, 4(r + 1) + 5)
+    # rows of 4(r + 1) columns, and the two cells that pass them, (1, 3)
+    # and the hit (4, 3), on 41 - r rows; 36,016 updates in all
+    seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
+
+    def updates(rows, cols):
+        return rows * cols * min(rows, cols)
+
+    work = sum(updates(min(41 - r, 4 * (r + 1) + 5), 4 * (r + 1)) for r in range(1, 5))
+    work += updates(40, 8) + updates(37, 20)
+    assert work == 36016
+    monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work)
+    assert find_recurrence(seq, rmax=4, degree_max=3).order == 4
+    monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work - 1)
+    with pytest.raises(BudgetExceeded):
+        find_recurrence(seq, rmax=4, degree_max=3)
 
 
 def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
