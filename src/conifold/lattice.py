@@ -6,13 +6,16 @@ rational point set (a polar dual) is hulled as its points times their
 common denominator L and scaled back by 1/L, so ``Fraction`` appears only
 in the vertices, levels and volumes of rational polytopes.  Hulls are
 computed by exhaustive supporting-hyperplane enumeration: the normal of
-every dim-subset of points is the single vector of ``linalg.kernel_basis``
-of its difference rows (none when the subset is degenerate), and the
-hyperplane is kept when no point lies strictly on each side.  That costs
-C(n, dim) * n point tests and C(n, dim) eliminations of dim - 1 rows, and
-is entirely robust, which is the right trade at the scale this package
-targets (tens of points, ambient dimension 2 to 4); ``HULL_WORK_BUDGET``
-refuses larger inputs before the scan.  Vertices come from facet
+a dim-subset of points is the single vector of ``linalg.kernel_basis`` of
+its difference rows (none when the subset is degenerate), and the
+hyperplane is kept when no point lies strictly on each side.  Each
+distinct hyperplane is tested once: after its n-point scan every
+dim-subset of the points on it is marked seen and skipped.  That costs
+one elimination of dim - 1 rows and one n-point scan per distinct
+hyperplane, at most C(n, dim) of each, and is entirely robust, which is
+the right trade at the scale this package targets (tens of points,
+ambient dimension 2 to 4); ``HULL_WORK_BUDGET`` refuses larger inputs
+before the scan.  Vertices come from facet
 incidence: a point is a vertex iff no other point lies on every facet
 through it, because those facets cut out the least face that contains it
 (Ziegler, Lectures on Polytopes, 1995).
@@ -31,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product as cartesian
 from math import comb, gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -47,7 +51,7 @@ Vec = tuple
 
 
 def dot(u: Vec, v: Vec):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -80,10 +84,14 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
 
     Assumes the points affinely span the ambient space.  A hyperplane
     supports the hull iff every point sits on one side of it; the facet is
-    the full equality set, so non-simplicial facets come out whole.
-    Raises BudgetExceeded, before the scan, when its C(n, dim) * n point
-    tests or the entry updates of its C(n, dim) eliminations (dim - 1
-    pivots, each updating dim - 2 rows of dim entries) pass the budget.
+    the full equality set, so non-simplicial facets come out whole.  Each
+    distinct hyperplane costs one elimination and one n-point scan, after
+    which every dim-subset of its equality set is skipped, so a conifold
+    square is tested once rather than once per triple of its corners.
+    Raises BudgetExceeded, before the scan, when C(n, dim) * n point tests
+    or the entry updates of C(n, dim) eliminations (dim - 1 pivots, each
+    updating dim - 2 rows of dim entries) pass the budget: the scan makes
+    at most that many.
     """
     n = len(points)
     for per_subset, unit in ((n, "point tests"),
@@ -94,7 +102,10 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
                 f"C({n}, {dim}) * {per_subset} > {HULL_WORK_BUDGET} {unit}"
             )
     found: dict = {}
+    seen: set = set()  # dim-subsets of every hyperplane tested so far
     for subset in combinations(range(n), dim):
+        if subset in seen:
+            continue
         base = points[subset[0]]
         kernel = linalg.kernel_basis(
             [list(vsub(points[i], base)) for i in subset[1:]], ncols=dim
@@ -104,18 +115,17 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
         u = primitive(kernel[0])
         c = dot(u, base)
         vals = [dot(u, p) for p in points]
-        below = any(v < c for v in vals)
-        above = any(v > c for v in vals)
-        if below and above:
+        on = tuple(i for i, v in enumerate(vals) if v == c)
+        if len(on) > dim:
+            seen.update(combinations(on, dim))
+        lo, hi = min(vals), max(vals)
+        if lo < c < hi:
             continue
-        assert below or above, "input not full-dimensional"
-        if below:  # flip so the normal points inward
+        assert lo < hi, "input not full-dimensional"
+        if lo < c:  # flip so the normal points inward
             u = tuple(-a for a in u)
             c = -c
-            vals = [-v for v in vals]
-        key = (u, c)
-        if key not in found:
-            found[key] = tuple(i for i, v in enumerate(vals) if v == c)
+        found[(u, c)] = on
     return [(u, c, idx) for (u, c), idx in sorted(found.items())]
 
 

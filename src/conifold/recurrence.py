@@ -31,8 +31,9 @@ from . import linalg
 from .errors import BudgetExceeded, InsufficientData
 
 DEFAULT_HOLDOUT = 5
-# Most entry updates one search may charge; the largest search in the
-# tests and the benchmark charges 36,016.
+# Most word-weighted entry updates one search may charge; the largest
+# searches in the tests and the benchmark, the exhaustive (4, 4) ones on
+# 61 terms, charge 104,250.
 RECURRENCE_WORK_BUDGET = 10**6
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -130,11 +131,12 @@ def _normalize(vec: list[int], r: int, dD: int) -> tuple:
     return tuple(trimmed)
 
 
-def _charge(work: int, nrows: int, ncols: int) -> int:
+def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
     """``work`` plus the nrows * ncols * min(nrows, ncols) entry updates of
-    one elimination, charged before it runs; raises BudgetExceeded past
+    one elimination, each weighted by the ``words`` of its largest entry,
+    charged before it runs; raises BudgetExceeded past
     ``RECURRENCE_WORK_BUDGET``."""
-    work += nrows * ncols * min(nrows, ncols)
+    work += nrows * ncols * min(nrows, ncols) * words
     if work > RECURRENCE_WORK_BUDGET:
         raise BudgetExceeded(f"recurrence search needs more than "
                              f"{RECURRENCE_WORK_BUDGET} entry updates")
@@ -189,11 +191,15 @@ def find_recurrence(
             f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
             f"with holdout {holdout} needs at least {needed}"
         )
+    # every entry c_{d+i} * d^j, d < len(terms), fits in this many 64-bit
+    # words, so a block of long terms or high degree is charged its size
+    words = (max(map(abs, terms)).bit_length()
+             + degree_max * len(terms).bit_length()) // 64 + 1
     work = 0
     for r in range(1, rmax + 1):
         # the screen of the module docstring: one echelon per order
         nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + holdout)
-        work = _charge(work, nrows, (r + 1) * (degree_max + 1))
+        work = _charge(work, nrows, (r + 1) * (degree_max + 1), words)
         pivots = linalg.pivot_columns(
             [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
              for d in range(nrows)])
@@ -204,7 +210,7 @@ def find_recurrence(
             # solving over training and holdout windows together is the
             # same acceptance rule as solve-then-check: any accepted
             # candidate must satisfy both sets of equations exactly
-            work = _charge(work, len(terms) - r, width)
+            work = _charge(work, len(terms) - r, width, words)
             sol = _solve_cell(terms, r, dD)
             if sol is None:
                 continue

@@ -1,14 +1,17 @@
 """Shared hypothesis strategies for geometry tests, the reference period
-engine, Fraction elimination and the unscreened recurrence search the fast
-ones are checked against, and closed forms of four bundled period
-sequences."""
+engine, subset hull scan, Fraction elimination and unscreened recurrence
+search the fast ones are checked against, and closed forms of four
+bundled period sequences."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 from hypothesis import strategies as st
 
+from conifold import linalg
 from conifold.errors import InsufficientData
+from conifold.lattice import dot, primitive, vsub
 from conifold.laurent import LaurentPolynomial
 from conifold.recurrence import (
     DEFAULT_HOLDOUT,
@@ -27,6 +30,37 @@ def iterated_periods(w, dmax):
         power = power * w
         cs.append(power.constant_term())
     return cs
+
+
+def hull_facets_by_subsets(points: list, dim: int) -> list:
+    """Reference hull scan: ``lattice._hull_facets`` without its seen set,
+    eliminating and scanning the hyperplane of every dim-subset of the
+    points, so a hyperplane through k points is tested C(k, dim) times."""
+    n = len(points)
+    found: dict = {}
+    for subset in combinations(range(n), dim):
+        base = points[subset[0]]
+        kernel = linalg.kernel_basis(
+            [list(vsub(points[i], base)) for i in subset[1:]], ncols=dim
+        )
+        if len(kernel) != 1:  # the subset spans less than a hyperplane
+            continue
+        u = primitive(kernel[0])
+        c = dot(u, base)
+        vals = [dot(u, p) for p in points]
+        below = any(v < c for v in vals)
+        above = any(v > c for v in vals)
+        if below and above:
+            continue
+        assert below or above, "input not full-dimensional"
+        if below:  # flip so the normal points inward
+            u = tuple(-a for a in u)
+            c = -c
+            vals = [-v for v in vals]
+        key = (u, c)
+        if key not in found:
+            found[key] = tuple(i for i, v in enumerate(vals) if v == c)
+    return [(u, c, idx) for (u, c), idx in sorted(found.items())]
 
 
 def _p3_period(d):

@@ -333,9 +333,9 @@ def test_high_dimensional_simplex_is_refused_by_the_hull_budget(cli, tmp_path):
 
 
 def test_recurrence_search_is_refused_by_the_work_budget(cli, tmp_path):
-    # 800 noise terms: the order-1 screen (67 x 62 entries) is charged
-    # 257,548 updates, and the order-2 screen (98 x 93 entries up to
-    # 10^9 * 97^30, seconds of big-integer work) would pass 10^6
+    # 800 noise terms: entries up to 10^9 * 799^30 take 6 words, so the
+    # order-1 screen (67 x 62 entries, 257,548 updates) is charged
+    # 1,545,288 > 10^6 and refused before any elimination
     import random
 
     rng = random.Random(1)

@@ -14,9 +14,12 @@ from conifold.errors import (
     ParseError,
 )
 from conifold.lattice import (
+    _affine_rank,
+    _hull_facets,
     convex_hull,
     dot,
     is_reflexive,
+    matvec,
     normalized_volume,
     polar_dual,
     polytope_from_json_dict,
@@ -24,7 +27,7 @@ from conifold.lattice import (
     vsub,
 )
 from conifold.linalg import strictly_feasible
-from strategies import point_sets, unimodular_matrices
+from strategies import hull_facets_by_subsets, point_sets, unimodular_matrices
 
 P3_VERTICES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -336,6 +339,38 @@ def test_hull_vertices_are_the_unique_minima_of_linear_functionals(case):
     oracle = [x for x in distinct
               if strictly_feasible([vsub(q, x) for q in distinct if q != x], dim)]
     assert list(p.vertices) == oracle
+
+
+def assert_hull_scan_matches_subset_scan(pts, dim):
+    """The seen-set scan returns what testing every dim-subset returns:
+    the same facets, equality sets and order."""
+    pts = sorted(set(pts))
+    if _affine_rank(pts) < dim:
+        return
+    assert _hull_facets(pts, dim) == hull_facets_by_subsets(pts, dim)
+
+
+@st.composite
+def small_span_point_sets(draw):
+    """(dim, points) in dimension 2, 3 or 4 with coordinates within 1 or
+    2 of the origin, where many points share a hyperplane."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    span = draw(st.integers(1, 2))
+    return dim, draw(point_sets(dim=dim, max_points=dim + 6, span=span))
+
+
+@given(st.one_of(spliced_point_sets(), small_span_point_sets()))
+@settings(max_examples=300, deadline=None)
+def test_hull_scan_matches_the_subset_scan(case):
+    dim, pts = case
+    assert_hull_scan_matches_subset_scan(pts, dim)
+
+
+@given(unimodular_matrices(dim=3))
+@settings(max_examples=25, deadline=None)
+def test_hull_scan_matches_the_subset_scan_on_corpus_images(corpus, m):
+    for p in corpus.values():
+        assert_hull_scan_matches_subset_scan([matvec(m, v) for v in p.vertices], 3)
 
 
 @given(point_sets(dim=2, max_points=6, span=4))

@@ -1,6 +1,7 @@
 """Recurrence discovery and verification."""
 
 import math
+import random
 from itertools import product
 from unittest import mock
 
@@ -215,20 +216,33 @@ def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
 def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
     # p3 to degree 40: the screens of orders 1-4, min(41 - r, 4(r + 1) + 5)
     # rows of 4(r + 1) columns, and the two cells that pass them, (1, 3)
-    # and the hit (4, 3), on 41 - r rows; 36,016 updates in all
+    # and the hit (4, 3), on 41 - r rows; 36,016 updates in all, each
+    # charged 2 words, for c_40 < 2^72 times d^3 < 2^18: 72,032
     seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
+    assert max(seq).bit_length() + 3 * len(seq).bit_length() in range(65, 129)
 
     def updates(rows, cols):
-        return rows * cols * min(rows, cols)
+        return rows * cols * min(rows, cols) * 2
 
     work = sum(updates(min(41 - r, 4 * (r + 1) + 5), 4 * (r + 1)) for r in range(1, 5))
     work += updates(40, 8) + updates(37, 20)
-    assert work == 36016
+    assert work == 72032
     monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work)
     assert find_recurrence(seq, rmax=4, degree_max=3).order == 4
     monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work - 1)
     with pytest.raises(BudgetExceeded):
         find_recurrence(seq, rmax=4, degree_max=3)
+
+
+def test_recurrence_budget_weighs_entries_by_their_size():
+    # 800 noise terms below 10^9 at degree 48: the order-1 screen has
+    # 103 x 98 entries, 989,212 updates, under 10^6 but 10 s of big-integer
+    # work; entries up to 10^9 * 800^48 take 8 words, so the screen is
+    # charged 7,913,696 and refused before any elimination
+    rng = random.Random(1)
+    seq = [rng.randrange(10**8, 10**9) for _ in range(800)]
+    with pytest.raises(BudgetExceeded):
+        find_recurrence(seq, rmax=1, degree_max=48)
 
 
 def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
