@@ -55,7 +55,6 @@ from conifold.nodal import (
     LOCAL_MODEL_SQUARE,
     SmoothingMode,
     check_regularity,
-    enumerate_small_resolutions,
     friedman_smoothable,
     is_regular_triangulation,
     nodal_profile,
@@ -208,12 +207,11 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     dual_volume = normalized_volume(polar_dual(p))
     check(dual_volume == report.degree, f"{name}: degree disagrees with dual volume")
 
-    resolutions = enumerate_small_resolutions(profile)
+    resolutions = check_regularity(profile)
     check(len(resolutions) == 2 ** profile.node_count,
           f"{name}: wrong number of small resolutions")
-    resolutions = check_regularity(profile, resolutions)
     for r in resolutions:
-        check(r.regular == is_regular_triangulation(p, profile, r),
+        check(r.regular == is_regular_triangulation(p, profile, r.diagonals),
               f"{name}: resolution {r.diagonals} disagrees with the wall LP")
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
@@ -224,7 +222,7 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
               f"{name}: smoothability certificate has a zero entry")
 
     w = from_fan_polytope(p)
-    seq = period_sequence(w, DB_DMAX)
+    seq = period_sequence(w, DB_DMAX).terms
     power = LaurentPolynomial.one(w.dim)
     for d in range(1, DB_DMAX + 1):
         power = power * w
@@ -250,18 +248,18 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
         "smoothable_fano": report.smoothable,
         "smoothable_cy": cy_ok,
         "cy_certificate": None if cy_cert is None else list(cy_cert),
-        "periods": list(seq.terms),
+        "periods": list(seq),
     }
 
 
 def p3_recurrence_golden() -> dict:
     p = convex_hull([tuple(v) for v in CORPUS[0][2]])
     w = from_fan_polytope(p)
-    seq = period_sequence(w, P3_RECURRENCE_DMAX)
+    seq = period_sequence(w, P3_RECURRENCE_DMAX).terms
     rec = find_recurrence(seq, rmax=P3_RECURRENCE_RMAX,
                           degree_max=P3_RECURRENCE_DEGREE_MAX)
     check(rec is not None, "p3: no recurrence found within the caps")
-    longer = period_sequence(w, P3_RECURRENCE_CONFIRM_DMAX)
+    longer = period_sequence(w, P3_RECURRENCE_CONFIRM_DMAX).terms
     check(verify_recurrence(rec, longer),
           "p3: recurrence fails on the longer confirmation sequence")
     return {

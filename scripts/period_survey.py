@@ -25,7 +25,6 @@ from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.nodal import (
     SmoothingMode,
     check_regularity,
-    enumerate_small_resolutions,
     nodal_profile,
     transition_invariants,
 )
@@ -60,7 +59,7 @@ def main() -> int:
         p = load(stem)
         profile = nodal_profile(p)
         rep = transition_invariants(p, profile, SmoothingMode.FANO)
-        rs = check_regularity(profile, enumerate_small_resolutions(profile))
+        rs = check_regularity(profile)
         nreg = sum(1 for r in rs if r.regular)
         seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX)
         print(
@@ -73,8 +72,8 @@ def main() -> int:
     for stem, dmax, rmax, degree_max, stride in HUNTS:
         p = load(stem)
         t0 = time.perf_counter()
-        seq = period_sequence(from_fan_polytope(p), dmax)
-        rec = find_recurrence(seq, rmax=rmax, degree_max=degree_max, stride=stride)
+        seq = period_sequence(from_fan_polytope(p), dmax).terms
+        rec = find_recurrence(seq[::stride], rmax=rmax, degree_max=degree_max)
         dt = time.perf_counter() - t0
         label = f"{stem} (dmax={dmax}, stride={stride})"
         if rec is None:

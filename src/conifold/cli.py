@@ -38,7 +38,7 @@ from .nodal import (
     report_json_dict,
     transition_invariants,
 )
-from .recurrence import DEFAULT_HOLDOUT, find_recurrence, gw_labeling
+from .recurrence import find_recurrence, gw_labeling
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +74,10 @@ def _int_at_least(low: int):
 
 
 def _recurrence_payload(terms, args) -> dict | None:
-    """The recurrence found within the caps of ``args``, with its ``pretty``
-    form, or None."""
-    rec = find_recurrence(terms, rmax=args.rmax, degree_max=args.degree_max,
-                          holdout=args.holdout, stride=args.stride)
+    """The recurrence of every ``args.stride``-th term found within the caps
+    of ``args``, with its ``pretty`` form, or None."""
+    rec = find_recurrence(terms[::args.stride], rmax=args.rmax,
+                          degree_max=args.degree_max)
     return None if rec is None else {**rec.to_json_dict(), "pretty": str(rec)}
 
 
@@ -87,17 +87,17 @@ def _recurrence_payload(terms, args) -> dict | None:
 
 def cmd_periods(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
-    seq = period_sequence(from_fan_polytope(p), args.dmax)
+    terms = period_sequence(from_fan_polytope(p), args.dmax).terms
     payload = {
         "dmax": args.dmax,
-        "periods": list(seq.terms),
+        "periods": list(terms),
         "gw": [
             {"d": d, "label": label, "value": value}
-            for d, label, value in gw_labeling(seq)
+            for d, label, value in gw_labeling(terms)
         ],
     }
     if args.recurrence:
-        payload["recurrence"] = _recurrence_payload(seq, args)
+        payload["recurrence"] = _recurrence_payload(terms, args)
     return payload
 
 
@@ -105,22 +105,21 @@ def cmd_transition(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     profile = nodal_profile(p)
     report = transition_invariants(p, profile, SmoothingMode(args.mode))
-    resolutions = enumerate_small_resolutions(profile)
-    return report_json_dict(report, resolutions=check_regularity(profile, resolutions))
+    return report_json_dict(report, resolutions=check_regularity(profile))
 
 
 def cmd_match(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     report = transition_invariants(p, nodal_profile(p))
-    seq = period_sequence(from_fan_polytope(p), args.dmax)
-    candidates = match(report, seq, load_database(args.database))
+    terms = period_sequence(from_fan_polytope(p), args.dmax).terms
+    candidates = match(report, terms, load_database(args.database))
     return {
         "query": {
             "degree": report.degree,
             "e": report.e_sm,
             "b2": report.b2_sm,
             "b3": report.b3_sm,
-            "periods": list(seq.terms),
+            "periods": list(terms),
         },
         "candidates": [c.to_json_dict() for c in candidates],
     }
@@ -135,7 +134,7 @@ def cmd_resolve(args) -> dict:
         "N": profile.node_count,
         "count": len(resolutions),
         "resolutions": [
-            {"diagonals": r.diagonals, "triangle_count": triangle_count}
+            {"diagonals": r, "triangle_count": triangle_count}
             for r in resolutions
         ],
     }
@@ -216,8 +215,6 @@ def _add_recurrence_flags(sp, rmax_default, degree_default) -> None:
                     help=f"largest recurrence order to try (default {rmax_default})")
     sp.add_argument("--degree-max", type=_int_at_least(0), default=degree_default,
                     help=f"largest coefficient degree to try (default {degree_default})")
-    sp.add_argument("--holdout", type=_int_at_least(1), default=DEFAULT_HOLDOUT,
-                    help=f"terms reserved to confirm a candidate (default {DEFAULT_HOLDOUT})")
     sp.add_argument("--stride", type=_int_at_least(1), default=1,
                     help="subsample the sequence: keep every stride-th term")
 

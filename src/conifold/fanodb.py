@@ -140,18 +140,16 @@ class MatchCandidate:
         }
 
 
-def match(report, periods, db) -> list[MatchCandidate]:
+def match(report, terms, db) -> list[MatchCandidate]:
     """Rank database records compatible with a transition report.
 
     ``report`` supplies the smoothing-side invariants (degree, e_sm,
-    b2_sm, b3_sm); ``periods`` is the period sequence of the fan
-    polytope's vertex Laurent polynomial (or any object indexable like
-    one, or a plain list of integers).  A record survives iff all four
+    b2_sm, b3_sm); ``terms`` are the period terms c_0, c_1, ... of the fan
+    polytope's vertex Laurent polynomial.  A record survives iff all four
     invariants agree and the period prefixes agree on their common
     range.  Extending either sequence can only shrink the candidate
     set, never grow it.
     """
-    terms = tuple(getattr(periods, "terms", periods))
     out = []
     for rec in db:
         if rec.degree != report.degree:

@@ -161,7 +161,7 @@ class Polytope:
 
     def transform(self, matrix) -> "Polytope":
         """Image under a unimodular matrix (rows act on column vectors)."""
-        return convex_hull([matvec(matrix, v) for v in self.vertices], self.dim)
+        return convex_hull([matvec(matrix, v) for v in self.vertices])
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,17 @@ def _build_hull(points, dim: int):
     return vertices, tuple(facets)
 
 
-def convex_hull(points, dim: int | None = None) -> Polytope:
-    """Convex hull of integer points as a canonical Polytope.
+def convex_hull(points) -> Polytope:
+    """Convex hull of integer points as a canonical Polytope, in the
+    dimension of the first point.
 
-    Raises EmptyInput for no points and NotFullDimensional when the affine
-    span is a proper subspace.
+    Raises EmptyInput for no points and NotFullDimensional when a point
+    has another dimension or the affine span is a proper subspace.
     """
     pts = list(points)
     if not pts:
         raise EmptyInput("cannot take the hull of no points")
-    if dim is None:
-        dim = len(pts[0])
+    dim = len(pts[0])
     for p in pts:
         for x in p:
             if not isinstance(x, int):
@@ -238,7 +238,7 @@ def _clear_denominators(points) -> tuple[int, list]:
     return big, [tuple(x.numerator * (big // x.denominator) for x in p) for p in points]
 
 
-def rational_hull(points, dim: int | None = None) -> RationalPolytope:
+def rational_hull(points) -> RationalPolytope:
     """Convex hull of points with int or Fraction coordinates: the lattice
     hull of the points times their common denominator L, scaled by 1/L.
     Positive scaling keeps the canonical vertex and facet order and the
@@ -246,8 +246,7 @@ def rational_hull(points, dim: int | None = None) -> RationalPolytope:
     pts = list(points)
     if not pts:
         raise EmptyInput("cannot take the hull of no points")
-    if dim is None:
-        dim = len(pts[0])
+    dim = len(pts[0])
     big, scaled = _clear_denominators(pts)
     vertices, facets = _build_hull(scaled, dim)
 
@@ -306,7 +305,7 @@ def polar_dual(p) -> RationalPolytope:
     """
     require_origin_interior(p)
     verts = [tuple(Fraction(x, -f.level) for x in f.normal) for f in p.facets]
-    return rational_hull(verts, p.dim)
+    return rational_hull(verts)
 
 
 def is_reflexive(p: Polytope) -> bool:
@@ -374,4 +373,4 @@ def polytope_from_json_dict(data: dict) -> Polytope:
         raise ParseError(f"polytope JSON: bad dimension {dim!r}")
     if any(len(v) != dim for v in verts):
         raise ParseError(f"polytope JSON: vertices are not all of dimension {dim}")
-    return convex_hull(verts, dim)
+    return convex_hull(verts)

@@ -110,12 +110,6 @@ class PeriodSequence:
 
     terms: tuple
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, i: int) -> int:
-        return self.terms[i]
-
 
 def from_fan_polytope(p) -> LaurentPolynomial:
     """The vertex polynomial sum_v z^v of a polytope with the origin

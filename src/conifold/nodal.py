@@ -131,15 +131,12 @@ class NodalProfile:
 
 @dataclass(frozen=True)
 class SmallResolution:
-    """One diagonal assignment: character i of ``diagonals`` is square i of
-    the profile, "0" for the split along v1-v3 of its cycle
-    (v1, v2, v3, v4) and "1" along v2-v4 (s_i = +1).  The two splits are
-    the two small resolutions of the node; for the local model they are
-    the graph closures of (x:z) = (w:y) and of (x:w) = (z:y).  ``regular``
-    is None until a regularity check runs."""
+    """One row of the census of ``check_regularity``: a small resolution,
+    by its diagonal string (``enumerate_small_resolutions``), and whether
+    it is projective."""
 
     diagonals: str
-    regular: bool | None = None
+    regular: bool
 
 
 @dataclass(frozen=True)
@@ -225,25 +222,28 @@ def nodal_profile(p: Polytope) -> NodalProfile:
     return NodalProfile(len(squares), squares, exceptional_relation_matrix(p, squares))
 
 
-def enumerate_small_resolutions(profile: NodalProfile) -> list[SmallResolution]:
-    """All 2^N diagonal strings, in lexicographic order.  Raises
-    BudgetExceeded when N passes ``RESOLUTION_CAP``."""
+def enumerate_small_resolutions(profile: NodalProfile) -> list[str]:
+    """All 2^N small resolutions as diagonal strings, in lexicographic
+    order.  Character i of a string is square i of the profile, "0" for
+    the split along v1-v3 of its cycle (v1, v2, v3, v4) and "1" along
+    v2-v4 (s_i = +1).  The two splits are the two small resolutions of
+    the node; for the local model they are the graph closures of
+    (x:z) = (w:y) and of (x:w) = (z:y).  Raises BudgetExceeded when N
+    passes ``RESOLUTION_CAP``."""
     n = profile.node_count
     if n > RESOLUTION_CAP:
         raise BudgetExceeded(
             f"{n} nodes would mean 2^{n} resolutions; cap is {RESOLUTION_CAP}"
         )
-    return [SmallResolution("".join(b)) for b in product("01", repeat=n)]
+    return ["".join(b) for b in product("01", repeat=n)]
 
 
-def resolution_triangles(
-    p: Polytope, profile: NodalProfile, resolution: SmallResolution
-) -> list[tuple]:
+def resolution_triangles(p: Polytope, profile: NodalProfile, diagonals: str) -> list[tuple]:
     """The lattice triangles of the boundary triangulation, in facet order:
     each triangle facet, and each square's two halves on its chosen
     diagonal, with every triangle's vertices sorted.  Only the wall LP
     needs them; their number is F + N for every resolution."""
-    choice = {i: (cyc, d) for (i, cyc), d in zip(profile.squares, resolution.diagonals)}
+    choice = {i: (cyc, d) for (i, cyc), d in zip(profile.squares, diagonals)}
     triangles = []
     for i, facet in enumerate(p.facets):
         if i not in choice:
@@ -258,9 +258,7 @@ def resolution_triangles(
     return triangles
 
 
-def _wall_rows(
-    p: Polytope, profile: NodalProfile, resolution: SmallResolution
-) -> list[list[int]]:
+def _wall_rows(p: Polytope, profile: NodalProfile, diagonals: str) -> list[list[int]]:
     """One integer row per interior wall of the fan over the triangulation.
 
     For the triangle abc on one side of wall ab and c' across it, Cramer's
@@ -273,7 +271,7 @@ def _wall_rows(
     """
     index = {v: i for i, v in enumerate(p.vertices)}
     edge_tris: dict = {}
-    for tri in resolution_triangles(p, profile, resolution):
+    for tri in resolution_triangles(p, profile, diagonals):
         t = [index[v] for v in tri]
         for edge in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
             edge_tris.setdefault(tuple(sorted(edge)), []).append(t)
@@ -298,31 +296,29 @@ def _wall_rows(
     return rows
 
 
-def is_regular_triangulation(
-    p: Polytope, profile: NodalProfile, resolution: SmallResolution
-) -> bool:
+def is_regular_triangulation(p: Polytope, profile: NodalProfile, diagonals: str) -> bool:
     """Exact regularity: does some rational height vector on the vertices
     induce a strictly convex piecewise-linear function on the fan over the
     triangulation?  Feasibility with positive slack is decided by the
     exact simplex in linalg, over one row per interior wall.  This is the
     reference that tests hold ``check_regularity`` to."""
-    rows = _wall_rows(p, profile, resolution)
+    rows = _wall_rows(p, profile, diagonals)
     return linalg.strictly_feasible(rows, len(p.vertices))
 
 
-def check_regularity(
-    profile: NodalProfile, resolutions: list[SmallResolution]
-) -> list[SmallResolution]:
-    """The same resolutions with ``regular`` filled in by the circuit test
-    of the module docstring: no signed circuit of the exceptional relation
-    matrix may match the resolution's sign vector or its negative.  The
-    exact simplex (``linalg.strictly_feasible`` on the rows s_i * R_i) is
-    only the test oracle for this."""
+def check_regularity(profile: NodalProfile) -> list[SmallResolution]:
+    """The census: each of ``enumerate_small_resolutions(profile)`` with
+    its regularity decided by the circuit test of the module docstring: no
+    signed circuit of the exceptional relation matrix may match the
+    resolution's sign vector or its negative.  The exact simplex
+    (``linalg.strictly_feasible`` on the rows s_i * R_i) is only the test
+    oracle for this."""
+    resolutions = enumerate_small_resolutions(profile)
     circuits = signed_circuits(profile.left_kernel)
     out = []
     for r in resolutions:
-        plus = sum(1 << i for i, d in enumerate(r.diagonals) if d == "1")
-        out.append(SmallResolution(r.diagonals, is_regular_sign_vector(circuits, plus)))
+        plus = sum(1 << i for i, d in enumerate(r) if d == "1")
+        out.append(SmallResolution(r, is_regular_sign_vector(circuits, plus)))
     return out
 
 

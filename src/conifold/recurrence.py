@@ -5,16 +5,20 @@ least (order r, coefficient degree D) such that
 
     sum_{i=0}^{r} p_i(d) * c_{d+i} = 0   for every usable d,
 
-with deg p_i <= D and p_r not identically zero.  The last ``holdout``
-positions are excluded from no equation: a candidate must annihilate the
-training window and the held-out window alike, which kills fitted
-coincidences.  All solving is exact: the kernel of the integer matrix
-comes from fraction-free integer elimination (``linalg.integer_rref``) as
-integer vectors; no candidate is ever accepted numerically.
+with deg p_i <= D and p_r not identically zero.  Nothing is held out:
+every cell is solved on all L + 1 - r rows, so a candidate annihilates
+every window of the sequence.  A search needs at least
+(rmax+1)(degree_max+1) + rmax + ``HOLDOUT`` terms, so that every cell has
+at least ``HOLDOUT`` more equations than unknowns, which kills fitted
+coincidences; the constant sets that least length and the screen's row
+count below, never which cell is returned.  All solving is exact: the
+kernel of the integer matrix comes from fraction-free integer elimination
+(``linalg.integer_rref``) as integer vectors; no candidate is ever
+accepted numerically.
 
 Most cells are never solved.  For each order r one block is eliminated
 forward (``linalg.pivot_columns``): rows d = 0 .. min(L + 1 - r,
-(r+1)(degree_max+1) + holdout) - 1, entry c_{d+i} * d^j in column
+(r+1)(degree_max+1) + HOLDOUT) - 1, entry c_{d+i} * d^j in column
 j(r+1) + i.  Its first w = (r+1)(D+1) columns are some rows of the (r, D)
 cell's matrix, columns permuted, and a subset of rows has no larger rank
 than all of them: when w pivots lie below w, the cell's kernel is {0} and
@@ -30,7 +34,9 @@ from math import gcd
 from . import linalg
 from .errors import BudgetExceeded, InsufficientData
 
-DEFAULT_HOLDOUT = 5
+# Least surplus of equations over the unknowns of the largest cell that a
+# search accepts (module docstring).
+HOLDOUT = 5
 # Most word-weighted entry updates one search may charge; the largest
 # searches in the tests and the benchmark, the exhaustive (4, 4) ones on
 # 61 terms, charge 104,250.
@@ -109,10 +115,6 @@ def _integer(raw) -> int:
     raise ValueError(f"recurrence coefficient {raw!r} is not an integer")
 
 
-def _as_terms(seq) -> list[int]:
-    return list(getattr(seq, "terms", seq))
-
-
 def _normalize(vec: list[int], r: int, dD: int) -> tuple:
     """Reduce content to 1 and make the leading coefficient of p_r
     positive; idempotent on its own output."""
@@ -164,32 +166,17 @@ def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
     return None
 
 
-def find_recurrence(
-    seq,
-    rmax: int,
-    degree_max: int,
-    holdout: int = DEFAULT_HOLDOUT,
-    stride: int = 1,
-) -> Recurrence | None:
+def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
     """Least (r, D) <= (rmax, degree_max) in lexicographic order whose
-    exact solution annihilates both the training window and the final
-    ``holdout`` terms; None when no cell admits one.
-
-    With ``stride`` = s the search runs on the subsequence c_0, c_s,
-    c_2s, ... and the recurrence is in the subsequence index.
-    """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    terms = _as_terms(seq)[::stride]
+    exact solution annihilates every window of the integer sequence
+    ``terms``; None when no cell admits one."""
     if rmax < 1 or degree_max < 0:
         raise ValueError("need rmax >= 1 and degree_max >= 0")
-    if holdout < 1:
-        raise ValueError("holdout must be at least 1")
-    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
+    needed = (rmax + 1) * (degree_max + 1) + rmax + HOLDOUT
     if len(terms) < needed:
         raise InsufficientData(
             f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
-            f"with holdout {holdout} needs at least {needed}"
+            f"with holdout {HOLDOUT} needs at least {needed}"
         )
     # every entry c_{d+i} * d^j, d < len(terms), fits in this many 64-bit
     # words, so a block of long terms or high degree is charged its size
@@ -198,7 +185,7 @@ def find_recurrence(
     work = 0
     for r in range(1, rmax + 1):
         # the screen of the module docstring: one echelon per order
-        nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + holdout)
+        nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + HOLDOUT)
         work = _charge(work, nrows, (r + 1) * (degree_max + 1), words)
         pivots = linalg.pivot_columns(
             [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
@@ -207,9 +194,6 @@ def find_recurrence(
             width = (r + 1) * (dD + 1)
             if sum(c < width for c in pivots) == width:
                 continue
-            # solving over training and holdout windows together is the
-            # same acceptance rule as solve-then-check: any accepted
-            # candidate must satisfy both sets of equations exactly
             work = _charge(work, len(terms) - r, width, words)
             sol = _solve_cell(terms, r, dD)
             if sol is None:
@@ -224,9 +208,8 @@ def find_recurrence(
     return None
 
 
-def verify_recurrence(rec: Recurrence, seq) -> bool:
+def verify_recurrence(rec: Recurrence, terms) -> bool:
     """Exact check of the recurrence over every window of the sequence."""
-    terms = _as_terms(seq)
     if len(terms) <= rec.order:
         raise InsufficientData(
             f"sequence of length {len(terms)} is shorter than order {rec.order} + 1"
@@ -236,11 +219,10 @@ def verify_recurrence(rec: Recurrence, seq) -> bool:
     )
 
 
-def gw_labeling(seq) -> list[tuple[int, str | None, int]]:
+def gw_labeling(terms) -> list[tuple[int, str | None, int]]:
     """Label the terms of a period sequence as one-pointed genus-zero
     descendant invariants: degree d >= 2 carries the label
     "<psi^(d-2)[pt]>_{0,1,d}"; d = 0 and 1 stay unlabeled."""
-    terms = _as_terms(seq)
     out = []
     for d, value in enumerate(terms):
         if d < 2:

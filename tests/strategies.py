@@ -1,7 +1,7 @@
 """Shared hypothesis strategies for geometry tests, the reference period
-engine, subset hull scan, Fraction elimination and unscreened recurrence
-search the fast ones are checked against, and closed forms of four
-bundled period sequences."""
+engine, subset hull scan, Fraction elimination, unscreened recurrence
+search and arrangement region count the fast ones are checked against,
+and closed forms of four bundled period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -13,13 +13,7 @@ from conifold import linalg
 from conifold.errors import InsufficientData
 from conifold.lattice import dot, primitive, vsub
 from conifold.laurent import LaurentPolynomial
-from conifold.recurrence import (
-    DEFAULT_HOLDOUT,
-    Recurrence,
-    _as_terms,
-    _solve_cell,
-    verify_recurrence,
-)
+from conifold.recurrence import HOLDOUT, Recurrence, _solve_cell, verify_recurrence
 
 
 def iterated_periods(w, dmax):
@@ -61,6 +55,20 @@ def hull_facets_by_subsets(points: list, dim: int) -> list:
         if key not in found:
             found[key] = tuple(i for i, v in enumerate(vals) if v == c)
     return [(u, c, idx) for (u, c), idx in sorted(found.items())]
+
+
+def arrangement_region_count(rows) -> int:
+    """Regions of the central arrangement {g : R_i . g = 0} of ``rows``, by
+    Whitney's formula at t = -1 (Zaslavsky, "Facing up to arrangements",
+    Mem. AMS 1975): the sum over row subsets S of (-1)^(|S| - rank S).
+    Each region is the set of g with one strict sign vector s_i (R_i . g),
+    so this counts the regular small resolutions with no circuit and no
+    LP."""
+    total = 0
+    for mask in range(2 ** len(rows)):
+        subset = [row for i, row in enumerate(rows) if mask >> i & 1]
+        total += (-1) ** (len(subset) - linalg.rank(subset))
+    return total
 
 
 def _p3_period(d):
@@ -136,34 +144,20 @@ def fraction_kernel_basis(rows, ncols):
     return basis
 
 
-def find_recurrence_unscreened(
-    seq,
-    rmax: int,
-    degree_max: int,
-    holdout: int = DEFAULT_HOLDOUT,
-    stride: int = 1,
-) -> Recurrence | None:
+def find_recurrence_unscreened(terms, rmax: int, degree_max: int) -> Recurrence | None:
     """Reference search: ``find_recurrence`` without its per-order screen,
     solving every (r, D) cell in lexicographic order until one has a
     solution."""
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    terms = _as_terms(seq)[::stride]
     if rmax < 1 or degree_max < 0:
         raise ValueError("need rmax >= 1 and degree_max >= 0")
-    if holdout < 1:
-        raise ValueError("holdout must be at least 1")
-    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
+    needed = (rmax + 1) * (degree_max + 1) + rmax + HOLDOUT
     if len(terms) < needed:
         raise InsufficientData(
             f"{len(terms)} terms provided; the ({rmax}, {degree_max}) search "
-            f"with holdout {holdout} needs at least {needed}"
+            f"with holdout {HOLDOUT} needs at least {needed}"
         )
     for r in range(1, rmax + 1):
         for dD in range(0, degree_max + 1):
-            # solving over training and holdout windows together is the
-            # same acceptance rule as solve-then-check: any accepted
-            # candidate must satisfy both sets of equations exactly
             sol = _solve_cell(terms, r, dD)
             if sol is None:
                 continue

@@ -4,6 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DATA
 
 
 def parse(out: str):
@@ -371,12 +375,13 @@ def test_oversized_integer_is_parse_error(cli, corpus_paths, tmp_path, command, 
     ("periods", "{p3}", "--dmax", "-1"),
     ("periods", "{p3}", "--dmax", "ten"),
     ("match", "{p3}", "{db}", "--dmax", "-1"),
-    # the resolution cap is a constant, so its old flag is unknown
+    # the resolution cap and the holdout are constants, so their old flags
+    # are unknown, whatever the value
     ("transition", "{p3}", "--resolution-cap", "-1"),
     ("resolve", "{p3}", "--resolution-cap", "-1"),
+    ("recurrence", "{seq}", "--holdout", "3"),
     ("recurrence", "{seq}", "--rmax", "0"),
     ("recurrence", "{seq}", "--degree-max", "-1"),
-    ("recurrence", "{seq}", "--holdout", "0"),
     ("recurrence", "{seq}", "--stride", "0"),
     ("recurrence", "{seq}", "--stride", "-1"),
     # argparse's own usage errors
@@ -395,6 +400,36 @@ def test_out_of_range_option_is_parse_error(cli, corpus_paths, data_dir, tmp_pat
     code, out, err = cli(*(paths.get(a, a) for a in argv), expect_exit=2)
     assert out == ""
     assert json.loads(err)["error"]["type"] == "ParseError"
+
+
+def test_option_surface_is_pinned(capsys):
+    # every flag and positional of each subcommand, in declaration order:
+    # adding or removing a knob shows up here as a diff
+    import argparse
+
+    from conifold.cli import build_parser, main
+
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def surface(p):
+        return [a.option_strings[-1] if a.option_strings else a.dest for a in p._actions]
+
+    assert surface(parser) == ["--help", "--version", "command"]
+    recurrence_flags = ["--rmax", "--degree-max", "--stride", "--output"]
+    assert {name: surface(sp) for name, sp in sub.choices.items()} == {
+        "periods": ["--help", "polytope", "--dmax", "--recurrence", *recurrence_flags],
+        "transition": ["--help", "polytope", "--mode", "--output"],
+        "match": ["--help", "polytope", "database", "--dmax", "--output"],
+        "resolve": ["--help", "polytope", "--output"],
+        "recurrence": ["--help", "sequence", *recurrence_flags],
+    }
+    # a removed flag is refused before any input is read
+    assert main(["recurrence", "seq.json", "--holdout", "3"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ParseError",
+        "message": "conifold: unrecognized arguments: --holdout 3",
+    }
 
 
 def test_version_flag(cli):
@@ -506,3 +541,130 @@ def test_table_output_is_pinned(corpus_paths, data_dir, tmp_path, capsys):
         paths[name].write_text("" if terms is None else json.dumps(terms))
     expected = (Path(__file__).parent / "cli_tables.txt").read_text(encoding="utf-8")
     assert table_transcript(paths, capsys) == expected
+
+
+# ------------------------------------------------------------- fuzzing
+
+
+CORPUS_VERTICES = [json.loads(path.read_text())["vertices"]
+                   for path in sorted((DATA / "polytopes").glob("*.json"))]
+
+
+@st.composite
+def polytope_texts(draw):
+    """JSON text of a small polytope: at most 8 points in dimension 1 to 4
+    with |coordinate| <= 3.  The points are random, random and centrally
+    symmetric, or a bundled polytope with its axes permuted and flipped;
+    five times in twelve the text is malformed."""
+    source = draw(st.sampled_from(["random", "symmetric", "corpus"]))
+    if source == "corpus":
+        dim = 3
+        axes = draw(st.permutations(range(3)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+        points = [[s * v[a] for a, s in zip(axes, signs)]
+                  for v in draw(st.sampled_from(CORPUS_VERTICES))]
+    else:
+        dim = draw(st.integers(1, 4))
+        span = draw(st.sampled_from([1, 3]))
+        points = draw(st.lists(st.lists(st.integers(-span, span), min_size=dim, max_size=dim),
+                               min_size=1, max_size=4 if source == "symmetric" else 8))
+        if source == "symmetric":
+            points += [[-x for x in p] for p in points]
+    data = {"vertices": points}
+    flaw = draw(st.sampled_from(["", "", "", "", "", "", "",
+                                 "dim", "ragged", "entry", "shape", "text"]))
+    if flaw == "dim":
+        data["dim"] = draw(st.sampled_from([0, dim + 1, True, "3", None]))
+    elif flaw == "ragged":
+        points.append(points[0] + [1])
+    elif flaw == "entry":
+        points[-1][0] = draw(st.sampled_from([0.5, True, "1", None, [1]]))
+    elif flaw == "shape":
+        data = draw(st.sampled_from([{"vertices": []}, {"vertices": [[]]}, {}, [], points]))
+    text = json.dumps(data)
+    return text[: len(text) // 2] if flaw == "text" else text
+
+
+@st.composite
+def sequence_texts(draw):
+    """JSON text of a stored sequence: up to 40 integers, random or
+    geometric, as a list or under a "periods" key; or a malformed one."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    else:
+        start, ratio = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        terms = [start * ratio**d for d in range(n)]
+    form = draw(st.sampled_from(["list", "list", "object", "flaw"]))
+    if form == "flaw":
+        return json.dumps(draw(st.sampled_from([terms + [1.5], terms + [True],
+                                                {"terms": terms}, "[1, 2, 3]", None])))
+    return json.dumps(terms if form == "list" else {"periods": terms})
+
+
+def _flags(draw, *names):
+    """Some of the named integer flags, each with a value from low to
+    high, or now and then low - 1, which is refused."""
+    out = []
+    for name, low, high in names:
+        if draw(st.booleans()):
+            values = [low - 1] + [v for v in range(low, high + 1) for _ in range(3)]
+            out += [name, str(draw(st.sampled_from(values)))]
+    return out
+
+
+_RECURRENCE_FLAGS = (("--rmax", 1, 3), ("--degree-max", 0, 3), ("--stride", 1, 3))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv with {polytope}, {sequence} and {db} placeholders, polytope
+    text, sequence text) for one run of one subcommand."""
+    command = draw(st.sampled_from(["periods", "transition", "match", "resolve",
+                                    "recurrence"]))
+    if command == "periods":
+        argv = ["periods", "{polytope}", *_flags(draw, ("--dmax", 0, 16))]
+        if draw(st.booleans()):
+            argv += ["--recurrence", *_flags(draw, *_RECURRENCE_FLAGS)]
+    elif command == "transition":
+        argv = ["transition", "{polytope}", "--mode", draw(st.sampled_from(["fano", "cy"]))]
+    elif command == "match":
+        argv = ["match", "{polytope}", "{db}", *_flags(draw, ("--dmax", 0, 16))]
+    elif command == "resolve":
+        argv = ["resolve", "{polytope}"]
+    else:
+        argv = ["recurrence", "{sequence}", *_flags(draw, *_RECURRENCE_FLAGS)]
+    return argv, draw(polytope_texts()), draw(sequence_texts())
+
+
+@given(cli_runs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_runs_exit_cleanly(run):
+    # any input either succeeds with JSON on stdout or fails with exit 2
+    # or 3 and one {"error": {...}} object on stderr: never a traceback
+    # and never an internal error (exit 4)
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    from conifold import cli as cli_module
+
+    argv, polytope, sequence = run
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"{polytope}": Path(tmp) / "polytope.json",
+                 "{sequence}": Path(tmp) / "sequence.json",
+                 "{db}": DATA / "fano.jsonl"}
+        paths["{polytope}"].write_text(polytope)
+        paths["{sequence}"].write_text(sequence)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_module.main([str(paths.get(a, a)) for a in argv])
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        body = json.loads(err.getvalue())
+        assert list(body) == ["error"] and {"type", "message"} <= set(body["error"])

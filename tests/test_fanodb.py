@@ -125,12 +125,6 @@ def test_match_empty_db():
     assert match(fake_report(64, 4, 1, 0), [1, 0, 0], []) == []
 
 
-def test_match_accepts_period_sequence_objects():
-    seq = SimpleNamespace(terms=(1, 0, 0, 0, 24))
-    out = match(fake_report(64, 4, 1, 0), seq, DB)
-    assert out and out[0].record.name == "A"
-
-
 def test_match_monotone_in_prefix_length():
     periods = [1, 0, 0, 0, 24, 0, 0, 0, 2520]
     prev = None
@@ -159,7 +153,7 @@ def test_bundled_self_consistency(corpus, golden, data_dir):
     rename = {"p3": "P3", "octahedron": "P1xP1xP1", "p2xp1": "P2xP1"}
     for stem, p in corpus.items():
         report = transition_invariants(p, nodal_profile(p))
-        seq = period_sequence(from_fan_polytope(p), golden["db_dmax"])
-        out = match(report, seq, db)
+        terms = period_sequence(from_fan_polytope(p), golden["db_dmax"]).terms
+        out = match(report, terms, db)
         assert out, f"{stem}: no candidates"
         assert out[0].record.name == rename.get(stem, stem)

@@ -45,7 +45,7 @@ def is_integral(q) -> bool:
 def as_lattice(q):
     """The lattice polytope with the vertices of an integral polar dual."""
     assert is_integral(q)
-    return convex_hull([tuple(int(x) for x in v) for v in q.vertices], q.dim)
+    return convex_hull([tuple(int(x) for x in v) for v in q.vertices])
 
 
 # ---------------------------------------------------------------- hulls
@@ -63,7 +63,7 @@ def test_hull_drops_interior_and_duplicate_points():
 
 def test_hull_drops_non_vertex_boundary_points():
     # edge midpoints are boundary but not vertices
-    p = convex_hull([(2, 0), (0, 2), (-2, -2), (1, 1)], dim=2)
+    p = convex_hull([(2, 0), (0, 2), (-2, -2), (1, 1)])
     assert p.vertices == ((-2, -2), (0, 2), (2, 0))
 
 
@@ -75,6 +75,14 @@ def test_hull_empty_input():
 def test_hull_not_full_dimensional():
     with pytest.raises(NotFullDimensional):
         convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)])
+
+
+def test_hull_rejects_ragged_points():
+    # the dimension is the first point's, and every point must share it
+    with pytest.raises(NotFullDimensional, match="does not live in dimension 3"):
+        convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1)])
+    with pytest.raises(NotFullDimensional, match="does not live in dimension 2"):
+        rational_hull([(0, 0), (1, 0), (0, 1, 0)])
 
 
 def test_hull_rejects_non_integers():
@@ -115,7 +123,7 @@ def test_cube_facet_lattice_points():
 
 
 def test_two_dimensional_hull():
-    p = convex_hull([(1, 0), (0, 1), (-1, -1)], dim=2)
+    p = convex_hull([(1, 0), (0, 1), (-1, -1)])
     assert len(p.facets) == 3
     assert all(f.level == -1 for f in p.facets)
     assert boundary_lattice_points(p) == tuple(sorted([(1, 0), (0, 1), (-1, -1)]))
@@ -195,7 +203,7 @@ def rational_point_sets(draw):
 def test_rational_hull_over_a_common_denominator(case):
     dim, pts = case
     try:
-        q = rational_hull(pts, dim)
+        q = rational_hull(pts)
     except NotFullDimensional:
         return
     assert set(q.vertices) <= set(pts)
@@ -227,7 +235,7 @@ def test_normalized_volume_basics():
     assert normalized_volume(unit_simplex) == 1
     assert normalized_volume(convex_hull(CUBE)) == 48
     assert normalized_volume(convex_hull(P3_VERTICES)) == 4
-    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)], dim=2)
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert normalized_volume(square) == 2
 
 
@@ -332,7 +340,7 @@ def test_hull_vertices_are_the_unique_minima_of_linear_functionals(case):
     # p is a vertex iff some h has <h, q - p> > 0 for every other point q
     dim, pts = case
     try:
-        p = convex_hull(pts, dim)
+        p = convex_hull(pts)
     except NotFullDimensional:
         return
     distinct = sorted(set(pts))

@@ -102,16 +102,9 @@ def test_dmax_zero():
     assert list(seq.terms) == [1]
 
 
-def test_sequence_indexing():
-    seq = period_sequence(w_p3(), 8)
-    assert len(seq) == 9
-    assert seq[4] == 24
-    assert seq[8] == 2520
-
-
 def test_direct_oracle_agrees_with_iteration():
     w = w_p3()
-    seq = period_sequence(w, 12)
+    seq = period_sequence(w, 12).terms
     for d in range(13):
         assert period_term_direct(w, d) == seq[d]
 

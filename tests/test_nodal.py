@@ -38,7 +38,7 @@ from conifold.nodal import (
     signed_circuits,
     transition_invariants,
 )
-from strategies import point_sets, unimodular_matrices
+from strategies import arrangement_region_count, point_sets, unimodular_matrices
 
 PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (-1, -1, -2)]
 CORPUS_STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
@@ -151,7 +151,7 @@ def test_cube_is_worse_than_nodal():
 
 
 def test_profile_requires_dimension_three():
-    p = convex_hull([(1, 0), (0, 1), (-1, -1)], dim=2)
+    p = convex_hull([(1, 0), (0, 1), (-1, -1)])
     with pytest.raises(DimensionMismatch):
         nodal_profile(p)
 
@@ -173,9 +173,8 @@ def test_resolution_count_and_diagonal_strings(corpus, golden):
         profile = nodal_profile(p)
         rs = enumerate_small_resolutions(profile)
         assert len(rs) == 2 ** g["N"] == g["resolution_count"]
-        strings = [r.diagonals for r in rs]
-        assert strings == sorted(strings)
-        assert len(set(strings)) == len(strings)
+        assert rs == sorted(rs)
+        assert len(set(rs)) == len(rs)
         counts = {len(resolution_triangles(p, profile, r)) for r in rs}
         assert counts == {g["e_res"]} == {len(p.facets) + g["N"]}
 
@@ -211,13 +210,13 @@ def test_resolution_budget(monkeypatch):
 
 
 def test_regular_counts_match_golden(corpus, golden):
+    # 1/1/1/2/4/46 on the corpus; Whitney's region count of the
+    # arrangement {g : R_i . g = 0} is the independent second count
     for stem, p in corpus.items():
         profile = nodal_profile(p)
-        rs = check_regularity(profile, enumerate_small_resolutions(profile))
-        assert (
-            sum(1 for r in rs if r.regular)
-            == golden["polytopes"][stem]["regular_count"]
-        )
+        regular = sum(1 for r in check_regularity(profile) if r.regular)
+        assert regular == golden["polytopes"][stem]["regular_count"], stem
+        assert regular == arrangement_region_count(profile.relations), stem
 
 
 def test_face_fan_of_smooth_polytope_is_regular(corpus):
@@ -230,8 +229,8 @@ def test_face_fan_of_smooth_polytope_is_regular(corpus):
 def test_sign_vector_regularity_matches_wall_lp(corpus):
     for p in corpus.values():
         profile = nodal_profile(p)
-        for r in check_regularity(profile, enumerate_small_resolutions(profile)):
-            assert r.regular == is_regular_triangulation(p, profile, r), (
+        for r in check_regularity(profile):
+            assert r.regular == is_regular_triangulation(p, profile, r.diagonals), (
                 r.diagonals
             )
 
@@ -246,10 +245,10 @@ def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks
     # the wall LP is the slow side, so each image checks a few resolutions
     p = corpus[stem].transform(m)
     profile = nodal_profile(p)
-    rs = check_regularity(profile, enumerate_small_resolutions(profile))
+    rs = check_regularity(profile)
     for i in picks:
         r = rs[i % len(rs)]
-        assert r.regular == is_regular_triangulation(p, profile, r), (
+        assert r.regular == is_regular_triangulation(p, profile, r.diagonals), (
             stem, r.diagonals
         )
 
@@ -268,7 +267,7 @@ def relation_matrices(max_rows=6, max_cols=5):
 
 def regular_flags(p):
     profile = nodal_profile(p)
-    rs = check_regularity(profile, enumerate_small_resolutions(profile))
+    rs = check_regularity(profile)
     return [r.regular for r in rs]
 
 
@@ -353,12 +352,11 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     n, k = len(rows), linalg.rank_by_minors(rows)
     kernels = comb(n, n - k - 1)
     assert kernels == 6
-    resolutions = enumerate_small_resolutions(profile)
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels)
-    assert sum(r.regular for r in check_regularity(profile, resolutions)) == 46
+    assert sum(r.regular for r in check_regularity(profile)) == 46
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels - 1)
     with pytest.raises(BudgetExceeded):
-        check_regularity(profile, resolutions)
+        check_regularity(profile)
 
 
 @pytest.mark.parametrize("argv, kernels", [
@@ -533,7 +531,7 @@ def test_report_cy_mode(corpus):
 def test_report_json_shape(corpus):
     p = corpus["nodal_01"]
     profile = nodal_profile(p)
-    rs = check_regularity(profile, enumerate_small_resolutions(profile))
+    rs = check_regularity(profile)
     payload = report_json_dict(transition_invariants(p, profile), resolutions=rs)
     for key in ("N", "k", "e_res", "e_sm", "b2_res", "b2_sm", "b3_sm",
                 "degree", "smoothable", "mode"):

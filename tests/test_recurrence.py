@@ -74,17 +74,24 @@ def test_validation_errors():
         find_recurrence(seq, rmax=0, degree_max=1)
     with pytest.raises(ValueError):
         find_recurrence(seq, rmax=1, degree_max=-1)
-    with pytest.raises(ValueError):
-        find_recurrence(seq, rmax=1, degree_max=1, holdout=0)
-    with pytest.raises(ValueError):
-        find_recurrence(seq, rmax=1, degree_max=1, stride=0)
 
 
 def test_stride_subsamples():
     # on every second term, 4^d becomes 16^m
-    rec = find_recurrence([4 ** d for d in range(32)], rmax=1, degree_max=0, stride=2)
+    rec = find_recurrence([4 ** d for d in range(32)][::2], rmax=1, degree_max=0)
     assert rec is not None
     assert rec.coeffs == ((-16,), (1,))
+
+
+def test_least_length_is_the_largest_cell_plus_holdout():
+    # the (2, 1) cell has 6 unknowns; 2 + 6 + HOLDOUT terms are the least
+    # a search accepts, and the message names the constant
+    seq = [2 ** d for d in range(13)]
+    assert recurrence.HOLDOUT == 5
+    assert find_recurrence(seq, rmax=2, degree_max=1).coeffs == ((-2,), (1,))
+    with pytest.raises(InsufficientData, match="12 terms provided; the "
+                       r"\(2, 1\) search with holdout 5 needs at least 13"):
+        find_recurrence(seq[:12], rmax=2, degree_max=1)
 
 
 def test_normalization_content_and_sign():
@@ -163,7 +170,7 @@ def test_benchmark_searches_are_pinned(golden):
     assert [CLOSED_FORM_PERIODS["p2xp1"](d) for d in range(len(p2xp1))] == p2xp1
     for stem, length, rmax, degree_max, stride, cell, coeffs in PINNED_SEARCHES:
         seq = [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)]
-        rec = find_recurrence(seq, rmax, degree_max, stride=stride)
+        rec = find_recurrence(seq[::stride], rmax, degree_max)
         if cell is None:
             assert rec is None, stem
         else:
@@ -208,9 +215,9 @@ def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
     }
     for stem, seq, rmax, degree_max, stride in searches:
         solved_cells.clear()
-        rec = find_recurrence(seq, rmax, degree_max, stride=stride)
+        rec = find_recurrence(seq[::stride], rmax, degree_max)
         assert solved_cells == expected[stem], stem
-        assert rec == find_recurrence_unscreened(seq, rmax, degree_max, stride=stride)
+        assert rec == find_recurrence_unscreened(seq[::stride], rmax, degree_max)
 
 
 def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
@@ -300,15 +307,15 @@ def _outcome(search, *args, **kwargs):
         return type(exc), str(exc)
 
 
-@given(SEQUENCES, st.integers(1, 3), st.integers(0, 3), st.integers(1, 6),
-       st.integers(1, 2), st.integers(-3, 10))
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 3), st.integers(1, 2),
+       st.integers(-7, 11))
 @settings(max_examples=200, deadline=None)
-def test_screened_search_equals_unscreened(seq, rmax, degree_max, holdout, stride, extra):
+def test_screened_search_equals_unscreened(seq, rmax, degree_max, stride, extra):
     # the sequence is cut to a length near the least the caps accept, so
     # InsufficientData is raised on a share of the draws
-    needed = (rmax + 1) * (degree_max + 1) + rmax + holdout
-    seq = seq[: stride * (needed + extra)]
-    args = (seq, rmax, degree_max, holdout, stride)
+    needed = (rmax + 1) * (degree_max + 1) + rmax + recurrence.HOLDOUT
+    seq = seq[::stride][: needed + extra]
+    args = (seq, rmax, degree_max)
     solved = []
     with mock.patch.object(recurrence, "_solve_cell", _logging_solver(solved)):
         screened = _outcome(find_recurrence, *args)
@@ -321,7 +328,7 @@ def test_screened_search_equals_unscreened(seq, rmax, degree_max, holdout, strid
     stop = max(tried) if screened is not None else (rmax, degree_max)
     for cell in product(range(1, rmax + 1), range(degree_max + 1)):
         if cell <= stop and cell not in tried:
-            assert _solve_cell(seq[::stride], *cell) is None, cell
+            assert _solve_cell(seq, *cell) is None, cell
 
 
 def test_str_rendering():
