@@ -7,18 +7,21 @@ common denominator L and scaled back by 1/L, so ``Fraction`` appears only
 in the vertices, levels and volumes of rational polytopes.  Hulls are
 computed by exhaustive supporting-hyperplane enumeration: the normal of
 a dim-subset of points is the single vector of ``linalg.kernel_basis`` of
-its difference rows (none when the subset is degenerate), and the
-hyperplane is kept when no point lies strictly on each side.  Each
-distinct hyperplane is tested once: after its n-point scan every
-dim-subset of the points on it is marked seen and skipped.  That costs
-one elimination of dim - 1 rows and one n-point scan per distinct
-hyperplane, at most C(n, dim) of each, and is entirely robust, which is
-the right trade at the scale this package targets (tens of points,
-ambient dimension 2 to 4); ``HULL_WORK_BUDGET`` refuses larger inputs
-before the scan.  Vertices come from facet
-incidence: a point is a vertex iff no other point lies on every facet
-through it, because those facets cut out the least face that contains it
-(Ziegler, Lectures on Polytopes, 1995).
+its difference rows (none when the subset is degenerate), the points are
+scanned with that vector as it comes, and the hyperplane is kept when no
+point lies strictly on each side; only then is the normal reduced to the
+primitive inward one, once per facet.  Each distinct hyperplane is
+tested once: after its n-point scan every dim-subset of the points on it
+is marked seen and skipped.  That costs one elimination of dim - 1 rows
+and one n-point scan per distinct hyperplane, at most C(n, dim) of each,
+and is entirely robust, which is the right trade at the scale this
+package targets (tens of points, ambient dimension 2 to 4);
+``HULL_WORK_BUDGET`` refuses larger inputs before the scan.  Vertices
+come from facet incidence: a point is a vertex iff no other point lies on
+every facet through it, because those facets cut out the least face that
+contains it (Ziegler, Lectures on Polytopes, 1995).  No hull reads a
+determinant: ``linalg.det``, like ``linalg.max_slack``, serves only
+oracles, here ``normalized_volume``.
 
 Canonical ordering, used everywhere: polytope vertices sorted
 lexicographically, facets sorted lexicographically by primitive inward
@@ -62,15 +65,6 @@ def matvec(m, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
 
-def primitive(vec) -> Vec:
-    """The primitive integer vector on the ray of a nonzero integer
-    vector."""
-    g = gcd(*vec)
-    if g == 0:
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in vec)
-
-
 def _affine_rank(points: list) -> int:
     if len(points) <= 1:
         return 0
@@ -85,9 +79,14 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     Assumes the points affinely span the ambient space.  A hyperplane
     supports the hull iff every point sits on one side of it; the facet is
     the full equality set, so non-simplicial facets come out whole.  Each
-    distinct hyperplane costs one elimination and one n-point scan, after
-    which every dim-subset of its equality set is skipped, so a conifold
-    square is tested once rather than once per triple of its corners.
+    distinct hyperplane costs one elimination and one n-point scan with
+    the kernel vector w as it comes (a common factor of w scales every
+    value alike, so the sides and the equality set are those of the
+    primitive normal), after which every dim-subset of its equality set
+    is skipped, so a conifold square is tested once rather than once per
+    triple of its corners.  A supporting w, with c its value on the
+    subset, is divided by g = gcd(w), negated when c is the largest
+    value, and c by the same g.
     Raises BudgetExceeded, before the scan, when C(n, dim) * n point tests
     or the entry updates of C(n, dim) eliminations (dim - 1 pivots, each
     updating dim - 2 rows of dim entries) pass the budget: the scan makes
@@ -108,13 +107,14 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
             continue
         base = points[subset[0]]
         kernel = linalg.kernel_basis(
-            [list(vsub(points[i], base)) for i in subset[1:]], ncols=dim
+            [[a - b for a, b in zip(points[i], base)] for i in subset[1:]],
+            ncols=dim,
         )
         if len(kernel) != 1:  # the subset spans less than a hyperplane
             continue
-        u = primitive(kernel[0])
-        c = dot(u, base)
-        vals = [dot(u, p) for p in points]
+        w = kernel[0]
+        vals = [sum(map(mul, w, p)) for p in points]
+        c = vals[subset[0]]
         on = tuple(i for i, v in enumerate(vals) if v == c)
         if len(on) > dim:
             seen.update(combinations(on, dim))
@@ -122,10 +122,8 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
         if lo < c < hi:
             continue
         assert lo < hi, "input not full-dimensional"
-        if lo < c:  # flip so the normal points inward
-            u = tuple(-a for a in u)
-            c = -c
-        found[(u, c)] = on
+        g = gcd(*w) if c == lo else -gcd(*w)  # negative flips w inward
+        found[(tuple(x // g for x in w), c // g)] = on
     return [(u, c, idx) for (u, c), idx in sorted(found.items())]
 
 

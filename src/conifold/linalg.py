@@ -3,17 +3,19 @@
 Everything here is dense, small and exact, and takes integer rows only.
 There are two eliminations, both fraction-free (Bareiss 1968):
 ``integer_rref``, the Gauss-Jordan reduction from which integer kernel
-bases and determinants are read, and the cheaper forward-only
-``pivot_columns``, whose pivots ``rank`` counts.  ``rank_by_minors`` is an
-independent rank computation through maximal nonzero minors.  No floating
-point is ever produced or consumed, and no ``Fraction`` outside the
-simplex below.
+bases are read, and the cheaper forward-only ``pivot_columns``, whose
+pivots ``rank`` counts.  ``rank_by_minors`` is an independent rank
+computation through maximal nonzero minors.  No floating point is ever
+produced or consumed, and no ``Fraction`` outside the simplex below.
 
-``max_slack`` and ``strictly_feasible``, a tiny exact tableau simplex,
-are on no production path: ``nodal.check_regularity`` decides strict
-feasibility by the signed circuits of its matrix, and the simplex stays
-only as the oracle that the tests and ``scripts/build_corpus.py`` hold
-that test to.
+``det``, the last pivot of ``integer_rref``, and ``max_slack`` and
+``strictly_feasible``, a tiny exact tableau simplex, are on no production
+path.  The nodal layer takes its 3x3 determinants as triple products
+(``nodal._det3``), and ``det`` serves only the oracles: the wall LP
+(``nodal._wall_rows``), ``lattice.normalized_volume``, ``rank_by_minors``
+and the tests.  ``nodal.check_regularity`` decides strict feasibility by
+the signed circuits of its matrix, and the simplex stays only as the
+oracle that the tests and ``scripts/build_corpus.py`` hold that test to.
 """
 
 from __future__ import annotations

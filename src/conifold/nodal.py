@@ -14,6 +14,11 @@ facet lies at lattice distance 1 from the origin, so |det(a, b, c)| is the
 normalized area of the triangle abc in the facet's plane; by Pick's
 theorem a triangle of area 1 holds no lattice point besides its vertices,
 and a parallelogram made of two such halves holds none besides its four.
+Every 3x3 determinant on a command path, here and in the degree below,
+is the closed-form triple product a . (b x c) (``_det3``); the general
+elimination ``linalg.det``, like ``linalg.max_slack``, serves only
+oracles, among them the wall rows of ``is_regular_triangulation``, which
+thus stay independent of ``_det3``.
 
 A resolution is projective exactly when its triangulation is regular:
 some height vector on the vertices bends strictly across every interior
@@ -158,8 +163,17 @@ class SmoothingMode(Enum):
     CY = "cy"
 
 
+def _det3(a, b, c) -> int:
+    """det of the 3x3 matrix with rows a, b, c: the triple product
+    a . (b x c)."""
+    b0, b1, b2 = b
+    c0, c1, c2 = c
+    return (a[0] * (b1 * c2 - b2 * c1) + a[1] * (b2 * c0 - b0 * c2)
+            + a[2] * (b0 * c1 - b1 * c0))
+
+
 def _triangle_unimodular(a, b, c) -> bool:
-    return abs(linalg.det([list(a), list(b), list(c)])) == 1
+    return abs(_det3(a, b, c)) == 1
 
 
 def classify_facet(facet: Facet) -> FacetClass:
@@ -444,13 +458,13 @@ def transition_invariants(
     b2_sm = b2_res - k
     b3_sm = 2 * (n - k)
     # c_v may be any vertex of Q_v: the normal of any facet through v
-    corner = {v: list(f.normal) for f in p.facets for v in f.vertices}
+    corner = {v: f.normal for f in p.facets for v in f.vertices}
     degree = 0
     for f, g in combinations(p.facets, 2):
         edge = set(f.vertices) & set(g.vertices)
         if len(edge) == 2:
             for v in edge:
-                degree += abs(linalg.det([corner[v], list(f.normal), list(g.normal)]))
+                degree += abs(_det3(corner[v], f.normal, g.normal))
     smoothable, _cert = friedman_smoothable(profile, mode)
     return TransitionReport(
         node_count=n,

@@ -1,17 +1,18 @@
 """Shared hypothesis strategies for geometry tests, the reference period
-engine, subset hull scan, Fraction elimination, unscreened recurrence
-search and arrangement region count the fast ones are checked against,
-and closed forms of four bundled period sequences."""
+engine, subset hull scan (with its ``primitive`` normals), Fraction
+elimination, unscreened recurrence search and arrangement region count
+the fast ones are checked against, and closed forms of four bundled
+period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from hypothesis import strategies as st
 
 from conifold import linalg
 from conifold.errors import InsufficientData
-from conifold.lattice import dot, primitive, vsub
+from conifold.lattice import dot, vsub
 from conifold.laurent import LaurentPolynomial
 from conifold.recurrence import HOLDOUT, Recurrence, _solve_cell, verify_recurrence
 
@@ -24,6 +25,15 @@ def iterated_periods(w, dmax):
         power = power * w
         cs.append(power.constant_term())
     return cs
+
+
+def primitive(vec) -> tuple:
+    """The primitive integer vector on the ray of a nonzero integer
+    vector."""
+    g = gcd(*vec)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in vec)
 
 
 def hull_facets_by_subsets(points: list, dim: int) -> list:

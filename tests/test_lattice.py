@@ -1,5 +1,6 @@
 """Convex hulls, reflexivity, polar duals, and normalized volumes."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conifold.errors import (
+    BudgetExceeded,
     EmptyInput,
     NotFullDimensional,
     OriginNotInterior,
@@ -374,6 +376,22 @@ def test_hull_scan_matches_the_subset_scan(case):
     assert_hull_scan_matches_subset_scan(pts, dim)
 
 
+@given(st.one_of(spliced_point_sets(), small_span_point_sets()))
+@settings(max_examples=300, deadline=None)
+def test_hull_normals_are_primitive_and_cut_out_their_facets(case):
+    # the scan reduces each kernel vector only once it supports the hull;
+    # the 2n-scaled sets have kernel vectors with a common factor
+    dim, pts = case
+    pts = sorted(set(pts))
+    if _affine_rank(pts) < dim:
+        return
+    for u, c, on in _hull_facets(pts, dim):
+        assert gcd(*u) == 1
+        vals = [dot(u, p) for p in pts]
+        assert all(v >= c for v in vals)
+        assert on == tuple(i for i, v in enumerate(vals) if v == c)
+
+
 @given(unimodular_matrices(dim=3))
 @settings(max_examples=25, deadline=None)
 def test_hull_scan_matches_the_subset_scan_on_corpus_images(corpus, m):
@@ -415,10 +433,25 @@ def test_hull_budget_in_low_dimension_counts_point_tests_only(monkeypatch, dim, 
     # budget whenever the point tests do, so the largest admitted point set
     # is the one C(n, dim) * n allows; the stub kernel makes the scan free
     from conifold import lattice
-    from conifold.errors import BudgetExceeded
 
     monkeypatch.setattr(lattice.linalg, "kernel_basis", lambda rows, ncols: [])
     points = [tuple(i ** k for k in range(1, dim + 1)) for i in range(largest + 1)]
     assert lattice._hull_facets(points[:largest], dim) == []
     with pytest.raises(BudgetExceeded, match="point tests"):
         lattice._hull_facets(points, dim)
+
+
+def test_hull_budget_edge_on_the_moment_curve():
+    # 50 points are the most the point tests admit in dimension 3
+    # (C(50, 3) * 50 = 980,000); on the moment curve every triple spans a
+    # plane, so all of them are scanned, and the hull is the cyclic
+    # polytope with 2(50 - 2) facets.  One point more is refused before
+    # any scan.
+    curve = [(t, t * t, t**3) for t in range(51)]
+    start = time.perf_counter()
+    assert len(convex_hull(curve[:50]).facets) == 96
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="point tests"):
+        convex_hull(curve)
+    assert time.perf_counter() - start < 0.1

@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -53,6 +53,36 @@ def left_kernel(rows):
     # the basis NodalProfile.left_kernel holds, for any relation matrix
     basis = linalg.kernel_basis([list(col) for col in zip(*rows)], ncols=len(rows))
     return tuple(map(tuple, basis))
+
+
+# ------------------------------------------------------- determinants
+
+# entries up to 10^12 in absolute value, with small ones mixed in so that
+# singular matrices come up on their own
+det_entries = st.one_of(st.integers(-(10**12), 10**12), st.integers(-2, 2))
+
+
+@given(st.lists(st.tuples(det_entries, det_entries, det_entries), min_size=3,
+                max_size=3),
+       st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_triple_product_equals_the_elimination_determinant(rows, s, t):
+    # linalg.det, the last Bareiss pivot, is the oracle; a row that is
+    # s * a + t * b makes the matrix singular wherever it stands
+    a, b, c = rows
+    dep = tuple(s * x + t * y for x, y in zip(a, b))
+    for m in ((a, b, c), (dep, a, b), (a, dep, b), (a, b, dep)):
+        assert nodal._det3(*m) == linalg.det([list(r) for r in m])
+
+
+@given(unimodular_matrices(dim=3))
+@settings(max_examples=20, deadline=None)
+def test_triple_product_equals_the_elimination_on_corpus_facets(corpus, m):
+    for p in corpus.values():
+        for q in (p, p.transform(m)):
+            for f in q.facets:
+                for tri in combinations(f.vertices, 3):
+                    assert nodal._det3(*tri) == linalg.det([list(v) for v in tri])
 
 
 # ------------------------------------------------------- classification
