@@ -65,6 +65,8 @@ from conifold.recurrence import find_recurrence, verify_recurrence
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "conifold" / "data"
 
 DB_DMAX = 10
+# the keys of the transition report that each golden entry keeps
+INVARIANT_KEYS = ("N", "k", "degree", "e_res", "e_sm", "b2_res", "b2_sm", "b3_sm")
 ORACLE_CROSS_CHECK_DMAX = 8
 
 # (polytope file stem, database record name, vertex list, expected node count)
@@ -202,10 +204,10 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
         verify_square_is_local_model(cycle)
 
     report = transition_invariants(p, profile, SmoothingMode.FANO)
-    check(report.e_sm == 2 + 2 * report.b2_sm - report.b3_sm,
+    check(report["e_sm"] == 2 + 2 * report["b2_sm"] - report["b3_sm"],
           f"{name}: Euler/Betti bookkeeping identity failed")
     dual_volume = normalized_volume(polar_dual(p))
-    check(dual_volume == report.degree, f"{name}: degree disagrees with dual volume")
+    check(dual_volume == report["degree"], f"{name}: degree disagrees with dual volume")
 
     resolutions = check_regularity(profile)
     check(len(resolutions) == 2 ** profile.node_count,
@@ -235,17 +237,10 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     return {
         "polytope": p,
         "vertices": [list(v) for v in p.vertices],
-        "N": profile.node_count,
-        "k": report.relation_rank,
-        "degree": report.degree,
-        "e_res": report.e_res,
-        "e_sm": report.e_sm,
-        "b2_res": report.b2_res,
-        "b2_sm": report.b2_sm,
-        "b3_sm": report.b3_sm,
+        **{key: report[key] for key in INVARIANT_KEYS},
         "resolution_count": len(resolutions),
         "regular_count": regular_count,
-        "smoothable_fano": report.smoothable,
+        "smoothable_fano": report["smoothable"],
         "smoothable_cy": cy_ok,
         "cy_certificate": None if cy_cert is None else list(cy_cert),
         "periods": list(seq),
@@ -293,17 +288,11 @@ def main() -> int:
             json.dumps({"name": stem, "vertices": result["vertices"]},
                        indent=2, sort_keys=True) + "\n"
         )
-        records.append(
-            PeriodRecord(
-                name=record_name,
-                degree=result["degree"],
-                e=result["e_sm"],
-                b2=result["b2_sm"],
-                b3=result["b3_sm"],
-                period_prefix=tuple(result["periods"]),
-                provenance="computed",
-            )
-        )
+        query = {"degree": result["degree"], "e": result["e_sm"],
+                 "b2": result["b2_sm"], "b3": result["b3_sm"]}
+        records.append(PeriodRecord(record_name, **query,
+                                    period_prefix=tuple(result["periods"]),
+                                    provenance="computed"))
         del result["polytope"]
         golden["polytopes"][stem] = result
 

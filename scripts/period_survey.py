@@ -63,8 +63,8 @@ def main() -> int:
         nreg = sum(1 for r in rs if r.regular)
         seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX)
         print(
-            f"{stem:<12} {rep.node_count:>2} {rep.relation_rank:>2} "
-            f"{rep.degree:>4} {rep.e_sm:>4} {rep.b2_sm:>3} {rep.b3_sm:>3} "
+            f"{stem:<12} {rep['N']:>2} {rep['k']:>2} "
+            f"{rep['degree']:>4} {rep['e_sm']:>4} {rep['b2_sm']:>3} {rep['b3_sm']:>3} "
             f"{nreg:>4}/{len(rs):<4}  {list(seq.terms)}"
         )
 

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     WorseThanNodal,
 )
-from .fanodb import MatchCandidate, PeriodRecord, load_database, match
+from .fanodb import PeriodRecord, load_database, match
 from .lattice import (
     Facet,
     Polytope,
@@ -61,7 +61,6 @@ from .nodal import (
     NodalProfile,
     SmallResolution,
     SmoothingMode,
-    TransitionReport,
     check_regularity,
     classify_facet,
     enumerate_small_resolutions,
@@ -87,7 +86,6 @@ __all__ = [
     "FacetKind",
     "InsufficientData",
     "LaurentPolynomial",
-    "MatchCandidate",
     "NodalProfile",
     "NotFullDimensional",
     "NotReflexive",
@@ -101,7 +99,6 @@ __all__ = [
     "Recurrence",
     "SmallResolution",
     "SmoothingMode",
-    "TransitionReport",
     "WorseThanNodal",
     "check_regularity",
     "classify_facet",

@@ -88,14 +88,7 @@ def _recurrence_payload(terms, args) -> dict | None:
 def cmd_periods(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     terms = period_sequence(from_fan_polytope(p), args.dmax).terms
-    payload = {
-        "dmax": args.dmax,
-        "periods": list(terms),
-        "gw": [
-            {"d": d, "label": label, "value": value}
-            for d, label, value in gw_labeling(terms)
-        ],
-    }
+    payload = {"dmax": args.dmax, "periods": list(terms), "gw": gw_labeling(terms)}
     if args.recurrence:
         payload["recurrence"] = _recurrence_payload(terms, args)
     return payload
@@ -112,17 +105,9 @@ def cmd_match(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     report = transition_invariants(p, nodal_profile(p))
     terms = period_sequence(from_fan_polytope(p), args.dmax).terms
-    candidates = match(report, terms, load_database(args.database))
-    return {
-        "query": {
-            "degree": report.degree,
-            "e": report.e_sm,
-            "b2": report.b2_sm,
-            "b3": report.b3_sm,
-            "periods": list(terms),
-        },
-        "candidates": [c.to_json_dict() for c in candidates],
-    }
+    query = {"degree": report["degree"], "e": report["e_sm"], "b2": report["b2_sm"],
+             "b3": report["b3_sm"], "periods": list(terms)}
+    return {"query": query, "candidates": match(query, terms, load_database(args.database))}
 
 
 def cmd_resolve(args) -> dict:

@@ -8,10 +8,11 @@ sequence, e.g.::
     {"name": "P3", "degree": 64, "e": 4, "b2": 1, "b3": 0,
      "periods": [1, 0, 0, 0, 24], "provenance": "computed"}
 
-``match`` compares a transition report (the smoothing side) and a
-computed period sequence against the records: a candidate must agree
-exactly on (degree, e, b2, b3) and on every period term where the two
-sequences overlap.  All quantities are integers, so matching is exact;
+``match`` compares a query (the smoothing side of a transition report,
+under the record's names degree, e, b2, b3) and a computed period
+sequence against the records: a candidate must agree exactly on those
+four invariants and on every period term where the two sequences
+overlap.  All quantities are integers, so matching is exact;
 there is no fuzzy tolerance.  Candidates are ranked by overlap length
 (longer overlap first), ties broken by name.
 
@@ -121,44 +122,27 @@ def load_database(path) -> list[PeriodRecord]:
     return read_input(path, parse)
 
 
-@dataclass(frozen=True)
-class MatchCandidate:
-    """One database record compatible with an analyzed polytope."""
+def match(query, terms, db) -> list[dict]:
+    """Rank database records compatible with a query.
 
-    record: PeriodRecord
-    overlap: int  # number of period terms compared (and found equal)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.record.name,
-            "degree": self.record.degree,
-            "e": self.record.e,
-            "b2": self.record.b2,
-            "b3": self.record.b3,
-            "overlap": self.overlap,
-            "provenance": self.record.provenance,
-        }
-
-
-def match(report, terms, db) -> list[MatchCandidate]:
-    """Rank database records compatible with a transition report.
-
-    ``report`` supplies the smoothing-side invariants (degree, e_sm,
-    b2_sm, b3_sm); ``terms`` are the period terms c_0, c_1, ... of the fan
-    polytope's vertex Laurent polynomial.  A record survives iff all four
-    invariants agree and the period prefixes agree on their common
-    range.  Extending either sequence can only shrink the candidate
-    set, never grow it.
+    ``query`` maps the database's invariant names (degree, e, b2, b3) to
+    the smoothing side of a transition report; ``terms`` are the period
+    terms c_0, c_1, ... of the fan polytope's vertex Laurent polynomial.
+    A record survives iff all four invariants agree and the period
+    prefixes agree on their common range.  Extending either sequence can
+    only shrink the candidate set, never grow it.  Each candidate is the
+    record's JSON object with its ``overlap``, the number of period terms
+    compared (and found equal), in place of its periods.
     """
     out = []
     for rec in db:
-        if rec.degree != report.degree:
-            continue
-        if rec.e != report.e_sm or rec.b2 != report.b2_sm or rec.b3 != report.b3_sm:
+        if any(getattr(rec, f) != query[f] for f in _INVARIANTS):
             continue
         overlap = min(len(terms), len(rec.period_prefix))
         if any(terms[i] != rec.period_prefix[i] for i in range(overlap)):
             continue
-        out.append(MatchCandidate(record=rec, overlap=overlap))
-    out.sort(key=lambda c: (-c.overlap, c.record.name))
+        candidate = rec.to_json_dict()
+        del candidate["periods"]
+        out.append({**candidate, "overlap": overlap})
+    out.sort(key=lambda c: (-c["overlap"], c["name"]))
     return out

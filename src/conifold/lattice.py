@@ -61,10 +61,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def matvec(m, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
 def _affine_rank(points: list) -> int:
     if len(points) <= 1:
         return 0
@@ -156,10 +152,6 @@ class Polytope:
     dim: int
     vertices: tuple
     facets: tuple
-
-    def transform(self, matrix) -> "Polytope":
-        """Image under a unimodular matrix (rows act on column vectors)."""
-        return convex_hull([matvec(matrix, v) for v in self.vertices])
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,24 @@ Everything here is dense, small and exact, and takes integer rows only.
 There are two eliminations, both fraction-free (Bareiss 1968):
 ``integer_rref``, the Gauss-Jordan reduction from which integer kernel
 bases are read, and the cheaper forward-only ``pivot_columns``, whose
-pivots ``rank`` counts.  ``rank_by_minors`` is an independent rank
-computation through maximal nonzero minors.  No floating point is ever
-produced or consumed, and no ``Fraction`` outside the simplex below.
+pivots ``rank`` counts.  The tests hold ``rank`` to an independent rank
+through maximal nonzero minors (``tests/strategies.py``).  No floating
+point is ever produced or consumed, and no ``Fraction`` outside the
+simplex below.
 
 ``det``, the last pivot of ``integer_rref``, and ``max_slack`` and
 ``strictly_feasible``, a tiny exact tableau simplex, are on no production
 path.  The nodal layer takes its 3x3 determinants as triple products
 (``nodal._det3``), and ``det`` serves only the oracles: the wall LP
-(``nodal._wall_rows``), ``lattice.normalized_volume``, ``rank_by_minors``
-and the tests.  ``nodal.check_regularity`` decides strict feasibility by
-the signed circuits of its matrix, and the simplex stays only as the
-oracle that the tests and ``scripts/build_corpus.py`` hold that test to.
+(``nodal._wall_rows``), ``lattice.normalized_volume`` and the tests.
+``nodal.check_regularity`` decides strict feasibility by the signed
+circuits of its matrix, and the simplex stays only as the oracle that the
+tests and ``scripts/build_corpus.py`` hold that test to.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
@@ -97,15 +97,14 @@ def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:
     With R = d * RREF from ``integer_rref``, the vector of free column fc
     has d there, 0 in the other free columns and -R[r][fc] in the r-th
     pivot column, negated when d < 0: |d| times the vector with 1 at fc
-    and -RREF[r][fc] at the pivots.  With no rows at all the kernel is
-    the full space and the standard basis is returned.
+    and -RREF[r][fc] at the pivots.  With no rows at all, d = 1 and every
+    column is free, so the kernel is the full space and its basis the
+    standard one.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols is required when rows is empty")
         ncols = len(rows[0])
-    if not rows:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     reduced, pivots, d = integer_rref(rows)
     if d < 0:
         reduced, d = [[-x for x in row] for row in reduced], -d
@@ -128,25 +127,6 @@ def det(matrix: list[list[int]]) -> int:
         raise ValueError("determinant of a non-square matrix")
     _, pivots, d = integer_rref(matrix)
     return d if len(pivots) == n else 0
-
-
-def rank_by_minors(rows: list[list]) -> int:
-    """Rank as the size of the largest nonzero minor.
-
-    Exhaustive over all square submatrices, largest first; this is the slow
-    but independent cross-check for ``rank`` and only suits small matrices.
-    """
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    for size in range(min(m, n), 0, -1):
-        for ri in combinations(range(m), size):
-            for ci in combinations(range(n), size):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if det(sub) != 0:
-                    return size
-    return 0
 
 
 def max_slack(rows: list[list], nvars: int) -> Fraction:

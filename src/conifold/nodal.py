@@ -62,7 +62,10 @@ Topology bookkeeping across the transition (resolve all nodes versus
 smooth them): each node surgery trades a 2-sphere for a 3-sphere, so the
 Euler number drops by 2 per node on the smoothing side, and the second
 and third Betti numbers split according to the rank k of the matrix of
-relations among the exceptional curve classes.
+relations among the exceptional curve classes.  ``transition_invariants``
+returns these numbers as the JSON object that ``conifold transition``
+prints, under its keys (N, k, e_res, e_sm, ...); ``report_json_dict``
+only adds the census.
 
 The degree (-K)^3 is the normalized volume of the polar dual P*
 (Batyrev, "Dual polyhedra and mirror symmetry for Calabi-Yau
@@ -142,20 +145,6 @@ class SmallResolution:
 
     diagonals: str
     regular: bool
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    node_count: int
-    relation_rank: int
-    e_res: int
-    e_sm: int
-    b2_res: int
-    b2_sm: int
-    b3_sm: int
-    degree: int
-    smoothable: bool
-    mode: str
 
 
 class SmoothingMode(Enum):
@@ -420,8 +409,6 @@ def friedman_smoothable(profile: NodalProfile, mode: SmoothingMode = SmoothingMo
     if n == 0:
         return True, ()
     basis = profile.left_kernel
-    if not basis:
-        return False, None
     for i in range(n):
         if all(vec[i] == 0 for vec in basis):
             return False, None
@@ -439,9 +426,11 @@ def friedman_smoothable(profile: NodalProfile, mode: SmoothingMode = SmoothingMo
 
 def transition_invariants(
     p: Polytope, profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO
-) -> TransitionReport:
+) -> dict:
     """Topology of the two sides of the conifold transition, for ``profile``
-    = ``nodal_profile(p)``.
+    = ``nodal_profile(p)``, as the JSON object that ``conifold transition``
+    prints without its ``resolutions``: N nodes, relation rank k, e_res,
+    e_sm, b2_res, b2_sm, b3_sm, degree, smoothable, mode and a note.
 
     e_res counts the triangles of any small resolution (all 2^N share the
     count), b2_res = V - 3 for V boundary rays.  Smoothing all N nodes
@@ -452,11 +441,8 @@ def transition_invariants(
     """
     n = profile.node_count
     e_res = len(p.facets) + n  # F - N triangles and two halves per square
-    e_sm = e_res - 2 * n
     b2_res = len(p.vertices) - 3
     k = exceptional_relation_rank(profile)
-    b2_sm = b2_res - k
-    b3_sm = 2 * (n - k)
     # c_v may be any vertex of Q_v: the normal of any facet through v
     corner = {v: f.normal for f in p.facets for v in f.vertices}
     degree = 0
@@ -465,35 +451,27 @@ def transition_invariants(
         if len(edge) == 2:
             for v in edge:
                 degree += abs(_det3(corner[v], f.normal, g.normal))
-    smoothable, _cert = friedman_smoothable(profile, mode)
-    return TransitionReport(
-        node_count=n,
-        relation_rank=k,
-        e_res=e_res,
-        e_sm=e_sm,
-        b2_res=b2_res,
-        b2_sm=b2_sm,
-        b3_sm=b3_sm,
-        degree=degree,
-        smoothable=smoothable,
-        mode=mode.value,
-    )
-
-
-def report_json_dict(report: TransitionReport, resolutions) -> dict:
     return {
-        "N": report.node_count,
-        "k": report.relation_rank,
-        "e_res": report.e_res,
-        "e_sm": report.e_sm,
-        "b2_res": report.b2_res,
-        "b2_sm": report.b2_sm,
-        "b3_sm": report.b3_sm,
-        "degree": report.degree,
-        "smoothable": report.smoothable,
-        "mode": report.mode,
+        "N": n,
+        "k": k,
+        "e_res": e_res,
+        "e_sm": e_res - 2 * n,
+        "b2_res": b2_res,
+        "b2_sm": b2_res - k,
+        "b3_sm": 2 * (n - k),
+        "degree": degree,
+        "smoothable": friedman_smoothable(profile, mode)[0],
+        "mode": mode.value,
         "note": "b2_sm/b3_sm split is derived bookkeeping; the intrinsic "
         "statement is the Euler-number drop of 2 per node",
+    }
+
+
+def report_json_dict(report: dict, resolutions) -> dict:
+    """``report`` from ``transition_invariants`` with the census of
+    ``check_regularity`` as its ``resolutions``."""
+    return {
+        **report,
         "resolutions": [
             {"diagonals": r.diagonals, "regular": r.regular} for r in resolutions
         ],

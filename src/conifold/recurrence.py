@@ -219,15 +219,13 @@ def verify_recurrence(rec: Recurrence, terms) -> bool:
     )
 
 
-def gw_labeling(terms) -> list[tuple[int, str | None, int]]:
+def gw_labeling(terms) -> list[dict]:
     """Label the terms of a period sequence as one-pointed genus-zero
-    descendant invariants: degree d >= 2 carries the label
-    "<psi^(d-2)[pt]>_{0,1,d}"; d = 0 and 1 stay unlabeled."""
+    descendant invariants, one ``{"d", "label", "value"}`` row per term:
+    degree d >= 2 carries the label "<psi^(d-2)[pt]>_{0,1,d}"; d = 0 and
+    1 stay unlabeled (label None)."""
     out = []
     for d, value in enumerate(terms):
-        if d < 2:
-            out.append((d, None, value))
-        else:
-            label = f"⟨ψ{_sup(d - 2)}[pt]⟩_{{0,1,{d}}}"
-            out.append((d, label, value))
+        label = f"⟨ψ{_sup(d - 2)}[pt]⟩_{{0,1,{d}}}" if d >= 2 else None
+        out.append({"d": d, "label": label, "value": value})
     return out

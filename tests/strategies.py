@@ -1,8 +1,8 @@
 """Shared hypothesis strategies for geometry tests, the reference period
 engine, subset hull scan (with its ``primitive`` normals), Fraction
-elimination, unscreened recurrence search and arrangement region count
-the fast ones are checked against, and closed forms of four bundled
-period sequences."""
+elimination, rank by minors, unscreened recurrence search and arrangement
+region count the fast ones are checked against, the image of a polytope
+under a matrix, and closed forms of four bundled period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conifold import linalg
 from conifold.errors import InsufficientData
-from conifold.lattice import dot, vsub
+from conifold.lattice import convex_hull, dot, vsub
 from conifold.laurent import LaurentPolynomial
 from conifold.recurrence import HOLDOUT, Recurrence, _solve_cell, verify_recurrence
 
@@ -25,6 +25,12 @@ def iterated_periods(w, dmax):
         power = power * w
         cs.append(power.constant_term())
     return cs
+
+
+def transform(p, m):
+    """The image of polytope ``p`` under the integer matrix ``m`` (rows act
+    on column vectors), hulled afresh."""
+    return convex_hull([tuple(dot(row, v) for row in m) for v in p.vertices])
 
 
 def primitive(vec) -> tuple:
@@ -138,6 +144,26 @@ def row_reduce(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat, pivots
+
+
+def rank_by_minors(rows: list[list]) -> int:
+    """Rank as the size of the largest nonzero minor.
+
+    Exhaustive over all square submatrices, largest first; this is the slow
+    but independent cross-check for ``linalg.rank`` and only suits small
+    matrices.
+    """
+    m = len(rows)
+    if m == 0:
+        return 0
+    n = len(rows[0])
+    for size in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), size):
+            for ci in combinations(range(n), size):
+                sub = [[rows[i][j] for j in ci] for i in ri]
+                if linalg.det(sub) != 0:
+                    return size
+    return 0
 
 
 def fraction_kernel_basis(rows, ncols):

@@ -16,7 +16,6 @@ from conifold import (
     SmoothingMode,
     check_regularity,
     classify_facet,
-    convex_hull,
     enumerate_small_resolutions,
     exceptional_relation_matrix,
     find_recurrence,
@@ -30,9 +29,9 @@ from conifold import (
     transition_invariants,
     verify_recurrence,
 )
-from conifold.linalg import rank, rank_by_minors
+from conifold.linalg import rank
 from conifold.nodal import resolution_triangles
-from strategies import CLOSED_FORM_PERIODS, iterated_periods
+from strategies import CLOSED_FORM_PERIODS, iterated_periods, rank_by_minors, transform
 
 ALL_STEMS = ("p3", "octahedron", "p2xp1", "nodal_01", "nodal_02", "nodal_03")
 
@@ -94,14 +93,6 @@ def _random_unimodular(rng):
     return m
 
 
-def _transform(m, p):
-    moved = [
-        tuple(sum(m[r][c] * v[c] for c in range(3)) for r in range(3))
-        for v in p.vertices
-    ]
-    return convex_hull(moved)
-
-
 def _kind_counts(p):
     return sorted(classify_facet(f).kind.value for f in p.facets)
 
@@ -127,7 +118,7 @@ def test_facet_classification_is_unimodular_invariant(corpus):
     for poly in (square_poly, tri_poly):
         reference = _kind_counts(poly)
         for _ in range(100):
-            assert _kind_counts(_transform(_random_unimodular(rng), poly)) == reference
+            assert _kind_counts(transform(poly, _random_unimodular(rng))) == reference
     print("\nPASS: facet classification fixed under 100 random unimodular "
           "changes of lattice basis per polytope")
 
@@ -140,8 +131,8 @@ def test_small_resolution_census(corpus, nodal_stems):
         res = enumerate_small_resolutions(profile)
         assert len(res) == 2 ** profile.node_count
         counts = {len(resolution_triangles(p, profile, r)) for r in res}
-        assert counts == {rep.e_res}
-        assert rep.e_sm == rep.e_res - 2 * rep.node_count
+        assert counts == {rep["e_res"]}
+        assert rep["e_sm"] == rep["e_res"] - 2 * rep["N"]
         assert len(set(res)) == len(res)
         assert all(len(r) == profile.node_count and set(r) <= {"0", "1"} for r in res)
     print("\nPASS: every nodal polytope has exactly 2^N small resolutions "
@@ -165,12 +156,12 @@ def test_topological_bookkeeping(corpus):
         p = corpus[stem]
         profile = nodal_profile(p)
         rep = transition_invariants(p, profile)
-        assert rep.e_sm == 2 + 2 * rep.b2_sm - rep.b3_sm, stem
-        assert 0 <= rep.relation_rank <= rep.node_count, stem
-        assert (rep.relation_rank == 0) == (rep.node_count == 0), stem
+        assert rep["e_sm"] == 2 + 2 * rep["b2_sm"] - rep["b3_sm"], stem
+        assert 0 <= rep["k"] <= rep["N"], stem
+        assert (rep["k"] == 0) == (rep["N"] == 0), stem
         rows = profile.relations
         if rows:
-            assert rank(rows) == rank_by_minors(rows) == rep.relation_rank, stem
+            assert rank(rows) == rank_by_minors(rows) == rep["k"], stem
     print("\nPASS: Euler/Betti bookkeeping consistent on all bundled "
           "polytopes, with the relation rank confirmed two ways")
 

@@ -1,7 +1,6 @@
 """Database loading and invariant matching."""
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +8,8 @@ from conifold.errors import DuplicateName, ParseError
 from conifold.fanodb import PeriodRecord, load_database, match
 
 
-def fake_report(degree, e, b2, b3):
-    return SimpleNamespace(degree=degree, e_sm=e, b2_sm=b2, b3_sm=b3)
+def fake_query(degree, e, b2, b3):
+    return {"degree": degree, "e": e, "b2": b2, "b3": b3}
 
 
 def write_lines(tmp_path, lines, name="db.jsonl"):
@@ -107,39 +106,38 @@ DB = [
 
 
 def test_match_filters_on_invariants():
-    out = match(fake_report(48, 8, 3, 0), [1, 0, 6], DB)
-    assert [c.record.name for c in out] == ["D"]
+    out = match(fake_query(48, 8, 3, 0), [1, 0, 6], DB)
+    assert [c["name"] for c in out] == ["D"]
 
 
 def test_match_excludes_period_mismatch():
-    out = match(fake_report(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
-    assert [c.record.name for c in out] == ["A", "C"]  # B differs at d=4
+    out = match(fake_query(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
+    assert [c["name"] for c in out] == ["A", "C"]  # B differs at d=4
 
 
 def test_match_ranks_by_overlap_then_name():
-    out = match(fake_report(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
-    assert [(c.record.name, c.overlap) for c in out] == [("A", 5), ("C", 3)]
+    out = match(fake_query(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
+    assert [(c["name"], c["overlap"]) for c in out] == [("A", 5), ("C", 3)]
 
 
 def test_match_empty_db():
-    assert match(fake_report(64, 4, 1, 0), [1, 0, 0], []) == []
+    assert match(fake_query(64, 4, 1, 0), [1, 0, 0], []) == []
 
 
 def test_match_monotone_in_prefix_length():
     periods = [1, 0, 0, 0, 24, 0, 0, 0, 2520]
     prev = None
     for cut in range(len(periods) + 1):
-        names = {c.record.name for c in match(fake_report(64, 4, 1, 0),
-                                              periods[:cut], DB)}
+        names = {c["name"] for c in match(fake_query(64, 4, 1, 0),
+                                          periods[:cut], DB)}
         if prev is not None:
             assert names <= prev
         prev = names
 
 
 def test_match_candidate_json_shape():
-    (top, *_) = match(fake_report(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
-    payload = top.to_json_dict()
-    assert payload == {
+    (top, *_) = match(fake_query(64, 4, 1, 0), [1, 0, 0, 0, 24], DB)
+    assert top == {
         "name": "A", "degree": 64, "e": 4, "b2": 1, "b3": 0,
         "overlap": 5, "provenance": "user",
     }
@@ -153,7 +151,9 @@ def test_bundled_self_consistency(corpus, golden, data_dir):
     rename = {"p3": "P3", "octahedron": "P1xP1xP1", "p2xp1": "P2xP1"}
     for stem, p in corpus.items():
         report = transition_invariants(p, nodal_profile(p))
+        query = {"degree": report["degree"], "e": report["e_sm"],
+                 "b2": report["b2_sm"], "b3": report["b3_sm"]}
         terms = period_sequence(from_fan_polytope(p), golden["db_dmax"]).terms
-        out = match(report, terms, db)
+        out = match(query, terms, db)
         assert out, f"{stem}: no candidates"
-        assert out[0].record.name == rename.get(stem, stem)
+        assert out[0]["name"] == rename.get(stem, stem)

@@ -21,7 +21,6 @@ from conifold.lattice import (
     convex_hull,
     dot,
     is_reflexive,
-    matvec,
     normalized_volume,
     polar_dual,
     polytope_from_json_dict,
@@ -29,7 +28,7 @@ from conifold.lattice import (
     vsub,
 )
 from conifold.linalg import strictly_feasible
-from strategies import hull_facets_by_subsets, point_sets, unimodular_matrices
+from strategies import hull_facets_by_subsets, point_sets, transform, unimodular_matrices
 
 P3_VERTICES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -396,7 +395,8 @@ def test_hull_normals_are_primitive_and_cut_out_their_facets(case):
 @settings(max_examples=25, deadline=None)
 def test_hull_scan_matches_the_subset_scan_on_corpus_images(corpus, m):
     for p in corpus.values():
-        assert_hull_scan_matches_subset_scan([matvec(m, v) for v in p.vertices], 3)
+        assert_hull_scan_matches_subset_scan(
+            [tuple(dot(row, v) for row in m) for v in p.vertices], 3)
 
 
 @given(point_sets(dim=2, max_points=6, span=4))
@@ -413,7 +413,7 @@ def test_hull_2d_contains_input(pts):
 @settings(max_examples=100, deadline=None)
 def test_volume_and_reflexivity_are_unimodular_invariants(m):
     p = convex_hull(OCTAHEDRON)
-    q = p.transform(m)
+    q = transform(p, m)
     assert normalized_volume(q) == normalized_volume(p)
     assert is_reflexive(q)
     assert len(q.facets) == len(p.facets)
@@ -423,7 +423,7 @@ def test_volume_and_reflexivity_are_unimodular_invariants(m):
 @settings(max_examples=60, deadline=None)
 def test_dual_volume_is_unimodular_invariant(m):
     p = convex_hull(P3_VERTICES)
-    q = p.transform(m)
+    q = transform(p, m)
     assert normalized_volume(polar_dual(q)) == 64
 
 
@@ -441,15 +441,18 @@ def test_hull_budget_in_low_dimension_counts_point_tests_only(monkeypatch, dim, 
         lattice._hull_facets(points, dim)
 
 
-def test_hull_budget_edge_on_the_moment_curve():
-    # 50 points are the most the point tests admit in dimension 3
-    # (C(50, 3) * 50 = 980,000); on the moment curve every triple spans a
-    # plane, so all of them are scanned, and the hull is the cyclic
-    # polytope with 2(50 - 2) facets.  One point more is refused before
-    # any scan.
-    curve = [(t, t * t, t**3) for t in range(51)]
+@pytest.mark.parametrize("dim", [3, 4])
+def test_hull_budget_edge_on_the_moment_curve(dim):
+    # the most points the point tests admit: C(50, 3) * 50 = 980,000 in
+    # dimension 3 and C(31, 4) * 31 = 975,415 in dimension 4.  On the
+    # moment curve every dim-subset spans a hyperplane, so all of them are
+    # scanned, and the hull is the cyclic polytope, with 2(n - 2) facets in
+    # dimension 3 and n(n - 3)/2 in dimension 4.  One point more is
+    # refused before any scan.
+    admitted, facets = {3: (50, 96), 4: (31, 434)}[dim]
+    curve = [tuple(t**j for j in range(1, dim + 1)) for t in range(admitted + 1)]
     start = time.perf_counter()
-    assert len(convex_hull(curve[:50]).facets) == 96
+    assert len(convex_hull(curve[:admitted]).facets) == facets
     assert time.perf_counter() - start < 5
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="point tests"):

@@ -14,7 +14,7 @@ from conifold.laurent import (
     period_sequence,
     period_term_direct,
 )
-from strategies import iterated_periods, unimodular_matrices
+from strategies import iterated_periods, transform, unimodular_matrices
 
 P3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_PERIODS_12 = [1, 0, 0, 0, 24, 0, 0, 0, 2520, 0, 0, 0, 369600]
@@ -139,7 +139,7 @@ def test_c12_is_the_multinomial():
 @settings(max_examples=50, deadline=None)
 def test_periods_invariant_under_lattice_isomorphism(m):
     w = w_p3()
-    transformed = from_fan_polytope(convex_hull(P3).transform(m))
+    transformed = from_fan_polytope(transform(convex_hull(P3), m))
     assert period_sequence(transformed, 8).terms == period_sequence(w, 8).terms
 
 
@@ -182,5 +182,5 @@ def test_pruned_equals_unpruned_p3():
 @given(unimodular_matrices(dim=3))
 @settings(max_examples=30, deadline=None)
 def test_pruning_safe_under_lattice_isomorphism(m):
-    w = from_fan_polytope(convex_hull(P3).transform(m))
+    w = from_fan_polytope(transform(convex_hull(P3), m))
     assert list(period_sequence(w, 10).terms) == iterated_periods(w, 10)

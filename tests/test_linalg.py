@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
-from strategies import fraction_kernel_basis, row_reduce
+from strategies import fraction_kernel_basis, rank_by_minors, row_reduce
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -89,7 +89,7 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix(m):
     pivots = linalg.pivot_columns(m)
     width = len(m[0]) if m else 0
     for c in range(width + 1):
-        assert sum(p < c for p in pivots) == linalg.rank_by_minors([row[:c] for row in m])
+        assert sum(p < c for p in pivots) == rank_by_minors([row[:c] for row in m])
     assert linalg.rank(m) == len(pivots) == len(linalg.integer_rref(m)[1])
     assert pivots == linalg.integer_rref(m)[1]
 
@@ -172,7 +172,7 @@ def test_det_equals_the_leibniz_expansion(m):
 @given(matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_agrees_with_exhaustive_minors(m):
-    assert linalg.rank(m) == linalg.rank_by_minors(m)
+    assert linalg.rank(m) == rank_by_minors(m)
 
 
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3))

@@ -1,6 +1,8 @@
 """Conifold squares, small resolutions, regularity, transition reports."""
 
+import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -38,7 +40,13 @@ from conifold.nodal import (
     signed_circuits,
     transition_invariants,
 )
-from strategies import arrangement_region_count, point_sets, unimodular_matrices
+from strategies import (
+    arrangement_region_count,
+    point_sets,
+    rank_by_minors,
+    transform,
+    unimodular_matrices,
+)
 
 PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (-1, -1, -2)]
 CORPUS_STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
@@ -79,7 +87,7 @@ def test_triple_product_equals_the_elimination_determinant(rows, s, t):
 @settings(max_examples=20, deadline=None)
 def test_triple_product_equals_the_elimination_on_corpus_facets(corpus, m):
     for p in corpus.values():
-        for q in (p, p.transform(m)):
+        for q in (p, transform(p, m)):
             for f in q.facets:
                 for tri in combinations(f.vertices, 3):
                     assert nodal._det3(*tri) == linalg.det([list(v) for v in tri])
@@ -123,7 +131,7 @@ def test_classify_requires_level_minus_one():
 @given(unimodular_matrices(dim=3))
 @settings(max_examples=100, deadline=None)
 def test_classification_is_lattice_invariant(m):
-    p = convex_hull(PYRAMID).transform(m)
+    p = transform(convex_hull(PYRAMID), m)
     kinds = sorted(classify_facet(f).kind.name for f in p.facets)
     assert kinds.count("CONIFOLD_SQUARE") == 1
     assert kinds.count("SMOOTH_TRIANGLE") == len(p.facets) - 1
@@ -273,7 +281,7 @@ def test_sign_vector_regularity_matches_wall_lp(corpus):
 @settings(max_examples=20, deadline=None)
 def test_sign_vector_regularity_matches_wall_lp_on_images(corpus, m, stem, picks):
     # the wall LP is the slow side, so each image checks a few resolutions
-    p = corpus[stem].transform(m)
+    p = transform(corpus[stem], m)
     profile = nodal_profile(p)
     rs = check_regularity(profile)
     for i in picks:
@@ -340,7 +348,7 @@ def test_circuits_of_nodal_03(corpus):
         subset = [i for i in range(len(rows)) if support >> i & 1]
         assert len(subset) == 4 and plus & ~support == 0
         picked = [rows[i] for i in subset]
-        assert linalg.rank_by_minors(picked) == len(subset) - 1
+        assert rank_by_minors(picked) == len(subset) - 1
 
 
 def test_regularity_is_symmetric_under_negating_signs(corpus):
@@ -358,7 +366,7 @@ def test_regularity_is_symmetric_under_negating_signs(corpus):
 @given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS))
 @settings(max_examples=20, deadline=None)
 def test_regularity_is_symmetric_under_negating_signs_on_images(corpus, m, stem):
-    flags = regular_flags(corpus[stem].transform(m))
+    flags = regular_flags(transform(corpus[stem], m))
     assert flags == flags[::-1]
     assert sum(flags) == sum(regular_flags(corpus[stem]))
 
@@ -379,7 +387,7 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
     rows = profile.relations
-    n, k = len(rows), linalg.rank_by_minors(rows)
+    n, k = len(rows), rank_by_minors(rows)
     kernels = comb(n, n - k - 1)
     assert kernels == 6
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels)
@@ -387,6 +395,28 @@ def test_circuit_work_budget_counts_subset_kernels(corpus, monkeypatch):
     monkeypatch.setattr(nodal, "CIRCUIT_WORK_BUDGET", kernels - 1)
     with pytest.raises(BudgetExceeded):
         check_regularity(profile)
+
+
+def test_circuit_budget_edge_on_an_eight_dimensional_left_kernel():
+    # R = A . C with A n x (n - 8) and C (n - 8) x 10 random integer
+    # matrices has rank n - 8, so m = 8.  Fifteen rows take the
+    # C(15, 7) = 6,435 subset kernels the budget admits; sixteen would
+    # take C(16, 7) = 11,440 and are refused before the first.
+    rng = random.Random(8)
+    bases = {}
+    for n in (15, 16):
+        a = [[rng.randint(-3, 3) for _ in range(n - 8)] for _ in range(n)]
+        c = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(n - 8)]
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in a]
+        bases[n] = left_kernel(rows)
+        assert len(bases[n]) == 8
+    start = time.perf_counter()
+    assert signed_circuits(bases[15])
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="C\\(16, 7\\)"):
+        signed_circuits(bases[16])
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("argv, kernels", [
@@ -439,7 +469,7 @@ def test_relation_matrix_is_eliminated_once(corpus, corpus_paths, data_dir,
 @given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS), point_sets(span=2))
 @settings(max_examples=50, deadline=None)
 def test_classified_facets_hold_no_lattice_points_but_vertices(corpus, m, stem, pts):
-    polytopes = [corpus[stem], corpus[stem].transform(m)]
+    polytopes = [corpus[stem], transform(corpus[stem], m)]
     try:
         polytopes.append(convex_hull(pts))
     except NotFullDimensional:
@@ -475,7 +505,7 @@ def test_relation_rank_cross_checked_by_minors(corpus, golden):
         rows = profile.relations
         k = exceptional_relation_rank(profile)
         assert k == golden["polytopes"][stem]["k"]
-        assert k == linalg.rank_by_minors([list(r) for r in rows])
+        assert k == rank_by_minors([list(r) for r in rows])
 
 
 def test_friedman_fano_mode_always_smoothable(corpus):
@@ -528,34 +558,34 @@ def test_reports_match_golden(corpus, golden):
     for stem, p in corpus.items():
         g = golden["polytopes"][stem]
         rep = transition_invariants(p, nodal_profile(p), SmoothingMode.FANO)
-        assert rep.node_count == g["N"]
-        assert rep.relation_rank == g["k"]
-        assert rep.degree == g["degree"]
-        assert rep.e_res == g["e_res"]
-        assert rep.e_sm == g["e_sm"]
-        assert rep.b2_res == g["b2_res"]
-        assert rep.b2_sm == g["b2_sm"]
-        assert rep.b3_sm == g["b3_sm"]
-        assert rep.smoothable is True
+        assert rep["N"] == g["N"]
+        assert rep["k"] == g["k"]
+        assert rep["degree"] == g["degree"]
+        assert rep["e_res"] == g["e_res"]
+        assert rep["e_sm"] == g["e_sm"]
+        assert rep["b2_res"] == g["b2_res"]
+        assert rep["b2_sm"] == g["b2_sm"]
+        assert rep["b3_sm"] == g["b3_sm"]
+        assert rep["smoothable"] is True
 
 
 def test_report_bookkeeping_identities(corpus):
     for p in corpus.values():
         rep = transition_invariants(p, nodal_profile(p))
-        assert rep.e_sm == rep.e_res - 2 * rep.node_count
-        assert rep.e_sm == 2 + 2 * rep.b2_sm - rep.b3_sm
-        assert rep.b2_res == len(p.vertices) - 3
-        assert 0 <= rep.relation_rank <= rep.node_count
-        assert (rep.relation_rank == 0) == (rep.node_count == 0)
+        assert rep["e_sm"] == rep["e_res"] - 2 * rep["N"]
+        assert rep["e_sm"] == 2 + 2 * rep["b2_sm"] - rep["b3_sm"]
+        assert rep["b2_res"] == len(p.vertices) - 3
+        assert 0 <= rep["k"] <= rep["N"]
+        assert (rep["k"] == 0) == (rep["N"] == 0)
 
 
 def test_report_cy_mode(corpus):
     p = corpus["nodal_03"]
     rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
-    assert rep.mode == "cy" and rep.smoothable is True
+    assert rep["mode"] == "cy" and rep["smoothable"] is True
     p = corpus["nodal_01"]
     rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
-    assert rep.smoothable is False
+    assert rep["smoothable"] is False
 
 
 def test_report_json_shape(corpus):
@@ -575,8 +605,8 @@ def test_report_json_shape(corpus):
 @given(unimodular_matrices(dim=3), st.sampled_from(CORPUS_STEMS))
 @settings(max_examples=30, deadline=None)
 def test_degree_is_the_dual_volume_on_images(corpus, m, stem):
-    q = corpus[stem].transform(m)
-    degree = transition_invariants(q, nodal_profile(q)).degree
+    q = transform(corpus[stem], m)
+    degree = transition_invariants(q, nodal_profile(q))["degree"]
     assert degree == normalized_volume(polar_dual(q))
 
 
@@ -590,7 +620,7 @@ def test_degree_obeys_riemann_roch(corpus):
                for j in range(3)]
         counts[stem] = sum(all(dot(u, v) >= -1 for v in p.vertices)
                            for u in product(*box))
-        degree = transition_invariants(p, nodal_profile(p)).degree
+        degree = transition_invariants(p, nodal_profile(p))["degree"]
         assert degree == 2 * (counts[stem] - 3), stem
     assert counts == {"nodal_01": 30, "nodal_02": 26, "nodal_03": 19,
                       "octahedron": 27, "p2xp1": 30, "p3": 35}
@@ -600,14 +630,14 @@ def test_degree_obeys_riemann_roch(corpus):
 @settings(max_examples=50, deadline=None)
 def test_report_is_lattice_invariant(m):
     p = convex_hull(PYRAMID)
-    q = p.transform(m)
+    q = transform(p, m)
     a = transition_invariants(p, nodal_profile(p))
     b = transition_invariants(q, nodal_profile(q))
-    assert (a.node_count, a.relation_rank, a.degree, a.e_sm, a.b2_sm, a.b3_sm) == (
-        b.node_count,
-        b.relation_rank,
-        b.degree,
-        b.e_sm,
-        b.b2_sm,
-        b.b3_sm,
+    assert (a["N"], a["k"], a["degree"], a["e_sm"], a["b2_sm"], a["b3_sm"]) == (
+        b["N"],
+        b["k"],
+        b["degree"],
+        b["e_sm"],
+        b["b2_sm"],
+        b["b3_sm"],
     )

@@ -338,9 +338,9 @@ def test_str_rendering():
 
 def test_gw_labeling():
     labels = gw_labeling([1, 0, 0, 0, 24])
-    assert labels[0] == (0, None, 1)
-    assert labels[1] == (1, None, 0)
-    d, label, value = labels[4]
+    assert labels[0] == {"d": 0, "label": None, "value": 1}
+    assert labels[1] == {"d": 1, "label": None, "value": 0}
+    d, label, value = labels[4]["d"], labels[4]["label"], labels[4]["value"]
     assert (d, value) == (4, 24)
     assert "ψ²" in label and "{0,1,4}" in label
 

@@ -63,10 +63,10 @@ def test_root_polytope_invariants(stem):
     profile = nodal_profile(p)
     report = transition_invariants(p, profile)
     assert (len(p.vertices), len(p.facets), profile.node_count) == (v, f, n)
-    assert exceptional_relation_rank(profile) == report.relation_rank == k
-    assert report.e_res == f + n
+    assert exceptional_relation_rank(profile) == report["k"] == k
+    assert report["e_res"] == f + n
     dual = polar_dual(p)
-    assert report.degree == normalized_volume(dual) == degree
+    assert report["degree"] == normalized_volume(dual) == degree
     # Riemann-Roch on the toric Fano threefold: h^0(-K) = (-K)^3 / 2 + 3
     assert lattice_point_count(dual) == degree // 2 + 3
 
