@@ -5,18 +5,22 @@ exact integer arithmetic; no floating point enters this module.  A
 rational point set (a polar dual) is hulled as its points times their
 common denominator L and scaled back by 1/L, so ``Fraction`` appears only
 in the vertices, levels and volumes of rational polytopes.  Hulls are
-computed by exhaustive supporting-hyperplane enumeration: the normal of
-a dim-subset of points is the single vector of ``linalg.kernel_basis`` of
-its difference rows (none when the subset is degenerate), the points are
-scanned with that vector as it comes, and the hyperplane is kept when no
-point lies strictly on each side; only then is the normal reduced to the
-primitive inward one, once per facet.  Each distinct hyperplane is
-tested once: after its n-point scan every dim-subset of the points on it
-is marked seen and skipped.  That costs one elimination of dim - 1 rows
-and one n-point scan per distinct hyperplane, at most C(n, dim) of each,
-and is entirely robust, which is the right trade at the scale this
-package targets (tens of points, ambient dimension 2 to 4);
-``HULL_WORK_BUDGET`` refuses larger inputs before the scan.  Vertices
+computed by exhaustive supporting-hyperplane enumeration.  The normal of
+a triple abc of points in dimension 3 is the cross product
+(b - a) x (c - a) (``cross``), zero exactly when the triple is
+collinear; in any other dimension it is the single vector of
+``linalg.kernel_basis`` of the subset's difference rows (none when the
+subset is degenerate).  The points are scanned with that vector as it
+comes, and the hyperplane is kept when no point lies strictly on each
+side; only then is the normal reduced to the primitive inward one, once
+per facet.  Each distinct hyperplane is tested once: after its n-point
+scan every dim-subset of the points on it is marked seen and skipped.
+That costs one normal and one n-point scan per distinct hyperplane, at
+most C(n, dim) of each, and is entirely robust, which is the right trade
+at the scale this package targets (tens of points, ambient dimension 2
+to 4); ``HULL_WORK_BUDGET`` refuses larger inputs before the scan, by
+point tests and, for the eliminations of the kernel normals, by entry
+updates (see ``_hull_facets``).  Vertices
 come from facet incidence: a point is a vertex iff no other point lies on
 every facet through it, because those facets cut out the least face that
 contains it (Ziegler, Lectures on Polytopes, 1995).  No hull reads a
@@ -61,6 +65,14 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
+def cross(u: Vec, v: Vec) -> Vec:
+    """The cross product u x v of two 3-vectors: orthogonal to both, and
+    zero exactly when they are linearly dependent."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+
+
 def _affine_rank(points: list) -> int:
     if len(points) <= 1:
         return 0
@@ -75,18 +87,26 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     Assumes the points affinely span the ambient space.  A hyperplane
     supports the hull iff every point sits on one side of it; the facet is
     the full equality set, so non-simplicial facets come out whole.  Each
-    distinct hyperplane costs one elimination and one n-point scan with
-    the kernel vector w as it comes (a common factor of w scales every
-    value alike, so the sides and the equality set are those of the
-    primitive normal), after which every dim-subset of its equality set
-    is skipped, so a conifold square is tested once rather than once per
-    triple of its corners.  A supporting w, with c its value on the
-    subset, is divided by g = gcd(w), negated when c is the largest
-    value, and c by the same g.
+    distinct hyperplane costs one normal w and one n-point scan with w as
+    it comes (a common factor of w scales every value alike, so the sides
+    and the equality set are those of the primitive normal).  In dimension
+    3 w is the cross product (b - a) x (c - a) of the triple abc, zero
+    exactly when the triple is collinear, and a point's value is the
+    three-term sum w0*x + w1*y + w2*z; in other dimensions w is the single
+    kernel vector of the dim - 1 difference rows, none when the subset is
+    degenerate.  After the scan every dim-subset of the hyperplane's
+    equality set is skipped, so a conifold square is tested once rather
+    than once per triple of its corners; the equality set is built only
+    for a supporting hyperplane or when more than dim points lie on it.
+    A supporting w, with c its value on the subset, is divided by
+    g = gcd(w), negated when c is the largest value, and c by the same g.
     Raises BudgetExceeded, before the scan, when C(n, dim) * n point tests
     or the entry updates of C(n, dim) eliminations (dim - 1 pivots, each
     updating dim - 2 rows of dim entries) pass the budget: the scan makes
-    at most that many.
+    at most that many.  The elimination term stays although dimension 3
+    eliminates nothing: there its 6 * C(n, 3) passes the budget only when
+    the point tests do too, so one bound admits the same inputs in every
+    dimension, and above dimension 4 the eliminations run and bind first.
     """
     n = len(points)
     for per_subset, unit in ((n, "point tests"),
@@ -96,26 +116,40 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
                 f"hull of {n} points in dimension {dim} needs "
                 f"C({n}, {dim}) * {per_subset} > {HULL_WORK_BUDGET} {unit}"
             )
+    three = dim == 3
     found: dict = {}
     seen: set = set()  # dim-subsets of every hyperplane tested so far
     for subset in combinations(range(n), dim):
         if subset in seen:
             continue
-        base = points[subset[0]]
-        kernel = linalg.kernel_basis(
-            [[a - b for a, b in zip(points[i], base)] for i in subset[1:]],
-            ncols=dim,
-        )
-        if len(kernel) != 1:  # the subset spans less than a hyperplane
-            continue
-        w = kernel[0]
-        vals = [sum(map(mul, w, p)) for p in points]
+        if three:
+            ax, ay, az = points[subset[0]]
+            bx, by, bz = points[subset[1]]
+            cx, cy, cz = points[subset[2]]
+            w0, w1, w2 = w = cross((bx - ax, by - ay, bz - az),
+                                   (cx - ax, cy - ay, cz - az))
+            if not (w0 or w1 or w2):  # a collinear triple
+                continue
+            vals = [w0 * x + w1 * y + w2 * z for x, y, z in points]
+        else:
+            base = points[subset[0]]
+            kernel = linalg.kernel_basis(
+                [[a - b for a, b in zip(points[i], base)] for i in subset[1:]],
+                ncols=dim,
+            )
+            if len(kernel) != 1:  # the subset spans less than a hyperplane
+                continue
+            w = kernel[0]
+            vals = [sum(map(mul, w, p)) for p in points]
         c = vals[subset[0]]
+        lo, hi = min(vals), max(vals)
+        inside = lo < c < hi
+        if inside and vals.count(c) <= dim:
+            continue  # no facet, and no other subset on the hyperplane
         on = tuple(i for i, v in enumerate(vals) if v == c)
         if len(on) > dim:
             seen.update(combinations(on, dim))
-        lo, hi = min(vals), max(vals)
-        if lo < c < hi:
+        if inside:
             continue
         assert lo < hi, "input not full-dimensional"
         g = gcd(*w) if c == lo else -gcd(*w)  # negative flips w inward

@@ -32,7 +32,7 @@ a general sparse product, which the tests use as a third reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch
@@ -118,16 +118,39 @@ def from_fan_polytope(p) -> LaurentPolynomial:
     return LaurentPolynomial(p.dim, [(v, 1) for v in p.vertices])
 
 
+def _over_budget(dmax: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"periods to degree {dmax} need more than "
+        f"{PERIOD_WORK_BUDGET} term updates"
+    )
+
+
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
     formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints
     (see the module docstring) and W^{a+1} is formed from W^a by one
     shifted add per monomial of W.  Raises BudgetExceeded once the term
-    updates would pass ``PERIOD_WORK_BUDGET``."""
+    updates would pass ``PERIOD_WORK_BUDGET``.
+
+    Forming W^{a+1} charges |W^a| * |W| term updates, for a = 0 .. top - 1.
+    When every coefficient of W is positive nothing cancels, so W^a holds
+    the C(a + r, r) distinct sums of a points drawn from r + 1 affinely
+    independent points of its support, r the support's affine rank, and
+    the charges sum to at least |W| * C(top + r, r + 1).  A run whose
+    bound passes the budget is refused before any work; the bound grows
+    with r, so the rank is taken only when the bound with r = dim already
+    passes."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     top = (dmax + 1) // 2
+    if all(c > 0 for c in w.terms.values()):
+        def least_work(r):
+            return len(w.terms) * comb(top + r, r + 1)
+
+        if (least_work(w.dim) > PERIOD_WORK_BUDGET
+                and least_work(lattice._affine_rank(list(w.terms))) > PERIOD_WORK_BUDGET):
+            raise _over_budget(dmax)
     base = 2 * top * max((abs(x) for e in w.terms for x in e), default=0) + 1
     shifts = [
         (sum(x * base**i for i, x in enumerate(e)), c) for e, c in w.terms.items()
@@ -140,10 +163,7 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
         if 2 * a < dmax:
             work += len(low) * len(shifts)
             if work > PERIOD_WORK_BUDGET:
-                raise BudgetExceeded(
-                    f"periods to degree {dmax} need more than "
-                    f"{PERIOD_WORK_BUDGET} term updates"
-                )
+                raise _over_budget(dmax)
             acc: dict = {}
             get = acc.get
             for s, cv in shifts:

@@ -15,7 +15,9 @@ normalized area of the triangle abc in the facet's plane; by Pick's
 theorem a triangle of area 1 holds no lattice point besides its vertices,
 and a parallelogram made of two such halves holds none besides its four.
 Every 3x3 determinant on a command path, here and in the degree below,
-is the closed-form triple product a . (b x c) (``_det3``); the general
+is the closed-form triple product a . (b x c) (``_det3``), built on
+``lattice.cross``, the cross product that also gives the hull's facet
+normals in dimension 3; the general
 elimination ``linalg.det``, like ``linalg.max_slack``, serves only
 oracles, among them the wall rows of ``is_regular_triangulation``, which
 thus stay independent of ``_det3``.
@@ -95,7 +97,7 @@ from .errors import (
     NotReflexiveFacet,
     WorseThanNodal,
 )
-from .lattice import Facet, Polytope, is_reflexive
+from .lattice import Facet, Polytope, cross, dot, is_reflexive
 
 # Most squares whose 2^N resolutions are listed; the bundled N are <= 6.
 RESOLUTION_CAP = 20
@@ -154,11 +156,8 @@ class SmoothingMode(Enum):
 
 def _det3(a, b, c) -> int:
     """det of the 3x3 matrix with rows a, b, c: the triple product
-    a . (b x c)."""
-    b0, b1, b2 = b
-    c0, c1, c2 = c
-    return (a[0] * (b1 * c2 - b2 * c1) + a[1] * (b2 * c0 - b0 * c2)
-            + a[2] * (b0 * c1 - b1 * c0))
+    a . (b x c), with the package's one cross product ``lattice.cross``."""
+    return dot(a, cross(b, c))
 
 
 def _triangle_unimodular(a, b, c) -> bool:

@@ -1,5 +1,6 @@
 """Convex hulls, reflexivity, polar duals, and normalized volumes."""
 
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conifold import linalg
 from conifold.errors import (
     BudgetExceeded,
     EmptyInput,
@@ -19,6 +21,7 @@ from conifold.lattice import (
     _affine_rank,
     _hull_facets,
     convex_hull,
+    cross,
     dot,
     is_reflexive,
     normalized_volume,
@@ -399,6 +402,81 @@ def test_hull_scan_matches_the_subset_scan_on_corpus_images(corpus, m):
             [tuple(dot(row, v) for row in m) for v in p.vertices], 3)
 
 
+# the 27 points of {-1, 0, 1}^3: 49 collinear triples, whose cross
+# products vanish, and planes through 9 points, whose triples are marked
+# seen after one scan
+CUBE_GRID = [(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)]
+# the bands of largest |coordinate| that command-mix benchmark images fall in
+COORDINATE_BANDS = ((10, 19), (20, 29), (30, 39), (40, 49), (50, 60))
+
+
+def banded_image(points, rng, lo, hi) -> list:
+    """The points under a seeded walk of unimodular shears that stops once
+    the largest |coordinate| reaches ``lo``, skipping any shear that takes
+    one above ``hi``; a walk stuck below ``lo`` starts again."""
+    while True:
+        image = [list(p) for p in points]
+        for _ in range(200):
+            i, j = rng.sample(range(3), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            column = [p[i] + c * p[j] for p in image]
+            if max(map(abs, column)) > hi:
+                continue
+            for p, x in zip(image, column):
+                p[i] = x
+            if max(abs(x) for p in image for x in p) >= lo:
+                return [tuple(p) for p in image]
+
+
+def test_hull_scan_matches_the_subset_scan_on_degenerate_triples():
+    assert_hull_scan_matches_subset_scan(CUBE_GRID, 3)
+    assert [len(on) for _u, _c, on in _hull_facets(CUBE_GRID, 3)] == [9] * 6
+
+
+@pytest.mark.parametrize("lo, hi", COORDINATE_BANDS)
+def test_hull_scan_matches_the_subset_scan_in_the_coordinate_bands(corpus, lo, hi):
+    # the grid and each corpus polytope with the origin (the octahedron's
+    # opposite vertices make collinear triples through it, the nodal
+    # polytopes' conifold squares four-point facets) in one band
+    rng = random.Random(f"hull-bands:{lo}")
+    sets = [CUBE_GRID] + [list(p.vertices) + [(0, 0, 0)]
+                          for _name, p in sorted(corpus.items())]
+    for pts in sets:
+        image = banded_image(pts, rng, lo, hi)
+        assert lo <= max(abs(x) for p in image for x in p) <= hi
+        assert_hull_scan_matches_subset_scan(image, 3)
+
+
+ENTRIES = st.integers(-10**12, 10**12)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two rows of length 3 with entries up to 10^12 in absolute value;
+    about half of them linearly dependent (one a multiple of the other,
+    or zero)."""
+    u = draw(st.tuples(ENTRIES, ENTRIES, ENTRIES))
+    if draw(st.booleans()):
+        return u, draw(st.tuples(ENTRIES, ENTRIES, ENTRIES))
+    k = draw(st.integers(-3, 3))
+    small = tuple(x // 3 for x in u)
+    return small, tuple(k * x for x in small)
+
+
+@given(row_pairs())
+@settings(max_examples=300, deadline=None)
+def test_cross_product_is_the_kernel_of_two_rows(rows):
+    u, v = rows
+    kernel = linalg.kernel_basis([list(u), list(v)], ncols=3)
+    w = cross(u, v)
+    if len(kernel) > 1:  # dependent rows
+        assert w == (0, 0, 0)
+    else:
+        (k,) = kernel
+        assert w in (tuple(k), tuple(-x for x in k))
+        assert w != (0, 0, 0)
+
+
 @given(point_sets(dim=2, max_points=6, span=4))
 @settings(max_examples=100, deadline=None)
 def test_hull_2d_contains_input(pts):
@@ -427,29 +505,18 @@ def test_dual_volume_is_unimodular_invariant(m):
     assert normalized_volume(polar_dual(q)) == 64
 
 
-@pytest.mark.parametrize("dim, largest", [(2, 126), (3, 50), (4, 31)])
-def test_hull_budget_in_low_dimension_counts_point_tests_only(monkeypatch, dim, largest):
-    # in dimensions 2-4 the eliminations' entry updates stay under the
-    # budget whenever the point tests do, so the largest admitted point set
-    # is the one C(n, dim) * n allows; the stub kernel makes the scan free
-    from conifold import lattice
-
-    monkeypatch.setattr(lattice.linalg, "kernel_basis", lambda rows, ncols: [])
-    points = [tuple(i ** k for k in range(1, dim + 1)) for i in range(largest + 1)]
-    assert lattice._hull_facets(points[:largest], dim) == []
-    with pytest.raises(BudgetExceeded, match="point tests"):
-        lattice._hull_facets(points, dim)
-
-
-@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_hull_budget_edge_on_the_moment_curve(dim):
-    # the most points the point tests admit: C(50, 3) * 50 = 980,000 in
-    # dimension 3 and C(31, 4) * 31 = 975,415 in dimension 4.  On the
-    # moment curve every dim-subset spans a hyperplane, so all of them are
-    # scanned, and the hull is the cyclic polytope, with 2(n - 2) facets in
-    # dimension 3 and n(n - 3)/2 in dimension 4.  One point more is
+    # in dimensions 2-4 the eliminations' entry updates stay under the
+    # budget whenever the point tests do, so the most points admitted are
+    # the most the point tests admit: C(126, 2) * 126 = 992,250 in
+    # dimension 2, C(50, 3) * 50 = 980,000 in dimension 3 and
+    # C(31, 4) * 31 = 975,415 in dimension 4.  On the moment curve every
+    # dim-subset spans a hyperplane, so all of them are scanned, and the
+    # hull is the cyclic polytope, with n facets in dimension 2, 2(n - 2)
+    # in dimension 3 and n(n - 3)/2 in dimension 4.  One point more is
     # refused before any scan.
-    admitted, facets = {3: (50, 96), 4: (31, 434)}[dim]
+    admitted, facets = {2: (126, 126), 3: (50, 96), 4: (31, 434)}[dim]
     curve = [tuple(t**j for j in range(1, dim + 1)) for t in range(admitted + 1)]
     start = time.perf_counter()
     assert len(convex_hull(curve[:admitted]).facets) == facets

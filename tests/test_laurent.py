@@ -1,12 +1,15 @@
 """Laurent polynomials and period sequences."""
 
+import time
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import laurent
 from conifold.errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
-from conifold.lattice import convex_hull
+from conifold.lattice import _affine_rank, convex_hull
 from conifold.laurent import (
     ORACLE_DEGREE_CAP,
     LaurentPolynomial,
@@ -114,18 +117,69 @@ def test_direct_oracle_budget():
         period_term_direct(w_p3(), ORACLE_DEGREE_CAP + 1)
 
 
+def charged_term_updates(w, dmax):
+    """The term updates ``period_sequence`` charges up to dmax:
+    len(W^a) * len(W) for a = 0 .. ceil(dmax / 2) - 1."""
+    power, work = LaurentPolynomial.one(w.dim), 0
+    for _ in range((dmax + 1) // 2):
+        work += len(power.terms) * len(w.terms)
+        power = power * w
+    return work
+
+
 def test_period_work_budget_counts_term_updates(monkeypatch):
     # forming W^(a+1) from W^a costs len(W^a) * len(W) term updates, and
     # dmax 16 forms W^1 .. W^8
     w = w_p3()
-    power, work = LaurentPolynomial.one(3), 0
-    for _ in range(8):
-        work += len(power.terms) * len(w.terms)
-        power = power * w
-    monkeypatch.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+    monkeypatch.setattr(laurent, "PERIOD_WORK_BUDGET", charged_term_updates(w, 16))
     assert list(period_sequence(w, 16).terms) == iterated_periods(w, 16)
     with pytest.raises(BudgetExceeded):
         period_sequence(w, 17)
+
+
+@st.composite
+def positive_polys(draw):
+    """Laurent polynomials in 1-3 variables with exponents in [-3, 3] and
+    positive coefficients, whose supports include affinely dependent
+    ones."""
+    dim = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * dim)
+    terms = draw(st.dictionaries(exps, st.integers(1, 3), min_size=1, max_size=6))
+    return LaurentPolynomial(dim, terms)
+
+
+@given(positive_polys(), st.integers(0, 12))
+@example(LaurentPolynomial(2, {(1, 0): 1, (2, 0): 1, (3, 0): 1}), 9)
+@example(w_p3(), 16)
+@settings(max_examples=100, deadline=None)
+def test_positive_work_bound_never_passes_the_charged_work(w, dmax):
+    # with positive coefficients W^a holds at least C(a + r, r) terms, r the
+    # affine rank of supp W, so the pre-check's bound never passes the
+    # charge: a budget of exactly the charge is admitted, one less refused
+    r = _affine_rank(list(w.terms))
+    work = charged_term_updates(w, dmax)
+    assert len(w.terms) * comb((dmax + 1) // 2 + r, r + 1) <= work
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+        assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
+        if work:
+            mp.setattr(laurent, "PERIOD_WORK_BUDGET", work - 1)
+            with pytest.raises(BudgetExceeded, match=f"more than {work - 1} term"):
+                period_sequence(w, dmax)
+
+
+def test_doomed_period_runs_are_refused_before_any_work(corpus):
+    # p3's bound is exact: dmax 172 charges 4 * C(89, 4) = 9,766,504 term
+    # updates and dmax 173 charges 4 * C(90, 4) = 10,220,760, which the
+    # term-update loop would take seconds to reach
+    runs = [("p3", 173)] + [(name, 10**9) for name in sorted(corpus)]
+    for name, dmax in runs:
+        w = from_fan_polytope(corpus[name])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded,
+                           match=f"periods to degree {dmax} need more than 10000000"):
+            period_sequence(w, dmax)
+        assert time.perf_counter() - start < 0.1, name
 
 
 def test_c12_is_the_multinomial():
