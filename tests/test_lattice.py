@@ -505,6 +505,23 @@ def test_dual_volume_is_unimodular_invariant(m):
     assert normalized_volume(polar_dual(q)) == 64
 
 
+@pytest.mark.parametrize("dim, largest", [(3, 50), (4, 31)])
+def test_hull_budget_in_low_dimension_counts_point_tests_only(monkeypatch, dim, largest):
+    # in dimensions 3-4 the eliminations' entry updates stay under the
+    # budget whenever the point tests do, so the largest admitted point set
+    # is the one C(n, dim) * n allows; stubbing the normal (the cross
+    # product in dimension 3, the kernel elsewhere) to a degenerate one
+    # makes the scan free
+    from conifold import lattice
+
+    monkeypatch.setattr(lattice, "cross", lambda u, v: (0, 0, 0))
+    monkeypatch.setattr(lattice.linalg, "kernel_basis", lambda rows, ncols: [])
+    points = [tuple(i ** k for k in range(1, dim + 1)) for i in range(largest + 1)]
+    assert lattice._hull_facets(points[:largest], dim) == []
+    with pytest.raises(BudgetExceeded, match="point tests"):
+        lattice._hull_facets(points, dim)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_hull_budget_edge_on_the_moment_curve(dim):
     # in dimensions 2-4 the eliminations' entry updates stay under the
