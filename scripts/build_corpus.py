@@ -43,7 +43,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conifold import linalg
-from conifold.fanodb import PeriodRecord
 from conifold.lattice import convex_hull, is_reflexive, normalized_volume, polar_dual
 from conifold.laurent import (
     LaurentPolynomial,
@@ -288,24 +287,23 @@ def main() -> int:
             json.dumps({"name": stem, "vertices": result["vertices"]},
                        indent=2, sort_keys=True) + "\n"
         )
-        query = {"degree": result["degree"], "e": result["e_sm"],
-                 "b2": result["b2_sm"], "b3": result["b3_sm"]}
-        records.append(PeriodRecord(record_name, **query,
-                                    period_prefix=tuple(result["periods"]),
-                                    provenance="computed"))
+        records.append({"name": record_name, "degree": result["degree"],
+                        "e": result["e_sm"], "b2": result["b2_sm"],
+                        "b3": result["b3_sm"], "periods": result["periods"],
+                        "provenance": "computed"})
         del result["polytope"]
         golden["polytopes"][stem] = result
 
     invariant_keys = {}
     for rec in records:
-        key = (rec.degree, rec.e, rec.b2, rec.b3)
+        key = (rec["degree"], rec["e"], rec["b2"], rec["b3"])
         check(key not in invariant_keys,
-              f"records {invariant_keys.get(key)} and {rec.name} collide on invariants")
-        invariant_keys[key] = rec.name
+              f"records {invariant_keys.get(key)} and {rec['name']} collide on invariants")
+        invariant_keys[key] = rec["name"]
 
     db_path = DATA_DIR / "fano.jsonl"
     db_path.write_text(
-        "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records)
+        "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     )
 
     golden["p3_recurrence"] = p3_recurrence_golden()

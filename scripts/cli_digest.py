@@ -4,7 +4,8 @@
 Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
 code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
-table form, ``--mode cy``, and inputs that must exit 2 or 3.
+table form, ``--mode cy``, database records that load and that fail
+with each of the loader's messages, and inputs that must exit 2 or 3.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -44,6 +45,22 @@ from conifold import cli  # noqa: E402
 DATA = ROOT / "src" / "conifold" / "data"
 STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
 IMAGES_PER_POLYTOPE = 2
+# one-line databases: a user record with an extra key, which loads, and
+# one record per message of the loader, each matched against p3
+USER_RECORD = {"name": "Y", "degree": 64, "e": 4, "b2": 1, "b3": 0,
+               "periods": [1, 0, 0, 0, 24]}
+RECORD_FILES = {
+    "extra_key.jsonl": dict(USER_RECORD, comment="from a survey"),
+    "not_an_object.jsonl": [1, 2],
+    "bad_name.jsonl": dict(USER_RECORD, name=""),
+    "missing_field.jsonl": {k: v for k, v in USER_RECORD.items() if k != "b2"},
+    "bad_invariant.jsonl": dict(USER_RECORD, e="four"),
+    "bad_periods.jsonl": dict(USER_RECORD, periods="1, 0"),
+    "bad_provenance_type.jsonl": dict(USER_RECORD, provenance=1),
+    "bad_prefix.jsonl": dict(USER_RECORD, periods=[2, 4]),
+    "bad_provenance.jsonl": dict(USER_RECORD, provenance="guessed"),
+    "bad_prefix_and_provenance.jsonl": dict(USER_RECORD, periods=[0], provenance="guessed"),
+}
 
 
 def unimodular_image(vertices, rng: random.Random) -> list:
@@ -91,6 +108,8 @@ def write_inputs(tmp: Path) -> list[str]:
     }
     for name, payload in files.items():
         (tmp / name).write_text(json.dumps(payload))
+    for name, record in RECORD_FILES.items():
+        (tmp / name).write_text(json.dumps(record) + "\n")
     (tmp / "bad.json").write_text("[1, 2")
     (tmp / "bad.jsonl").write_text("{broken\n")
     (tmp / "empty.jsonl").write_text("")
@@ -146,6 +165,7 @@ def runs(polytopes: list[str]) -> list[tuple]:
         ("periods", "shell.json"),
         ("match", "p3.json", "bad.jsonl"), ("match", "p3.json", "duplicate.jsonl"),
         ("match", "missing.json", "fano.jsonl"),
+        *(("match", "p3.json", name) for name in RECORD_FILES),
         # file failures and nesting that a tree may not handle (exit 1 there)
         ("match", "p3.json", "missing.jsonl"), ("match", "p3.json", "a_directory"),
         ("periods", "latin1.json"), ("recurrence", "latin1.json"),

@@ -36,11 +36,10 @@ from .errors import (
     ParseError,
     WorseThanNodal,
 )
-from .fanodb import PeriodRecord, load_database, match
+from .fanodb import load_database, match
 from .lattice import (
     Facet,
     Polytope,
-    RationalPolytope,
     convex_hull,
     is_reflexive,
     normalized_volume,
@@ -92,10 +91,8 @@ __all__ = [
     "NotReflexiveFacet",
     "OriginNotInterior",
     "ParseError",
-    "PeriodRecord",
     "PeriodSequence",
     "Polytope",
-    "RationalPolytope",
     "Recurrence",
     "SmallResolution",
     "SmoothingMode",

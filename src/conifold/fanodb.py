@@ -8,13 +8,15 @@ sequence, e.g.::
     {"name": "P3", "degree": 64, "e": 4, "b2": 1, "b3": 0,
      "periods": [1, 0, 0, 0, 24], "provenance": "computed"}
 
-``match`` compares a query (the smoothing side of a transition report,
-under the record's names degree, e, b2, b3) and a computed period
-sequence against the records: a candidate must agree exactly on those
-four invariants and on every period term where the two sequences
-overlap.  All quantities are integers, so matching is exact;
-there is no fuzzy tolerance.  Candidates are ranked by overlap length
-(longer overlap first), ties broken by name.
+``load_database`` returns each record as that JSON object with exactly
+these seven keys: ``periods`` defaults to [] and ``provenance`` to
+"user", and other keys are dropped.  ``match`` compares a query (the
+smoothing side of a transition report, under the record's names degree,
+e, b2, b3) and a computed period sequence against the records: a
+candidate must agree exactly on those four invariants and on every
+period term where the two sequences overlap.  All quantities are
+integers, so matching is exact; there is no fuzzy tolerance.  Candidates
+are ranked by overlap length (longer overlap first), ties broken by name.
 
 The bundled database contains only records this package computed from
 its own bundled polytopes.  Records for non-toric varieties are the
@@ -24,7 +26,6 @@ user's to supply: append lines with ``provenance": "user"``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import DuplicateName, ParseError, read_input
 
@@ -32,43 +33,7 @@ _PROVENANCES = ("computed", "user")
 _INVARIANTS = ("degree", "e", "b2", "b3")
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """A named variety with integer invariants and a period prefix."""
-
-    name: str
-    degree: int
-    e: int
-    b2: int
-    b3: int
-    period_prefix: tuple[int, ...] = ()
-    provenance: str = "user"
-
-    def __post_init__(self):
-        if self.period_prefix and self.period_prefix[0] != 1:
-            raise ParseError(
-                f"record {self.name!r}: period prefix must start with 1, "
-                f"got {self.period_prefix[0]}"
-            )
-        if self.provenance not in _PROVENANCES:
-            raise ParseError(
-                f"record {self.name!r}: provenance must be one of "
-                f"{_PROVENANCES}, got {self.provenance!r}"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "degree": self.degree,
-            "e": self.e,
-            "b2": self.b2,
-            "b3": self.b3,
-            "periods": list(self.period_prefix),
-            "provenance": self.provenance,
-        }
-
-
-def _record_from_dict(data: dict, where: str) -> PeriodRecord:
+def _record_from_dict(data: dict, where: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(data).__name__}")
     name = data.get("name")
@@ -85,21 +50,25 @@ def _record_from_dict(data: dict, where: str) -> PeriodRecord:
     provenance = data.get("provenance", "user")
     if not isinstance(provenance, str):
         raise ParseError(f"{where}: record {name!r} field 'provenance' must be a string")
-    try:
-        return PeriodRecord(name, *(data[f] for f in _INVARIANTS), tuple(periods), provenance)
-    except ParseError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    if periods and periods[0] != 1:
+        raise ParseError(f"{where}: record {name!r}: period prefix must start with 1, "
+                         f"got {periods[0]}")
+    if provenance not in _PROVENANCES:
+        raise ParseError(f"{where}: record {name!r}: provenance must be one of "
+                         f"{_PROVENANCES}, got {provenance!r}")
+    return {"name": name, **{f: data[f] for f in _INVARIANTS},
+            "periods": periods, "provenance": provenance}
 
 
-def load_database(path) -> list[PeriodRecord]:
+def load_database(path) -> list[dict]:
     """Parse a line-oriented JSON database file.
 
     Raises ParseError with the offending line number, DuplicateName if a
     record name appears twice.
     """
 
-    def parse(fh) -> list[PeriodRecord]:
-        records: list[PeriodRecord] = []
+    def parse(fh) -> list[dict]:
+        records: list[dict] = []
         seen: set[str] = set()
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -113,9 +82,9 @@ def load_database(path) -> list[PeriodRecord]:
             except ValueError:  # int() refuses a literal past its digit limit
                 raise ParseError(f"{where}: integer literal too long") from None
             rec = _record_from_dict(data, where)
-            if rec.name in seen:
-                raise DuplicateName(f"{where}: duplicate record name {rec.name!r}")
-            seen.add(rec.name)
+            if rec["name"] in seen:
+                raise DuplicateName(f"{where}: duplicate record name {rec['name']!r}")
+            seen.add(rec["name"])
             records.append(rec)
         return records
 
@@ -136,13 +105,12 @@ def match(query, terms, db) -> list[dict]:
     """
     out = []
     for rec in db:
-        if any(getattr(rec, f) != query[f] for f in _INVARIANTS):
+        if any(rec[f] != query[f] for f in _INVARIANTS):
             continue
-        overlap = min(len(terms), len(rec.period_prefix))
-        if any(terms[i] != rec.period_prefix[i] for i in range(overlap)):
+        periods = rec["periods"]
+        overlap = min(len(terms), len(periods))
+        if any(terms[i] != periods[i] for i in range(overlap)):
             continue
-        candidate = rec.to_json_dict()
-        del candidate["periods"]
-        out.append({**candidate, "overlap": overlap})
+        out.append({**{k: v for k, v in rec.items() if k != "periods"}, "overlap": overlap})
     out.sort(key=lambda c: (-c["overlap"], c["name"]))
     return out

@@ -4,9 +4,10 @@ Vectors are plain tuples of Python ints and every predicate is decided in
 exact integer arithmetic; no floating point enters this module.  A
 rational point set (a polar dual) is hulled as its points times their
 common denominator L and scaled back by 1/L, so ``Fraction`` appears only
-in the vertices, levels and volumes of rational polytopes.  Hulls are
-computed by exhaustive supporting-hyperplane enumeration.  The normal of
-a triple abc of points in dimension 3 is the cross product
+in volumes and in the vertices and levels of a rational hull, which is a
+``Polytope`` like any other (its normals stay primitive integer vectors).
+Hulls are computed by exhaustive supporting-hyperplane enumeration.  The
+normal of a triple abc of points in dimension 3 is the cross product
 (b - a) x (c - a) (``cross``), zero exactly when the triple is
 collinear; in any other dimension it is the single vector of
 ``linalg.kernel_basis`` of the subset's difference rows (none when the
@@ -181,18 +182,10 @@ class Facet:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Full-dimensional lattice polytope in canonical form."""
-
-    dim: int
-    vertices: tuple
-    facets: tuple
-
-
-@dataclass(frozen=True)
-class RationalPolytope:
-    """Full-dimensional polytope with rational vertices (e.g. a polar
-    dual).  Facet normals are still primitive integer vectors; levels are
-    Fractions."""
+    """Full-dimensional polytope in canonical form.  Facet normals are
+    primitive integer vectors.  Vertices and levels are ints for a lattice
+    polytope (``convex_hull``) and Fractions for a rational one
+    (``rational_hull``, ``polar_dual``)."""
 
     dim: int
     vertices: tuple
@@ -262,7 +255,7 @@ def _clear_denominators(points) -> tuple[int, list]:
     return big, [tuple(x.numerator * (big // x.denominator) for x in p) for p in points]
 
 
-def rational_hull(points) -> RationalPolytope:
+def rational_hull(points) -> Polytope:
     """Convex hull of points with int or Fraction coordinates: the lattice
     hull of the points times their common denominator L, scaled by 1/L.
     Positive scaling keeps the canonical vertex and facet order and the
@@ -278,7 +271,7 @@ def rational_hull(points) -> RationalPolytope:
         return tuple(tuple(Fraction(x, big) for x in v) for v in vs)
 
     facets = [Facet(f.normal, Fraction(f.level, big), unscale(f.vertices)) for f in facets]
-    return RationalPolytope(dim, unscale(vertices), tuple(facets))
+    return Polytope(dim, unscale(vertices), tuple(facets))
 
 
 def _facet_lattice_points(fvertices, normal, level, dim) -> tuple:
@@ -319,7 +312,7 @@ def require_origin_interior(p) -> None:
             )
 
 
-def polar_dual(p) -> RationalPolytope:
+def polar_dual(p) -> Polytope:
     """Polar dual {u : <u, v> >= -1 for all v in P}.
 
     Requires the origin strictly inside P; vertices of the dual are the

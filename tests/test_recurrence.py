@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from itertools import product
 from unittest import mock
 
@@ -250,6 +251,31 @@ def test_recurrence_budget_weighs_entries_by_their_size():
     seq = [rng.randrange(10**8, 10**9) for _ in range(800)]
     with pytest.raises(BudgetExceeded):
         find_recurrence(seq, rmax=1, degree_max=48)
+
+
+def test_recurrence_budget_edge_on_noise():
+    # 800 noise terms in [10^8, 10^9) with rmax = 1: the order-1 screen at
+    # degree D has 2(D + 1) + 5 rows of 2(D + 1) columns, and its entries,
+    # below 2^30 * 800^D, take (30 + 10 D) // 64 + 1 = 5 words at D = 27
+    # and 28.  Degree 27 is charged 956,480, under the budget, and the
+    # screen rules out every cell, so the search ends with None; degree 28
+    # would be charged 1,059,660 and is refused before any elimination.
+    rng = random.Random(5)
+    seq = [rng.randrange(10**8, 10**9) for _ in range(800)]
+    assert max(seq).bit_length() == 30
+    charges = []
+    for degree_max in (27, 28):
+        cols = 2 * (degree_max + 1)
+        charges.append((cols + 5) * cols * cols * ((30 + 10 * degree_max) // 64 + 1))
+    assert charges == [956_480, 1_059_660]
+    assert charges[0] <= recurrence.RECURRENCE_WORK_BUDGET < charges[1]
+    start = time.perf_counter()
+    assert find_recurrence(seq, rmax=1, degree_max=27) is None
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        find_recurrence(seq, rmax=1, degree_max=28)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
