@@ -15,13 +15,14 @@ prints.  JSON output is the machine contract: stable key order,
 canonical vertex and facet orderings, byte-identical across runs.  Table
 output is for humans only.  Errors are reported as JSON on stderr; exit
 codes are 0 success, 2 input error, 3 budget exceeded, 4 internal
-invariant violation.
+invariant violation, 141 (128 + SIGPIPE) when the stdout reader left.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -271,8 +272,16 @@ def main(argv=None) -> int:
             body["facets"] = list(exc.facets)
         print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
         return 4 if internal else exc.exit_code
-    print(args.table(payload) if args.output == "table"
-          else json.dumps(payload, indent=2, sort_keys=True))
+    text = (args.table(payload) if args.output == "table"
+            else json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        print(text)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the reader left
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # keeps the exit flush quiet
+        os.close(devnull)
+        return 141
     return 0
 
 

@@ -6,6 +6,10 @@ rational point set (a polar dual) is hulled as its points times their
 common denominator L and scaled back by 1/L, so ``Fraction`` appears only
 in volumes and in the vertices and levels of a rational hull, which is a
 ``Polytope`` like any other (its normals stay primitive integer vectors).
+No command calls those oracles, so each imports ``Fraction`` itself:
+``fractions`` (with ``decimal``) would add milliseconds to every
+command's start-up.  So would ``dataclasses``: the records are
+namedtuples, so they compare equal to plain tuples of the same fields.
 Hulls are computed by exhaustive supporting-hyperplane enumeration.  The
 normal of a triple abc of points in dimension 3 is the cross product
 (b - a) x (c - a) (``cross``), zero exactly when the triple is
@@ -37,8 +41,7 @@ lattice-normal-form equivalence is deliberately out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product as cartesian
 from math import comb, gcd, lcm
@@ -158,17 +161,13 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     return [(u, c, idx) for (u, c), idx in sorted(found.items())]
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(namedtuple("Facet", "normal level vertices")):
     """One facet: <normal, x> == level on the facet and > level strictly
     inside.  ``lattice_points`` holds every lattice point of the facet for
     integral polytopes and is empty for rational ones.  It is computed on
     first read by a bounding-box scan, whose cost grows with the facet's
-    coordinates; facet classification never reads it."""
-
-    normal: Vec
-    level: object
-    vertices: tuple
+    coordinates, and kept in the instance ``__dict__`` (no ``__slots__``);
+    facet classification never reads it."""
 
     @cached_property
     def lattice_points(self) -> tuple:
@@ -180,16 +179,13 @@ class Facet:
         )
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(namedtuple("Polytope", "dim vertices facets")):
     """Full-dimensional polytope in canonical form.  Facet normals are
     primitive integer vectors.  Vertices and levels are ints for a lattice
     polytope (``convex_hull``) and Fractions for a rational one
     (``rational_hull``, ``polar_dual``)."""
 
-    dim: int
-    vertices: tuple
-    facets: tuple
+    __slots__ = ()
 
 
 def _vertex_indices(points: list, facets_raw: list) -> list[int]:
@@ -260,6 +256,7 @@ def rational_hull(points) -> Polytope:
     hull of the points times their common denominator L, scaled by 1/L.
     Positive scaling keeps the canonical vertex and facet order and the
     primitive normals; only the vertices and levels become Fractions."""
+    from fractions import Fraction
     pts = list(points)
     if not pts:
         raise EmptyInput("cannot take the hull of no points")
@@ -320,6 +317,7 @@ def polar_dual(p) -> Polytope:
     no command calls it, because ``nodal.transition_invariants`` sums the
     degree from the facet normals without building the dual.
     """
+    from fractions import Fraction
     require_origin_interior(p)
     verts = [tuple(Fraction(x, -f.level) for x in f.normal) for f in p.facets]
     return rational_hull(verts)
@@ -352,14 +350,15 @@ def _triangulate_full(points: list, dim: int) -> list[tuple[int, ...]]:
     return simplices
 
 
-def normalized_volume(q) -> Fraction:
-    """dim! times the Euclidean volume, exactly: the sum of |det(v_i - v_0)|
-    over the simplices of ``_triangulate_full`` on the vertices times their
-    common denominator L, divided by L^dim.  Public API and test oracle
-    only: no command calls it; ``normalized_volume(polar_dual(p))`` is the
-    reference that the degree of ``nodal.transition_invariants`` is
-    checked against.
+def normalized_volume(q):
+    """dim! times the Euclidean volume, as an exact Fraction: the sum of
+    |det(v_i - v_0)| over the simplices of ``_triangulate_full`` on the
+    vertices times their common denominator L, divided by L^dim.  Public
+    API and test oracle only: no command calls it;
+    ``normalized_volume(polar_dual(p))`` is the reference that the degree
+    of ``nodal.transition_invariants`` is checked against.
     """
+    from fractions import Fraction
     big, pts = _clear_denominators(q.vertices)
     total = 0
     for simp in _triangulate_full(pts, q.dim):

@@ -31,7 +31,7 @@ a general sparse product, which the tests use as a third reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 from . import lattice
@@ -104,11 +104,10 @@ class LaurentPolynomial:
         return self.terms.get((0,) * self.dim, 0)
 
 
-@dataclass(frozen=True)
-class PeriodSequence:
+class PeriodSequence(namedtuple("PeriodSequence", "terms")):
     """Constant terms c_d of W^d for d = 0 .. dmax."""
 
-    terms: tuple
+    __slots__ = ()
 
 
 def from_fan_polytope(p) -> LaurentPolynomial:

@@ -7,7 +7,9 @@ bases are read, and the cheaper forward-only ``pivot_columns``, whose
 pivots ``rank`` counts.  The tests hold ``rank`` to an independent rank
 through maximal nonzero minors (``tests/strategies.py``).  No floating
 point is ever produced or consumed, and no ``Fraction`` outside the
-simplex below.
+simplex below, which imports it itself: no command runs the simplex, and
+importing ``fractions`` (with ``decimal``) would add milliseconds to
+every command's start-up.
 
 ``det``, the last pivot of ``integer_rref``, and ``max_slack`` and
 ``strictly_feasible``, a tiny exact tableau simplex, are on no production
@@ -20,8 +22,6 @@ tests and ``scripts/build_corpus.py`` hold that test to.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
@@ -129,9 +129,9 @@ def det(matrix: list[list[int]]) -> int:
     return d if len(pivots) == n else 0
 
 
-def max_slack(rows: list[list], nvars: int) -> Fraction:
-    """Maximize s subject to row . h >= s for every row and s <= 1; a
-    test oracle only (see the module docstring).
+def max_slack(rows: list[list], nvars: int):
+    """Maximize s subject to row . h >= s for every row and s <= 1, as a
+    Fraction; a test oracle only (see the module docstring).
 
     h ranges over all of Q^nvars.  The system is homogeneous in h, so the
     optimum is exactly 0 or 1; the value 1 certifies that some h satisfies
@@ -139,6 +139,7 @@ def max_slack(rows: list[list], nvars: int) -> Fraction:
     Bland's rule (h is split into nonnegative parts; the all-slack basis is
     feasible at h = 0, s = 0).
     """
+    from fractions import Fraction
     m = len(rows)
     # columns: h+ (nvars) | h- (nvars) | s | slack_cap | slack_row * m
     ncols = 2 * nvars + 2 + m

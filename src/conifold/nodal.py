@@ -83,7 +83,7 @@ an edge through c_v adds 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from itertools import combinations, product
@@ -115,21 +115,17 @@ class FacetKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class FacetClass:
-    kind: FacetKind
-    cycle: tuple | None = None
+class FacetClass(namedtuple("FacetClass", "kind cycle", defaults=(None,))):
+    """A facet's FacetKind and, for a conifold square, its vertex cycle."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodalProfile:
+class NodalProfile(namedtuple("NodalProfile", "node_count squares relations")):
     """node_count is N; squares pairs each conifold facet's index (in the
     polytope's canonical facet order) with its vertex cycle; relations is
-    the exceptional relation matrix R of those squares."""
-
-    node_count: int
-    squares: tuple
-    relations: tuple
+    the exceptional relation matrix R of those squares.  No ``__slots__``:
+    ``left_kernel`` is kept in the instance ``__dict__``."""
 
     @cached_property
     def left_kernel(self) -> tuple:
@@ -139,14 +135,12 @@ class NodalProfile:
         return tuple(map(tuple, linalg.kernel_basis(rows_t, ncols=self.node_count)))
 
 
-@dataclass(frozen=True)
-class SmallResolution:
+class SmallResolution(namedtuple("SmallResolution", "diagonals regular")):
     """One row of the census of ``check_regularity``: a small resolution,
     by its diagonal string (``enumerate_small_resolutions``), and whether
     it is projective."""
 
-    diagonals: str
-    regular: bool
+    __slots__ = ()
 
 
 class SmoothingMode(Enum):
@@ -444,12 +438,13 @@ def transition_invariants(
     k = exceptional_relation_rank(profile)
     # c_v may be any vertex of Q_v: the normal of any facet through v
     corner = {v: f.normal for f in p.facets for v in f.vertices}
+    sides = [(f.normal, set(f.vertices)) for f in p.facets]  # once per facet
     degree = 0
-    for f, g in combinations(p.facets, 2):
-        edge = set(f.vertices) & set(g.vertices)
+    for (u, fv), (w, gv) in combinations(sides, 2):
+        edge = fv & gv
         if len(edge) == 2:
             for v in edge:
-                degree += abs(_det3(corner[v], f.normal, g.normal))
+                degree += abs(_det3(corner[v], u, w))
     return {
         "N": n,
         "k": k,

@@ -28,7 +28,7 @@ search returns what solving every cell returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import linalg
@@ -49,14 +49,11 @@ def _sup(n: int) -> str:
     return str(n).translate(_SUPERSCRIPT)
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(namedtuple("Recurrence", "order degree coeffs")):
     """coeffs[i] lists p_i low power first; normalized so all entries are
     integers of content 1 and the leading coefficient of p_r is positive."""
 
-    order: int
-    degree: int
-    coeffs: tuple
+    __slots__ = ()
 
     def poly_value(self, i: int, d: int) -> int:
         return sum(a * d**j for j, a in enumerate(self.coeffs[i]))

@@ -47,21 +47,27 @@ def nodal_stems(golden) -> list:
     )
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the package
+    from src/, so the tests do not depend on an installed copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def run_cli(*args, expect_exit=0, timeout=60):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
 
-    Uses `python -m conifold` with PYTHONPATH pointing at src/, so the
-    tests do not depend on an installed console script.  A run longer than
-    ``timeout`` seconds raises subprocess.TimeoutExpired, so a hanging
-    command fails the test instead of stalling the suite.
+    Uses `python -m conifold` under ``child_env``, so the tests do not
+    depend on an installed console script.  A run longer than ``timeout``
+    seconds raises subprocess.TimeoutExpired, so a hanging command fails
+    the test instead of stalling the suite.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "conifold", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         cwd=str(REPO_ROOT),
         timeout=timeout,
     )

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA
+from conftest import DATA, child_env
 
 
 def parse(out: str):
@@ -437,6 +440,47 @@ def test_version_flag(cli):
     assert out.strip().startswith("conifold")
     code, out, err = cli("periods", "--help")
     assert out.startswith("usage: conifold periods")
+
+
+def test_closed_pipe_exits_141_without_a_traceback(corpus_paths):
+    # stdout is a pipe whose reader has already gone, as in `... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conifold", "periods", str(corpus_paths["p3"]),
+             "--dmax", "60"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+# every command pays the package import; these modules cost milliseconds of
+# it and no command needs them
+HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_package_import_leaves_out_heavy_modules():
+    # a fresh interpreter: what ``import conifold.cli`` adds to a bare one,
+    # then the four oracles that import Fraction themselves
+    script = f"""
+import json, sys
+before = set(sys.modules)
+import conifold.cli
+new = sorted((set(sys.modules) - before) & set({HEAVY_MODULES!r}))
+from conifold import lattice, linalg
+tri = lattice.convex_hull([(1, 0), (0, 1), (-1, -1)])
+dual = lattice.polar_dual(tri)
+values = [lattice.rational_hull(dual.vertices).vertices[0][0], dual.facets[0].level,
+          lattice.normalized_volume(dual), linalg.max_slack([[1, 0], [0, 1]], 2)]
+print(json.dumps([new, [type(v).__name__ for v in values]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["Fraction"] * 4]
 
 
 def test_command_path_constructs_no_fraction(corpus_paths, data_dir, tmp_path,

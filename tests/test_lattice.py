@@ -124,6 +124,7 @@ def test_cube_facet_lattice_points():
     for f in p.facets:
         assert len(f.vertices) == 4
         assert len(f.lattice_points) == 9  # 3x3 grid on each face
+        assert f.lattice_points is f.lattice_points  # scanned once
 
 
 def test_two_dimensional_hull():

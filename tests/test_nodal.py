@@ -21,6 +21,7 @@ from conifold.errors import (
     WorseThanNodal,
 )
 from conifold.lattice import convex_hull, dot, normalized_volume, polar_dual
+from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.nodal import (
     LOCAL_MODEL_SQUARE,
     FacetKind,
@@ -40,6 +41,7 @@ from conifold.nodal import (
     signed_circuits,
     transition_invariants,
 )
+from conifold.recurrence import Recurrence
 from strategies import (
     arrangement_region_count,
     point_sets,
@@ -113,7 +115,8 @@ def test_local_model_square_detected():
 def test_smooth_triangles_detected():
     p = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     for f in p.facets:
-        assert classify_facet(f).kind is FacetKind.SMOOTH_TRIANGLE
+        cls = classify_facet(f)
+        assert cls.kind is FacetKind.SMOOTH_TRIANGLE and cls.cycle is None
 
 
 def test_neither_kind_is_other():
@@ -343,6 +346,7 @@ def test_circuits_of_nodal_03(corpus):
     profile = nodal_profile(corpus["nodal_03"])
     rows = profile.relations
     circuits = signed_circuits(profile.left_kernel)
+    assert profile.left_kernel is profile.left_kernel  # taken once
     assert len(circuits) == 3
     for support, plus in circuits:
         subset = [i for i in range(len(rows)) if support >> i & 1]
@@ -478,6 +482,20 @@ def test_classified_facets_hold_no_lattice_points_but_vertices(corpus, m, stem, 
         for f in p.facets:
             if f.level == -1 and classify_facet(f).kind is not FacetKind.OTHER:
                 assert len(f.lattice_points) == len(f.vertices), f
+
+
+def test_records_refuse_field_assignment(corpus):
+    p = corpus["nodal_03"]
+    profile = nodal_profile(p)
+    records = [
+        (p, "facets"), (p.facets[0], "level"), (classify_facet(p.facets[0]), "cycle"),
+        (profile, "relations"), (check_regularity(profile)[0], "regular"),
+        (period_sequence(from_fan_polytope(p), 4), "terms"),
+        (Recurrence(1, 0, ((-1,), (1,))), "coeffs"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 # ------------------------------------------------- relations, friedman
