@@ -270,7 +270,11 @@ def main(argv=None) -> int:
         body = {"type": kind, "message": str(exc) or kind}
         if getattr(exc, "facets", None):
             body["facets"] = list(exc.facets)
-        print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
+        try:
+            print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
+            sys.stderr.flush()
+        except BrokenPipeError:  # stderr's reader left; the exit code still tells
+            _to_devnull(sys.stderr)
         return 4 if internal else exc.exit_code
     text = (args.table(payload) if args.output == "table"
             else json.dumps(payload, indent=2, sort_keys=True))
@@ -278,11 +282,17 @@ def main(argv=None) -> int:
         print(text)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
     except BrokenPipeError:  # the reader left
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())  # keeps the exit flush quiet
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         return 141
     return 0
+
+
+def _to_devnull(stream) -> None:
+    """Point a closed pipe's file descriptor at os.devnull, so that the
+    flush at exit finds a reader and stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

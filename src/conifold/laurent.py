@@ -21,7 +21,11 @@ the B digits of the balanced base, and a balanced-base expansion with
 such digits is unique; so the map is injective on every exponent the
 engine forms or looks up (a base one smaller lets distinct exponents
 collide).  W^{a+1} is then W^a shifted once per monomial (s, c_v) of W,
-acc[k + key(s)] += c_v * c, and the pairing looks up [W^b] at -k.
+acc[k + key(s)] += c_v * c, and the pairing looks up [W^b] at -k.  A
+shift with c_v = 1, as for every monomial of a vertex polynomial, adds c
+without a multiply.  Zero coefficients are dropped from W^{a+1} only when
+W has a coefficient that is not positive: with positive coefficients
+every sum is positive, so nothing cancels.
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
@@ -32,7 +36,9 @@ a general sparse product, which the tests use as a third reference.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import comb, factorial
+from operator import mul, neg
 
 from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch
@@ -129,8 +135,11 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
     formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints
     (see the module docstring) and W^{a+1} is formed from W^a by one
-    shifted add per monomial of W.  Raises BudgetExceeded once the term
-    updates would pass ``PERIOD_WORK_BUDGET``.
+    shifted add per monomial of W, with no multiply when its coefficient
+    is 1.  The pass that drops zero coefficients from W^{a+1} runs only
+    when W has a coefficient that is not positive, since positive terms
+    cannot cancel.  Raises BudgetExceeded once the term updates would
+    pass ``PERIOD_WORK_BUDGET``.
 
     Forming W^{a+1} charges |W^a| * |W| term updates, for a = 0 .. top - 1.
     When every coefficient of W is positive nothing cancels, so W^a holds
@@ -143,7 +152,8 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     top = (dmax + 1) // 2
-    if all(c > 0 for c in w.terms.values()):
+    positive = all(c > 0 for c in w.terms.values())
+    if positive:
         def least_work(r):
             return len(w.terms) * comb(top + r, r + 1)
 
@@ -158,7 +168,7 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     low = {0: 1}
     work = 0
     for a in range(dmax // 2 + 1):
-        cs.append(sum(c * low.get(-k, 0) for k, c in low.items()))
+        cs.append(sum(map(mul, low.values(), map(low.get, map(neg, low), repeat(0)))))
         if 2 * a < dmax:
             work += len(low) * len(shifts)
             if work > PERIOD_WORK_BUDGET:
@@ -166,11 +176,12 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
             acc: dict = {}
             get = acc.get
             for s, cv in shifts:
-                for k, c in low.items():
+                for k, c in (low.items() if cv == 1
+                             else [(k, cv * c) for k, c in low.items()]):
                     k += s
-                    acc[k] = get(k, 0) + cv * c
-            high = {k: c for k, c in acc.items() if c}
-            cs.append(sum(c * high.get(-k, 0) for k, c in low.items()))
+                    acc[k] = get(k, 0) + c
+            high = acc if positive else {k: c for k, c in acc.items() if c}
+            cs.append(sum(map(mul, low.values(), map(high.get, map(neg, low), repeat(0)))))
             low = high
     return PeriodSequence(tuple(cs))
 

@@ -105,16 +105,25 @@ def _p2xp1_period(d):
                for a in range(d // 3 + 1) if (d - 3 * a) % 2 == 0)
 
 
+def _nodal_01_period(d):
+    if d % 3:
+        return 0
+    n = d // 3
+    return factorial(3 * n) * factorial(2 * n) // factorial(n) ** 5
+
+
 def _nodal_03_period(d):
     return comb(d, d // 2) ** 3 if d % 2 == 0 else 0
 
 
 # c_d as a function of d: (4n)!/(n!)^4, C(2n,n) * sum of squared
-# trinomials, sum over 3a + 2b = d of d!/(a!^3 b!^2), and C(2n,n)^3
+# trinomials, sum over 3a + 2b = d of d!/(a!^3 b!^2), (3n)!(2n)!/(n!)^5
+# (the quantum period of the quadric threefold) and C(2n,n)^3
 CLOSED_FORM_PERIODS = {
     "p3": _p3_period,
     "octahedron": _octahedron_period,
     "p2xp1": _p2xp1_period,
+    "nodal_01": _nodal_01_period,
     "nodal_03": _nodal_03_period,
 }
 

@@ -68,14 +68,15 @@ def test_periods_iterative_equals_direct_everywhere(corpus, golden):
 
 def test_high_degree_periods_match_closed_forms(corpus):
     start = time.perf_counter()
-    for stem, dmax in (("p3", 40), ("nodal_03", 40), ("octahedron", 30)):
+    for stem, dmax in (("p3", 40), ("nodal_03", 40), ("octahedron", 30), ("nodal_01", 90)):
         closed_form = CLOSED_FORM_PERIODS[stem]
         seq = period_sequence(from_fan_polytope(corpus[stem]), dmax)
         assert list(seq.terms) == [closed_form(d) for d in range(dmax + 1)], stem
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
-    print(f"\nPASS: p3 and nodal_03 periods through degree 40 and octahedron "
-          f"periods through degree 30 equal their closed forms in {elapsed:.2f}s")
+    print(f"\nPASS: p3 and nodal_03 periods through degree 40, octahedron "
+          f"periods through degree 30 and nodal_01 periods through degree 90 "
+          f"equal their closed forms in {elapsed:.2f}s")
 
 
 def _random_unimodular(rng):

@@ -457,6 +457,21 @@ def test_closed_pipe_exits_141_without_a_traceback(corpus_paths):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_closed_stderr_pipe_keeps_the_error_exit_code():
+    # stderr is a pipe whose reader has already gone: the error JSON cannot
+    # be written, but the exit code still says what failed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "conifold", "periods", "nosuch.json"],
+            stdout=subprocess.PIPE, stderr=write_end, env=child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 # every command pays the package import; these modules cost milliseconds of
 # it and no command needs them
 HEAVY_MODULES = ("dataclasses", "inspect", "fractions", "decimal")

@@ -168,6 +168,22 @@ def test_positive_work_bound_never_passes_the_charged_work(w, dmax):
                 period_sequence(w, dmax)
 
 
+def test_period_work_budget_counts_terms_left_after_cancellation():
+    # W = x - 1 - 1/x has coefficients that are not 1 and not positive:
+    # W^3 = x^3 - 3x^2 + 5 - 3/x^2 - 1/x^3 loses its terms at x and 1/x,
+    # so forming W^4 charges 5 * 3 term updates, not 7 * 3
+    w = LaurentPolynomial(1, {(1,): 1, (0,): -1, (-1,): -1})
+    assert charged_term_updates(w, 7) == 3 * (1 + 3 + 5 + 5)
+    for dmax in range(5, 10):
+        work = charged_term_updates(w, dmax)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+            assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
+            mp.setattr(laurent, "PERIOD_WORK_BUDGET", work - 1)
+            with pytest.raises(BudgetExceeded, match=f"more than {work - 1} term"):
+                period_sequence(w, dmax)
+
+
 def test_doomed_period_runs_are_refused_before_any_work(corpus):
     # p3's bound is exact: dmax 172 charges 4 * C(89, 4) = 9,766,504 term
     # updates and dmax 173 charges 4 * C(90, 4) = 10,220,760, which the

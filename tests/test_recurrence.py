@@ -150,9 +150,10 @@ def test_from_json_dict_rejects_fractional_coefficients():
     assert Recurrence.from_json_dict(data).coeffs == ((-3,), (12,))
 
 
-# four of the benchmark's searches: sequence, length, rmax, degree cap,
-# stride, and the least (order, degree) with its coefficients, frozen from
-# the Fraction elimination that preceded the integer one; None is an
+# four of the benchmark's searches and one on nodal_01: sequence, length,
+# rmax, degree cap, stride, and the least (order, degree) with its
+# coefficients, frozen from the Fraction elimination that preceded the
+# integer one or, for nodal_01, its closed form's term ratio; None is an
 # exhaustive miss
 PINNED_SEARCHES = (
     ("p3", 40, 4, 3, 1, (4, 3),
@@ -160,6 +161,8 @@ PINNED_SEARCHES = (
     ("octahedron", 80, 4, 4, 2, (2, 3),
      ((108, 396, 432, 144), (-138, -272, -180, -40), (8, 12, 6, 1))),
     ("nodal_03", 80, 4, 4, 2, (1, 3), ((-8, -48, -96, -64), (1, 3, 3, 1))),
+    # 6(3d+1)(3d+2)(2d+1), the term ratio of (3n)!(2n)!/(n!)^5
+    ("nodal_01", 75, 2, 4, 3, (1, 3), ((-12, -78, -162, -108), (1, 3, 3, 1))),
     ("p2xp1", 60, 4, 4, 1, None, None),
 )
 
@@ -199,9 +202,10 @@ def solved_cells(monkeypatch):
 
 
 def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
-    # the benchmark's five searches: the screen rules out every cell of
-    # the two exhaustive (4, 4) misses, every cell before the hit of
-    # octahedron and nodal_03, and all but one miss of p3
+    # the benchmark's five searches and nodal_01's: the screen rules out
+    # every cell of the two exhaustive (4, 4) misses, every cell before
+    # the hit of octahedron, nodal_03 and nodal_01, and all but one miss
+    # of p3
     nodal_02 = list(period_sequence(from_fan_polytope(corpus["nodal_02"]), 60).terms)
     searches = [(stem, [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)],
                  rmax, degree_max, stride)
@@ -211,6 +215,7 @@ def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
         "p3": [(1, 3, False), (4, 3, True)],
         "octahedron": [(2, 3, True)],
         "nodal_03": [(1, 3, True)],
+        "nodal_01": [(1, 3, True)],
         "p2xp1": [],
         "nodal_02": [],
     }
