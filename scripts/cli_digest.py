@@ -4,7 +4,8 @@
 Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
 code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
-table form, ``--mode cy``, database records that load and that fail
+table form, ``--mode cy``, periods to an even and an odd degree and in
+dimensions 2 and 4, database records that load and that fail
 with each of the loader's messages, and inputs that must exit 2 or 3.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
@@ -105,6 +106,9 @@ def write_inputs(tmp: Path) -> list[str]:
                                     if 5 <= x * x + y * y + z * z <= 9]},
         "simplex90.json": {"vertices": [[int(i == j) for j in range(90)] for i in range(90)]
                            + [[-1] * 90]},
+        "plane.json": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
+        "simplex4.json": {"vertices": [[int(i == j) for j in range(4)] for i in range(4)]
+                          + [[-1] * 4]},
     }
     for name, payload in files.items():
         (tmp / name).write_text(json.dumps(payload))
@@ -142,6 +146,7 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("resolve", p),
             ("match", p, "fano.jsonl", "--dmax", "10"),
             ("periods", p, "--dmax", "12"),
+            ("periods", p, "--dmax", "13"),
             ("periods", p, "--dmax", "40", "--recurrence", "--rmax", "4",
              "--degree-max", "3"),
         ):
@@ -150,6 +155,8 @@ def runs(polytopes: list[str]) -> list[tuple]:
     for seq in ("powers.json", "central.json", "noise.json"):
         argv = ("recurrence", seq, "--rmax", "2", "--degree-max", "1")
         out += [argv, (*argv, "--output", "table"), ("recurrence", seq, "--stride", "2")]
+    # periods in dimensions 2 and 4, where the engine skips no degree
+    out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     out += [
         # handled input errors (exit 2) and budgets (exit 3)
         ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),

@@ -20,12 +20,33 @@ W^a with a <= top has coordinates in [-top*M, top*M], which are exactly
 the B digits of the balanced base, and a balanced-base expansion with
 such digits is unique; so the map is injective on every exponent the
 engine forms or looks up (a base one smaller lets distinct exponents
-collide).  W^{a+1} is then W^a shifted once per monomial (s, c_v) of W,
-acc[k + key(s)] += c_v * c, and the pairing looks up [W^b] at -k.  A
-shift with c_v = 1, as for every monomial of a vertex polynomial, adds c
-without a multiply.  Zero coefficients are dropped from W^{a+1} only when
-W has a coefficient that is not positive: with positive coefficients
-every sum is positive, so nothing cancels.
+collide).  The pairing looks up [W^b] at -k.
+
+W^{a+1} = W^a * W is formed through W's binomial factors.  A conifold
+square puts x^v (1 + x^a)(1 + x^b) into the vertex polynomial, as in
+nodal_03's W = (1 + x)(1 + y)(z + 1/(xyz)) (Minkowski polynomials,
+Akhtar-Coates-Galkin-Kasprzyk, SIGMA 8 (2012) 094).  ``_plan`` writes
+W = (1 + y^t) A + R once per call, and G = W^a is multiplied by A's leaf
+monomial in one dict comprehension, by each lone monomial (s, c) in one
+shifted add acc[k + s] += c * G[k] (with no multiply when c = 1), and by
+each 1 + y^t in one in-place pass.  A and A + t lie in supp W, so every
+exponent formed lies in (a + 1) P, where the packing is injective.  The
+term updates stay within the |W^a| * |W| the budget charges: by
+induction, cost(W) <= cost(A) + |A| |G| + |R| |G| <= |W| |G|, as G A has
+at most |A| |G| terms and |W| = 2 |A| + |R|.  Zero coefficients are
+dropped from W^{a+1} only when W has a coefficient that is not positive:
+with positive coefficients nothing cancels.
+
+Every monomial of W^d lies in d v0 + L, L the lattice spanned by the
+differences of W's monomials, so c_d = 0 unless m = [L' : L] divides d,
+L' the lattice spanned by the monomials (a Fano of index r has its period
+in t^r: Coates-Corti-Galkin-Kasprzyk, Geom. Topol. 20 (2016)).  On the
+bundled corpus m is 4 (p3), 3 (nodal_01), 2 (octahedron, nodal_03) and
+1 (p2xp1, nodal_02).  ``_grading`` finds m = index(L) / index(L') in
+dimension 3, each index the gcd of the 3x3 minors of a spanning set;
+m = 1 in other dimensions or when index(L) = 0, which is always sound.
+From d = 4 on the pairing runs only where m divides d.  m is not taken
+when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
@@ -36,9 +57,9 @@ a general sparse product, which the tests use as a third reference.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import repeat
-from math import comb, factorial
-from operator import mul, neg
+from itertools import chain, combinations, compress, repeat, starmap
+from math import comb, factorial, gcd
+from operator import add, eq, mul, neg, sub
 
 from . import lattice
 from .errors import BudgetExceeded, DimensionMismatch
@@ -130,20 +151,88 @@ def _over_budget(dmax: int) -> BudgetExceeded:
     )
 
 
+def _plan(terms: dict):
+    """How ``period_sequence`` multiplies by W, given W's packed terms
+    {key: coefficient}: a leaf monomial and the steps after it, from
+    W = (1 + y^t) * A + R with A planned the same way.  t is the most
+    frequent difference between keys with equal coefficients, A the lower
+    members of disjoint pairs {k, k + t} with equal coefficients, and R
+    the unpaired monomials.  A step (t, None) multiplies by 1 + y^t and a
+    step (s, c) adds c * y^s times the power being multiplied.  A factor
+    is used only when it pairs at least two monomials; otherwise the leaf
+    is the first monomial and every other one is a step of its own."""
+    # two disjoint pairs {k1, k1 + t}, {k2, k2 + t} have k1 + (k2 + t) =
+    # k2 + (k1 + t), so a factor needs a repeated sum of two monomials
+    n = len(terms)
+    if n > 3 and len(set(starmap(add, combinations(terms, 2)))) < n * (n - 1) // 2:
+        keys = sorted(terms)
+        diffs = starmap(sub, combinations(keys[::-1], 2))
+        if len(set(terms.values())) > 1:
+            diffs = compress(diffs, starmap(eq, combinations(map(terms.get, keys[::-1]), 2)))
+        diffs = sorted(diffs)
+        t = None
+        # each pass keeps one copy fewer of every repeated difference
+        while diffs := list(compress(diffs, map(eq, diffs, diffs[1:]))):
+            t = diffs[0]
+        if t is not None:
+            lower, rest, free = {}, [], set(keys)
+            for k in keys:
+                if k in free:
+                    c = terms[k]
+                    if k + t in free and terms[k + t] == c:
+                        free.remove(k + t)
+                        lower[k] = c
+                    else:
+                        rest.append((k, c))
+            if len(lower) > 1:
+                leaf, steps = _plan(lower)
+                return leaf, steps + [(t, None)] + rest
+    items = list(terms.items())
+    return items[0], items[1:]
+
+
+def _minor_gcd(vectors, g=0) -> int:
+    """gcd of g and every 3x3 minor of the 3-vectors, stopping at 1."""
+    for i, a in enumerate(vectors):
+        for j in range(i + 1, len(vectors) - 1):
+            c0, c1, c2 = lattice.cross(a, vectors[j])
+            for e0, e1, e2 in vectors[j + 1:]:
+                g = gcd(g, c0 * e0 + c1 * e1 + c2 * e2)
+            if g == 1:
+                return 1
+    return g
+
+
+def _grading(exponent: dict, leaf, steps) -> int:
+    """m = [L' : L] for a W in 3 variables planned as ``leaf, steps``,
+    ``exponent`` mapping W's keys to its exponents.  Every monomial is the
+    leaf or a lone monomial plus some binomial shifts t, and the leaf plus
+    each t is a monomial, so L is spanned by the differences from the leaf
+    of the lone monomials and of each leaf + t.  That needs the keys to be
+    injective on differences of monomials, as they are once top >= 2."""
+    e = x0, y0, z0 = exponent[leaf]
+    gens = [(x - x0, y - y0, z - z0) for x, y, z in
+            [exponent[leaf + s if c is None else s] for s, c in steps]]
+    index = _minor_gcd(gens)
+    return index // _minor_gcd([e] + gens, index) if index > 1 else 1
+
+
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
-    formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints
-    (see the module docstring) and W^{a+1} is formed from W^a by one
-    shifted add per monomial of W, with no multiply when its coefficient
-    is 1.  The pass that drops zero coefficients from W^{a+1} runs only
-    when W has a coefficient that is not positive, since positive terms
-    cannot cancel.  Raises BudgetExceeded once the term updates would
-    pass ``PERIOD_WORK_BUDGET``.
+    formed is W^{ceil(dmax/2)}.  Exponents are packed into single ints,
+    W^{a+1} is formed from W^a through the binomial factors of W's plan,
+    and c_d is paired only when the grading m divides d; every other c_d
+    is 0 (see the module docstring).  The pass that drops zero
+    coefficients from W^{a+1} runs only when W has a coefficient that is
+    not positive, since positive terms cannot cancel.  Raises
+    BudgetExceeded once the term updates would pass
+    ``PERIOD_WORK_BUDGET``.
 
-    Forming W^{a+1} charges |W^a| * |W| term updates, for a = 0 .. top - 1.
-    When every coefficient of W is positive nothing cancels, so W^a holds
-    the C(a + r, r) distinct sums of a points drawn from r + 1 affinely
+    Forming W^{a+1} charges |W^a| * |W| term updates, for a = 0 .. top - 1,
+    a bound on the updates the factored product makes.  When every
+    coefficient of W is positive nothing cancels, so W^a holds the
+    C(a + r, r) distinct sums of a points drawn from r + 1 affinely
     independent points of its support, r the support's affine rank, and
     the charges sum to at least |W| * C(top + r, r + 1).  A run whose
     bound passes the budget is refused before any work; the bound grows
@@ -152,36 +241,55 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     top = (dmax + 1) // 2
-    positive = all(c > 0 for c in w.terms.values())
-    if positive:
-        def least_work(r):
-            return len(w.terms) * comb(top + r, r + 1)
-
-        if (least_work(w.dim) > PERIOD_WORK_BUDGET
-                and least_work(lattice._affine_rank(list(w.terms))) > PERIOD_WORK_BUDGET):
+    size = len(w.terms)
+    positive = min(w.terms.values(), default=1) > 0
+    if positive and size * comb(top + w.dim, w.dim + 1) > PERIOD_WORK_BUDGET:
+        r = lattice._affine_rank(list(w.terms))
+        if size * comb(top + r, r + 1) > PERIOD_WORK_BUDGET:
             raise _over_budget(dmax)
-    base = 2 * top * max((abs(x) for e in w.terms for x in e), default=0) + 1
-    shifts = [
-        (sum(x * base**i for i, x in enumerate(e)), c) for e, c in w.terms.items()
-    ]
+    base = 2 * top * max(map(abs, chain.from_iterable(w.terms)), default=0) + 1
+    powers = [base**i for i in range(w.dim)]
+    keys = [sum(map(mul, e, powers)) for e in w.terms]
+    if size and top:
+        (s0, c0), steps = _plan(dict(zip(keys, w.terms.values())))
+    else:  # dmax 0 forms no power, and W = 0 is the leaf 0 * y^0
+        (s0, c0), steps = (0, 0), []
     cs = []
     low = {0: 1}
     work = 0
+    m = 1
     for a in range(dmax // 2 + 1):
-        cs.append(sum(map(mul, low.values(), map(low.get, map(neg, low), repeat(0)))))
+        if a == 2 and w.dim == 3 and size and not cs[2] * cs[3]:
+            m = _grading(dict(zip(keys, w.terms)), s0, steps)
+        cs.append(0 if 2 * a % m else
+                  sum(map(mul, low.values(), map(low.get, map(neg, low), repeat(0)))))
         if 2 * a < dmax:
-            work += len(low) * len(shifts)
+            work += len(low) * size
             if work > PERIOD_WORK_BUDGET:
                 raise _over_budget(dmax)
-            acc: dict = {}
-            get = acc.get
-            for s, cv in shifts:
-                for k, c in (low.items() if cv == 1
-                             else [(k, cv * c) for k, c in low.items()]):
-                    k += s
-                    acc[k] = get(k, 0) + c
-            high = acc if positive else {k: c for k, c in acc.items() if c}
-            cs.append(sum(map(mul, low.values(), map(high.get, map(neg, low), repeat(0)))))
+            high = ({k + s0: c for k, c in low.items()} if c0 == 1
+                    else {k + s0: c0 * c for k, c in low.items()})
+            get = high.get
+            for s, cv in steps:
+                if cv is None:
+                    # in place: k + s gains the old value at k, read from a
+                    # snapshot of lists, not a second dict, that is let go
+                    # 1024 entries at a time so that old values do not pile up
+                    ks, vs = list(high), list(high.values())
+                    while ks:
+                        for k, c in zip(ks[-1024:], vs[-1024:]):
+                            k += s
+                            high[k] = get(k, 0) + c
+                        del ks[-1024:], vs[-1024:]
+                else:
+                    for k, c in (low.items() if cv == 1
+                                 else [(k, cv * c) for k, c in low.items()]):
+                        k += s
+                        high[k] = get(k, 0) + c
+            if not positive:
+                high = {k: c for k, c in high.items() if c}
+            cs.append(0 if (2 * a + 1) % m else
+                      sum(map(mul, low.values(), map(high.get, map(neg, low), repeat(0)))))
             low = high
     return PeriodSequence(tuple(cs))
 

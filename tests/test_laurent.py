@@ -254,3 +254,122 @@ def test_pruned_equals_unpruned_p3():
 def test_pruning_safe_under_lattice_isomorphism(m):
     w = from_fan_polytope(transform(convex_hull(P3), m))
     assert list(period_sequence(w, 10).terms) == iterated_periods(w, 10)
+
+
+# ------------------------------------------------- factored multiply and grading
+
+NODAL_03 = [(-1, -1, -1), (-1, 0, -1), (0, -1, -1), (0, 0, -1),
+            (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+# the six-vertex square mutant of nodal_02 in test_fanodb
+NODAL_02_MUTANT = [(-1, -1, 0), (-1, -1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1)]
+GRADINGS = {"p3": 4, "nodal_01": 3, "octahedron": 2, "nodal_03": 2, "p2xp1": 1, "nodal_02": 1}
+
+
+def periods_and_charge(w, dmax):
+    """``iterated_periods`` and ``charged_term_updates`` from one run of
+    plain repeated multiplication."""
+    power, cs, work = LaurentPolynomial.one(w.dim), [1], 0
+    for d in range(1, dmax + 1):
+        if d <= (dmax + 1) // 2:
+            work += len(power.terms) * len(w.terms)
+        power = power * w
+        cs.append(power.constant_term())
+    return cs, work
+
+
+def grading(w):
+    """m as ``period_sequence`` plans it, in the packing base of dmax 32."""
+    base = 32 * max(abs(x) for e in w.terms for x in e) + 1
+    keys = [sum(x * base**i for i, x in enumerate(e)) for e in w.terms]
+    (leaf, _), steps = laurent._plan(dict(zip(keys, w.terms.values())))
+    return laurent._grading(dict(zip(keys, w.terms)), leaf, steps)
+
+
+@st.composite
+def factored_polys(draw):
+    """c x^o (1 + x^t_1) ... (1 + x^t_n) with 1-3 binomials, plus 0-3 lone
+    monomials, in 3 variables with coefficients in +-1..3."""
+    coeff = st.integers(-3, 3).filter(bool)
+    vec = st.tuples(*[st.integers(-1, 1)] * 3)
+    w = LaurentPolynomial(3, {draw(vec): draw(coeff)})
+    for t in draw(st.lists(vec.filter(any), min_size=1, max_size=3)):
+        w = w * LaurentPolynomial(3, {(0, 0, 0): 1, t: 1})
+    lone = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), coeff, max_size=3))
+    return LaurentPolynomial(3, [*w.terms.items(), *lone.items()])
+
+
+# The examples: nodal_03's W = (1 + x)(1 + y)(z + 1/(xyz)), planned as two
+# binomials; a signed W with m = 4, so the zero-drop pass runs and three
+# pairings in four are skipped; pairs along z whose members have unequal
+# coefficients, which must not be taken for a factor (1 + z); W = 0; and
+# W in no variables.
+@given(factored_polys(), st.integers(0, 12))
+@example(LaurentPolynomial(3, {v: 1 for v in NODAL_03}), 12)
+@example(LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
+                               (-1, -1, -1): -1}), 12)
+@example(LaurentPolynomial(3, {(1, 0, 0): 1, (1, 0, 1): 2, (0, 1, 0): 3, (0, 1, 1): 6,
+                               (-1, -1, -1): 1}), 9)
+@example(LaurentPolynomial(3, {}), 6)
+@example(LaurentPolynomial(0, {(): 3}), 5)
+@settings(max_examples=40, deadline=None)
+def test_factored_multiply_equals_iterated_multiplication(w, dmax):
+    # the factored product makes no more term updates than the charge, so
+    # a budget of exactly the charge is admitted and one less refused
+    periods, work = periods_and_charge(w, dmax)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+        assert list(period_sequence(w, dmax).terms) == periods
+        if work:
+            mp.setattr(laurent, "PERIOD_WORK_BUDGET", work - 1)
+            with pytest.raises(BudgetExceeded, match=f"more than {work - 1} term"):
+                period_sequence(w, dmax)
+
+
+def test_plans_factor_the_conifold_squares():
+    # nodal_03's W = (1 + x)(1 + y)(z + 1/(xyz)) is planned as the leaf
+    # 1/(xyz), the lone z, then the binomials in y and in x; p3's four
+    # vertices have no repeated difference, so its plan is the plain
+    # shift loop
+    key = {v: v[0] + 33 * v[1] + 33**2 * v[2] for v in NODAL_03}
+    leaf, steps = laurent._plan({key[v]: 1 for v in NODAL_03})
+    assert leaf == (key[(-1, -1, -1)], 1)
+    assert steps == [(key[(0, 0, 1)], 1), (33, None), (1, None)]
+    p3 = {1: 1, 33: 1, 33**2: 1, -1 - 33 - 33**2: 1}
+    assert laurent._plan(p3) == ((1, 1), [(33, 1), (33**2, 1), (-1 - 33 - 33**2, 1)])
+
+
+def test_grading_of_the_corpus(corpus):
+    assert {stem: grading(from_fan_polytope(p)) for stem, p in corpus.items()} == GRADINGS
+
+
+@given(unimodular_matrices(dim=3))
+@settings(max_examples=20, deadline=None)
+def test_grading_is_invariant_under_lattice_isomorphism(corpus, m):
+    for stem, p in corpus.items():
+        assert grading(from_fan_polytope(transform(p, m))) == GRADINGS[stem], stem
+
+
+def test_periods_vanish_off_multiples_of_the_grading(corpus):
+    # every monomial of W^d lies in d v0 + L, which holds 0 only when m
+    # divides d (Coates-Corti-Galkin-Kasprzyk, Geom. Topol. 20 (2016): a
+    # Fano of index r has its period in t^r)
+    from test_root_polytopes import A3_ROOTS, RHOMBIC_DODECAHEDRON
+
+    polytopes = dict(corpus, a3_roots=convex_hull(A3_ROOTS),
+                     rhombic_dodecahedron=convex_hull(RHOMBIC_DODECAHEDRON),
+                     nodal_02_mutant=convex_hull(NODAL_02_MUTANT))
+    for name, p in polytopes.items():
+        w = from_fan_polytope(p)
+        m = grading(w)
+        assert m == GRADINGS.get(name, 1), name
+        if m > 1:
+            cs = iterated_periods(w, 16)
+            assert [d for d in range(17) if cs[d]] == list(range(0, 17, m)), name
+
+
+@pytest.mark.parametrize("stem", ["p2xp1", "nodal_02"])
+def test_periods_to_degree_20_equal_iterated_multiplication(corpus, stem):
+    # neither sequence has a closed form here, and nodal_02's plan is the
+    # one with a lone monomial inside a binomial
+    w = from_fan_polytope(corpus[stem])
+    assert list(period_sequence(w, 20).terms) == iterated_periods(w, 20)
