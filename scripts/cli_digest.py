@@ -6,7 +6,8 @@ code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
 dimensions 2 and 4, database records that load and that fail
-with each of the loader's messages, and inputs that must exit 2 or 3.
+with each of the loader's messages, and inputs that must exit 2 or 3,
+flat point sets among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -109,6 +110,13 @@ def write_inputs(tmp: Path) -> list[str]:
         "plane.json": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
         "simplex4.json": {"vertices": [[int(i == j) for j in range(4)] for i in range(4)]
                           + [[-1] * 4]},
+        # flat inputs: a point, a line, a plane past the hull budget, and
+        # a 4-D set in a hyperplane
+        "point.json": {"vertices": [[1, 0, 0]] * 3},
+        "collinear.json": {"vertices": [[t, t, t] for t in range(-1, 3)]},
+        "plane_grid.json": {"vertices": [[x, y, x - y] for x in range(8) for y in range(8)]},
+        "flat4.json": {"vertices": [[int(i == j) for j in range(4)] for i in range(3)]
+                       + [[-1, -1, -1, 0]]},
     }
     for name, payload in files.items():
         (tmp / name).write_text(json.dumps(payload))
@@ -170,6 +178,8 @@ def runs(polytopes: list[str]) -> list[tuple]:
         ("periods", "shifted.json"), ("transition", "shifted.json"),
         ("transition", "cube.json"), ("transition", "big_simplex.json"),
         ("periods", "shell.json"),
+        *((command, flat) for flat in ("point.json", "collinear.json", "plane_grid.json",
+                                       "flat4.json") for command in ("transition", "periods")),
         ("match", "p3.json", "bad.jsonl"), ("match", "p3.json", "duplicate.jsonl"),
         ("match", "missing.json", "fano.jsonl"),
         *(("match", "p3.json", name) for name in RECORD_FILES),

@@ -12,19 +12,22 @@ Each ``cmd_*`` function returns its subcommand's JSON payload and prints
 nothing; each ``_*_table`` function renders that payload, and nothing
 else, as text.  ``main`` is the one place that reads ``--output`` and
 prints.  JSON output is the machine contract: stable key order,
-canonical vertex and facet orderings, byte-identical across runs.  Table
-output is for humans only.  Errors are reported as JSON on stderr; exit
-codes are 0 success, 2 input error, 3 budget exceeded, 4 internal
-invariant violation, 141 (128 + SIGPIPE) when the stdout reader left.
+canonical vertex and facet orderings, byte-identical across runs.  One
+writer, ``_json``, prints it and the error object in one pass, byte for
+byte as ``json.dumps(value, indent=2, sort_keys=True)`` would, which the
+tests hold it to.  Table output is for humans only.  Errors are reported
+as JSON on stderr; exit codes are 0 success, 2 input error, 3 budget
+exceeded, 4 internal invariant violation, 141 (128 + SIGPIPE) when the
+stdout reader left.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import ConifoldError, ParseError, read_input
@@ -271,13 +274,12 @@ def main(argv=None) -> int:
         if getattr(exc, "facets", None):
             body["facets"] = list(exc.facets)
         try:
-            print(json.dumps({"error": body}, indent=2, sort_keys=True), file=sys.stderr)
+            print(_json({"error": body}), file=sys.stderr)
             sys.stderr.flush()
         except BrokenPipeError:  # stderr's reader left; the exit code still tells
             _to_devnull(sys.stderr)
         return 4 if internal else exc.exit_code
-    text = (args.table(payload) if args.output == "table"
-            else json.dumps(payload, indent=2, sort_keys=True))
+    text = args.table(payload) if args.output == "table" else _json(payload)
     try:
         print(text)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
@@ -285,6 +287,29 @@ def main(argv=None) -> int:
         _to_devnull(sys.stdout)
         return 141
     return 0
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the str, int,
+    bool, None, list, tuple and dict values a payload holds, in one pass:
+    the stdlib ignores its C encoder when asked to indent."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _to_devnull(stream) -> None:

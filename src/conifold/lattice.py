@@ -20,6 +20,9 @@ comes, and the hyperplane is kept when no point lies strictly on each
 side; only then is the normal reduced to the primitive inward one, once
 per facet.  Each distinct hyperplane is tested once: after its n-point
 scan every dim-subset of the points on it is marked seen and skipped.
+A flat input shows in the scan itself (no subset gives a normal, or the
+first normal holds every point), so a hull takes no rank when it
+succeeds: ``linalg.rank`` only words the NotFullDimensional refusal.
 That costs one normal and one n-point scan per distinct hyperplane, at
 most C(n, dim) of each, and is entirely robust, which is the right trade
 at the scale this package targets (tens of points, ambient dimension 2
@@ -84,21 +87,30 @@ def _affine_rank(points: list) -> int:
     return linalg.rank([list(vsub(p, base)) for p in points[1:]])
 
 
+def _require_full_dimensional(points: list, dim: int) -> None:
+    """Raise NotFullDimensional, naming the dimension of the affine span,
+    when the points span less than dimension dim."""
+    span = _affine_rank(points)
+    if span < dim:
+        raise NotFullDimensional(
+            f"points span an affine subspace of dimension {span} < {dim}"
+        )
+
+
 def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, ...]]]:
     """All facets of conv(points) as (inward primitive normal, level,
     indices of the points lying on the facet), sorted by normal.
 
-    Assumes the points affinely span the ambient space.  A hyperplane
-    supports the hull iff every point sits on one side of it; the facet is
-    the full equality set, so non-simplicial facets come out whole.  Each
-    distinct hyperplane costs one normal w and one n-point scan with w as
-    it comes (a common factor of w scales every value alike, so the sides
-    and the equality set are those of the primitive normal).  In dimension
-    3 w is the cross product (b - a) x (c - a) of the triple abc, zero
-    exactly when the triple is collinear, and a point's value is the
-    three-term sum w0*x + w1*y + w2*z; in other dimensions w is the single
-    kernel vector of the dim - 1 difference rows, none when the subset is
-    degenerate.  After the scan every dim-subset of the hyperplane's
+    A hyperplane supports the hull iff every point sits on one side of
+    it; the facet is the full equality set, so non-simplicial facets come
+    out whole.  Each distinct hyperplane costs one normal w and one
+    n-point scan with w as it comes (a common factor of w scales every
+    value alike, so the sides and the equality set are those of the
+    primitive normal).  In dimension 3 w is the cross product
+    (b - a) x (c - a) of the triple abc, zero exactly when the triple is
+    collinear, and a point's value is the three-term sum
+    w0*x + w1*y + w2*z; in other dimensions w is the single kernel vector
+    of the dim - 1 difference rows, none when the subset is degenerate.  After the scan every dim-subset of the hyperplane's
     equality set is skipped, so a conifold square is tested once rather
     than once per triple of its corners; the equality set is built only
     for a supporting hyperplane or when more than dim points lie on it.
@@ -111,11 +123,18 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
     eliminates nothing: there its 6 * C(n, 3) passes the budget only when
     the point tests do too, so one bound admits the same inputs in every
     dimension, and above dimension 4 the eliminations run and bind first.
+
+    Returns no facets when the points span less than the ambient space.
+    The scan sees that without a rank: no dim-subset spans a hyperplane,
+    or the first that does holds every point (and so did not support the
+    hull before it).  Before a refusal on budget the rank is taken, so
+    that a flat input is refused as NotFullDimensional whatever its size.
     """
     n = len(points)
     for per_subset, unit in ((n, "point tests"),
                              (dim * (dim - 1) * (dim - 2), "entry updates")):
         if comb(n, dim) * per_subset > HULL_WORK_BUDGET:
+            _require_full_dimensional(points, dim)
             raise BudgetExceeded(
                 f"hull of {n} points in dimension {dim} needs "
                 f"C({n}, {dim}) * {per_subset} > {HULL_WORK_BUDGET} {unit}"
@@ -155,7 +174,8 @@ def _hull_facets(points: list, dim: int) -> list[tuple[Vec, object, tuple[int, .
             seen.update(combinations(on, dim))
         if inside:
             continue
-        assert lo < hi, "input not full-dimensional"
+        if lo == hi:  # a flat input: the first hyperplane holds every point
+            return []
         g = gcd(*w) if c == lo else -gcd(*w)  # negative flips w inward
         found[(tuple(x // g for x in w), c // g)] = on
     return [(u, c, idx) for (u, c), idx in sorted(found.items())]
@@ -209,12 +229,10 @@ def _build_hull(points, dim: int):
             raise NotFullDimensional(
                 f"point {p} does not live in dimension {dim}"
             )
-    span = _affine_rank(pts)
-    if span < dim:
-        raise NotFullDimensional(
-            f"points span an affine subspace of dimension {span} < {dim}"
-        )
     facets_raw = _hull_facets(pts, dim)
+    if not facets_raw:  # the rank only words the refusal
+        _require_full_dimensional(pts, dim)
+        raise AssertionError("full-dimensional points without a facet")
     vertex_idx = _vertex_indices(pts, facets_raw)
     vertex_set = set(vertex_idx)
     vertices = tuple(pts[i] for i in sorted(vertex_idx))

@@ -547,6 +547,105 @@ def test_command_path_constructs_no_fraction(corpus_paths, data_dir, tmp_path,
     assert json.loads(run("recurrence", stored, "--rmax", 4, "--degree-max", 3))["found"]
 
 
+# ------------------------------------------------------------ JSON writer
+
+
+def dumps(value) -> str:
+    """The stdlib encoding that ``cli._json`` must reproduce byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# quotes, backslashes, control characters, non-ASCII characters (one past
+# the BMP) and both halves of a surrogate pair, each alone
+AWKWARD_CHARS = '"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600\ud800\udfff'
+JSON_STRINGS = st.text(st.one_of(st.sampled_from(AWKWARD_CHARS),
+                                 st.characters(exclude_categories=())), max_size=8)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1, 2**64, -(2**64) - 1]),
+    st.integers(), st.integers(-(2**200), 2**200), JSON_STRINGS,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_STRINGS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_is_json_dumps(value):
+    from conifold.cli import _json
+
+    assert _json(value) == dumps(value)
+
+
+def test_json_writer_keeps_bools_apart_from_ints():
+    from conifold.cli import _json
+
+    value = {"b": [True, 1, False, 0, None], "a": {}, "": [[], [{}], ()], "c": (True, 0)}
+    assert _json(value) == dumps(value)
+
+
+def unimodular_images(vertices, count) -> list:
+    """``count`` images of the vertices under seeded products of six
+    elementary integer row operations, matrices of determinant 1."""
+    import random
+
+    rng = random.Random(f"writer:{vertices}")
+    images = []
+    for _ in range(count):
+        m = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(6):
+            i, j = rng.sample(range(3), 2)
+            sign = rng.choice((-1, 1))
+            m[i] = [a + sign * b for a, b in zip(m[i], m[j])]
+        images.append([[sum(a * x for a, x in zip(row, v)) for row in m] for v in vertices])
+    return images
+
+
+def test_every_subcommand_prints_json_dumps_of_its_payload(data_dir, tmp_path, capsys):
+    # main's stdout is the stdlib encoding of the cmd_* payload, over the
+    # bundled polytopes and two unimodular images of each
+    from conifold import cli as cli_module
+
+    polytopes = []
+    for k, vertices in enumerate(CORPUS_VERTICES):
+        for n, image in enumerate([vertices, *unimodular_images(vertices, 2)]):
+            polytopes.append(tmp_path / f"polytope{k}_{n}.json")
+            polytopes[-1].write_text(json.dumps({"vertices": image}))
+    sequence = tmp_path / "central.json"
+    sequence.write_text(json.dumps([math.comb(2 * d, d) for d in range(24)]))
+    runs = [("recurrence", sequence, "--rmax", 2, "--degree-max", 1),
+            ("recurrence", sequence, "--rmax", 1, "--degree-max", 0)]
+    for path in polytopes:
+        runs += [("periods", path, "--dmax", 13, "--recurrence", "--rmax", 1,
+                  "--degree-max", 1),
+                 ("periods", path, "--dmax", 12),
+                 ("transition", path, "--mode", "cy"),
+                 ("resolve", path),
+                 ("match", path, data_dir / "fano.jsonl", "--dmax", 10)]
+    for argv in runs:
+        argv = [str(a) for a in argv]
+        args = cli_module.build_parser().parse_args(argv)
+        expected = dumps(args.func(args)) + "\n"
+        assert (cli_module.main(argv), *capsys.readouterr()) == (0, expected, ""), argv
+
+
+def test_error_object_is_json_dumps(tmp_path, capsys):
+    from conifold import cli as cli_module
+
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"vertices": [[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                                             for z in (-1, 1)]}))
+    for argv in (["transition", str(cube)], ["periods", str(tmp_path / "nosuché.json")]):
+        code = cli_module.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == dumps(json.loads(err)) + "\n"
+
+
 # ------------------------------------------------------------ table output
 
 TABLE_RUNS = [

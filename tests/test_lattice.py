@@ -3,7 +3,8 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from conifold.errors import (
     ParseError,
 )
 from conifold.lattice import (
+    HULL_WORK_BUDGET,
     _affine_rank,
     _hull_facets,
     convex_hull,
@@ -79,6 +81,70 @@ def test_hull_empty_input():
 def test_hull_not_full_dimensional():
     with pytest.raises(NotFullDimensional):
         convex_hull([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)])
+
+
+# independent directions in every dimension 2-4 once cut to its length
+FLAT_DIRECTIONS = [(1, 2, -1, 3), (0, 1, -1, 1), (2, 0, 1, -1)]
+
+
+def flat_set(dim, span) -> list:
+    """The points (2, -1, 0, 1) + sum c_i d_i over c in {-1, 0, 1}^span
+    for the first ``span`` of FLAT_DIRECTIONS, cut to dimension ``dim``,
+    each point twice: an affine span of dimension ``span`` exactly."""
+    directions = [d[:dim] for d in FLAT_DIRECTIONS[:span]]
+    points = [tuple(x + sum(c * d[k] for c, d in zip(cs, directions))
+                    for k, x in enumerate((2, -1, 0, 1)[:dim]))
+              for cs in product((-1, 0, 1), repeat=span)]
+    return points * 2
+
+
+@pytest.mark.parametrize("dim, span", [(dim, span) for dim in (2, 3, 4)
+                                       for span in range(dim)])
+def test_flat_input_names_the_dimension_of_its_span(dim, span):
+    # a repeated point (span 0), a collinear set, a coplanar set and, in
+    # dimension 4, a set in a hyperplane
+    points = flat_set(dim, span)
+    message = f"points span an affine subspace of dimension {span} < {dim}"
+    assert _affine_rank(sorted(set(points))) == span
+    for hull in (convex_hull, rational_hull):
+        with pytest.raises(NotFullDimensional) as refusal:
+            hull(points)
+        assert str(refusal.value) == message
+
+
+def test_flat_input_past_the_hull_budget_is_refused_as_flat():
+    # 64 coplanar points need C(64, 3) * 64 point tests, past the budget;
+    # the flat input is still refused as such, and one point off the plane
+    # makes it a budget refusal
+    plane = [(x, y, x - y) for x in range(8) for y in range(8)]
+    assert comb(64, 3) * 64 > HULL_WORK_BUDGET
+    with pytest.raises(NotFullDimensional) as refusal:
+        convex_hull(plane)
+    assert str(refusal.value) == "points span an affine subspace of dimension 2 < 3"
+    with pytest.raises(BudgetExceeded, match="point tests"):
+        convex_hull(plane + [(0, 0, 1)])
+
+
+def test_a_hull_that_succeeds_takes_no_rank(corpus, monkeypatch):
+    # flatness shows in the facet scan itself, so the rank is only taken to
+    # word a refusal
+    from test_laurent import NODAL_02_MUTANT
+    from test_root_polytopes import A3_ROOTS, RHOMBIC_DODECAHEDRON
+
+    def no_rank(rows):
+        raise AssertionError("a hull that succeeds takes no rank")
+
+    monkeypatch.setattr(linalg, "rank", no_rank)
+    point_sets = [list(p.vertices) for _stem, p in sorted(corpus.items())] + [
+        A3_ROOTS, RHOMBIC_DODECAHEDRON, NODAL_02_MUTANT, P3_VERTICES, OCTAHEDRON,
+        CUBE, CUBE_GRID, [(2, 0), (0, 2), (-2, -2), (1, 1)],
+        [tuple(t**j for j in range(1, 5)) for t in range(9)],
+    ]
+    for points in point_sets:
+        p = convex_hull(points)
+        assert len(p.facets) > p.dim
+    for p in corpus.values():
+        assert polar_dual(p).dim == 3
 
 
 def test_hull_rejects_ragged_points():
