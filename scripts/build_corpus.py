@@ -24,6 +24,10 @@ cross-checked along the way:
 * the recurrence found for the P^3 sequence is re-verified on a longer,
   freshly computed sequence.
 
+The checks that the package does not hold itself (the unimodular map
+and iterated multiplication) are the test suite's, from
+``tests/oracles.py``.
+
 The script is deterministic: running it twice yields byte-identical
 files.  It exits nonzero on the first failed check.
 
@@ -37,22 +41,14 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from conifold import linalg
 from conifold.lattice import convex_hull, is_reflexive, normalized_volume, polar_dual
-from conifold.laurent import (
-    LaurentPolynomial,
-    from_fan_polytope,
-    period_sequence,
-    period_term_direct,
-)
+from conifold.laurent import from_fan_polytope, period_sequence, period_term_direct
 from conifold.nodal import (
-    LOCAL_MODEL_SQUARE,
-    SmoothingMode,
     check_regularity,
     friedman_smoothable,
     is_regular_triangulation,
@@ -60,8 +56,9 @@ from conifold.nodal import (
     transition_invariants,
 )
 from conifold.recurrence import find_recurrence, verify_recurrence
+from oracles import iterated_periods, square_to_model_map
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "conifold" / "data"
+DATA_DIR = REPO / "src" / "conifold" / "data"
 
 DB_DMAX = 10
 # the keys of the transition report that each golden entry keeps
@@ -145,51 +142,6 @@ def check(cond: bool, message: str) -> None:
         sys.exit(1)
 
 
-def _solve_columns(basis_cols, target_cols):
-    """The rational matrix M with M @ basis_cols = target_cols (3x3).
-
-    Row i of M solves (basis^T) x = (row i of target); Cramer per entry.
-    """
-    bt = [[basis_cols[c][r] for c in range(3)] for r in range(3)]
-    d = linalg.det(bt)
-    check(d != 0, "square basis is singular")
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            a = [r[:] for r in bt]
-            for r in range(3):
-                a[r][j] = target_cols[i][r]
-            row.append(Fraction(linalg.det(a), d))
-        rows.append(row)
-    return rows
-
-
-def verify_square_is_local_model(cycle) -> None:
-    """Map a detected conifold square onto the model square by a
-    unimodular matrix; confirms the cone over it is the xy = zw chart."""
-    v1, v2, v3, v4 = cycle
-    # model square in cycle order: (0,0,1) and (1,1,1) are the diagonal
-    t1, t2, t3, t4 = (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)
-    assert set(LOCAL_MODEL_SQUARE) == {t1, t2, t3, t4}
-    basis = [[v1[r], v2[r], v4[r]] for r in range(3)]
-    target = [[t1[r], t2[r], t4[r]] for r in range(3)]
-    m = _solve_columns(basis, target)
-    check(
-        all(x.denominator == 1 for row in m for x in row),
-        f"square {cycle}: change of basis is not integral",
-    )
-    mi = [[int(x) for x in row] for row in m]
-    check(abs(linalg.det([row[:] for row in mi])) == 1,
-          f"square {cycle}: change of basis is not unimodular")
-    image = tuple(
-        tuple(sum(mi[r][c] * v[c] for c in range(3)) for r in range(3))
-        for v in (v1, v2, v3, v4)
-    )
-    check(image == (t1, t2, t3, t4),
-          f"square {cycle}: does not map onto the local model")
-
-
 def analyze(name: str, vertices, expected_nodes: int) -> dict:
     p = convex_hull([tuple(v) for v in vertices])
     check(is_reflexive(p), f"{name}: not reflexive")
@@ -200,9 +152,10 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     check(profile.node_count == expected_nodes,
           f"{name}: expected {expected_nodes} nodes, found {profile.node_count}")
     for _, cycle in profile.squares:
-        verify_square_is_local_model(cycle)
+        check(square_to_model_map(cycle) is not None,
+              f"{name}: square {cycle} is not the local model by a unimodular map")
 
-    report = transition_invariants(p, profile, SmoothingMode.FANO)
+    report = transition_invariants(p, profile, "fano")
     check(report["e_sm"] == 2 + 2 * report["b2_sm"] - report["b3_sm"],
           f"{name}: Euler/Betti bookkeeping identity failed")
     dual_volume = normalized_volume(polar_dual(p))
@@ -217,18 +170,15 @@ def analyze(name: str, vertices, expected_nodes: int) -> dict:
     regular_count = sum(1 for r in resolutions if r.regular)
     check(regular_count >= 1, f"{name}: no projective small resolution")
 
-    cy_ok, cy_cert = friedman_smoothable(profile, mode=SmoothingMode.CY)
+    cy_ok, cy_cert = friedman_smoothable(profile, mode="cy")
     if cy_ok and profile.node_count > 0:
         check(cy_cert is not None and all(c != 0 for c in cy_cert),
               f"{name}: smoothability certificate has a zero entry")
 
     w = from_fan_polytope(p)
     seq = period_sequence(w, DB_DMAX).terms
-    power = LaurentPolynomial.one(w.dim)
-    for d in range(1, DB_DMAX + 1):
-        power = power * w
-        check(power.constant_term() == seq[d],
-              f"{name}: period c_{d} disagrees with iterated multiplication")
+    check(list(seq) == iterated_periods(w, DB_DMAX),
+          f"{name}: periods disagree with iterated multiplication")
     for d in range(ORACLE_CROSS_CHECK_DMAX + 1):
         check(period_term_direct(w, d) == seq[d],
               f"{name}: period c_{d} disagrees with the direct oracle")

@@ -22,12 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conifold.lattice import convex_hull
 from conifold.laurent import from_fan_polytope, period_sequence
-from conifold.nodal import (
-    SmoothingMode,
-    check_regularity,
-    nodal_profile,
-    transition_invariants,
-)
+from conifold.nodal import check_regularity, nodal_profile, transition_invariants
 from conifold.recurrence import find_recurrence
 import json
 
@@ -58,7 +53,7 @@ def main() -> int:
     for stem in stems:
         p = load(stem)
         profile = nodal_profile(p)
-        rep = transition_invariants(p, profile, SmoothingMode.FANO)
+        rep = transition_invariants(p, profile, "fano")
         rs = check_regularity(profile)
         nreg = sum(1 for r in rs if r.regular)
         seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX)

@@ -55,11 +55,8 @@ from .laurent import (
     period_term_direct,
 )
 from .nodal import (
-    FacetClass,
-    FacetKind,
     NodalProfile,
     SmallResolution,
-    SmoothingMode,
     check_regularity,
     classify_facet,
     enumerate_small_resolutions,
@@ -81,8 +78,6 @@ __all__ = [
     "DuplicateName",
     "EmptyInput",
     "Facet",
-    "FacetClass",
-    "FacetKind",
     "InsufficientData",
     "LaurentPolynomial",
     "NodalProfile",
@@ -95,7 +90,6 @@ __all__ = [
     "Polytope",
     "Recurrence",
     "SmallResolution",
-    "SmoothingMode",
     "WorseThanNodal",
     "check_regularity",
     "classify_facet",

@@ -35,7 +35,6 @@ from .fanodb import load_database, match
 from .lattice import polytope_from_json_dict
 from .laurent import from_fan_polytope, period_sequence
 from .nodal import (
-    SmoothingMode,
     check_regularity,
     enumerate_small_resolutions,
     nodal_profile,
@@ -101,7 +100,7 @@ def cmd_periods(args) -> dict:
 def cmd_transition(args) -> dict:
     p = polytope_from_json_dict(read_input(args.polytope))
     profile = nodal_profile(p)
-    report = transition_invariants(p, profile, SmoothingMode(args.mode))
+    report = transition_invariants(p, profile, args.mode)
     return report_json_dict(report, resolutions=check_regularity(profile))
 
 

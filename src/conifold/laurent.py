@@ -50,8 +50,9 @@ when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
-and exists to check it.  ``LaurentPolynomial`` keeps tuple exponents and
-a general sparse product, which the tests use as a third reference.
+and exists to check it.  ``LaurentPolynomial`` only holds W's tuple
+exponents; the general sparse product, which the tests use as a third
+reference, is ``multiply`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -69,11 +70,9 @@ PERIOD_WORK_BUDGET = 10**7
 
 
 class LaurentPolynomial:
-    """Immutable sparse map: exponent tuple -> nonzero integer coefficient.
-
-    Do not mutate ``terms`` after construction; all operations return new
-    objects.
-    """
+    """Sparse map ``terms``: exponent tuple of length ``dim`` -> nonzero
+    integer coefficient.  Equal exponents are summed on construction and
+    zero sums dropped.  Do not mutate ``terms`` afterwards."""
 
     __slots__ = ("dim", "terms")
 
@@ -93,42 +92,6 @@ class LaurentPolynomial:
                 clean[e] = c
         self.dim = dim
         self.terms = clean
-
-    @classmethod
-    def one(cls, dim: int) -> "LaurentPolynomial":
-        return cls(dim, {(0,) * dim: 1})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPolynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"cannot multiply polynomials in {self.dim} and {other.dim} variables"
-            )
-        small, big = self.terms, other.terms
-        if len(small) > len(big):
-            small, big = big, small
-        acc: dict = {}
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = acc.get(e, 0) + c1 * c2
-                if c == 0:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = c
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        out.dim = self.dim
-        out.terms = acc
-        return out
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.dim, 0)
 
 
 class PeriodSequence(namedtuple("PeriodSequence", "terms")):

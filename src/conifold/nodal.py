@@ -9,7 +9,9 @@ square admits two triangulations, one per diagonal, matching the two small
 resolutions of the node; globally the 2^N diagonal assignments enumerate
 all small resolutions.
 
-Both facet kinds are recognised from their vertices alone.  A reflexive
+Both facet kinds are recognised from their vertices alone, and
+``classify_facet`` names them by plain values: "triangle", a square's
+vertex cycle, or None for any other facet.  A reflexive
 facet lies at lattice distance 1 from the origin, so |det(a, b, c)| is the
 normalized area of the triangle abc in the facet's plane; by Pick's
 theorem a triangle of area 1 holds no lattice point besides its vertices,
@@ -66,8 +68,9 @@ Euler number drops by 2 per node on the smoothing side, and the second
 and third Betti numbers split according to the rank k of the matrix of
 relations among the exceptional curve classes.  ``transition_invariants``
 returns these numbers as the JSON object that ``conifold transition``
-prints, under its keys (N, k, e_res, e_sm, ...); ``report_json_dict``
-only adds the census.
+prints, under its keys (N, k, e_res, e_sm, ...), with the smoothing mode
+as the string it prints, "fano" or "cy"; ``report_json_dict`` only adds
+the census.
 
 The degree (-K)^3 is the normalized volume of the polar dual P*
 (Batyrev, "Dual polyhedra and mirror symmetry for Calabi-Yau
@@ -84,7 +87,6 @@ an edge through c_v adds 0.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, gcd
@@ -109,18 +111,6 @@ CIRCUIT_WORK_BUDGET = 10**4
 LOCAL_MODEL_SQUARE = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
-class FacetKind(Enum):
-    SMOOTH_TRIANGLE = "smooth_triangle"
-    CONIFOLD_SQUARE = "conifold_square"
-    OTHER = "other"
-
-
-class FacetClass(namedtuple("FacetClass", "kind cycle", defaults=(None,))):
-    """A facet's FacetKind and, for a conifold square, its vertex cycle."""
-
-    __slots__ = ()
-
-
 class NodalProfile(namedtuple("NodalProfile", "node_count squares relations")):
     """node_count is N; squares pairs each conifold facet's index (in the
     polytope's canonical facet order) with its vertex cycle; relations is
@@ -143,11 +133,6 @@ class SmallResolution(namedtuple("SmallResolution", "diagonals regular")):
     __slots__ = ()
 
 
-class SmoothingMode(Enum):
-    FANO = "fano"
-    CY = "cy"
-
-
 def _det3(a, b, c) -> int:
     """det of the 3x3 matrix with rows a, b, c: the triple product
     a . (b x c), with the package's one cross product ``lattice.cross``."""
@@ -158,16 +143,14 @@ def _triangle_unimodular(a, b, c) -> bool:
     return abs(_det3(a, b, c)) == 1
 
 
-def classify_facet(facet: Facet) -> FacetClass:
-    """Classify one facet of a reflexive 3-polytope.
-
-    SMOOTH_TRIANGLE: three vertices spanning a unimodular cone.
-    CONIFOLD_SQUARE: four vertices forming a parallelogram whose triangle
-    halves are unimodular (so, as the module docstring shows, its only
-    lattice points are its vertices); the returned cycle
-    (v1, v2, v3, v4) satisfies v1 + v3 == v2 + v4, with v1 the
-    lexicographically least vertex and v2 the lesser of its neighbours.
-    Everything else: OTHER.
+def classify_facet(facet: Facet):
+    """Classify one facet of a reflexive 3-polytope: "triangle" for three
+    vertices spanning a unimodular cone; for a conifold square, four
+    vertices forming a parallelogram whose triangle halves are unimodular
+    (so, as the module docstring shows, its only lattice points are its
+    vertices), its cycle (v1, v2, v3, v4), with v1 + v3 == v2 + v4, v1 the
+    lexicographically least vertex and v2 the lesser of its neighbours;
+    None for everything else.
     """
     if facet.level != -1:
         raise NotReflexiveFacet(
@@ -175,7 +158,7 @@ def classify_facet(facet: Facet) -> FacetClass:
         )
     verts = facet.vertices
     if len(verts) == 3 and _triangle_unimodular(*verts):
-        return FacetClass(FacetKind.SMOOTH_TRIANGLE)
+        return "triangle"
     if len(verts) == 4:
         a, b, c, d = verts  # lexicographic
         # the order is compatible with addition, so a + b < c + d and
@@ -184,8 +167,8 @@ def classify_facet(facet: Facet) -> FacetClass:
         if all(x + y == z + w for x, y, z, w in zip(a, d, b, c)) and (
             _triangle_unimodular(a, b, d)
         ):
-            return FacetClass(FacetKind.CONIFOLD_SQUARE, cycle=(a, b, d, c))
-    return FacetClass(FacetKind.OTHER)
+            return (a, b, d, c)
+    return None
 
 
 def nodal_profile(p: Polytope) -> NodalProfile:
@@ -202,11 +185,11 @@ def nodal_profile(p: Polytope) -> NodalProfile:
     squares = []
     offenders = []
     for i, facet in enumerate(p.facets):
-        cls = classify_facet(facet)
-        if cls.kind is FacetKind.OTHER:
+        kind = classify_facet(facet)
+        if kind is None:
             offenders.append(i)
-        elif cls.kind is FacetKind.CONIFOLD_SQUARE:
-            squares.append((i, cls.cycle))
+        elif kind != "triangle":
+            squares.append((i, kind))
     if offenders:
         raise WorseThanNodal(
             "facets "
@@ -386,18 +369,20 @@ def exceptional_relation_rank(profile: NodalProfile) -> int:
     return k
 
 
-def friedman_smoothable(profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO):
+def friedman_smoothable(profile: NodalProfile, mode: str = "fano"):
     """(smoothable?, certificate).
 
-    FANO mode: a Fano threefold with ordinary double points always smooths
+    "fano": a Fano threefold with ordinary double points always smooths
     (and the smoothing is unique); the certificate is that statement.
-    CY mode: a smoothing exists iff some relation lambda^T R = 0 holds
+    "cy": a smoothing exists iff some relation lambda^T R = 0 holds
     with every lambda_i nonzero, i.e. the left kernel of the relation
     matrix sits inside no coordinate hyperplane; the certificate is such a
-    lambda.
+    lambda.  Any other mode raises ValueError.
     """
-    if mode is SmoothingMode.FANO:
+    if mode == "fano":
         return True, "ordinary double points on a Fano threefold always smooth"
+    if mode != "cy":
+        raise ValueError(f"smoothing mode must be 'fano' or 'cy', got {mode!r}")
     n = profile.node_count
     if n == 0:
         return True, ()
@@ -418,7 +403,7 @@ def friedman_smoothable(profile: NodalProfile, mode: SmoothingMode = SmoothingMo
 
 
 def transition_invariants(
-    p: Polytope, profile: NodalProfile, mode: SmoothingMode = SmoothingMode.FANO
+    p: Polytope, profile: NodalProfile, mode: str = "fano"
 ) -> dict:
     """Topology of the two sides of the conifold transition, for ``profile``
     = ``nodal_profile(p)``, as the JSON object that ``conifold transition``
@@ -455,7 +440,7 @@ def transition_invariants(
         "b3_sm": 2 * (n - k),
         "degree": degree,
         "smoothable": friedman_smoothable(profile, mode)[0],
-        "mode": mode.value,
+        "mode": mode,
         "note": "b2_sm/b3_sm split is derived bookkeeping; the intrinsic "
         "statement is the Euler-number drop of 2 per node",
     }

@@ -33,7 +33,8 @@ from conifold.lattice import (
     vsub,
 )
 from conifold.linalg import strictly_feasible
-from strategies import hull_facets_by_subsets, point_sets, transform, unimodular_matrices
+from oracles import hull_facets_by_subsets, transform
+from strategies import point_sets, unimodular_matrices
 
 P3_VERTICES = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

@@ -17,7 +17,8 @@ from conifold.laurent import (
     period_sequence,
     period_term_direct,
 )
-from strategies import iterated_periods, transform, unimodular_matrices
+from oracles import iterated_periods, multiply, transform
+from strategies import unimodular_matrices
 
 P3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_PERIODS_12 = [1, 0, 0, 0, 24, 0, 0, 0, 2520, 0, 0, 0, 369600]
@@ -42,14 +43,14 @@ def test_dimension_mismatch():
 
 def test_one_is_multiplicative_identity():
     w = w_p3()
-    assert w * LaurentPolynomial.one(3) == w
+    assert multiply(w, LaurentPolynomial(3, {(0, 0, 0): 1})).terms == w.terms
 
 
 def test_known_constant_term():
     # (x + y + 1/(xy))^3 picks up the single balanced triple
     w = LaurentPolynomial(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1})
-    assert (w * w * w).constant_term() == 6
-    assert (w * w).constant_term() == 0
+    assert multiply(multiply(w, w), w).terms.get((0, 0), 0) == 6
+    assert multiply(w, w).terms.get((0, 0), 0) == 0
 
 
 small_poly = st.dictionaries(
@@ -63,13 +64,13 @@ small_poly = st.dictionaries(
 @given(small_poly, small_poly)
 @settings(max_examples=60, deadline=None)
 def test_multiplication_commutes(a, b):
-    assert a * b == b * a
+    assert multiply(a, b).terms == multiply(b, a).terms
 
 
 @given(small_poly, small_poly, small_poly)
 @settings(max_examples=40, deadline=None)
 def test_multiplication_associates(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert multiply(multiply(a, b), c).terms == multiply(a, multiply(b, c)).terms
 
 
 @given(small_poly, small_poly)
@@ -78,7 +79,7 @@ def test_constant_term_of_product_is_diagonal_sum(a, b):
     expected = sum(
         ca * b.terms.get(tuple(-x for x in ea), 0) for ea, ca in a.terms.items()
     )
-    assert (a * b).constant_term() == expected
+    assert multiply(a, b).terms.get((0, 0), 0) == expected
 
 
 # ------------------------------------------------------------- periods
@@ -120,10 +121,10 @@ def test_direct_oracle_budget():
 def charged_term_updates(w, dmax):
     """The term updates ``period_sequence`` charges up to dmax:
     len(W^a) * len(W) for a = 0 .. ceil(dmax / 2) - 1."""
-    power, work = LaurentPolynomial.one(w.dim), 0
+    power, work = LaurentPolynomial(w.dim, {(0,) * w.dim: 1}), 0
     for _ in range((dmax + 1) // 2):
         work += len(power.terms) * len(w.terms)
-        power = power * w
+        power = multiply(power, w)
     return work
 
 
@@ -268,12 +269,13 @@ GRADINGS = {"p3": 4, "nodal_01": 3, "octahedron": 2, "nodal_03": 2, "p2xp1": 1, 
 def periods_and_charge(w, dmax):
     """``iterated_periods`` and ``charged_term_updates`` from one run of
     plain repeated multiplication."""
-    power, cs, work = LaurentPolynomial.one(w.dim), [1], 0
+    origin = (0,) * w.dim
+    power, cs, work = LaurentPolynomial(w.dim, {origin: 1}), [1], 0
     for d in range(1, dmax + 1):
         if d <= (dmax + 1) // 2:
             work += len(power.terms) * len(w.terms)
-        power = power * w
-        cs.append(power.constant_term())
+        power = multiply(power, w)
+        cs.append(power.terms.get(origin, 0))
     return cs, work
 
 
@@ -293,7 +295,7 @@ def factored_polys(draw):
     vec = st.tuples(*[st.integers(-1, 1)] * 3)
     w = LaurentPolynomial(3, {draw(vec): draw(coeff)})
     for t in draw(st.lists(vec.filter(any), min_size=1, max_size=3)):
-        w = w * LaurentPolynomial(3, {(0, 0, 0): 1, t: 1})
+        w = multiply(w, LaurentPolynomial(3, {(0, 0, 0): 1, t: 1}))
     lone = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), coeff, max_size=3))
     return LaurentPolynomial(3, [*w.terms.items(), *lone.items()])
 

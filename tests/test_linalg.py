@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
-from strategies import fraction_kernel_basis, rank_by_minors, row_reduce
+from oracles import fraction_kernel_basis, rank_by_minors, row_reduce
 
 small_int = st.integers(min_value=-6, max_value=6)
 

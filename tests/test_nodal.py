@@ -3,7 +3,6 @@
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -24,9 +23,7 @@ from conifold.lattice import convex_hull, dot, normalized_volume, polar_dual
 from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.nodal import (
     LOCAL_MODEL_SQUARE,
-    FacetKind,
     NodalProfile,
-    SmoothingMode,
     check_regularity,
     classify_facet,
     enumerate_small_resolutions,
@@ -42,13 +39,8 @@ from conifold.nodal import (
     transition_invariants,
 )
 from conifold.recurrence import Recurrence
-from strategies import (
-    arrangement_region_count,
-    point_sets,
-    rank_by_minors,
-    transform,
-    unimodular_matrices,
-)
+from oracles import arrangement_region_count, rank_by_minors, square_to_model_map, transform
+from strategies import point_sets, unimodular_matrices
 
 PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (-1, -1, -2)]
 CORPUS_STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
@@ -102,10 +94,10 @@ def test_local_model_square_detected():
     p = convex_hull(PYRAMID)
     squares = square_facets(p)
     assert len(squares) == 1
-    cls = classify_facet(squares[0])
-    assert cls.kind is FacetKind.CONIFOLD_SQUARE
-    v1, v2, v3, v4 = cls.cycle
-    assert set(cls.cycle) == set(LOCAL_MODEL_SQUARE)
+    cycle = classify_facet(squares[0])
+    assert isinstance(cycle, tuple)
+    v1, v2, v3, v4 = cycle
+    assert set(cycle) == set(LOCAL_MODEL_SQUARE)
     # opposite corners of the cycle sum equally: an empty parallelogram
     assert tuple(a + b for a, b in zip(v1, v3)) == tuple(
         a + b for a, b in zip(v2, v4)
@@ -115,14 +107,13 @@ def test_local_model_square_detected():
 def test_smooth_triangles_detected():
     p = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     for f in p.facets:
-        cls = classify_facet(f)
-        assert cls.kind is FacetKind.SMOOTH_TRIANGLE and cls.cycle is None
+        assert classify_facet(f) == "triangle"
 
 
 def test_neither_kind_is_other():
     p = convex_hull(CUBE)
     for f in p.facets:
-        assert classify_facet(f).kind is FacetKind.OTHER
+        assert classify_facet(f) is None
 
 
 def test_classify_requires_level_minus_one():
@@ -135,38 +126,9 @@ def test_classify_requires_level_minus_one():
 @settings(max_examples=100, deadline=None)
 def test_classification_is_lattice_invariant(m):
     p = transform(convex_hull(PYRAMID), m)
-    kinds = sorted(classify_facet(f).kind.name for f in p.facets)
-    assert kinds.count("CONIFOLD_SQUARE") == 1
-    assert kinds.count("SMOOTH_TRIANGLE") == len(p.facets) - 1
-
-
-def _square_to_model_map(cycle):
-    """Solve for the lattice isomorphism sending the square's cone onto
-    the local model cone; an independent check on classify_facet."""
-    v1, v2, v3, v4 = cycle
-    t1, t2, t3, t4 = (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)
-    bt = [list(v) for v in (v1, v2, v4)]  # the transpose of the basis
-    d = linalg.det(bt)
-    assert d != 0
-    m = []
-    for i in range(3):
-        row = []
-        ti = (t1, t2, t4)
-        target = [ti[0][i], ti[1][i], ti[2][i]]
-        for j in range(3):
-            a = [r[:] for r in bt]
-            for r in range(3):
-                a[r][j] = target[r]
-            row.append(Fraction(linalg.det(a), d))
-        m.append(row)
-    assert all(x.denominator == 1 for row in m for x in row)
-    mi = [[int(x) for x in row] for row in m]
-    assert abs(linalg.det([row[:] for row in mi])) == 1
-    image = tuple(
-        tuple(sum(mi[r][c] * v[c] for c in range(3)) for r in range(3))
-        for v in (v1, v2, v3, v4)
-    )
-    assert image == (t1, t2, t3, t4)
+    kinds = [classify_facet(f) for f in p.facets]
+    assert sum(isinstance(k, tuple) for k in kinds) == 1
+    assert kinds.count("triangle") == len(p.facets) - 1
 
 
 def test_every_corpus_square_cone_is_the_local_model(corpus, golden):
@@ -174,7 +136,7 @@ def test_every_corpus_square_cone_is_the_local_model(corpus, golden):
         if golden["polytopes"][stem]["N"] == 0:
             continue
         for _, cycle in nodal_profile(p).squares:
-            _square_to_model_map(cycle)
+            assert square_to_model_map(cycle) is not None, (stem, cycle)
 
 
 # ------------------------------------------------------------ profiles
@@ -480,7 +442,7 @@ def test_classified_facets_hold_no_lattice_points_but_vertices(corpus, m, stem, 
         pass
     for p in polytopes:
         for f in p.facets:
-            if f.level == -1 and classify_facet(f).kind is not FacetKind.OTHER:
+            if f.level == -1 and classify_facet(f) is not None:
                 assert len(f.lattice_points) == len(f.vertices), f
 
 
@@ -528,7 +490,7 @@ def test_relation_rank_cross_checked_by_minors(corpus, golden):
 
 def test_friedman_fano_mode_always_smoothable(corpus):
     for p in corpus.values():
-        ok, note = friedman_smoothable(nodal_profile(p), SmoothingMode.FANO)
+        ok, note = friedman_smoothable(nodal_profile(p), "fano")
         assert ok and isinstance(note, str)
 
 
@@ -536,14 +498,14 @@ def test_friedman_cy_full_rank_profiles(corpus, golden):
     for stem in ("nodal_01", "nodal_02"):
         g = golden["polytopes"][stem]
         assert g["k"] == g["N"]  # these profiles have full relation rank
-        ok, cert = friedman_smoothable(nodal_profile(corpus[stem]), SmoothingMode.CY)
+        ok, cert = friedman_smoothable(nodal_profile(corpus[stem]), "cy")
         assert not ok and cert is None
 
 
 def test_friedman_cy_certificate(corpus, golden):
     p = corpus["nodal_03"]
     profile = nodal_profile(p)
-    ok, cert = friedman_smoothable(profile, SmoothingMode.CY)
+    ok, cert = friedman_smoothable(profile, "cy")
     assert ok
     assert list(cert) == golden["polytopes"]["nodal_03"]["cy_certificate"]
     assert all(c != 0 for c in cert)
@@ -553,7 +515,7 @@ def test_friedman_cy_certificate(corpus, golden):
 
 
 def test_friedman_cy_smooth_polytope(corpus):
-    ok, cert = friedman_smoothable(nodal_profile(corpus["p3"]), SmoothingMode.CY)
+    ok, cert = friedman_smoothable(nodal_profile(corpus["p3"]), "cy")
     assert ok and cert == ()
 
 
@@ -564,9 +526,31 @@ def test_friedman_cy_proportional_rows_smoothable(corpus):
     p = corpus["nodal_01"]
     (pair,) = nodal_profile(p).squares
     doubled = NodalProfile(2, (pair, pair), exceptional_relation_matrix(p, (pair, pair)))
-    ok, cert = friedman_smoothable(doubled, SmoothingMode.CY)
+    ok, cert = friedman_smoothable(doubled, "cy")
     assert ok
     assert len(cert) == 2 and all(c != 0 for c in cert)
+
+
+def test_smoothing_modes_are_the_strings_the_json_prints(corpus, golden):
+    # "fano" always smooths; "cy" gives the answer and certificate frozen
+    # in golden.json; any other string, even "FANO", is refused
+    for stem, p in corpus.items():
+        g = golden["polytopes"][stem]
+        profile = nodal_profile(p)
+        ok, note = friedman_smoothable(profile, "fano")
+        assert ok is True and isinstance(note, str), stem
+        assert friedman_smoothable(profile) == (ok, note)
+        ok, cert = friedman_smoothable(profile, "cy")
+        assert ok is g["smoothable_cy"], stem
+        assert (None if cert is None else list(cert)) == g["cy_certificate"], stem
+        for mode, smoothable in (("fano", True), ("cy", g["smoothable_cy"])):
+            rep = transition_invariants(p, profile, mode)
+            assert rep["mode"] == mode and rep["smoothable"] is smoothable, stem
+        for bad in ("FANO", "x"):
+            with pytest.raises(ValueError):
+                friedman_smoothable(profile, bad)
+            with pytest.raises(ValueError):
+                transition_invariants(p, profile, bad)
 
 
 # --------------------------------------------------------------- reports
@@ -575,7 +559,7 @@ def test_friedman_cy_proportional_rows_smoothable(corpus):
 def test_reports_match_golden(corpus, golden):
     for stem, p in corpus.items():
         g = golden["polytopes"][stem]
-        rep = transition_invariants(p, nodal_profile(p), SmoothingMode.FANO)
+        rep = transition_invariants(p, nodal_profile(p), "fano")
         assert rep["N"] == g["N"]
         assert rep["k"] == g["k"]
         assert rep["degree"] == g["degree"]
@@ -599,10 +583,10 @@ def test_report_bookkeeping_identities(corpus):
 
 def test_report_cy_mode(corpus):
     p = corpus["nodal_03"]
-    rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
+    rep = transition_invariants(p, nodal_profile(p), "cy")
     assert rep["mode"] == "cy" and rep["smoothable"] is True
     p = corpus["nodal_01"]
-    rep = transition_invariants(p, nodal_profile(p), SmoothingMode.CY)
+    rep = transition_invariants(p, nodal_profile(p), "cy")
     assert rep["smoothable"] is False
 
 

@@ -20,7 +20,7 @@ from conifold.recurrence import (
     gw_labeling,
     verify_recurrence,
 )
-from strategies import CLOSED_FORM_PERIODS, find_recurrence_unscreened
+from oracles import CLOSED_FORM_PERIODS, find_recurrence_unscreened
 
 
 def central_binomials(n):

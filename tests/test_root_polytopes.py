@@ -26,7 +26,7 @@ from conifold.nodal import (
     nodal_profile,
     transition_invariants,
 )
-from strategies import arrangement_region_count, hull_facets_by_subsets, iterated_periods
+from oracles import arrangement_region_count, hull_facets_by_subsets, iterated_periods
 
 UNIT = [tuple(int(i == j) for j in range(3)) for i in range(3)]
 # the 12 roots +-e_i and +-(e_i - e_j) of A3
