@@ -1,15 +1,27 @@
 """Exact linear algebra over the integers.
 
 Everything here is dense, small and exact, and takes integer rows only.
-There are two eliminations, both fraction-free (Bareiss 1968):
+There are two exact eliminations, both fraction-free (Bareiss 1968):
 ``integer_rref``, the Gauss-Jordan reduction from which integer kernel
 bases are read, and the cheaper forward-only ``pivot_columns``, whose
 pivots ``rank`` counts.  The tests hold ``rank`` to an independent rank
-through maximal nonzero minors (``tests/strategies.py``).  No floating
-point is ever produced or consumed, and no ``Fraction`` outside the
-simplex below, which imports it itself: no command runs the simplex, and
-importing ``fractions`` (with ``decimal``) would add milliseconds to
-every command's start-up.
+through maximal nonzero minors (``tests/oracles.py``).
+
+The third, ``modular_pivots``, eliminates forward over GF(p) for the
+prime p = ``PRIME`` = 2^31 - 1, with each row packed into one int of
+128-bit slots, one per column, so that a row operation is one multiply
+and one add whatever the row's length.  A slot stays below
+p + ncols * p^2 < 2^128, so no sum carries into the next slot.  It
+certifies nothing by itself but bounds the exact rank from below: a
+minor that is nonzero mod p is a nonzero integer, so every column prefix
+has at least as many pivots over Q as mod p, and the pivot rows mod p
+are independent over Q.  ``recurrence`` skips and shrinks its exact
+work with it, never deciding an answer by it.
+
+No floating point is ever produced or consumed, and no ``Fraction``
+outside the simplex below, which imports it itself: no command runs the
+simplex, and importing ``fractions`` (with ``decimal``) would add
+milliseconds to every command's start-up.
 
 ``det``, the last pivot of ``integer_rref``, and ``max_slack`` and
 ``strictly_feasible``, a tiny exact tableau simplex, are on no production
@@ -22,6 +34,11 @@ tests and ``scripts/build_corpus.py`` hold that test to.
 """
 
 from __future__ import annotations
+
+# The prime of ``modular_pivots``: a product of two residues fits in 62
+# bits, and one row of residues in 128-bit slots per column.
+PRIME = 2**31 - 1
+_SLOT_MASK = (1 << 128) - 1
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
@@ -85,6 +102,50 @@ def pivot_columns(rows: list[list]) -> list[int]:
         prev = p
         pivots.append(c)
     return pivots
+
+
+def modular_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Forward elimination over GF(``PRIME``): the pivot columns, and the
+    original index of the row chosen at each, the first unused row whose
+    entry there is nonzero mod p.
+
+    Each row is packed into one int, entry c reduced mod p in the 128-bit
+    slot c, so a row operation is one multiply and one add.  Only the
+    leading slot is reduced to find a pivot.  Every other row adds
+    (p - lead) mod p times the pivot row scaled to lead 1 (slots reduced
+    below p) and shifts its leading slot, now 0 mod p, out.  A slot starts
+    below p and gains less than p^2 per column, so it stays below
+    p + ncols * p^2 < 2^128 and a sum never carries into the next slot.
+
+    A k x k minor that is nonzero mod p is a nonzero integer, so every
+    column prefix has at least as large a rank over Q as mod p: no prefix
+    holds more of these pivots than of ``pivot_columns``, and the pivot
+    rows are linearly independent over Q.  An unlucky p finds fewer.
+    """
+    p = PRIME
+    ncols = len(rows[0]) if rows else 0
+    index = list(range(len(rows)))
+    live = [int.from_bytes(b"".join((a % p).to_bytes(16, "little") for a in row),
+                           "little") for row in rows]
+    pivots: list[int] = []
+    pivot_rows: list[int] = []
+    for c in range(ncols):
+        if not live:
+            break
+        leads = [row & _SLOT_MASK for row in live]
+        k = next((k for k, lead in enumerate(leads) if lead % p), None)
+        if k is None:
+            live = [row >> 128 for row in live]
+            continue
+        top = (live.pop(k) >> 128).to_bytes(16 * (ncols - c - 1), "little")
+        inv = pow(leads.pop(k), -1, p)
+        scaled = int.from_bytes(b"".join(
+            (int.from_bytes(top[s:s + 16], "little") * inv % p).to_bytes(16, "little")
+            for s in range(0, len(top), 16)), "little")
+        live = [(row >> 128) + (-lead % p) * scaled for row, lead in zip(live, leads)]
+        pivots.append(c)
+        pivot_rows.append(index.pop(k))
+    return pivots, pivot_rows
 
 
 def rank(rows: list[list]) -> int:

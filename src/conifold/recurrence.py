@@ -5,31 +5,59 @@ least (order r, coefficient degree D) such that
 
     sum_{i=0}^{r} p_i(d) * c_{d+i} = 0   for every usable d,
 
-with deg p_i <= D and p_r not identically zero.  Nothing is held out:
-every cell is solved on all L + 1 - r rows, so a candidate annihilates
-every window of the sequence.  A search needs at least
+with deg p_i <= D and p_r not identically zero.  Nothing is held out: a
+cell's kernel is that of all its L + 1 - r rows, so a candidate
+annihilates every window of the sequence.  A search needs at least
 (rmax+1)(degree_max+1) + rmax + ``HOLDOUT`` terms, so that every cell has
 at least ``HOLDOUT`` more equations than unknowns, which kills fitted
 coincidences; the constant sets that least length and the screen's row
-count below, never which cell is returned.  All solving is exact: the
-kernel of the integer matrix comes from fraction-free integer elimination
-(``linalg.integer_rref``) as integer vectors; no candidate is ever
+count below, never which cell is returned.  No candidate is ever
 accepted numerically.
 
+Arithmetic mod p = ``linalg.PRIME`` decides what can be skipped; exact
+integer arithmetic decides every answer.  An unlucky prime costs time,
+never a different cell, kernel or output.
+
 Most cells are never solved.  For each order r one block is eliminated
-forward (``linalg.pivot_columns``): rows d = 0 .. min(L + 1 - r,
+forward mod p (``linalg.modular_pivots``): rows d = 0 .. min(L + 1 - r,
 (r+1)(degree_max+1) + HOLDOUT) - 1, entry c_{d+i} * d^j in column
 j(r+1) + i.  Its first w = (r+1)(D+1) columns are some rows of the (r, D)
-cell's matrix, columns permuted, and a subset of rows has no larger rank
-than all of them: when w pivots lie below w, the cell's kernel is {0} and
-it is skipped.  Every other cell is solved on all rows as before, so the
-search returns what solving every cell returns.
+cell's matrix, columns permuted.  When w pivots lie below w, some w x w
+minor of those rows is nonzero mod p, hence a nonzero integer: the cell's
+matrix has full column rank over Q, its kernel is {0}, and the cell is
+skipped.  At the first cell of an order that the modular pivots cannot
+clear, the block is eliminated once exactly (``linalg.pivot_columns``,
+fraction-free), and those pivots decide the rest of the order; so the
+screen skips exactly the cells that exact elimination alone skips.
+
+A cell that passes the screen is solved exactly (``_solve_cell``).  When
+its rows have full column rank mod p, its kernel is {0} by the same
+minor argument.  Otherwise the integer kernel K (``linalg.kernel_basis``,
+fraction-free) is taken on the rows the modular pass chose as pivots,
+and every row is checked against K by exact dot products.  A row that
+passes lies in the orthogonal complement of K, which is the span of the
+chosen rows; the rows that fail, if any, are added and the kernel is
+taken once more.  Then the chosen rows span the cell's row space, and
+the reduced echelon form depends on the row space alone: the kernel
+basis is the one that solving on every row gives, up to a positive
+factor, and ``_normalize`` returns the same vector.  No cell takes more
+than two solves.
+
+The budget (``_charge``) is charged before any work, by the same
+formulas as when every screen and solve was exact: one charge per order
+for its block and one per cell solved, each the entry updates of an
+exact elimination of all its rows.  They still bound the exact work: the
+exact screen runs at most once, on the block that was charged for it,
+and a cell's two solves take its chosen rows and then at most all of
+them, so at most twice its charge.  A modular pass updates a whole row
+in one multiply and one add.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import BudgetExceeded, InsufficientData
@@ -70,10 +98,15 @@ class Recurrence(namedtuple("Recurrence", "order degree coeffs")):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
-        """Inverse of ``to_json_dict``; a coefficient that is not an integer
-        raises ValueError."""
+        """Inverse of ``to_json_dict``; an order, degree or coefficient that
+        is not an integer, or other than order + 1 coefficient lists, raises
+        ValueError."""
+        order = _integer(data["order"])
         coeffs = tuple(tuple(_integer(a) for a in poly) for poly in data["coeffs"])
-        return cls(int(data["order"]), int(data["degree"]), coeffs)
+        if len(coeffs) != order + 1:
+            raise ValueError(f"a recurrence of order {order} has {order + 1} "
+                             f"coefficient polynomials, not {len(coeffs)}")
+        return cls(order, _integer(data["degree"]), coeffs)
 
     def __str__(self) -> str:
         def render_poly(poly) -> str:
@@ -109,7 +142,7 @@ def _integer(raw) -> int:
     else, "6/2" and "3.0" included, raises ValueError."""
     if type(raw) is int or isinstance(raw, str):
         return int(raw)
-    raise ValueError(f"recurrence coefficient {raw!r} is not an integer")
+    raise ValueError(f"recurrence field {raw!r} is not an integer")
 
 
 def _normalize(vec: list[int], r: int, dD: int) -> tuple:
@@ -144,21 +177,22 @@ def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
 
 def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
     """Nontrivial normalized solution for the (r, D) cell over every
-    usable window of ``terms``, or None."""
-    last = len(terms) - 1
+    usable window of ``terms``, or None.  The kernel is taken on the rows
+    that ``linalg.modular_pivots`` picks, and once more with every row that
+    fails it added (module docstring)."""
     nvars = (r + 1) * (dD + 1)
-    rows = []
-    for d in range(0, last - r + 1):
-        row = []
-        for i in range(r + 1):
-            c = terms[d + i]
-            for j in range(dD + 1):
-                row.append(c * d**j)
-        rows.append(row)
-    basis = linalg.kernel_basis(rows, ncols=nvars)
+    rows = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
+            for d in range(len(terms) - r)]
+    pivots, chosen = linalg.modular_pivots(rows)
+    if len(pivots) == nvars:
+        return None
+    chosen = [rows[k] for k in chosen]
+    basis = linalg.kernel_basis(chosen, ncols=nvars)
+    failed = [row for row in rows if any(sum(map(mul, row, v)) for v in basis)]
+    if failed:
+        basis = linalg.kernel_basis(chosen + failed, ncols=nvars)
     for vec in basis:
-        pr = vec[r * (dD + 1) : (r + 1) * (dD + 1)]
-        if any(x != 0 for x in pr):
+        if any(vec[r * (dD + 1):]):  # p_r is not identically zero
             return _normalize(vec, r, dD)
     return None
 
@@ -184,11 +218,14 @@ def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
         # the screen of the module docstring: one echelon per order
         nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + HOLDOUT)
         work = _charge(work, nrows, (r + 1) * (degree_max + 1), words)
-        pivots = linalg.pivot_columns(
-            [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
-             for d in range(nrows)])
+        block = [[terms[d + i] * d**j for j in range(degree_max + 1)
+                  for i in range(r + 1)] for d in range(nrows)]
+        pivots, _ = linalg.modular_pivots(block)
+        exact = False
         for dD in range(0, degree_max + 1):
             width = (r + 1) * (dD + 1)
+            if not exact and sum(c < width for c in pivots) < width:
+                pivots, exact = linalg.pivot_columns(block), True
             if sum(c < width for c in pivots) == width:
                 continue
             work = _charge(work, len(terms) - r, width, words)

@@ -3,10 +3,10 @@ standard library and ``conifold``, so that ``scripts/build_corpus.py``
 can use them as well as the tests: the general sparse product of Laurent
 polynomials and the period engine of plain repeated multiplication, the
 subset hull scan (with its ``primitive`` normals), Fraction elimination,
-rank by minors, the unscreened recurrence search, the arrangement region
-count, the image of a polytope under a matrix, the map of a conifold
-square onto the local model, and closed forms of five bundled period
-sequences."""
+elimination mod p, rank by minors, the every-row recurrence cell solve
+and the unscreened search, the arrangement region count, the image of a
+polytope under a matrix, the map of a conifold square onto the local
+model, and closed forms of five bundled period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +18,7 @@ from conifold.errors import InsufficientData
 from conifold.lattice import convex_hull, dot, vsub
 from conifold.laurent import LaurentPolynomial
 from conifold.nodal import LOCAL_MODEL_SQUARE
-from conifold.recurrence import HOLDOUT, Recurrence, _solve_cell, verify_recurrence
+from conifold.recurrence import HOLDOUT, Recurrence, _normalize, verify_recurrence
 
 
 def multiply(a, b):
@@ -191,6 +191,24 @@ def rank_by_minors(rows: list[list]) -> int:
     return 0
 
 
+def pivots_mod(rows, p: int) -> tuple[list[int], list[int]]:
+    """Reference ``linalg.modular_pivots`` on lists of residues mod p:
+    pivot columns and the original index of each pivot row."""
+    live = [(i, [a % p for a in row]) for i, row in enumerate(rows)]
+    pivots, pivot_rows = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        k = next((k for k, (_, row) in enumerate(live) if row[c]), None)
+        if k is None:
+            continue
+        i, top = live.pop(k)
+        inv = pow(top[c], -1, p)
+        live = [(j, [(a - row[c] * inv * b) % p for a, b in zip(row, top)])
+                for j, row in live]
+        pivots.append(c)
+        pivot_rows.append(i)
+    return pivots, pivot_rows
+
+
 def fraction_kernel_basis(rows, ncols):
     """Reference kernel: the vector of free column fc has 1 there and
     -RREF[r][fc] in the r-th pivot column, RREF taken by ``row_reduce``."""
@@ -205,10 +223,22 @@ def fraction_kernel_basis(rows, ncols):
     return basis
 
 
+def solve_cell_on_every_row(terms, r: int, dD: int) -> tuple | None:
+    """Reference ``recurrence._solve_cell``: the kernel of the (r, D) cell's
+    matrix taken on all of its rows at once, with no modular pass."""
+    nvars = (r + 1) * (dD + 1)
+    rows = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
+            for d in range(len(terms) - r)]
+    for vec in linalg.kernel_basis(rows, ncols=nvars):
+        if any(vec[r * (dD + 1):]):
+            return _normalize(vec, r, dD)
+    return None
+
+
 def find_recurrence_unscreened(terms, rmax: int, degree_max: int) -> Recurrence | None:
     """Reference search: ``find_recurrence`` without its per-order screen,
-    solving every (r, D) cell in lexicographic order until one has a
-    solution."""
+    solving every (r, D) cell in lexicographic order, each on all of its
+    rows, until one has a solution."""
     if rmax < 1 or degree_max < 0:
         raise ValueError("need rmax >= 1 and degree_max >= 0")
     needed = (rmax + 1) * (degree_max + 1) + rmax + HOLDOUT
@@ -219,7 +249,7 @@ def find_recurrence_unscreened(terms, rmax: int, degree_max: int) -> Recurrence 
         )
     for r in range(1, rmax + 1):
         for dD in range(0, degree_max + 1):
-            sol = _solve_cell(terms, r, dD)
+            sol = solve_cell_on_every_row(terms, r, dD)
             if sol is None:
                 continue
             rec = Recurrence(

@@ -1,5 +1,6 @@
 """Exact integer linear algebra: reduction, kernels, determinants, LPs."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
@@ -8,16 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
-from oracles import fraction_kernel_basis, rank_by_minors, row_reduce
+from oracles import fraction_kernel_basis, pivots_mod, rank_by_minors, row_reduce
 
 small_int = st.integers(min_value=-6, max_value=6)
 
 
-def matrices(max_rows=4, max_cols=4):
+def matrices(max_rows=4, max_cols=4, entries=small_int):
     return st.integers(min_value=1, max_value=max_rows).flatmap(
         lambda m: st.integers(min_value=1, max_value=max_cols).flatmap(
             lambda n: st.lists(
-                st.lists(small_int, min_size=n, max_size=n),
+                st.lists(entries, min_size=n, max_size=n),
                 min_size=m,
                 max_size=m,
             )
@@ -107,6 +108,56 @@ def test_rank_examples():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[0, 0], [0, 0]]) == 0
     assert linalg.rank([]) == 0
+
+
+# negative entries, entries above 2^64, and multiples of p with their
+# neighbours
+wide_int = st.one_of(
+    small_int,
+    st.integers(-2**80, 2**80),
+    st.builds(lambda k, e: k * linalg.PRIME + e, st.integers(-2**40, 2**40),
+              st.integers(-1, 1)),
+)
+
+
+@st.composite
+def modular_inputs(draw):
+    """Matrices of ``wide_int``, and low-rank products plus p (or a
+    multiple of p above 2^64) times a small matrix: the rank of those
+    over Q may exceed their rank mod p."""
+    base = draw(st.one_of(matrices(8, 8, wide_int), low_rank_products(8)))
+    k = draw(st.sampled_from((linalg.PRIME, -linalg.PRIME * 2**40)))
+    width = len(base[0])
+    noise = draw(st.lists(st.lists(small_int, min_size=width, max_size=width),
+                          min_size=len(base), max_size=len(base)))
+    shifted = [[a + k * e for a, e in zip(row, extra)] for row, extra in zip(base, noise)]
+    return draw(st.sampled_from((base, shifted)))
+
+
+@given(modular_inputs())
+@example([[linalg.PRIME, 1]])
+@example([[2 * linalg.PRIME, 0], [1, 0], [0, -linalg.PRIME]])
+@settings(max_examples=300, deadline=None)
+def test_modular_pivots_bound_the_exact_ones(m):
+    pivots, pivot_rows = linalg.modular_pivots(m)
+    assert (pivots, pivot_rows) == pivots_mod(m, linalg.PRIME)
+    exact = linalg.pivot_columns(m)
+    for c in range(len(m[0]) + 1):
+        assert sum(p < c for p in pivots) <= sum(p < c for p in exact)
+    assert linalg.rank([m[i] for i in pivot_rows]) == len(pivots)
+
+
+def test_modular_pivots_keep_their_slots_apart():
+    # 45 rows of 40 residues just below p: each of the 40 steps adds up
+    # to p^2 to a slot, and a carry into the next slot would change the
+    # pivots or their rows
+    rng = random.Random(3)
+    p = linalg.PRIME
+    m = [[rng.randrange(p - 40, p) for _ in range(40)] for _ in range(45)]
+    assert linalg.modular_pivots(m) == pivots_mod(m, p)
+    assert len(linalg.modular_pivots(m)[0]) == 40
+    assert linalg.modular_pivots([]) == ([], [])
+    assert linalg.modular_pivots([[0, p], [-p, 0]]) == ([], [])
 
 
 def test_kernel_basis_annihilates():

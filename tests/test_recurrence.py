@@ -20,7 +20,11 @@ from conifold.recurrence import (
     gw_labeling,
     verify_recurrence,
 )
-from oracles import CLOSED_FORM_PERIODS, find_recurrence_unscreened
+from oracles import (
+    CLOSED_FORM_PERIODS,
+    find_recurrence_unscreened,
+    solve_cell_on_every_row,
+)
 
 
 def central_binomials(n):
@@ -150,6 +154,20 @@ def test_from_json_dict_rejects_fractional_coefficients():
     assert Recurrence.from_json_dict(data).coeffs == ((-3,), (12,))
 
 
+def test_from_json_dict_rejects_non_integer_order_and_degree():
+    # order and degree go through the same integer check as coefficients,
+    # so 1.9 and True are no longer read as 1
+    data = {"order": 1, "degree": 0, "coeffs": [["-2"], ["1"]]}
+    assert Recurrence.from_json_dict({**data, "order": "1"}).order == 1
+    bad = [{**data, "order": 1.9, "degree": True}]
+    bad += [{**data, key: raw}
+            for key in ("order", "degree") for raw in (1.9, True, None)]
+    bad += [{**data, "order": 2}, {**data, "coeffs": [["1"]]}]
+    for case in bad:
+        with pytest.raises(ValueError):
+            Recurrence.from_json_dict(case)
+
+
 # four of the benchmark's searches and one on nodal_01: sequence, length,
 # rmax, degree cap, stride, and the least (order, degree) with its
 # coefficients, frozen from the Fraction elimination that preceded the
@@ -224,6 +242,55 @@ def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
         rec = find_recurrence(seq[::stride], rmax, degree_max)
         assert solved_cells == expected[stem], stem
         assert rec == find_recurrence_unscreened(seq[::stride], rmax, degree_max)
+
+
+def _counting(calls, name, fn):
+    """``fn`` that adds one to ``calls[name]`` on each call."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_unlucky_prime_changes_no_answer(monkeypatch, solved_cells):
+    # p times p3's and octahedron's sequences: every entry is 0 mod p, so
+    # the modular pass clears nothing and each order's screen and each
+    # solve fall back on exact elimination, with the same answers
+    p = linalg.PRIME
+    for stem, length, rmax, degree_max, stride, _, _ in PINNED_SEARCHES[:2]:
+        seq = [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)][::stride]
+        solved_cells.clear()
+        rec = find_recurrence(seq, rmax, degree_max)
+        log = list(solved_cells)
+        solved_cells.clear()
+        scaled = [p * c for c in seq]
+        assert find_recurrence(scaled, rmax, degree_max) == rec, stem
+        assert solved_cells == log, stem
+        assert rec == find_recurrence_unscreened(scaled, rmax, degree_max), stem
+    # the hit cell of p3: the pivot rows mod p are none, so every nonzero
+    # row fails the first kernel and the second solve takes them all
+    calls = {"kernel_basis": 0}
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        _counting(calls, "kernel_basis", linalg.kernel_basis))
+    seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
+    p3_coeffs = PINNED_SEARCHES[0][6]
+    assert _solve_cell([p * c for c in seq], 4, 3) == p3_coeffs
+    assert _solve_cell(seq, 4, 3) == p3_coeffs
+    assert calls["kernel_basis"] == 3
+
+
+def test_exhaustive_misses_take_no_exact_elimination(corpus, monkeypatch):
+    # p2xp1 and nodal_02 to degree 60 at (4, 4): the modular pass rules
+    # out every cell, so neither exact elimination ever runs
+    calls = {"pivot_columns": 0, "integer_rref": 0}
+    for name in calls:
+        monkeypatch.setattr(linalg, name, _counting(calls, name, getattr(linalg, name)))
+    nodal_02 = list(period_sequence(from_fan_polytope(corpus["nodal_02"]), 60).terms)
+    p2xp1 = [CLOSED_FORM_PERIODS["p2xp1"](d) for d in range(61)]
+    for seq in (p2xp1, nodal_02):
+        assert find_recurrence(seq, 4, 4) is None
+    assert calls == {"pivot_columns": 0, "integer_rref": 0}
 
 
 def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
@@ -360,6 +427,16 @@ def test_screened_search_equals_unscreened(seq, rmax, degree_max, stride, extra)
     for cell in product(range(1, rmax + 1), range(degree_max + 1)):
         if cell <= stop and cell not in tried:
             assert _solve_cell(seq, *cell) is None, cell
+
+
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from((1, linalg.PRIME)), st.integers(0, 10))
+@settings(max_examples=100, deadline=None)
+def test_cell_solve_equals_every_row_oracle(seq, r, dD, scale, cut):
+    # p times a sequence leaves the modular pass no pivots, so the second
+    # solve runs on every nonzero row
+    seq = [scale * c for c in seq[: (r + 1) * (dD + 1) + r + cut]]
+    assert _solve_cell(seq, r, dD) == solve_cell_on_every_row(seq, r, dD)
 
 
 def test_str_rendering():
