@@ -6,8 +6,9 @@ code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
 dimensions 2 and 4, database records that load and that fail
-with each of the loader's messages, and inputs that must exit 2 or 3,
-flat point sets among them.
+with each of the loader's messages, recurrence searches on a sequence
+whose terms are all multiples of the screen's prime 2^31 - 1, and inputs
+that must exit 2 or 3, flat point sets among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -32,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -94,6 +96,9 @@ def write_inputs(tmp: Path) -> list[str]:
         "central.json": {"periods": [1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620,
                                      184756, 705432, 2704156, 10400600]},
         "noise.json": [1] + [rng.randrange(1, 10 ** 9) for _ in range(39)],
+        # p3's periods (4k)!/(k!)^4 times 2^31 - 1: 0 mod the screen's prime
+        "p3_times_p.json": [(2**31 - 1) * math.factorial(d) // math.factorial(d // 4) ** 4
+                            if d % 4 == 0 else 0 for d in range(41)],
         "short.json": [1, 2, 4],
         "not_a_list.json": {"terms": [1, 2]},
         "flat.json": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
@@ -163,6 +168,9 @@ def runs(polytopes: list[str]) -> list[tuple]:
     for seq in ("powers.json", "central.json", "noise.json"):
         argv = ("recurrence", seq, "--rmax", "2", "--degree-max", "1")
         out += [argv, (*argv, "--output", "table"), ("recurrence", seq, "--stride", "2")]
+    out += [("recurrence", "p3_times_p.json"),
+            ("recurrence", "p3_times_p.json", "--output", "table"),
+            ("recurrence", "p3_times_p.json", "--degree-max", "4")]
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     out += [

@@ -1,14 +1,13 @@
 """Exact linear algebra over the integers.
 
 Everything here is dense, small and exact, and takes integer rows only.
-There are two exact eliminations, both fraction-free (Bareiss 1968):
-``integer_rref``, the Gauss-Jordan reduction from which integer kernel
-bases are read, and the cheaper forward-only ``pivot_columns``, whose
-pivots ``rank`` counts.  The tests hold ``rank`` to an independent rank
-through maximal nonzero minors (``tests/oracles.py``).
+There is one exact elimination, ``integer_rref``, the fraction-free
+Gauss-Jordan reduction (Bareiss 1968) from which integer kernel bases
+are read and whose pivots ``rank`` counts.  The tests hold ``rank`` to
+an independent rank through maximal nonzero minors (``tests/oracles.py``).
 
-The third, ``modular_pivots``, eliminates forward over GF(p) for the
-prime p = ``PRIME`` = 2^31 - 1, with each row packed into one int of
+The one screen, ``modular_pivots``, eliminates forward over GF(p) for
+the prime p = ``PRIME`` = 2^31 - 1, with each row packed into one int of
 128-bit slots, one per column, so that a row operation is one multiply
 and one add whatever the row's length.  A slot stays below
 p + ncols * p^2 < 2^128, so no sum carries into the next slot.  It
@@ -81,29 +80,6 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     return mat, pivots, prev
 
 
-def pivot_columns(rows: list[list]) -> list[int]:
-    """Pivot columns by forward-only Bareiss elimination: column c is one
-    iff the first c + 1 columns have larger rank than the first c.  The
-    first unused row nonzero at c is the pivot, and only the unused rows
-    take the exact step of ``integer_rref``, on the columns right of c
-    (so each kept row starts at the current column)."""
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(len(mat[0]) if mat else 0):
-        k = next((i for i, row in enumerate(mat) if row[0] != 0), None)
-        if k is None:
-            mat = [row[1:] for row in mat]
-            continue
-        top = mat.pop(k)
-        p, tail = top[0], top[1:]
-        mat = [[(p * a - row[0] * b) // prev for a, b in zip(row[1:], tail)]
-               for row in mat]
-        prev = p
-        pivots.append(c)
-    return pivots
-
-
 def modular_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
     """Forward elimination over GF(``PRIME``): the pivot columns, and the
     original index of the row chosen at each, the first unused row whose
@@ -119,7 +95,7 @@ def modular_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
 
     A k x k minor that is nonzero mod p is a nonzero integer, so every
     column prefix has at least as large a rank over Q as mod p: no prefix
-    holds more of these pivots than of ``pivot_columns``, and the pivot
+    holds more of these pivots than of ``integer_rref``, and the pivot
     rows are linearly independent over Q.  An unlucky p finds fewer.
     """
     p = PRIME
@@ -149,7 +125,7 @@ def modular_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
 
 
 def rank(rows: list[list]) -> int:
-    return len(pivot_columns(rows))
+    return len(integer_rref(rows)[1])
 
 
 def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:

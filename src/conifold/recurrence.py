@@ -25,10 +25,8 @@ j(r+1) + i.  Its first w = (r+1)(D+1) columns are some rows of the (r, D)
 cell's matrix, columns permuted.  When w pivots lie below w, some w x w
 minor of those rows is nonzero mod p, hence a nonzero integer: the cell's
 matrix has full column rank over Q, its kernel is {0}, and the cell is
-skipped.  At the first cell of an order that the modular pivots cannot
-clear, the block is eliminated once exactly (``linalg.pivot_columns``,
-fraction-free), and those pivots decide the rest of the order; so the
-screen skips exactly the cells that exact elimination alone skips.
+skipped.  Every other cell is solved.  A prime that divides a minor of
+the block only hands the solver more cells, each of which it finds empty.
 
 A cell that passes the screen is solved exactly (``_solve_cell``).  When
 its rows have full column rank mod p, its kernel is {0} by the same
@@ -46,11 +44,10 @@ than two solves.
 The budget (``_charge``) is charged before any work, by the same
 formulas as when every screen and solve was exact: one charge per order
 for its block and one per cell solved, each the entry updates of an
-exact elimination of all its rows.  They still bound the exact work: the
-exact screen runs at most once, on the block that was charged for it,
-and a cell's two solves take its chosen rows and then at most all of
-them, so at most twice its charge.  A modular pass updates a whole row
-in one multiply and one add.
+exact elimination of all its rows.  They bound the exact work: only a
+solve eliminates exactly, and a cell's two solves take its chosen rows
+and then at most all of them, so at most twice its charge.  A modular
+pass updates a whole row in one multiply and one add.
 """
 
 from __future__ import annotations
@@ -98,15 +95,24 @@ class Recurrence(namedtuple("Recurrence", "order degree coeffs")):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Recurrence":
-        """Inverse of ``to_json_dict``; an order, degree or coefficient that
-        is not an integer, or other than order + 1 coefficient lists, raises
-        ValueError."""
-        order = _integer(data["order"])
-        coeffs = tuple(tuple(_integer(a) for a in poly) for poly in data["coeffs"])
+        """Inverse of ``to_json_dict``.  An order, degree or coefficient
+        that is not an integer, coefficients that are not a list of lists,
+        other than order + 1 of them, a p_r that is identically zero, or a
+        degree other than the longest list's length - 1 raises ValueError."""
+        order, degree = _integer(data["order"]), _integer(data["degree"])
+        raw = data["coeffs"]
+        if type(raw) is not list or any(type(poly) is not list for poly in raw):
+            raise ValueError("recurrence coefficients are not a list of lists")
+        coeffs = tuple(tuple(_integer(a) for a in poly) for poly in raw)
         if len(coeffs) != order + 1:
             raise ValueError(f"a recurrence of order {order} has {order + 1} "
                              f"coefficient polynomials, not {len(coeffs)}")
-        return cls(order, _integer(data["degree"]), coeffs)
+        if not coeffs or not any(coeffs[-1]):
+            raise ValueError("the leading coefficient polynomial p_r is zero")
+        if degree != max(map(len, coeffs)) - 1:
+            raise ValueError(f"degree {degree} is not that of the longest "
+                             f"coefficient polynomial")
+        return cls(order, degree, coeffs)
 
     def __str__(self) -> str:
         def render_poly(poly) -> str:
@@ -221,36 +227,29 @@ def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
         block = [[terms[d + i] * d**j for j in range(degree_max + 1)
                   for i in range(r + 1)] for d in range(nrows)]
         pivots, _ = linalg.modular_pivots(block)
-        exact = False
         for dD in range(0, degree_max + 1):
             width = (r + 1) * (dD + 1)
-            if not exact and sum(c < width for c in pivots) < width:
-                pivots, exact = linalg.pivot_columns(block), True
             if sum(c < width for c in pivots) == width:
                 continue
             work = _charge(work, len(terms) - r, width, words)
             sol = _solve_cell(terms, r, dD)
             if sol is None:
                 continue
-            rec = Recurrence(
-                order=r,
-                degree=max(len(p) - 1 for p in sol),
-                coeffs=sol,
-            )
+            rec = Recurrence(r, max(len(p) - 1 for p in sol), sol)
             assert verify_recurrence(rec, terms)
             return rec
     return None
 
 
 def verify_recurrence(rec: Recurrence, terms) -> bool:
-    """Exact check of the recurrence over every window of the sequence."""
+    """Exact check of the recurrence over every window of the sequence;
+    False when p_r is identically zero, which annihilates nothing."""
     if len(terms) <= rec.order:
-        raise InsufficientData(
-            f"sequence of length {len(terms)} is shorter than order {rec.order} + 1"
-        )
-    return all(
-        rec.apply(terms, d) == 0 for d in range(0, len(terms) - rec.order)
-    )
+        raise InsufficientData(f"sequence of length {len(terms)} is shorter "
+                               f"than order {rec.order} + 1")
+    if rec.order < 0 or not any(rec.coeffs[rec.order]):
+        return False
+    return all(rec.apply(terms, d) == 0 for d in range(len(terms) - rec.order))
 
 
 def gw_labeling(terms) -> list[dict]:

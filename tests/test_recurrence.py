@@ -168,6 +168,40 @@ def test_from_json_dict_rejects_non_integer_order_and_degree():
             Recurrence.from_json_dict(case)
 
 
+def test_verify_rejects_a_zero_leading_polynomial():
+    # p_r = 0 annihilates nothing: (-2) c_d + 0 c_{d+1} = 0 holds on zeros
+    # but is no recurrence, nor is the empty one of order -1
+    assert not verify_recurrence(Recurrence(1, 0, ((-2,), (0,))), [0, 0, 0])
+    assert not verify_recurrence(Recurrence(1, 0, ((0,), (0, 0))), [1, 2, 3])
+    assert not verify_recurrence(Recurrence(-1, 0, ()), [1, 2, 3])
+
+
+def test_from_json_dict_rejects_a_zero_leading_polynomial():
+    for data in ({"order": -1, "degree": 0, "coeffs": []},
+                 {"order": 1, "degree": 0, "coeffs": [["-2"], ["0"]]},
+                 {"order": 1, "degree": 1, "coeffs": [["-2", "1"], ["0", "0"]]}):
+        with pytest.raises(ValueError, match="p_r is zero"):
+            Recurrence.from_json_dict(data)
+
+
+def test_from_json_dict_rejects_a_degree_other_than_the_longest_polynomial():
+    data = {"order": 1, "degree": 9, "coeffs": [["-2"], ["1"]]}
+    with pytest.raises(ValueError, match="degree 9"):
+        Recurrence.from_json_dict(data)
+    data = {"order": 1, "degree": 0, "coeffs": [["-2", "-4"], ["1", "1"]]}
+    with pytest.raises(ValueError, match="degree 0"):
+        Recurrence.from_json_dict(data)
+    assert Recurrence.from_json_dict({**data, "degree": 1}).degree == 1
+
+
+def test_from_json_dict_rejects_coefficients_that_are_not_lists():
+    # a string is iterable, so "12" once read as ((1,), (2,))
+    for coeffs in ("12", ["-2", "1"], [["-2"], "1"], {"0": ["-2"], "1": ["1"]},
+                   [["-2"], ("1",)]):
+        with pytest.raises(ValueError, match="not a list of lists"):
+            Recurrence.from_json_dict({"order": 1, "degree": 0, "coeffs": coeffs})
+
+
 # four of the benchmark's searches and one on nodal_01: sequence, length,
 # rmax, degree cap, stride, and the least (order, degree) with its
 # coefficients, frozen from the Fraction elimination that preceded the
@@ -255,8 +289,8 @@ def _counting(calls, name, fn):
 
 def test_unlucky_prime_changes_no_answer(monkeypatch, solved_cells):
     # p times p3's and octahedron's sequences: every entry is 0 mod p, so
-    # the modular pass clears nothing and each order's screen and each
-    # solve fall back on exact elimination, with the same answers
+    # the modular pass clears nothing, every cell up to the hit is solved
+    # exactly, and the cells the real prime skips are found empty
     p = linalg.PRIME
     for stem, length, rmax, degree_max, stride, _, _ in PINNED_SEARCHES[:2]:
         seq = [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)][::stride]
@@ -266,8 +300,12 @@ def test_unlucky_prime_changes_no_answer(monkeypatch, solved_cells):
         solved_cells.clear()
         scaled = [p * c for c in seq]
         assert find_recurrence(scaled, rmax, degree_max) == rec, stem
-        assert solved_cells == log, stem
         assert rec == find_recurrence_unscreened(scaled, rmax, degree_max), stem
+        unlucky = iter(solved_cells)
+        assert all(cell in unlucky for cell in log), stem  # log is a subsequence
+        assert solved_cells[-1] == log[-1] and log[-1][2], stem  # the same hit
+        extra = [cell for cell in solved_cells if cell not in log]
+        assert extra and not any(found for _, _, found in extra), stem
     # the hit cell of p3: the pivot rows mod p are none, so every nonzero
     # row fails the first kernel and the second solve takes them all
     calls = {"kernel_basis": 0}
@@ -282,15 +320,15 @@ def test_unlucky_prime_changes_no_answer(monkeypatch, solved_cells):
 
 def test_exhaustive_misses_take_no_exact_elimination(corpus, monkeypatch):
     # p2xp1 and nodal_02 to degree 60 at (4, 4): the modular pass rules
-    # out every cell, so neither exact elimination ever runs
-    calls = {"pivot_columns": 0, "integer_rref": 0}
-    for name in calls:
-        monkeypatch.setattr(linalg, name, _counting(calls, name, getattr(linalg, name)))
+    # out every cell, so the exact elimination never runs
+    calls = {"integer_rref": 0}
+    monkeypatch.setattr(linalg, "integer_rref",
+                        _counting(calls, "integer_rref", linalg.integer_rref))
     nodal_02 = list(period_sequence(from_fan_polytope(corpus["nodal_02"]), 60).terms)
     p2xp1 = [CLOSED_FORM_PERIODS["p2xp1"](d) for d in range(61)]
     for seq in (p2xp1, nodal_02):
         assert find_recurrence(seq, 4, 4) is None
-    assert calls == {"pivot_columns": 0, "integer_rref": 0}
+    assert calls == {"integer_rref": 0}
 
 
 def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
@@ -307,6 +345,28 @@ def test_recurrence_work_budget_counts_entry_updates(monkeypatch):
     work = sum(updates(min(41 - r, 4 * (r + 1) + 5), 4 * (r + 1)) for r in range(1, 5))
     work += updates(40, 8) + updates(37, 20)
     assert work == 72032
+    monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work)
+    assert find_recurrence(seq, rmax=4, degree_max=3).order == 4
+    monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work - 1)
+    with pytest.raises(BudgetExceeded):
+        find_recurrence(seq, rmax=4, degree_max=3)
+
+
+def test_recurrence_budget_under_an_unlucky_prime_charges_every_cell_solved(monkeypatch):
+    # p times p3 to degree 40: every entry is 0 mod p, so the screen clears
+    # no cell and all 16 cells through the hit (4, 3) are solved, each
+    # charged on 41 - r rows before it runs; entries below p * 2^72 * 2^18
+    # take 2 words, so the four screens and 16 cells charge 159,952
+    p = linalg.PRIME
+    seq = [p * CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
+    assert max(seq).bit_length() + 3 * len(seq).bit_length() in range(65, 129)
+
+    def updates(rows, cols):
+        return rows * cols * min(rows, cols) * 2
+
+    work = sum(updates(min(41 - r, 4 * (r + 1) + 5), 4 * (r + 1)) for r in range(1, 5))
+    work += sum(updates(41 - r, (r + 1) * (dD + 1)) for r in range(1, 5) for dD in range(4))
+    assert work == 159952
     monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work)
     assert find_recurrence(seq, rmax=4, degree_max=3).order == 4
     monkeypatch.setattr(recurrence, "RECURRENCE_WORK_BUDGET", work - 1)
@@ -357,7 +417,7 @@ def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
     # on to the (4, 3) hit
     seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
     block = [[seq[d + i] * d**j for j in range(4) for i in range(2)] for d in range(13)]
-    assert linalg.pivot_columns(block) == [0, 1, 2, 3, 4, 5, 6]
+    assert linalg.integer_rref(block)[1] == [0, 1, 2, 3, 4, 5, 6]
     rec = find_recurrence(seq, rmax=4, degree_max=3)
     assert solved_cells == [(1, 3, False), (4, 3, True)]
     assert rec == find_recurrence_unscreened(seq, rmax=4, degree_max=3)
