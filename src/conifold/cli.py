@@ -19,6 +19,11 @@ tests hold it to.  Table output is for humans only.  Errors are reported
 as JSON on stderr; exit codes are 0 success, 2 input error, 3 budget
 exceeded, 4 internal invariant violation, 141 (128 + SIGPIPE) when the
 stdout reader left.
+
+Each ``cmd_*`` function imports the layers its subcommand runs when it is
+called and finds their functions on those modules, so a process loads
+only the layers its command needs, ``--version`` none, and a function
+rebound on its module is the one the command calls.
 """
 
 from __future__ import annotations
@@ -31,17 +36,6 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import ConifoldError, ParseError, read_input
-from .fanodb import load_database, match
-from .lattice import polytope_from_json_dict
-from .laurent import from_fan_polytope, period_sequence
-from .nodal import (
-    check_regularity,
-    enumerate_small_resolutions,
-    nodal_profile,
-    report_json_dict,
-    transition_invariants,
-)
-from .recurrence import find_recurrence, gw_labeling
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +73,10 @@ def _int_at_least(low: int):
 def _recurrence_payload(terms, args) -> dict | None:
     """The recurrence of every ``args.stride``-th term found within the caps
     of ``args``, with its ``pretty`` form, or None."""
-    rec = find_recurrence(terms[::args.stride], rmax=args.rmax,
-                          degree_max=args.degree_max)
+    from . import recurrence
+
+    rec = recurrence.find_recurrence(terms[::args.stride], rmax=args.rmax,
+                                     degree_max=args.degree_max)
     return None if rec is None else {**rec.to_json_dict(), "pretty": str(rec)}
 
 
@@ -89,34 +85,44 @@ def _recurrence_payload(terms, args) -> dict | None:
 
 
 def cmd_periods(args) -> dict:
-    p = polytope_from_json_dict(read_input(args.polytope))
-    terms = period_sequence(from_fan_polytope(p), args.dmax).terms
-    payload = {"dmax": args.dmax, "periods": list(terms), "gw": gw_labeling(terms)}
+    from . import lattice, laurent, recurrence
+
+    p = lattice.polytope_from_json_dict(read_input(args.polytope))
+    terms = laurent.period_sequence(laurent.from_fan_polytope(p), args.dmax).terms
+    payload = {"dmax": args.dmax, "periods": list(terms),
+               "gw": recurrence.gw_labeling(terms)}
     if args.recurrence:
         payload["recurrence"] = _recurrence_payload(terms, args)
     return payload
 
 
 def cmd_transition(args) -> dict:
-    p = polytope_from_json_dict(read_input(args.polytope))
-    profile = nodal_profile(p)
-    report = transition_invariants(p, profile, args.mode)
-    return report_json_dict(report, resolutions=check_regularity(profile))
+    from . import lattice, nodal
+
+    p = lattice.polytope_from_json_dict(read_input(args.polytope))
+    profile = nodal.nodal_profile(p)
+    report = nodal.transition_invariants(p, profile, args.mode)
+    return nodal.report_json_dict(report, resolutions=nodal.check_regularity(profile))
 
 
 def cmd_match(args) -> dict:
-    p = polytope_from_json_dict(read_input(args.polytope))
-    report = transition_invariants(p, nodal_profile(p))
-    terms = period_sequence(from_fan_polytope(p), args.dmax).terms
+    from . import fanodb, lattice, laurent, nodal
+
+    p = lattice.polytope_from_json_dict(read_input(args.polytope))
+    report = nodal.transition_invariants(p, nodal.nodal_profile(p))
+    terms = laurent.period_sequence(laurent.from_fan_polytope(p), args.dmax).terms
     query = {"degree": report["degree"], "e": report["e_sm"], "b2": report["b2_sm"],
              "b3": report["b3_sm"], "periods": list(terms)}
-    return {"query": query, "candidates": match(query, terms, load_database(args.database))}
+    db = fanodb.load_database(args.database)
+    return {"query": query, "candidates": fanodb.match(query, terms, db)}
 
 
 def cmd_resolve(args) -> dict:
-    p = polytope_from_json_dict(read_input(args.polytope))
-    profile = nodal_profile(p)
-    resolutions = enumerate_small_resolutions(profile)
+    from . import lattice, nodal
+
+    p = lattice.polytope_from_json_dict(read_input(args.polytope))
+    profile = nodal.nodal_profile(p)
+    resolutions = nodal.enumerate_small_resolutions(profile)
     triangle_count = len(p.facets) + profile.node_count  # e_res of the report
     return {
         "N": profile.node_count,
