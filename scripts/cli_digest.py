@@ -7,8 +7,9 @@ seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
 dimensions 2 and 4, database records that load and that fail
 with each of the loader's messages, recurrence searches on a sequence
-whose terms are all multiples of the screen's prime 2^31 - 1, and inputs
-that must exit 2 or 3, flat point sets among them.
+whose terms are all multiples of the screen's prime 2^31 - 1, a hit on a
+sequence of alternating sign and a miss on wide terms near multiples of
+that prime, and inputs that must exit 2 or 3, flat point sets among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -91,11 +92,19 @@ def write_inputs(tmp: Path) -> list[str]:
             polytopes.append(f"{stem}_image{k}.json")
             (tmp / polytopes[-1]).write_text(json.dumps({"vertices": image}))
     rng = random.Random(7)
+    wide = random.Random(11)
     files = {
         "powers.json": [2 ** d for d in range(16)],
         "central.json": {"periods": [1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620,
                                      184756, 705432, 2704156, 10400600]},
         "noise.json": [1] + [rng.randrange(1, 10 ** 9) for _ in range(39)],
+        # the screen packer's edges: negative terms, terms above 2^64, and
+        # multiples of 2^31 - 1 with their neighbours
+        "alternating.json": [(-1) ** n * math.comb(2 * n, n) for n in range(14)],
+        "wide_noise.json": [wide.choice((wide.randrange(-10 ** 9, 10 ** 9),
+                                         wide.randrange(-2 ** 90, 2 ** 90),
+                                         (2**31 - 1) * wide.randrange(-9, 10)
+                                         + wide.randrange(-1, 2))) for _ in range(80)],
         # p3's periods (4k)!/(k!)^4 times 2^31 - 1: 0 mod the screen's prime
         "p3_times_p.json": [(2**31 - 1) * math.factorial(d) // math.factorial(d // 4) ** 4
                             if d % 4 == 0 else 0 for d in range(41)],
@@ -168,6 +177,9 @@ def runs(polytopes: list[str]) -> list[tuple]:
     for seq in ("powers.json", "central.json", "noise.json"):
         argv = ("recurrence", seq, "--rmax", "2", "--degree-max", "1")
         out += [argv, (*argv, "--output", "table"), ("recurrence", seq, "--stride", "2")]
+    out += [("recurrence", "alternating.json", "--rmax", "1", "--degree-max", "1"),
+            ("recurrence", "wide_noise.json", "--rmax", "4", "--degree-max", "4",
+             "--stride", "2")]
     out += [("recurrence", "p3_times_p.json"),
             ("recurrence", "p3_times_p.json", "--output", "table"),
             ("recurrence", "p3_times_p.json", "--degree-max", "4")]

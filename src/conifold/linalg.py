@@ -6,15 +6,15 @@ Gauss-Jordan reduction (Bareiss 1968) from which integer kernel bases
 are read and whose pivots ``rank`` counts.  The tests hold ``rank`` to
 an independent rank through maximal nonzero minors (``tests/oracles.py``).
 
-The one screen, ``modular_pivots``, eliminates forward over GF(p) for
-the prime p = ``PRIME`` = 2^31 - 1, with each row packed into one int of
-128-bit slots, one per column, so that a row operation is one multiply
-and one add whatever the row's length.  A slot stays below
-p + ncols * p^2 < 2^128, so no sum carries into the next slot.  It
-certifies nothing by itself but bounds the exact rank from below: a
-minor that is nonzero mod p is a nonzero integer, so every column prefix
-has at least as many pivots over Q as mod p, and the pivot rows mod p
-are independent over Q.  ``recurrence`` skips and shrinks its exact
+The one screen, ``modular_pivots``, eliminates forward over GF(p),
+p = ``PRIME`` = 2^31 - 1, on rows its caller packs into one int of
+128-bit slots, one per column: a row operation is one multiply and one
+add, and a pivot row is reduced by four whole-row folds (2^31 = 1 mod p),
+whatever the row's length.  No slot reaches 2^128, so nothing carries
+into the next.  It certifies nothing by itself but bounds the exact rank
+from below: a minor that is nonzero mod p is a nonzero integer, so every
+column prefix has at least as many pivots over Q as mod p, and the pivot
+rows mod p are independent over Q.  ``recurrence`` skips and shrinks its exact
 work with it, never deciding an answer by it.
 
 No floating point is ever produced or consumed, and no ``Fraction``
@@ -80,45 +80,49 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     return mat, pivots, prev
 
 
-def modular_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Forward elimination over GF(``PRIME``): the pivot columns, and the
-    original index of the row chosen at each, the first unused row whose
-    entry there is nonzero mod p.
+def _fold(row: int, m31: int, m97: int) -> int:
+    """Four folds x <- (x & M31) + ((x >> 31) & M97) of a packed row, M31
+    and M97 holding 2^31 - 1 and 2^97 - 1 in every 128-bit slot: a slot
+    keeps its class mod p (2^31 = 1 mod p), drops the bits shifted down
+    from the next slot, and ends below 2^32 if it started below 2^128."""
+    for _ in range(4):
+        row = (row & m31) + ((row >> 31) & m97)
+    return row
 
-    Each row is packed into one int, entry c reduced mod p in the 128-bit
-    slot c, so a row operation is one multiply and one add.  Only the
-    leading slot is reduced to find a pivot.  Every other row adds
-    (p - lead) mod p times the pivot row scaled to lead 1 (slots reduced
-    below p) and shifts its leading slot, now 0 mod p, out.  A slot starts
-    below p and gains less than p^2 per column, so it stays below
-    p + ncols * p^2 < 2^128 and a sum never carries into the next slot.
+
+def modular_pivots(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Forward elimination over GF(``PRIME``) of packed rows: the pivot
+    columns, and the original index of the row chosen at each, the first
+    unused row whose entry there is nonzero mod p.
+
+    Each row holds its entry in column c in the 128-bit slot c, as an
+    integer below p^2 congruent to it mod p.  Only the leading slot is
+    reduced to find a pivot.  The pivot row, that slot shifted out, is
+    multiplied by the inverse of its lead and folded to slots below 2^32
+    (``_fold``).  Every other row adds (p - lead) mod p times it and shifts
+    out its leading slot, now 0 mod p.  So a slot stays below
+    p^2 + ncols*p*2^32, and times an inverse below 2^128 while ncols < 2^33:
+    nothing carries into the next slot.
 
     A k x k minor that is nonzero mod p is a nonzero integer, so every
     column prefix has at least as large a rank over Q as mod p: no prefix
     holds more of these pivots than of ``integer_rref``, and the pivot
     rows are linearly independent over Q.  An unlucky p finds fewer.
     """
-    p = PRIME
-    ncols = len(rows[0]) if rows else 0
-    index = list(range(len(rows)))
-    live = [int.from_bytes(b"".join((a % p).to_bytes(16, "little") for a in row),
-                           "little") for row in rows]
-    pivots: list[int] = []
-    pivot_rows: list[int] = []
+    ones = ((1 << 128 * ncols) - 1) // _SLOT_MASK
+    m31, m97 = ones * (2**31 - 1), ones * (2**97 - 1)
+    live, index = list(rows), list(range(len(rows)))
+    pivots, pivot_rows = [], []
     for c in range(ncols):
         if not live:
             break
         leads = [row & _SLOT_MASK for row in live]
-        k = next((k for k, lead in enumerate(leads) if lead % p), None)
+        k = next((k for k, lead in enumerate(leads) if lead % PRIME), None)
         if k is None:
             live = [row >> 128 for row in live]
             continue
-        top = (live.pop(k) >> 128).to_bytes(16 * (ncols - c - 1), "little")
-        inv = pow(leads.pop(k), -1, p)
-        scaled = int.from_bytes(b"".join(
-            (int.from_bytes(top[s:s + 16], "little") * inv % p).to_bytes(16, "little")
-            for s in range(0, len(top), 16)), "little")
-        live = [(row >> 128) + (-lead % p) * scaled for row, lead in zip(live, leads)]
+        top = _fold((live.pop(k) >> 128) * pow(leads.pop(k), -1, PRIME), m31, m97)
+        live = [(row >> 128) + (-lead % PRIME) * top for row, lead in zip(live, leads)]
         pivots.append(c)
         pivot_rows.append(index.pop(k))
     return pivots, pivot_rows

@@ -21,16 +21,18 @@ never a different cell, kernel or output.
 Most cells are never solved.  For each order r one block is eliminated
 forward mod p (``linalg.modular_pivots``): rows d = 0 .. min(L + 1 - r,
 (r+1)(degree_max+1) + HOLDOUT) - 1, entry c_{d+i} * d^j in column
-j(r+1) + i.  Its first w = (r+1)(D+1) columns are some rows of the (r, D)
-cell's matrix, columns permuted.  When w pivots lie below w, some w x w
-minor of those rows is nonzero mod p, hence a nonzero integer: the cell's
+j(r+1) + i, packed from the terms reduced mod p once (``_packed_rows``).
+Its first w = (r+1)(D+1) columns are some rows of the (r, D) cell's
+matrix, columns permuted.  When w pivots lie below w, some w x w minor
+of those rows is nonzero mod p, hence a nonzero integer: the cell's
 matrix has full column rank over Q, its kernel is {0}, and the cell is
 skipped.  Every other cell is solved.  A prime that divides a minor of
 the block only hands the solver more cells, each of which it finds empty.
 
 A cell that passes the screen is solved exactly (``_solve_cell``).  When
-its rows have full column rank mod p, its kernel is {0} by the same
-minor argument.  Otherwise the integer kernel K (``linalg.kernel_basis``,
+its rows, packed alike in column order i(D+1) + j, have full column rank
+mod p, its kernel is {0} by the same minor argument and no exact row is
+built.  Otherwise the integer kernel K (``linalg.kernel_basis``,
 fraction-free) is taken on the rows the modular pass chose as pivots,
 and every row is checked against K by exact dot products.  A row that
 passes lies in the orthogonal complement of K, which is the span of the
@@ -122,16 +124,10 @@ class Recurrence(namedtuple("Recurrence", "order degree coeffs")):
                 a = poly[j]
                 if a == 0:
                     continue
-                mag = abs(a)
-                if j == 0:
-                    body = str(mag)
-                else:
-                    power = "d" if j == 1 else f"d{_sup(j)}"
-                    body = power if mag == 1 else f"{mag}{power}"
-                if not chunks:
-                    chunks.append(body if a > 0 else f"-{body}")
-                else:
-                    chunks.append(f"{'+' if a > 0 else '-'} {body}")
+                power = "" if j == 0 else "d" if j == 1 else f"d{_sup(j)}"
+                body = power if abs(a) == 1 and j else f"{abs(a)}{power}"
+                sign = ("+ " if a > 0 else "- ") if chunks else ("" if a > 0 else "-")
+                chunks.append(sign + body)
             return " ".join(chunks) if chunks else "0"
 
         parts = []
@@ -160,13 +156,9 @@ def _normalize(vec: list[int], r: int, dD: int) -> tuple:
     lead = next(a for a in reversed(polys[r]) if a != 0)
     if lead < 0:
         polys = [[-a for a in poly] for poly in polys]
-    trimmed = []
-    for poly in polys:
-        end = len(poly)
-        while end > 1 and poly[end - 1] == 0:
-            end -= 1
-        trimmed.append(tuple(poly[:end]))
-    return tuple(trimmed)
+    # drop trailing zero coefficients, keeping the constant term
+    return tuple(tuple(poly[:1 + max((j for j, a in enumerate(poly) if a), default=0)])
+                 for poly in polys)
 
 
 def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
@@ -181,17 +173,34 @@ def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
     return work
 
 
+def _packed_rows(residues: list[int], nrows: int, r: int, dD: int,
+                 step: int, shift: int) -> list[int]:
+    """Rows d < nrows of c_{d+i} * d^j mod p, in slot i * step + j * shift for
+    ``linalg.modular_pivots``: the sums over j of (d^j mod p) times a window
+    of residues c_d .. c_{d+r} that slides a term a row, each slot below p^2."""
+    width, rows = 128 * step, []
+    window = sum(a << width * (i + 1) for i, a in enumerate(residues[:r]))
+    for d in range(nrows):
+        window = (window >> width) + (residues[d + r] << width * r)
+        row, power = 0, 1
+        for j in range(dD + 1):
+            row, power = row + (power * window << 128 * shift * j), power * d % linalg.PRIME
+        rows.append(row)
+    return rows
+
+
 def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
     """Nontrivial normalized solution for the (r, D) cell over every
     usable window of ``terms``, or None.  The kernel is taken on the rows
     that ``linalg.modular_pivots`` picks, and once more with every row that
     fails it added (module docstring)."""
     nvars = (r + 1) * (dD + 1)
-    rows = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
-            for d in range(len(terms) - r)]
-    pivots, chosen = linalg.modular_pivots(rows)
+    pivots, chosen = linalg.modular_pivots(_packed_rows(
+        [a % linalg.PRIME for a in terms], len(terms) - r, r, dD, dD + 1, 1), nvars)
     if len(pivots) == nvars:
         return None
+    rows = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
+            for d in range(len(terms) - r)]
     chosen = [rows[k] for k in chosen]
     basis = linalg.kernel_basis(chosen, ncols=nvars)
     failed = [row for row in rows if any(sum(map(mul, row, v)) for v in basis)]
@@ -220,13 +229,13 @@ def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
     words = (max(map(abs, terms)).bit_length()
              + degree_max * len(terms).bit_length()) // 64 + 1
     work = 0
+    residues = [a % linalg.PRIME for a in terms]
     for r in range(1, rmax + 1):
         # the screen of the module docstring: one echelon per order
         nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + HOLDOUT)
         work = _charge(work, nrows, (r + 1) * (degree_max + 1), words)
-        block = [[terms[d + i] * d**j for j in range(degree_max + 1)
-                  for i in range(r + 1)] for d in range(nrows)]
-        pivots, _ = linalg.modular_pivots(block)
+        block = _packed_rows(residues, nrows, r, degree_max, 1, r + 1)
+        pivots, _ = linalg.modular_pivots(block, (r + 1) * (degree_max + 1))
         for dD in range(0, degree_max + 1):
             width = (r + 1) * (dD + 1)
             if sum(c < width for c in pivots) == width:
@@ -257,8 +266,5 @@ def gw_labeling(terms) -> list[dict]:
     descendant invariants, one ``{"d", "label", "value"}`` row per term:
     degree d >= 2 carries the label "<psi^(d-2)[pt]>_{0,1,d}"; d = 0 and
     1 stay unlabeled (label None)."""
-    out = []
-    for d, value in enumerate(terms):
-        label = f"⟨ψ{_sup(d - 2)}[pt]⟩_{{0,1,{d}}}" if d >= 2 else None
-        out.append({"d": d, "label": label, "value": value})
-    return out
+    return [{"d": d, "label": f"⟨ψ{_sup(d - 2)}[pt]⟩_{{0,1,{d}}}" if d >= 2 else None,
+             "value": value} for d, value in enumerate(terms)]

@@ -191,6 +191,18 @@ def rank_by_minors(rows: list[list]) -> int:
     return 0
 
 
+def packed_rows(rows, p: int) -> list[int]:
+    """Integer rows packed for ``linalg.modular_pivots``: entry c of a row,
+    reduced mod p, in the 128-bit slot c of one int."""
+    return [int.from_bytes(b"".join((a % p).to_bytes(16, "little") for a in row), "little")
+            for row in rows]
+
+
+def unpacked(row: int, ncols: int) -> list[int]:
+    """The ncols 128-bit slots of a packed row, column 0 first."""
+    return [row >> 128 * c & (1 << 128) - 1 for c in range(ncols)]
+
+
 def pivots_mod(rows, p: int) -> tuple[list[int], list[int]]:
     """Reference ``linalg.modular_pivots`` on lists of residues mod p:
     pivot columns and the original index of each pivot row."""

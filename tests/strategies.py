@@ -1,8 +1,19 @@
-"""Shared hypothesis strategies for the tests: unimodular matrices and
-small lattice point sets.  The oracles the fast paths are checked against
-live in ``oracles``."""
+"""Shared hypothesis strategies for the tests: unimodular matrices, small
+lattice point sets, and integers wide or near multiples of the screen's
+prime.  The oracles the fast paths are checked against live in
+``oracles``."""
 
 from hypothesis import strategies as st
+
+from conifold.linalg import PRIME
+
+# negative entries, entries above 2^64, and multiples of the screen's prime
+# with their neighbours
+wide_int = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-2**80, 2**80),
+    st.builds(lambda k, e: k * PRIME + e, st.integers(-2**40, 2**40), st.integers(-1, 1)),
+)
 
 
 def _apply_op(m, op):

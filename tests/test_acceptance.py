@@ -6,6 +6,7 @@ suite doubles as a checklist.  Expected numbers are either classical
 independent brute-force oracle in ``laurent.period_term_direct``.
 """
 
+import json
 import math
 import random
 import time
@@ -237,6 +238,32 @@ def test_anticanonical_degrees(corpus):
     assert normalized_volume(polar_dual(corpus["octahedron"])) == 48
     print("\nPASS: anticanonical degrees 64 and 48 recovered exactly from "
           "dual volumes")
+
+
+# The smoothing of each corpus polytope as a Mori-Mukai family, with its
+# Picard rank rho, degree (-K)^3 and h^{1,2}, from the classification
+# tables (Chapter 12) of Iskovskikh-Prokhorov, *Fano Varieties*
+# (Encyclopaedia Math. Sci. 47, 1999).  2-30 (P^3 blown up in a conic) and
+# 2-31 (Q blown up in a line) share one triple, and which of them nodal_02
+# smooths to is left undecided.
+SMOOTHINGS = {
+    "p3": ("1-17, P^3", 1, 64, 0),
+    "nodal_01": ("1-16, the quadric Q", 1, 54, 0),
+    "nodal_03": ("1-14, V_{2,2}", 1, 32, 2),
+    "octahedron": ("3-27, (P^1)^3", 3, 48, 0),
+    "p2xp1": ("2-34, P^2 x P^1", 2, 54, 0),
+    "nodal_02": ("2-30 or 2-31", 2, 46, 0),
+}
+
+
+def test_smoothings_match_iskovskikh_prokhorov(cli, corpus_paths):
+    for stem, (family, rho, degree, h12) in SMOOTHINGS.items():
+        _, out, _ = cli("transition", corpus_paths[stem])
+        rep = json.loads(out)
+        assert (rep["b2_sm"], rep["degree"], rep["b3_sm"], rep["e_sm"]) == (
+            rho, degree, 2 * h12, 2 + 2 * rho - 2 * h12), (stem, family)
+    print("\nPASS: the six smoothings have the Picard rank, degree and h^{1,2} "
+          "of their Mori-Mukai families")
 
 
 def test_cli_is_deterministic_on_corpus(cli, corpus_paths):

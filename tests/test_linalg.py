@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
-from oracles import fraction_kernel_basis, pivots_mod, rank_by_minors, row_reduce
+from oracles import (fraction_kernel_basis, packed_rows, pivots_mod, rank_by_minors,
+                     row_reduce, unpacked)
+from strategies import wide_int
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -109,16 +111,6 @@ def test_rank_examples():
     assert linalg.rank([]) == 0
 
 
-# negative entries, entries above 2^64, and multiples of p with their
-# neighbours
-wide_int = st.one_of(
-    small_int,
-    st.integers(-2**80, 2**80),
-    st.builds(lambda k, e: k * linalg.PRIME + e, st.integers(-2**40, 2**40),
-              st.integers(-1, 1)),
-)
-
-
 @st.composite
 def modular_inputs(draw):
     """Matrices of ``wide_int``, and low-rank products plus p (or a
@@ -133,12 +125,17 @@ def modular_inputs(draw):
     return draw(st.sampled_from((base, shifted)))
 
 
+def modular_pivots(rows):
+    """``linalg.modular_pivots`` on integer rows, packed by the oracle."""
+    return linalg.modular_pivots(packed_rows(rows, linalg.PRIME), len(rows[0]) if rows else 0)
+
+
 @given(modular_inputs())
 @example([[linalg.PRIME, 1]])
 @example([[2 * linalg.PRIME, 0], [1, 0], [0, -linalg.PRIME]])
 @settings(max_examples=300, deadline=None)
 def test_modular_pivots_bound_the_exact_ones(m):
-    pivots, pivot_rows = linalg.modular_pivots(m)
+    pivots, pivot_rows = modular_pivots(m)
     assert (pivots, pivot_rows) == pivots_mod(m, linalg.PRIME)
     exact = linalg.integer_rref(m)[1]
     for c in range(len(m[0]) + 1):
@@ -148,15 +145,51 @@ def test_modular_pivots_bound_the_exact_ones(m):
 
 def test_modular_pivots_keep_their_slots_apart():
     # 45 rows of 40 residues just below p: each of the 40 steps adds up
-    # to p^2 to a slot, and a carry into the next slot would change the
-    # pivots or their rows
+    # to p * 2^32 to a slot, and a carry into the next slot would change
+    # the pivots or their rows
     rng = random.Random(3)
     p = linalg.PRIME
     m = [[rng.randrange(p - 40, p) for _ in range(40)] for _ in range(45)]
-    assert linalg.modular_pivots(m) == pivots_mod(m, p)
-    assert len(linalg.modular_pivots(m)[0]) == 40
-    assert linalg.modular_pivots([]) == ([], [])
-    assert linalg.modular_pivots([[0, p], [-p, 0]]) == ([], [])
+    assert modular_pivots(m) == pivots_mod(m, p)
+    assert len(modular_pivots(m)[0]) == 40
+    assert modular_pivots([]) == ([], [])
+    assert modular_pivots([[0, p], [-p, 0]]) == ([], [])
+
+
+def test_modular_pivots_keep_slots_apart_from_the_top_of_their_range():
+    # 40 to 60 columns and more rows than columns, every slot starting at
+    # (p - 1)^2 or above, the largest values the recurrence packer makes:
+    # each of up to 60 steps adds up to p * 2^32 to a slot, and a carry
+    # into the next slot would change the pivots or their rows
+    rng = random.Random(4)
+    p = linalg.PRIME
+    for ncols in (40, 51, 60):
+        rows = [[p * (p - 1) + rng.randrange(p) for _ in range(ncols)]
+                for _ in range(ncols + rng.randrange(1, 8))]
+        rows[rng.randrange(len(rows))] = [(p - 1) ** 2] * ncols
+        packed = [sum(a << 128 * c for c, a in enumerate(row)) for row in rows]
+        assert all(a >= (p - 1) ** 2 for row in packed for a in unpacked(row, ncols))
+        pivots = linalg.modular_pivots(packed, ncols)
+        assert pivots == pivots_mod(rows, p)
+        assert len(pivots[0]) == ncols
+    assert linalg.modular_pivots([sum((p - 1) ** 2 << 128 * c for c in range(40))] * 45,
+                                 40) == ([0], [0])
+
+
+def test_fold_takes_a_pivot_row_at_its_bound_below_2_to_the_32():
+    # a slot stays below p^2 + ncols * p * 2^32, a pivot slot times an
+    # inverse (at most p - 1) below 2^128 for ncols < 2^33, and four folds
+    # take any slot below 2^128 below 2^32 in its class mod p
+    p = linalg.PRIME
+    assert p * (p**2 + 2**33 * p * 2**32) < 2**128
+    for ncols in (1, 40, 60):
+        ones = sum(1 << 128 * c for c in range(ncols))
+        m31, m97 = ones * (2**31 - 1), ones * (2**97 - 1)
+        bound = p**2 + ncols * p * 2**32 - 1
+        for value in (bound * (p - 1), 2**128 - 1, 2**127 + 2**97 - 1, (p - 1) ** 2):
+            folded = unpacked(linalg._fold(value * ones, m31, m97), ncols + 1)
+            assert folded[-1] == 0
+            assert all(a < 2**32 and a % p == value % p for a in folded[:-1])
 
 
 def test_kernel_basis_annihilates():

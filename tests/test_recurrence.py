@@ -23,8 +23,12 @@ from conifold.recurrence import (
 from oracles import (
     CLOSED_FORM_PERIODS,
     find_recurrence_unscreened,
+    packed_rows,
+    pivots_mod,
     solve_cell_on_every_row,
+    unpacked,
 )
+from strategies import wide_int
 
 
 def central_binomials(n):
@@ -497,6 +501,30 @@ def test_cell_solve_equals_every_row_oracle(seq, r, dD, scale, cut):
     # solve runs on every nonzero row
     seq = [scale * c for c in seq[: (r + 1) * (dD + 1) + r + cut]]
     assert _solve_cell(seq, r, dD) == solve_cell_on_every_row(seq, r, dD)
+
+
+@given(st.lists(wide_int, min_size=1, max_size=40), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_rows_are_the_exact_rows_mod_p(terms, r, dD, data):
+    # both column orders: j(r+1) + i for an order's block, i(D+1) + j for
+    # a cell; every slot a product of two residues, below p^2
+    p = linalg.PRIME
+    r = min(r, len(terms) - 1)
+    nrows = data.draw(st.integers(0, len(terms) - r))
+    ncols = (r + 1) * (dD + 1)
+    block = [[terms[d + i] * d**j for j in range(dD + 1) for i in range(r + 1)]
+             for d in range(nrows)]
+    cell = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
+            for d in range(nrows)]
+    residues = [a % p for a in terms]
+    for exact, step, shift in ((block, 1, r + 1), (cell, dD + 1, 1)):
+        packed = recurrence._packed_rows(residues, nrows, r, dD, step, shift)
+        slots = [unpacked(row, ncols) for row in packed]
+        assert all(row >> 128 * ncols == 0 for row in packed)
+        assert all(a < p**2 for row in slots for a in row)
+        assert packed_rows(slots, p) == packed_rows(exact, p)
+        assert linalg.modular_pivots(packed, ncols) == pivots_mod(exact, p)
 
 
 def test_str_rendering():
