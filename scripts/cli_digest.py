@@ -9,7 +9,8 @@ dimensions 2 and 4, database records that load and that fail
 with each of the loader's messages, recurrence searches on a sequence
 whose terms are all multiples of the screen's prime 2^31 - 1, a hit on a
 sequence of alternating sign and a miss on wide terms near multiples of
-that prime, and inputs that must exit 2 or 3, flat point sets among them.
+that prime, 30 zeros, on which the least cell's kernel is the whole space,
+and inputs that must exit 2 or 3, flat point sets among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -109,6 +110,7 @@ def write_inputs(tmp: Path) -> list[str]:
         "p3_times_p.json": [(2**31 - 1) * math.factorial(d) // math.factorial(d // 4) ** 4
                             if d % 4 == 0 else 0 for d in range(41)],
         "short.json": [1, 2, 4],
+        "zeros.json": [0] * 30,
         "not_a_list.json": {"terms": [1, 2]},
         "flat.json": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]},
         "shifted.json": {"vertices": [[3, 0, 0], [2, 1, 0], [2, 0, 1], [1, -1, -1]]},
@@ -182,7 +184,8 @@ def runs(polytopes: list[str]) -> list[tuple]:
              "--stride", "2")]
     out += [("recurrence", "p3_times_p.json"),
             ("recurrence", "p3_times_p.json", "--output", "table"),
-            ("recurrence", "p3_times_p.json", "--degree-max", "4")]
+            ("recurrence", "p3_times_p.json", "--degree-max", "4"),
+            ("recurrence", "zeros.json")]
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     out += [

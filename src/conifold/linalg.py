@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything here is dense, small and exact, and takes integer rows only.
-There is one exact elimination, ``integer_rref``, the fraction-free
-Gauss-Jordan reduction (Bareiss 1968) from which integer kernel bases
-are read and whose pivots ``rank`` counts.  The tests hold ``rank`` to
-an independent rank through maximal nonzero minors (``tests/oracles.py``).
+There is one exact elimination, ``integer_rref``, Bareiss's (1968)
+fraction-free forward pass and a fraction-free back substitution, from
+which kernel bases are read and whose pivots ``rank`` counts, held by the
+tests to a rank through maximal nonzero minors (``tests/oracles.py``).
 
 The one screen, ``modular_pivots``, eliminates forward over GF(p),
 p = ``PRIME`` = 2^31 - 1, on rows its caller packs into one int of
@@ -41,18 +41,19 @@ _SLOT_MASK = (1 << 128) - 1
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan reduction (Bareiss 1968) over the integers.
-
-    Returns (R, pivots, d) with R = d * RREF(rows): every row of R is an
-    integer row, the pivot entries of R all equal d, and R[r][c] / d is
-    entry (r, c) of the reduced row echelon form.  Step k sets
-    row_i <- (p * row_i - row_i[c] * row_r) // prev for every other row i,
-    where p is the k-th pivot and prev the one before it (1 at the start);
-    by Sylvester's identity the entries stay minors of the input, so every
-    division is exact.  A row swap negates the row moved down, which keeps
-    the sign of every minor: the last pivot of a nonsingular square matrix
-    is its determinant.
-    """
+    """Fraction-free reduced row echelon form: (R, pivots, d) with every
+    row of R = d * RREF(rows) an integer row, the pivot entries of R all d,
+    and rows past the rank 0.  The forward pass (Bareiss 1968) sets row_i
+    <- (p * row_i - row_i[c] * row_k) // prev for the rows i below the k-th
+    pivot row only, p the k-th pivot, c its column and prev the pivot
+    before (1 at the start); the entries stay minors of the input
+    (Sylvester's identity), so every division is exact.  A row swap
+    negates the row moved down, keeping the sign of every minor: d, the last
+    pivot, is the determinant of a nonsingular square matrix, and +-d that
+    of the pivot rows B in the pivot columns c_l.  Back substitution from
+    the last pivot row up fills each free column fc from the echelon rows
+    U: R[k][fc] = (d * U[k][fc] - sum_{l>k} U[k][c_l] * R[l][fc]) //
+    U[k][c_k], exact as R[k][fc] is a minor (Cramer's rule on B x = B_fc)."""
     mat = [list(row) for row in rows]
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
@@ -66,17 +67,20 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
             continue
         if pivot_row != r:
             mat[r], mat[pivot_row] = mat[pivot_row], [-x for x in mat[r]]
-        top = mat[r]
-        p = top[c]
-        for i, row in enumerate(mat):
-            if i != r:
-                f = row[c]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        p, top = mat[r][c], mat[r]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c]
+            mat[i] = ([(p * a - f * b) // prev for a, b in zip(mat[i], top)] if f
+                      else [p * a // prev for a in mat[i]])
+        prev, r = p, r + 1
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    free = [c for c in range(ncols) if c not in pivots]
+    for k in range(r - 2, -1, -1):  # the last pivot row is already d * RREF
+        u, mat[k] = mat[k], [0] * ncols
+        mat[k][pivots[k]] = prev
+        for fc in free:
+            total = sum([u[c] * mat[l][fc] for l, c in enumerate(pivots[k + 1:], k + 1)])
+            mat[k][fc] = (prev * u[fc] - total) // u[pivots[k]]
     return mat, pivots, prev
 
 
@@ -147,15 +151,13 @@ def kernel_basis(rows: list[list], ncols: int | None = None) -> list[list[int]]:
             raise ValueError("ncols is required when rows is empty")
         ncols = len(rows[0])
     reduced, pivots, d = integer_rref(rows)
-    if d < 0:
-        reduced, d = [[-x for x in row] for row in reduced], -d
-    free = [c for c in range(ncols) if c not in pivots]
+    sign = -1 if d < 0 else 1
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
-        v[fc] = d
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        v[fc] = sign * d
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -sign * row[fc]
         basis.append(v)
     return basis
 

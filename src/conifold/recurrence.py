@@ -34,9 +34,10 @@ its rows, packed alike in column order i(D+1) + j, have full column rank
 mod p, its kernel is {0} by the same minor argument and no exact row is
 built.  Otherwise the integer kernel K (``linalg.kernel_basis``,
 fraction-free) is taken on the rows the modular pass chose as pivots,
-and every row is checked against K by exact dot products.  A row that
-passes lies in the orthogonal complement of K, which is the span of the
-chosen rows; the rows that fail, if any, are added and the kernel is
+the only rows built, and every window is checked against K by Horner's
+rule (``_window_sums``, as in ``verify_recurrence``).  A row that passes
+lies in the orthogonal complement of K, which is the span of the chosen
+rows; the rows that fail, if any, are built and added and the kernel is
 taken once more.  Then the chosen rows span the cell's row space, and
 the reduced echelon form depends on the row space alone: the kernel
 basis is the one that solving on every row gives, up to a positive
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from operator import mul
 
 from . import linalg
 from .errors import BudgetExceeded, InsufficientData
@@ -81,12 +81,6 @@ class Recurrence(namedtuple("Recurrence", "order degree coeffs")):
     integers of content 1 and the leading coefficient of p_r is positive."""
 
     __slots__ = ()
-
-    def poly_value(self, i: int, d: int) -> int:
-        return sum(a * d**j for j, a in enumerate(self.coeffs[i]))
-
-    def apply(self, seq, d: int) -> int:
-        return sum(self.poly_value(i, d) * seq[d + i] for i in range(self.order + 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,23 +183,37 @@ def _packed_rows(residues: list[int], nrows: int, r: int, dD: int,
     return rows
 
 
+def _window_sums(coeffs, terms) -> list[int]:
+    """sum_i p_i(d) * c_{d+i} at every window d of ``terms``, with p_i =
+    coeffs[i] low power first, each by Horner's rule at every d at once."""
+    sums = [0] * (len(terms) + 1 - len(coeffs))
+    ds = range(len(sums))
+    for i, poly in enumerate(coeffs):
+        values = [0] * len(ds)
+        for a in reversed(poly):
+            values = [v * d + a for v, d in zip(values, ds)]
+        sums = [s + v * c for s, v, c in zip(sums, values, terms[i:])]
+    return sums
+
+
 def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
-    """Nontrivial normalized solution for the (r, D) cell over every
-    usable window of ``terms``, or None.  The kernel is taken on the rows
-    that ``linalg.modular_pivots`` picks, and once more with every row that
-    fails it added (module docstring)."""
+    """Nontrivial normalized solution for the (r, D) cell over every usable
+    window of ``terms``, or None, from the rows ``linalg.modular_pivots``
+    picks and those of the windows their kernel fails (module docstring)."""
     nvars = (r + 1) * (dD + 1)
     pivots, chosen = linalg.modular_pivots(_packed_rows(
         [a % linalg.PRIME for a in terms], len(terms) - r, r, dD, dD + 1, 1), nvars)
     if len(pivots) == nvars:
         return None
-    rows = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
-            for d in range(len(terms) - r)]
-    chosen = [rows[k] for k in chosen]
+    def rows(ds):
+        return [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)] for d in ds]
+    chosen = rows(chosen)
     basis = linalg.kernel_basis(chosen, ncols=nvars)
-    failed = [row for row in rows if any(sum(map(mul, row, v)) for v in basis)]
+    sums = zip(*(_window_sums([v[i:i + dD + 1] for i in range(0, nvars, dD + 1)], terms)
+                 for v in basis))
+    failed = [d for d, window in enumerate(sums) if any(window)]
     if failed:
-        basis = linalg.kernel_basis(chosen + failed, ncols=nvars)
+        basis = linalg.kernel_basis(chosen + rows(failed), ncols=nvars)
     for vec in basis:
         if any(vec[r * (dD + 1):]):  # p_r is not identically zero
             return _normalize(vec, r, dD)
@@ -256,9 +264,8 @@ def verify_recurrence(rec: Recurrence, terms) -> bool:
     if len(terms) <= rec.order:
         raise InsufficientData(f"sequence of length {len(terms)} is shorter "
                                f"than order {rec.order} + 1")
-    if rec.order < 0 or not any(rec.coeffs[rec.order]):
-        return False
-    return all(rec.apply(terms, d) == 0 for d in range(len(terms) - rec.order))
+    return (rec.order >= 0 and any(rec.coeffs[rec.order])
+            and not any(_window_sums(rec.coeffs, terms)))
 
 
 def gw_labeling(terms) -> list[dict]:

@@ -3,10 +3,11 @@ standard library and ``conifold``, so that ``scripts/build_corpus.py``
 can use them as well as the tests: the general sparse product of Laurent
 polynomials and the period engine of plain repeated multiplication, the
 subset hull scan (with its ``primitive`` normals), Fraction elimination,
-elimination mod p, rank by minors, the every-row recurrence cell solve
-and the unscreened search, the arrangement region count, the image of a
-polytope under a matrix, the map of a conifold square onto the local
-model, and closed forms of five bundled period sequences."""
+elimination mod p, rank by minors, the per-window recurrence check, the
+every-row recurrence cell solve and the unscreened search, the
+arrangement region count, the image of a polytope under a matrix, the map
+of a conifold square onto the local model, and closed forms of five
+bundled period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -233,6 +234,17 @@ def fraction_kernel_basis(rows, ncols):
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
+
+
+def poly_value(rec, i: int, d: int) -> int:
+    """p_i(d) of a recurrence, power by power."""
+    return sum(a * d**j for j, a in enumerate(rec.coeffs[i]))
+
+
+def window_value(rec, seq, d: int) -> int:
+    """Reference per-window check: sum_i p_i(d) * seq[d + i], which
+    ``verify_recurrence`` requires to be 0 at every window d."""
+    return sum(poly_value(rec, i, d) * seq[d + i] for i in range(rec.order + 1))
 
 
 def solve_cell_on_every_row(terms, r: int, dD: int) -> tuple | None:

@@ -73,6 +73,39 @@ def test_integer_elimination_matches_fraction_oracle(m):
 
 
 @st.composite
+def wide_inputs(draw):
+    """Tall, wide and near-square matrices of ``wide_int`` up to 20 x 21,
+    and low-rank products of two such matrices, whose rank k is at most 3:
+    many free columns, skipped pivot columns and rows that reduce to 0."""
+    m, n = draw(st.one_of(st.tuples(st.integers(1, 20), st.integers(1, 4)),
+                          st.tuples(st.integers(1, 4), st.integers(1, 21)),
+                          st.tuples(st.integers(1, 20), st.integers(1, 21))))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(wide_int, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    k = draw(st.integers(0, min(m, n, 3)))
+    a = draw(st.lists(st.lists(wide_int, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(wide_int, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(row[t] * b[t][j] for t in range(k)) for j in range(n)] for row in a]
+
+
+@given(wide_inputs())
+@example([[0, 5, 0, 7], [0, 0, 0, 0], [3, 1, 0, 2], [6, 2, 0, 4]])
+@settings(max_examples=150, deadline=None)
+def test_wide_integer_elimination_matches_fraction_oracle(m):
+    # R / d is the Fraction RREF row for row, zero rows past the rank
+    # included, and each kernel vector is exactly |d| times the oracle's
+    reduced, pivots = row_reduce(m)
+    scaled, int_pivots, d = linalg.integer_rref(m)
+    assert int_pivots == pivots
+    assert all(type(x) is int for row in scaled for x in row)
+    assert [[Fraction(x, d) for x in row] for row in scaled] == reduced
+    basis = linalg.kernel_basis(m)
+    assert all(type(x) is int for v in basis for x in v)
+    assert [[Fraction(x, abs(d)) for x in v] for v in basis] == fraction_kernel_basis(m, len(m[0]))
+
+
+@st.composite
 def echelon_inputs(draw):
     """Integer and low-rank matrices with zero rows and repeated rows
     spliced in at random places; single columns and no rows at all are

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -25,8 +26,10 @@ from oracles import (
     find_recurrence_unscreened,
     packed_rows,
     pivots_mod,
+    poly_value,
     solve_cell_on_every_row,
     unpacked,
+    window_value,
 )
 from strategies import wide_int
 
@@ -133,12 +136,52 @@ def test_verify_needs_more_terms_than_order():
 def test_apply_is_zero_on_annihilated_sequence():
     seq = central_binomials(16)
     rec = Recurrence(order=1, degree=1, coeffs=((-2, -4), (1, 1)))
-    assert all(rec.apply(seq, d) == 0 for d in range(15))
+    assert all(window_value(rec, seq, d) == 0 for d in range(15))
 
 
 def test_poly_value():
     rec = Recurrence(order=1, degree=2, coeffs=((1, 2, 3), (1,)))
-    assert rec.poly_value(0, 2) == 1 + 4 + 12
+    assert poly_value(rec, 0, 2) == 1 + 4 + 12
+
+
+@st.composite
+def recurrences_with_sequences(draw):
+    """A recurrence of order 0 to 3 whose coefficient polynomials take
+    ``wide_int`` entries and trailing zeros, and a sequence of order + 1
+    to 60 terms: the one it generates from ``wide_int`` initial terms over
+    Q, cleared of denominators, when p_r has no root at a window (flagged
+    True), or else ``wide_int`` terms."""
+    order = draw(st.integers(0, 3))
+    coeffs = tuple(tuple(draw(st.lists(wide_int, min_size=i == order, max_size=4))
+                         + [0] * draw(st.integers(0, 2))) for i in range(order + 1))
+    rec = Recurrence(order, max(0, max(map(len, coeffs)) - 1), coeffs)
+    length = draw(st.integers(order + 1, 60))
+    seq = draw(st.lists(wide_int, min_size=length, max_size=length))
+    leads = [poly_value(rec, order, d) for d in range(length - order)]
+    if not all(leads):
+        return rec, seq, False
+    seq = [Fraction(c) for c in seq[:order]]
+    for d, lead in enumerate(leads):
+        seq.append(-sum((poly_value(rec, i, d) * seq[d + i] for i in range(order)),
+                        Fraction(0)) / lead)
+    scale = math.lcm(*(c.denominator for c in seq))
+    return rec, [int(c * scale) for c in seq], True
+
+
+@given(recurrences_with_sequences(), st.integers(0, 59), wide_int.filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_verify_recurrence_is_the_per_window_oracle(case, k, delta):
+    # verify_recurrence holds exactly when p_r is not identically zero and
+    # the oracle is 0 at every window, before and after one term is changed,
+    # and it holds on every sequence generated from the recurrence
+    rec, seq, generated = case
+    corrupted = seq[:]
+    corrupted[k % len(seq)] += delta
+    for terms in (seq, corrupted):
+        expected = any(rec.coeffs[rec.order]) and all(
+            window_value(rec, terms, d) == 0 for d in range(len(terms) - rec.order))
+        assert verify_recurrence(rec, terms) == expected
+    assert verify_recurrence(rec, seq) or not generated
 
 
 def test_json_roundtrip():
