@@ -5,12 +5,15 @@ Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
 code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
-dimensions 2 and 4, database records that load and that fail
-with each of the loader's messages, recurrence searches on a sequence
-whose terms are all multiples of the screen's prime 2^31 - 1, a hit on a
-sequence of alternating sign and a miss on wide terms near multiples of
-that prime, 30 zeros, on which the least cell's kernel is the whole space,
-and inputs that must exit 2 or 3, flat point sets among them.
+dimensions 2 and 4, product polytopes on either side of the guard of the
+period engine's split (the octahedron at degree 60 and 61, a p2xp1 image,
+and the free sum dP6 x P1 under three subcommands), database records
+that load and that fail with each of the loader's messages, recurrence
+searches on a sequence whose terms are all multiples of the screen's prime
+2^31 - 1, a hit on a sequence of alternating sign and a miss on wide terms
+near multiples of that prime, 30 zeros, on which the least cell's kernel
+is the whole space, and inputs that must exit 2 or 3, flat point sets
+among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -123,6 +126,9 @@ def write_inputs(tmp: Path) -> list[str]:
                                     if 5 <= x * x + y * y + z * z <= 9]},
         "simplex90.json": {"vertices": [[int(i == j) for j in range(90)] for i in range(90)]
                            + [[-1] * 90]},
+        # the free sum of dP6's hexagon and P1's segment
+        "dp6xp1.json": {"vertices": [[1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 0, 0],
+                                     [-1, -1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
         "plane.json": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
         "simplex4.json": {"vertices": [[int(i == j) for j in range(4)] for i in range(4)]
                           + [[-1] * 4]},
@@ -188,6 +194,13 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("recurrence", "zeros.json")]
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
+    # products split into parts up to the bound the budget cannot pass:
+    # the octahedron's last degree inside it and its first past it
+    out += [("periods", "octahedron.json", "--dmax", "60"),
+            ("periods", "octahedron.json", "--dmax", "61"),
+            ("periods", "p2xp1_image1.json", "--dmax", "40"),
+            ("periods", "dp6xp1.json"), ("transition", "dp6xp1.json"),
+            ("match", "dp6xp1.json", "fano.jsonl")]
     out += [
         # handled input errors (exit 2) and budgets (exit 3)
         ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),

@@ -48,6 +48,18 @@ m = 1 in other dimensions or when index(L) = 0, which is always sound.
 From d = 4 on the pairing runs only where m divides d.  m is not taken
 when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
+A product polytope's W, such as the octahedron's or p2xp1's, splits into
+the parts that ``_parts`` finds, the components of the linear matroid of
+a support spanning Q^3.  Parts W_1, W_2 span complementary subspaces, so
+f_1 + f_2 = 0 with f_i in W_i's span only when f_1 = f_2 = 0, and so
+const(W_1^k W_2^(d-k)) = const(W_1^k) const(W_2^(d-k)), and c_d = sum_k
+C(d, k) a_k b_{d-k} from the parts' periods a and b (a third part is
+folded in the same way).  The split is taken only when
+|W| C(top + |W| - 1, |W|) <= PERIOD_WORK_BUDGET: W^a has at most
+C(a + |W| - 1, |W| - 1) terms, one per multiset of a monomials, so the
+unsplit engine could not have refused, and any other run is unsplit,
+with the same charges and messages.
+
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
 and exists to check it.  ``LaurentPolynomial`` only holds W's tuple
@@ -180,6 +192,43 @@ def _grading(exponent: dict, leaf, steps) -> int:
     return index // _minor_gcd([e] + gens, index) if index > 1 else 1
 
 
+# With a basis u, v, e of exponents, f = x u + y v + z e has x, y, z =
+# f.(v x e), f.(e x u), f.(u x v) over det(u, v, e) (Cramer's rule).  Bit i
+# of f's mask is set when f uses the i-th of u, v, e, and the basis vectors
+# one f uses are joined: a matroid's components are those of the
+# fundamental circuits of any basis.
+def _parts(terms: dict) -> list:
+    """W's terms grouped by the components of the matroid of a support
+    spanning Q^3, the constant monomial joining u's; [terms] when there
+    is one component or the support spans less."""
+    u = v = None
+    for e in terms:
+        if u is None:
+            u = e if any(e) else None
+        elif v is None:
+            v = e if any(n := lattice.cross(u, e)) else None
+        elif lattice.dot(n, e):
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice.cross(v, e), lattice.cross(e, u), n
+            break
+    else:
+        return [terms]
+    parts = {1: {}, 2: {}, 4: {}}  # a component's basis vectors -> its terms
+    for (x, y, z), c in terms.items():
+        mask = ((x * a0 + y * a1 + z * a2 != 0) | (x * b0 + y * b1 + z * b2 != 0) << 1
+                | (x * c0 + y * c1 + z * c2 != 0) << 2 or 1)
+        if mask not in parts:
+            joined = {}
+            for k in list(parts):
+                if k & mask:
+                    joined.update(parts.pop(k))
+                    mask |= k
+            if not parts:
+                return [terms]
+            parts[mask] = joined
+        parts[mask][x, y, z] = c
+    return list(parts.values())
+
+
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
@@ -200,21 +249,36 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     the charges sum to at least |W| * C(top + r, r + 1).  A run whose
     bound passes the budget is refused before any work; the bound grows
     with r, so the rank is taken only when the bound with r = dim already
-    passes."""
+    passes.  A product's W is split into parts whose periods are
+    convolved only when the unsplit engine could not have refused
+    (module docstring)."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    top = (dmax + 1) // 2
     size = len(w.terms)
-    positive = min(w.terms.values(), default=1) > 0
-    if positive and size * comb(top + w.dim, w.dim + 1) > PERIOD_WORK_BUDGET:
-        r = lattice._affine_rank(list(w.terms))
+    parts = [w.terms]
+    if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
+        parts = _parts(w.terms)
+    cs = _periods(parts[0], w.dim, dmax)
+    for part in parts[1:]:
+        a, b = cs, _periods(part, 3, dmax)
+        cs = [sum(comb(d, k) * a[k] * b[d - k] for k in range(d + 1)) for d in range(dmax + 1)]
+    return PeriodSequence(tuple(cs))
+
+
+def _periods(terms, dim, dmax):
+    """``period_sequence``'s engine on W's terms in ``dim`` variables."""
+    top = (dmax + 1) // 2
+    size = len(terms)
+    positive = min(terms.values(), default=1) > 0
+    if positive and size * comb(top + dim, dim + 1) > PERIOD_WORK_BUDGET:
+        r = lattice._affine_rank(list(terms))
         if size * comb(top + r, r + 1) > PERIOD_WORK_BUDGET:
             raise _over_budget(dmax)
-    base = 2 * top * max(map(abs, chain.from_iterable(w.terms)), default=0) + 1
-    powers = [base**i for i in range(w.dim)]
-    keys = [sum(map(mul, e, powers)) for e in w.terms]
+    base = 2 * top * max(map(abs, chain.from_iterable(terms)), default=0) + 1
+    powers = [base**i for i in range(dim)]
+    keys = [sum(map(mul, e, powers)) for e in terms]
     if size and top:
-        (s0, c0), steps = _plan(dict(zip(keys, w.terms.values())))
+        (s0, c0), steps = _plan(dict(zip(keys, terms.values())))
     else:  # dmax 0 forms no power, and W = 0 is the leaf 0 * y^0
         (s0, c0), steps = (0, 0), []
     cs = []
@@ -222,8 +286,8 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     work = 0
     m = 1
     for a in range(dmax // 2 + 1):
-        if a == 2 and w.dim == 3 and size and not cs[2] * cs[3]:
-            m = _grading(dict(zip(keys, w.terms)), s0, steps)
+        if a == 2 and dim == 3 and size and not cs[2] * cs[3]:
+            m = _grading(dict(zip(keys, terms)), s0, steps)
         cs.append(0 if 2 * a % m else
                   sum(map(mul, low.values(), map(low.get, map(neg, low), repeat(0)))))
         if 2 * a < dmax:
@@ -254,7 +318,7 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
             cs.append(0 if (2 * a + 1) % m else
                       sum(map(mul, low.values(), map(high.get, map(neg, low), repeat(0)))))
             low = high
-    return PeriodSequence(tuple(cs))
+    return cs
 
 
 def period_term_direct(w: LaurentPolynomial, d: int) -> int:

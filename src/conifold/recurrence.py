@@ -196,13 +196,14 @@ def _window_sums(coeffs, terms) -> list[int]:
     return sums
 
 
-def _solve_cell(terms: list[int], r: int, dD: int) -> tuple | None:
+def _solve_cell(terms: list[int], r: int, dD: int, residues=None) -> tuple | None:
     """Nontrivial normalized solution for the (r, D) cell over every usable
     window of ``terms``, or None, from the rows ``linalg.modular_pivots``
-    picks and those of the windows their kernel fails (module docstring)."""
+    picks and those of the windows their kernel fails (module docstring).
+    ``residues`` are the terms mod p, reduced here when not given."""
     nvars = (r + 1) * (dD + 1)
     pivots, chosen = linalg.modular_pivots(_packed_rows(
-        [a % linalg.PRIME for a in terms], len(terms) - r, r, dD, dD + 1, 1), nvars)
+        residues or [a % linalg.PRIME for a in terms], len(terms) - r, r, dD, dD + 1, 1), nvars)
     if len(pivots) == nvars:
         return None
     def rows(ds):
@@ -249,7 +250,7 @@ def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
             if sum(c < width for c in pivots) == width:
                 continue
             work = _charge(work, len(terms) - r, width, words)
-            sol = _solve_cell(terms, r, dD)
+            sol = _solve_cell(terms, r, dD, residues)
             if sol is None:
                 continue
             rec = Recurrence(r, max(len(p) - 1 for p in sol), sol)

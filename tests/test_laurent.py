@@ -4,12 +4,13 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conifold import laurent
 from conifold.errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
-from conifold.lattice import _affine_rank, convex_hull
+from conifold.lattice import _affine_rank, convex_hull, dot
+from conifold.linalg import rank
 from conifold.laurent import (
     ORACLE_DEGREE_CAP,
     LaurentPolynomial,
@@ -17,7 +18,7 @@ from conifold.laurent import (
     period_sequence,
     period_term_direct,
 )
-from oracles import iterated_periods, multiply, transform
+from oracles import CLOSED_FORM_PERIODS, iterated_periods, multiply, transform
 from strategies import unimodular_matrices
 
 P3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
@@ -375,3 +376,81 @@ def test_periods_to_degree_20_equal_iterated_multiplication(corpus, stem):
     # one with a lone monomial inside a binomial
     w = from_fan_polytope(corpus[stem])
     assert list(period_sequence(w, 20).terms) == iterated_periods(w, 20)
+
+
+# ------------------------------------------------------- product polytopes
+
+DP6XP1 = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (-1, -1, 0),
+          (0, 0, 1), (0, 0, -1)]
+PARTS = {"octahedron": 3, "p2xp1": 2, "p3": 1, "nodal_01": 1, "nodal_02": 1, "nodal_03": 1}
+
+
+@st.composite
+def free_sums(draw):
+    """W = W_1 + ... + W_k, k = 2 or 3, each W_i of rank 1 or 2 on its own
+    coordinates with coefficients in +-1..3, plus maybe a constant
+    monomial, in any order and mapped by a unimodular matrix: the W of a
+    product, with signs."""
+    coeff = st.integers(-3, 3).filter(bool)
+    terms, start = {}, 0
+    for r in draw(st.sampled_from([(1, 2), (2, 1), (1, 1, 1)])):
+        exps = st.tuples(*[st.integers(-2, 2)] * r).filter(any)
+        for e, c in draw(st.dictionaries(exps, coeff, min_size=r, max_size=6)).items():
+            terms[(0,) * start + e + (0,) * (3 - start - r)] = c
+        start += r
+    if draw(st.booleans()):
+        terms[(0, 0, 0)] = draw(coeff)
+    assume(rank([list(e) for e in terms]) == 3)
+    m = draw(unimodular_matrices(dim=3))
+    items = draw(st.permutations(list(terms.items())))
+    return LaurentPolynomial(3, {tuple(dot(row, e) for row in m): c for e, c in items})
+
+
+# The examples: signed parts of rank 1 and 2 with a constant monomial; and
+# dP6 x P1 in an order that joins the hexagon's basis vectors u, v before
+# it meets -u and then -v, with no later vertex using both.
+@given(free_sums(), st.integers(0, 14))
+@example(LaurentPolynomial(3, {(1, 0, 0): 1, (-1, 0, 0): -2, (0, 1, 0): 1, (0, -1, 1): 3,
+                               (0, 0, -1): 1, (0, 0, 0): -1}), 14)
+@example(LaurentPolynomial(3, {v: 1 for v in DP6XP1}), 12)
+@settings(max_examples=80, deadline=None)
+def test_free_sums_split_and_equal_iterated_multiplication(w, dmax):
+    assert len(laurent._parts(w.terms)) > 1
+    assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
+
+
+@given(free_sums(), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_split_moves_no_budget_edge(w, dmax):
+    # the split runs only under a budget that the unsplit charge cannot
+    # pass: a budget of exactly that charge is admitted, one less refused
+    # (to dmax 4 the multiset bound is the charge, so the split runs at it)
+    periods, work = periods_and_charge(w, dmax)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent, "PERIOD_WORK_BUDGET", work)
+        assert list(period_sequence(w, dmax).terms) == periods
+        if work:
+            mp.setattr(laurent, "PERIOD_WORK_BUDGET", work - 1)
+            with pytest.raises(BudgetExceeded, match=f"more than {work - 1} term"):
+                period_sequence(w, dmax)
+
+
+def test_parts_of_the_corpus(corpus):
+    assert {stem: len(laurent._parts(from_fan_polytope(p).terms))
+            for stem, p in corpus.items()} == PARTS
+
+
+@given(unimodular_matrices(dim=3))
+@settings(max_examples=20, deadline=None)
+def test_parts_are_invariant_under_lattice_isomorphism(corpus, m):
+    for stem, p in corpus.items():
+        w = from_fan_polytope(transform(p, m))
+        assert len(laurent._parts(w.terms)) == PARTS[stem], stem
+
+
+@pytest.mark.parametrize("stem, dmax", [("octahedron", 60), ("p2xp1", 80)])
+def test_split_periods_equal_the_closed_forms(corpus, stem, dmax):
+    # the octahedron at dmax 60 is the last degree inside the split's guard
+    w = from_fan_polytope(corpus[stem])
+    closed_form = CLOSED_FORM_PERIODS[stem]
+    assert list(period_sequence(w, dmax).terms) == [closed_form(d) for d in range(dmax + 1)]

@@ -283,9 +283,9 @@ def test_benchmark_searches_are_pinned(golden):
 
 def _logging_solver(log):
     """``_solve_cell`` that appends (r, D, found) to ``log`` on each call."""
-    def logged(terms, r, dD):
-        sol = _solve_cell(terms, r, dD)
-        log.append((r, dD, sol is not None))
+    def logged(*args):
+        sol = _solve_cell(*args)
+        log.append((args[1], args[2], sol is not None))
         return sol
 
     return logged
