@@ -7,7 +7,9 @@ seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
 dimensions 2 and 4, product polytopes on either side of the guard of the
 period engine's split (the octahedron at degree 60 and 61, a p2xp1 image,
-and the free sum dP6 x P1 under three subcommands), database records
+and the free sum dP6 x P1 under three subcommands), prisms on either side
+of the same guard (nodal_03 at degree 36 and 37, a nodal_03 image, the
+cube and the hexagonal prism over dP6's hexagon), database records
 that load and that fail with each of the loader's messages, recurrence
 searches on a sequence whose terms are all multiples of the screen's prime
 2^31 - 1, a hit on a sequence of alternating sign and a miss on wide terms
@@ -129,6 +131,9 @@ def write_inputs(tmp: Path) -> list[str]:
         # the free sum of dP6's hexagon and P1's segment
         "dp6xp1.json": {"vertices": [[1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 0, 0],
                                      [-1, -1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
+        # the prism over dP6's hexagon
+        "hexprism.json": {"vertices": [[x, y, z] for x, y in ((1, 0), (1, 1), (0, 1), (-1, 0),
+                                                              (-1, -1), (0, -1)) for z in (-1, 1)]},
         "plane.json": {"vertices": [[1, 0], [0, 1], [-1, -1]]},
         "simplex4.json": {"vertices": [[int(i == j) for j in range(4)] for i in range(4)]
                           + [[-1] * 4]},
@@ -201,6 +206,15 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("periods", "p2xp1_image1.json", "--dmax", "40"),
             ("periods", "dp6xp1.json"), ("transition", "dp6xp1.json"),
             ("match", "dp6xp1.json", "fano.jsonl")]
+    # prisms W = (1 + y^t) A split under the same bound: nodal_03's last
+    # degree inside it and its first past it; the cube and the hexagonal
+    # prism have facets that are neither triangles nor conifold squares, so
+    # `transition` exits 2 on them (the cube's run is among the errors below)
+    out += [("periods", "nodal_03.json", "--dmax", "36"),
+            ("periods", "nodal_03.json", "--dmax", "37"),
+            ("periods", "nodal_03_image0.json", "--dmax", "32"),
+            ("periods", "cube.json"), ("periods", "hexprism.json"),
+            ("transition", "hexprism.json")]
     out += [
         # handled input errors (exit 2) and budgets (exit 3)
         ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),

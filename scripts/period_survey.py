@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey the bundled corpus: invariants, period heads, recurrences.
 
-Prints one row per bundled polytope with its transition invariants and
-the first period terms, then hunts for recurrences in two interesting
-cases:
+Prints one row per bundled polytope with its transition invariants, the
+path the period engine takes on it (split into free-sum parts, split as
+a prism W = (1 + y^t) A with lambda = -h / phi(t), or unsplit), and the
+first period terms, then hunts for recurrences in two interesting cases:
 
 * p3 — the classic order-4 operator with (d+4)^3 leading term;
 * octahedron — stride 2 (odd terms vanish), which uncovers the
@@ -20,6 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from conifold import laurent
 from conifold.lattice import convex_hull
 from conifold.laurent import from_fan_polytope, period_sequence
 from conifold.nodal import check_regularity, nodal_profile, transition_invariants
@@ -42,11 +44,19 @@ def load(stem: str):
     return convex_hull([tuple(v) for v in data["vertices"]])
 
 
+def engine_path(w, dmax: int) -> str:
+    """The split ``period_sequence`` takes on W to degree dmax."""
+    parts, prism = laurent._split(w, dmax)
+    if prism:
+        return f"prism {prism[0]}/{prism[1]}"
+    return f"{len(parts)} parts" if len(parts) > 1 else "unsplit"
+
+
 def main() -> int:
     stems = sorted(p.stem for p in (DATA / "polytopes").glob("*.json"))
     header = (
         f"{'polytope':<12} {'N':>2} {'k':>2} {'deg':>4} {'e_sm':>4} "
-        f"{'b2':>3} {'b3':>3} {'regular':>9}  periods (d <= {SURVEY_DMAX})"
+        f"{'b2':>3} {'b3':>3} {'regular':>9}  {'engine':<11} periods (d <= {SURVEY_DMAX})"
     )
     print(header)
     print("-" * len(header))
@@ -56,11 +66,12 @@ def main() -> int:
         rep = transition_invariants(p, profile, "fano")
         rs = check_regularity(profile)
         nreg = sum(1 for r in rs if r.regular)
-        seq = period_sequence(from_fan_polytope(p), SURVEY_DMAX)
+        w = from_fan_polytope(p)
+        seq = period_sequence(w, SURVEY_DMAX)
         print(
             f"{stem:<12} {rep['N']:>2} {rep['k']:>2} "
             f"{rep['degree']:>4} {rep['e_sm']:>4} {rep['b2_sm']:>3} {rep['b3_sm']:>3} "
-            f"{nreg:>4}/{len(rs):<4}  {list(seq.terms)}"
+            f"{nreg:>4}/{len(rs):<4}  {engine_path(w, SURVEY_DMAX):<11} {list(seq.terms)}"
         )
 
     print()

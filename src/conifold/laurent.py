@@ -60,6 +60,25 @@ C(a + |W| - 1, |W| - 1) terms, one per multiset of a monomials, so the
 unsplit engine could not have refused, and any other run is unsplit,
 with the same charges and messages.
 
+A prism's W, such as nodal_03's, has the form W = (1 + y^t) A with A's
+exponents on a plane phi = h, phi an integer functional and phi(t) != 0
+(nodal_03 has t = (0, 1, 0), phi = (0, -2, 1), h = 1).  ``_prism`` finds
+this split.  W^d = sum_j C(d, j) y^(jt) A^d, and phi is d h + j phi(t) on
+every exponent of y^(jt) A^d, so only j = lambda d, with lambda = -h /
+phi(t) = p / q in lowest terms and q > 0, can reach the origin.  So c_d =
+C(d, lambda d) c'_d when lambda d is an integer in [0, d], and c_d = 0
+otherwise, where c' are the periods of A' = {q a + p t : c_a}, which lies
+on the plane phi = 0: the constant term of A'^d is the coefficient of
+y^(-lambda d t) in A^d, since scaling by q is injective.  For nodal_03
+lambda = 1/2, and a rank-3 engine run becomes a rank-2 one plus one
+binomial coefficient per degree.  The split is taken under the same
+bound as ``_parts``.  A' has half W's terms, so the engine's charges on
+A' sum to at most |A'| C(top + |A'| - 1, |A'|) <= |W| C(top + |W| - 1,
+|W|) <= PERIOD_WORK_BUDGET, and its positive pre-check bounds those
+charges from below.  So the split refuses no run, and every run it
+takes is one the unsplit engine admits; any other run is unsplit, with
+the same charges, messages and exit codes as before.
+
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
 and exists to check it.  ``LaurentPolynomial`` only holds W's tuple
@@ -229,6 +248,54 @@ def _parts(terms: dict) -> list:
     return list(parts.values())
 
 
+def _prism(terms: dict):
+    """(p, q, A') when W = (1 + y^t) A with A of affine rank 2 on a plane
+    phi = h and phi(t) != 0, p / q = -h / phi(t) in lowest terms with q > 0
+    and A' = {q a + p t : c_a}; None otherwise.  Either of t and -t splits
+    W, so t may be taken lexicographically positive: then the least
+    exponent lies in A, t is its difference from a later exponent, and A
+    is the lower members of the pairs {a, a + t} taken in increasing order,
+    each with a + t unpaired and of a's coefficient."""
+    n = len(terms)
+    if n % 2 or n < 6:
+        return None
+    exps = sorted(terms)
+    for e in exps[1:]:
+        t = lattice.vsub(e, exps[0])
+        lower, upper = [], set()
+        for a in exps:
+            if a not in upper:
+                b = tuple(map(add, a, t))
+                if terms.get(b) != terms[a]:
+                    break
+                lower.append(a)
+                upper.add(b)
+        else:
+            a0, a1 = lower[0], lower[1]
+            for a in lower[2:]:
+                if any(phi := lattice.cross(lattice.vsub(a1, a0), lattice.vsub(a, a0))):
+                    h, ft = lattice.dot(phi, a0), lattice.dot(phi, t)
+                    if ft and all(lattice.dot(phi, a) == h for a in lower):
+                        g = gcd(h, ft) if ft > 0 else -gcd(h, ft)
+                        p, q = -h // g, ft // g
+                        return p, q, {tuple(q * x + p * y for x, y in zip(a, t)): terms[a]
+                                      for a in lower}
+                    break
+    return None
+
+
+def _split(w: LaurentPolynomial, dmax: int):
+    """W's free-sum parts and its prism split (``_parts`` and ``_prism``)
+    as ``period_sequence`` takes them to degree dmax: ([W's terms], None)
+    unless W is in 3 variables and |W| C(top + |W| - 1, |W|) is within
+    the budget."""
+    size = len(w.terms)
+    if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
+        parts = _parts(w.terms)
+        return parts, _prism(w.terms) if len(parts) == 1 else None
+    return [w.terms], None
+
+
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
@@ -250,14 +317,17 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     bound passes the budget is refused before any work; the bound grows
     with r, so the rank is taken only when the bound with r = dim already
     passes.  A product's W is split into parts whose periods are
-    convolved only when the unsplit engine could not have refused
-    (module docstring)."""
+    convolved, and a prism's W = (1 + y^t) A into A', whose periods times
+    one binomial coefficient per degree are W's, only when the unsplit
+    engine could not have refused (module docstring)."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    size = len(w.terms)
-    parts = [w.terms]
-    if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
-        parts = _parts(w.terms)
+    parts, prism = _split(w, dmax)
+    if prism:
+        p, q, flat = prism
+        return PeriodSequence(tuple(
+            comb(d, p * d // q) * c if d % q == 0 and 0 <= p * d <= q * d else 0
+            for d, c in enumerate(_periods(flat, 3, dmax))))
     cs = _periods(parts[0], w.dim, dmax)
     for part in parts[1:]:
         a, b = cs, _periods(part, 3, dmax)
