@@ -9,7 +9,10 @@ dimensions 2 and 4, product polytopes on either side of the guard of the
 period engine's split (the octahedron at degree 60 and 61, a p2xp1 image,
 and the free sum dP6 x P1 under three subcommands), prisms on either side
 of the same guard (nodal_03 at degree 36 and 37, a nodal_03 image, the
-cube and the hexagonal prism over dP6's hexagon), database records
+cube and the hexagonal prism over dP6's hexagon), apexed prisms and
+pyramids on either side of it (nodal_02 at degree 44 and 45, nodal_01 at
+90 and 91, p3 at 172 and at 173, where the work budget refuses it, and a
+nodal_02 image), database records
 that load and that fail with each of the loader's messages, recurrence
 searches on a sequence whose terms are all multiples of the screen's prime
 2^31 - 1, a hit on a sequence of alternating sign and a miss on wide terms
@@ -215,6 +218,16 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("periods", "nodal_03_image0.json", "--dmax", "32"),
             ("periods", "cube.json"), ("periods", "hexprism.json"),
             ("transition", "hexprism.json")]
+    # W = (1 + y^t)^eps A + c y^rho split under the same bound, on either
+    # side of it: nodal_02 and nodal_01 (apexed prisms), p3 (a pyramid),
+    # whose first degree past it is past the work budget too, and an image
+    out += [("periods", "nodal_02.json", "--dmax", "44"),
+            ("periods", "nodal_02.json", "--dmax", "45"),
+            ("periods", "nodal_01.json", "--dmax", "90"),
+            ("periods", "nodal_01.json", "--dmax", "91"),
+            ("periods", "p3.json", "--dmax", "172"),
+            ("periods", "p3.json", "--dmax", "173"),
+            ("periods", "nodal_02_image1.json", "--dmax", "32")]
     out += [
         # handled input errors (exit 2) and budgets (exit 3)
         ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),

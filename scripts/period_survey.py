@@ -3,8 +3,10 @@
 
 Prints one row per bundled polytope with its transition invariants, the
 path the period engine takes on it (split into free-sum parts, split as
-a prism W = (1 + y^t) A with lambda = -h / phi(t), or unsplit), and the
-first period terms, then hunts for recurrences in two interesting cases:
+a prism W = (1 + y^t) A with lambda = -h / phi(t), read from the powers
+of A as an apexed prism W = (1 + y^t) A + c y^rho or a pyramid W = A +
+c y^rho, or unsplit), and the first period terms, then hunts for
+recurrences in two interesting cases:
 
 * p3 — the classic order-4 operator with (d+4)^3 leading term;
 * octahedron — stride 2 (odd terms vanish), which uncovers the
@@ -46,9 +48,12 @@ def load(stem: str):
 
 def engine_path(w, dmax: int) -> str:
     """The split ``period_sequence`` takes on W to degree dmax."""
-    parts, prism = laurent._split(w, dmax)
+    parts, prism, reach = laurent._split(w, dmax)
+    if reach:
+        return "pyramid" if prism[0] is None else "apex prism"
     if prism:
-        return f"prism {prism[0]}/{prism[1]}"
+        p, q, _ = laurent._flat(w.terms, prism)
+        return f"prism {p}/{q}"
     return f"{len(parts)} parts" if len(parts) > 1 else "unsplit"
 
 

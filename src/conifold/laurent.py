@@ -42,9 +42,12 @@ differences of W's monomials, so c_d = 0 unless m = [L' : L] divides d,
 L' the lattice spanned by the monomials (a Fano of index r has its period
 in t^r: Coates-Corti-Galkin-Kasprzyk, Geom. Topol. 20 (2016)).  On the
 bundled corpus m is 4 (p3), 3 (nodal_01), 2 (octahedron, nodal_03) and
-1 (p2xp1, nodal_02).  ``_grading`` finds m = index(L) / index(L') in
-dimension 3, each index the gcd of the 3x3 minors of a spanning set;
-m = 1 in other dimensions or when index(L) = 0, which is always sound.
+1 (p2xp1, nodal_02).  In dimension 3 ``_grading`` finds m =
+index(L) / index(L') when L and L' have one rank k, each index the gcd of
+the k x k minors of a spanning set (``_index``); m = 1 in other
+dimensions or ranks, which is always sound.  So the parts and prism
+bases below, of rank 1 or 2, are graded in their own plane or line:
+nodal_03's A' has m = 2 and p2xp1's part x + y + 1/(xy) has m = 3.
 From d = 4 on the pairing runs only where m divides d.  m is not taken
 when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
@@ -61,14 +64,14 @@ unsplit engine could not have refused, and any other run is unsplit,
 with the same charges and messages.
 
 A prism's W, such as nodal_03's, has the form W = (1 + y^t) A with A's
-exponents on a plane phi = h, phi an integer functional and phi(t) != 0
-(nodal_03 has t = (0, 1, 0), phi = (0, -2, 1), h = 1).  ``_prism`` finds
-this split.  W^d = sum_j C(d, j) y^(jt) A^d, and phi is d h + j phi(t) on
-every exponent of y^(jt) A^d, so only j = lambda d, with lambda = -h /
-phi(t) = p / q in lowest terms and q > 0, can reach the origin.  So c_d =
-C(d, lambda d) c'_d when lambda d is an integer in [0, d], and c_d = 0
-otherwise, where c' are the periods of A' = {q a + p t : c_a}, which lies
-on the plane phi = 0: the constant term of A'^d is the coefficient of
+exponents of affine rank 1 or 2 on a plane phi = h, phi an integer
+functional and phi(t) != 0 (nodal_03 has t = (1, 0, 0), phi = (2, 0,
+-1), h = -1).  ``_prism`` finds this split.  W^d = sum_j C(d, j) y^(jt)
+A^d, and phi is d h + j phi(t) on every exponent of y^(jt) A^d, so only
+j = lambda d, with lambda = -h / phi(t) = p / q in lowest terms and q >
+0, can reach the origin.  So c_d = C(d, lambda d) c'_d when lambda d is
+an integer in [0, d], and c_d = 0 otherwise, where c' are the periods of
+A' = {q a + p t : c_a}, which lies on the plane phi = 0: the constant term of A'^d is the coefficient of
 y^(-lambda d t) in A^d, since scaling by q is injective.  For nodal_03
 lambda = 1/2, and a rank-3 engine run becomes a rank-2 one plus one
 binomial coefficient per degree.  The split is taken under the same
@@ -78,6 +81,36 @@ A' sum to at most |A'| C(top + |A'| - 1, |A'|) <= |W| C(top + |W| - 1,
 charges from below.  So the split refuses no run, and every run it
 takes is one the unsplit engine admits; any other run is unsplit, with
 the same charges, messages and exit codes as before.
+
+An apexed prism's or a pyramid's W has one more monomial, the apex: W =
+(1 + y^t)^eps A + c y^rho, eps in {0, 1}, with A of affine rank 1 or 2
+on a plane phi = h, phi(t) != 0 when eps = 1 and phi(rho) != h when eps
+= 0.  nodal_02 is (1 + x)(z + yz + 1/y) + 1/(xz) and nodal_01 is (1 +
+x)(z + yz) + 1/(xyz^2), with A a triangle and a segment; p3 is a pyramid
+over three of its vertices.  ``_prism`` finds an apexed prism in its
+scan for prisms, which may leave one exponent unpaired, and a pyramid
+from an affine basis of the support, which must hold the apex.  By the
+binomial theorem W^d = sum_i C(d, i) c^(d - i) y^((d - i) rho) (1 +
+y^t)^(eps i) A^i, and phi is j phi(t) + i h + (d - i) phi(rho) on every
+exponent of y^(jt + (d - i) rho) A^i.  That level is 0 at the origin,
+which forces j from d and i when eps = 1, and i from d when eps = 0
+(then j = 0).  So c_d = sum_i C(d, i) C(eps i, j)
+c^(d - i) [A^i]_(-jt - (d - i) rho), over the i at which j is an integer
+in [0, eps i].  ``_reach`` lists those d for each i as an arithmetic
+progression, and ``_apexed`` forms A^0, A^1, ... once, reads each power at
+its degrees and drops it.  Powers of a segment or a triangle replace a
+rank-3 half-power run on W.
+
+The apex split is taken under the bound of ``_parts``, and only when
+|A| C(imax + |A| - 1, |A|) <= PERIOD_WORK_BUDGET, imax the last power it
+reads: forming A^(i+1) through A's plan makes at most |A^i| |A| <= |A|
+C(i + |A| - 1, |A| - 1) term updates (the induction above), which sum to
+that bound.  The split charges nothing and raises nothing.  Under the
+first bound the unsplit engine's charges sum to at most |W| C(top + |W| -
+1, |W|) <= PERIOD_WORK_BUDGET, so the unsplit engine admits every run the
+split takes, and returns the same integers (the identity above).  Every
+other run is unsplit, with the charges, messages and exit codes of the
+unsplit engine.  So no refusal, message or exit code moves.
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
@@ -185,16 +218,26 @@ def _plan(terms: dict):
     return items[0], items[1:]
 
 
-def _minor_gcd(vectors, g=0) -> int:
-    """gcd of g and every 3x3 minor of the 3-vectors, stopping at 1."""
+def _index(vectors) -> tuple:
+    """(k, g) for 3-vectors spanning a lattice L of rank k: g is the gcd of
+    their k x k minors, which is [L_sat : L], L_sat the integer points of
+    L's span (Cauchy-Binet on vectors = M B with B a basis of L and M an
+    integer matrix whose k x k minors are coprime); (0, 0) when k = 0.
+    The 3 x 3 minors are a . (b x e), and the 2 x 2 minors the entries of
+    a x b; the scan stops once a 3 x 3 minor makes the gcd 1."""
+    g3 = g2 = 0
     for i, a in enumerate(vectors):
-        for j in range(i + 1, len(vectors) - 1):
+        for j in range(i + 1, len(vectors)):
             c0, c1, c2 = lattice.cross(a, vectors[j])
+            g2 = gcd(g2, c0, c1, c2)
             for e0, e1, e2 in vectors[j + 1:]:
-                g = gcd(g, c0 * e0 + c1 * e1 + c2 * e2)
-            if g == 1:
-                return 1
-    return g
+                g3 = gcd(g3, c0 * e0 + c1 * e1 + c2 * e2)
+            if g3 == 1:
+                return 3, 1
+    if g3 or g2:
+        return (3, g3) if g3 else (2, g2)
+    g1 = gcd(*chain.from_iterable(vectors))
+    return (1, g1) if g1 else (0, 0)
 
 
 def _grading(exponent: dict, leaf, steps) -> int:
@@ -203,12 +246,17 @@ def _grading(exponent: dict, leaf, steps) -> int:
     leaf or a lone monomial plus some binomial shifts t, and the leaf plus
     each t is a monomial, so L is spanned by the differences from the leaf
     of the lone monomials and of each leaf + t.  That needs the keys to be
-    injective on differences of monomials, as they are once top >= 2."""
+    injective on differences of monomials, as they are once top >= 2.
+    When L' has L's rank, both lie in one L_sat and m is the ratio of
+    their ``_index``; otherwise m = 1."""
     e = x0, y0, z0 = exponent[leaf]
     gens = [(x - x0, y - y0, z - z0) for x, y, z in
             [exponent[leaf + s if c is None else s] for s, c in steps]]
-    index = _minor_gcd(gens)
-    return index // _minor_gcd([e] + gens, index) if index > 1 else 1
+    k, index = _index(gens)
+    if index < 2:
+        return 1
+    k1, index1 = _index([e] + gens)
+    return index // index1 if k1 == k else 1
 
 
 # With a basis u, v, e of exponents, f = x u + y v + z e has x, y, z =
@@ -248,52 +296,194 @@ def _parts(terms: dict) -> list:
     return list(parts.values())
 
 
-def _prism(terms: dict):
-    """(p, q, A') when W = (1 + y^t) A with A of affine rank 2 on a plane
-    phi = h and phi(t) != 0, p / q = -h / phi(t) in lowest terms with q > 0
-    and A' = {q a + p t : c_a}; None otherwise.  Either of t and -t splits
-    W, so t may be taken lexicographically positive: then the least
-    exponent lies in A, t is its difference from a later exponent, and A
-    is the lower members of the pairs {a, a + t} taken in increasing order,
-    each with a + t unpaired and of a's coefficient."""
-    n = len(terms)
-    if n % 2 or n < 6:
-        return None
-    exps = sorted(terms)
-    for e in exps[1:]:
-        t = lattice.vsub(e, exps[0])
-        lower, upper = [], set()
-        for a in exps:
-            if a not in upper:
-                b = tuple(map(add, a, t))
-                if terms.get(b) != terms[a]:
-                    break
-                lower.append(a)
-                upper.add(b)
-        else:
-            a0, a1 = lower[0], lower[1]
-            for a in lower[2:]:
-                if any(phi := lattice.cross(lattice.vsub(a1, a0), lattice.vsub(a, a0))):
-                    h, ft = lattice.dot(phi, a0), lattice.dot(phi, t)
-                    if ft and all(lattice.dot(phi, a) == h for a in lower):
-                        g = gcd(h, ft) if ft > 0 else -gcd(h, ft)
-                        p, q = -h // g, ft // g
-                        return p, q, {tuple(q * x + p * y for x, y in zip(a, t)): terms[a]
-                                      for a in lower}
-                    break
+def _plane(points: list, t):
+    """(phi, h) with phi = h on ``points``, of affine rank 1 or 2, and
+    phi(t) != 0; None otherwise.  phi is the points' normal when they span
+    a plane, and u x (t x u) when they lie on a line of direction u."""
+    a0 = points[0]
+    u = None
+    for a in points[1:]:
+        d = lattice.vsub(a, a0)
+        if u is None:
+            u = d
+        elif any(phi := lattice.cross(u, d)):
+            break
+    else:
+        phi = lattice.cross(u, lattice.cross(t, u))
+    h = lattice.dot(phi, a0)
+    if lattice.dot(phi, t) and all(lattice.dot(phi, a) == h for a in points):
+        return phi, h
     return None
+
+
+def _prism(terms: dict):
+    """W as (1 + y^t)^eps A + c y^rho, with A = {a: c_a for a in lower}
+    on the plane phi = h: (t, lower, rho, phi, h), where t is None when
+    eps = 0 and rho is None for an exact prism; None when W has no such
+    form.  An exact prism (even |W| >= 6) and an apexed one (odd |W| >= 5)
+    have A of affine rank 1 or 2 and phi(t) != 0; a pyramid (eps = 0,
+    |W| >= 4) has rho off A's plane.
+
+    Either of t and -t splits W, so t may be taken lexicographically
+    positive: then the least exponent lies in A, or is the apex and the
+    second least lies in A, and t is the difference from it of a later
+    exponent.  A is the lower members of the pairs {a, a + t} taken in
+    increasing order, each with a + t unpaired and of a's coefficient, and
+    the one exponent left unpaired, if |W| is odd, is the apex.  A
+    pyramid's support spans Q^3 only through its apex, so the apex is in
+    every affine basis of it, and A's plane passes through the other three
+    basis points."""
+    n = len(terms)
+    if n > 4:
+        # keys in the balanced base 6 M + 1 order the exponents as their
+        # (z, y, x) do, and are injective on a + t, with coordinates in
+        # [-3 M, 3 M]
+        base = 6 * max(map(abs, chain.from_iterable(terms))) + 1
+        exponent = {x + base * (y + base * z): (x, y, z) for x, y, z in terms}
+        coeff = {k: terms[e] for k, e in exponent.items()}
+        keys = sorted(exponent)
+        odd = n % 2
+        for first in keys[:1 + odd]:
+            for k in keys[keys.index(first) + 1:]:
+                s = k - first
+                lower, upper, apex = [], set(), None
+                for a in keys:
+                    if a not in upper:
+                        if coeff.get(a + s) == coeff[a]:
+                            lower.append(exponent[a])
+                            upper.add(a + s)
+                        elif odd and apex is None:
+                            apex = exponent[a]
+                        else:
+                            break
+                else:
+                    t = lattice.vsub(exponent[k], exponent[first])
+                    if plane := _plane(lower, t):
+                        return (t, lower, apex, *plane)
+    exps = list(terms)
+    # an affine basis e0, e1, e2, e of the support
+    e0, e1, e2 = exps[0], None, None
+    for e in exps:
+        v = lattice.vsub(e, e0)
+        if e1 is None:
+            if any(v):
+                e1, u = e, v
+        elif e2 is None:
+            if any(normal := lattice.cross(u, v)):
+                e2 = e
+        elif lattice.dot(normal, v):
+            break
+    else:
+        return None
+    basis = [e0, e1, e2, e]
+    for k in (3, 2, 1, 0):
+        apex, (p0, p1, p2) = basis[k], basis[:k] + basis[k + 1:]
+        phi = lattice.cross(lattice.vsub(p1, p0), lattice.vsub(p2, p0))
+        h = lattice.dot(phi, p0)
+        lower = [a for a in exps if lattice.dot(phi, a) == h]
+        if len(lower) == n - 1:
+            return None, lower, apex, phi, h
+    return None
+
+
+def _level(prism) -> tuple:
+    """(a, b, f, eps) with f > 0 for an apex split: phi is j phi(t) + i h +
+    (d - i) phi(rho) on the exponents of y^(jt + (d - i) rho) A^i, and
+    that level is 0 exactly when j f + i b + d a = 0.  A pyramid has eps =
+    0 and j = 0, and takes f = |a|, or 1 when a = 0."""
+    t, _, rho, phi, h = prism
+    a = lattice.dot(phi, rho)
+    b = h - a
+    f, eps = (lattice.dot(phi, t), 1) if t else (abs(a) or 1, 0)
+    return (a, b, f, eps) if f > 0 else (-a, -b, -f, eps)
+
+
+def _reach(prism, dmax: int) -> list:
+    """The powers i of A that the apex split reads to degree dmax, each
+    with the degrees d that read it, as pairs (i, range of d) in
+    increasing i.  An i reaches d when j f + i b + d a = 0 (``_level``)
+    for an integer j in [0, eps i]: d a lies between -(eps f + b) i and
+    -b i, and d a = -b i mod f, which needs g = gcd(a, f) to divide b i
+    and then takes one residue of d mod f / g."""
+    a, b, f, eps = _level(prism)
+    g = gcd(a, f)
+    step = f // g
+    inverse = pow(a // g, -1, step)
+    reach = []
+    for i in range(0, dmax + 1, g // gcd(g, b)):
+        low, high = -(eps * f + b) * i, -b * i
+        if a > 0:
+            lo, hi = -(-low // a), high // a
+        elif a < 0:
+            lo, hi = -(-high // a), low // a
+        else:
+            lo, hi = (i, dmax) if low <= 0 <= high else (1, 0)
+        lo = max(lo, i)
+        if ds := range(lo + (high // g * inverse - lo) % step, min(hi, dmax) + 1, step):
+            reach.append((i, ds))
+    return reach
+
+
+def _apexed(terms: dict, prism, reach: list, dmax: int) -> list:
+    """c_0 .. c_dmax of W = (1 + y^t)^eps A + c y^rho from A's powers, each
+    read at the degrees ``_reach`` gives it and then dropped.  W^d = sum_i
+    C(d, i) c^(d - i) y^((d - i) rho) (1 + y^t)^(eps i) A^i, so c_d = sum
+    C(d, i) C(i, j) c^(d - i) [A^i]_(-j t - (d - i) rho) over those (i, j).
+    Keys are packed in the balanced base 2 dmax M + 1, M the largest
+    |coordinate| of A, t and rho, whose digits hold every coordinate of
+    A^i (i <= dmax) and of every exponent looked up."""
+    t, lower, rho, _, _ = prism
+    c = terms[rho]
+    a, b, f, _ = _level(prism)
+    base = 2 * dmax * max(map(abs, chain(rho, t or (), *lower))) + 1
+    powers = (1, base, base * base)
+    kt = sum(map(mul, t, powers)) if t else 0
+    kr = sum(map(mul, rho, powers))
+    flat = {sum(map(mul, e, powers)): terms[e] for e in lower}
+    (s0, c0), steps = _plan(flat)
+    positive = min(flat.values()) > 0
+    cs = [0] * (dmax + 1)
+    power, formed = {0: 1}, 0
+    for i, ds in reach:
+        while formed < i:
+            power = _times(power, s0, c0, steps, positive)
+            formed += 1
+        get = power.get
+        for d in ds:
+            j = -(i * b + d * a) // f
+            if v := get(-j * kt - (d - i) * kr):
+                cs[d] += comb(d, i) * comb(i, j) * c ** (d - i) * v
+    return cs
 
 
 def _split(w: LaurentPolynomial, dmax: int):
     """W's free-sum parts and its prism split (``_parts`` and ``_prism``)
-    as ``period_sequence`` takes them to degree dmax: ([W's terms], None)
-    unless W is in 3 variables and |W| C(top + |W| - 1, |W|) is within
-    the budget."""
+    as ``period_sequence`` takes them to degree dmax, with the apex
+    split's ``_reach``: ([W's terms], None, None) unless W is in 3
+    variables and |W| C(top + |W| - 1, |W|) is within the budget, and
+    an apex split only when |A| C(imax + |A| - 1, |A|) is within it too."""
     size = len(w.terms)
     if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
         parts = _parts(w.terms)
-        return parts, _prism(w.terms) if len(parts) == 1 else None
-    return [w.terms], None
+        if len(parts) == 1 and (prism := _prism(w.terms)):
+            if prism[2] is None:
+                return parts, prism, None
+            reach = _reach(prism, dmax)
+            n = len(prism[1])
+            if n * comb(reach[-1][0] + n - 1, n) <= PERIOD_WORK_BUDGET:
+                return parts, prism, reach
+        return parts, None, None
+    return [w.terms], None, None
+
+
+def _flat(terms: dict, prism):
+    """(p, q, A') for an exact prism: p / q = -h / phi(t) in lowest terms
+    with q > 0 and A' = {q a + p t : c_a}."""
+    t, lower, _, phi, h = prism
+    ft = lattice.dot(phi, t)
+    g = gcd(h, ft) if ft > 0 else -gcd(h, ft)
+    p, q = -h // g, ft // g
+    return p, q, {tuple(q * x + p * y for x, y in zip(a, t)): terms[a] for a in lower}
 
 
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
@@ -317,14 +507,18 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     bound passes the budget is refused before any work; the bound grows
     with r, so the rank is taken only when the bound with r = dim already
     passes.  A product's W is split into parts whose periods are
-    convolved, and a prism's W = (1 + y^t) A into A', whose periods times
-    one binomial coefficient per degree are W's, only when the unsplit
+    convolved, a prism's W = (1 + y^t) A into A', whose periods times one
+    binomial coefficient per degree are W's, and an apexed prism's or a
+    pyramid's W = (1 + y^t)^eps A + c y^rho into the powers of A, each
+    read at the degrees whose level it reaches, only when the unsplit
     engine could not have refused (module docstring)."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    parts, prism = _split(w, dmax)
+    parts, prism, reach = _split(w, dmax)
+    if reach:
+        return PeriodSequence(tuple(_apexed(w.terms, prism, reach, dmax)))
     if prism:
-        p, q, flat = prism
+        p, q, flat = _flat(w.terms, prism)
         return PeriodSequence(tuple(
             comb(d, p * d // q) * c if d % q == 0 and 0 <= p * d <= q * d else 0
             for d, c in enumerate(_periods(flat, 3, dmax))))
@@ -333,6 +527,32 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
         a, b = cs, _periods(part, 3, dmax)
         cs = [sum(comb(d, k) * a[k] * b[d - k] for k in range(d + 1)) for d in range(dmax + 1)]
     return PeriodSequence(tuple(cs))
+
+
+def _times(low: dict, s0, c0, steps, positive: bool) -> dict:
+    """low * P on packed keys, for a P planned by ``_plan`` as the leaf
+    (s0, c0) and ``steps``; zero coefficients are dropped unless every
+    coefficient of P is positive."""
+    high = ({k + s0: c for k, c in low.items()} if c0 == 1
+            else {k + s0: c0 * c for k, c in low.items()})
+    get = high.get
+    for s, cv in steps:
+        if cv is None:
+            # in place: k + s gains the old value at k, read from a snapshot
+            # of lists, not a second dict, that is let go 1024 entries at a
+            # time so that old values do not pile up
+            ks, vs = list(high), list(high.values())
+            while ks:
+                for k, c in zip(ks[-1024:], vs[-1024:]):
+                    k += s
+                    high[k] = get(k, 0) + c
+                del ks[-1024:], vs[-1024:]
+        else:
+            for k, c in (low.items() if cv == 1
+                         else [(k, cv * c) for k, c in low.items()]):
+                k += s
+                high[k] = get(k, 0) + c
+    return high if positive else {k: c for k, c in high.items() if c}
 
 
 def _periods(terms, dim, dmax):
@@ -364,27 +584,7 @@ def _periods(terms, dim, dmax):
             work += len(low) * size
             if work > PERIOD_WORK_BUDGET:
                 raise _over_budget(dmax)
-            high = ({k + s0: c for k, c in low.items()} if c0 == 1
-                    else {k + s0: c0 * c for k, c in low.items()})
-            get = high.get
-            for s, cv in steps:
-                if cv is None:
-                    # in place: k + s gains the old value at k, read from a
-                    # snapshot of lists, not a second dict, that is let go
-                    # 1024 entries at a time so that old values do not pile up
-                    ks, vs = list(high), list(high.values())
-                    while ks:
-                        for k, c in zip(ks[-1024:], vs[-1024:]):
-                            k += s
-                            high[k] = get(k, 0) + c
-                        del ks[-1024:], vs[-1024:]
-                else:
-                    for k, c in (low.items() if cv == 1
-                                 else [(k, cv * c) for k, c in low.items()]):
-                        k += s
-                        high[k] = get(k, 0) + c
-            if not positive:
-                high = {k: c for k, c in high.items() if c}
+            high = _times(low, s0, c0, steps, positive)
             cs.append(0 if (2 * a + 1) % m else
                       sum(map(mul, low.values(), map(high.get, map(neg, low), repeat(0)))))
             low = high

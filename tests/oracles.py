@@ -6,7 +6,7 @@ subset hull scan (with its ``primitive`` normals), Fraction elimination,
 elimination mod p, rank by minors, the per-window recurrence check, the
 every-row recurrence cell solve and the unscreened search, the
 arrangement region count, the image of a polytope under a matrix, the map
-of a conifold square onto the local model, and closed forms of five
+of a conifold square onto the local model, and closed forms of the six
 bundled period sequences."""
 
 from fractions import Fraction
@@ -129,18 +129,32 @@ def _nodal_01_period(d):
     return factorial(3 * n) * factorial(2 * n) // factorial(n) ** 5
 
 
+def _nodal_02_period(d):
+    """nodal_02's W is (1 + x) A + 1/(xz) with A = z + yz + 1/y, so W^d =
+    sum_k C(d, k) (xz)^(k - d) (1 + x)^k A^k.  A has no x, so x^0 takes
+    x^(d - k) from (1 + x)^k, with coefficient C(k, d - k).  A^k holds
+    y^0 z^(d - k) only as z^(2d - 3k) (yz)^(2k - d) y^(d - 2k), with the
+    multinomial k! / ((2d - 3k)! (2k - d)!^2) = C(k, d - k) C(d - k, 2k -
+    d).  So c_d = sum_k C(d, k) C(k, d - k)^2 C(d - k, 2k - d), over the k
+    with 2k >= d."""
+    return sum(comb(d, k) * comb(k, d - k) ** 2 * comb(d - k, 2 * k - d)
+               for k in range((d + 1) // 2, d + 1))
+
+
 def _nodal_03_period(d):
     return comb(d, d // 2) ** 3 if d % 2 == 0 else 0
 
 
 # c_d as a function of d: (4n)!/(n!)^4, C(2n,n) * sum of squared
 # trinomials, sum over 3a + 2b = d of d!/(a!^3 b!^2), (3n)!(2n)!/(n!)^5
-# (the quantum period of the quadric threefold) and C(2n,n)^3
+# (the quantum period of the quadric threefold), sum over k of
+# C(d,k) C(k,d-k)^2 C(d-k,2k-d) and C(2n,n)^3
 CLOSED_FORM_PERIODS = {
     "p3": _p3_period,
     "octahedron": _octahedron_period,
     "p2xp1": _p2xp1_period,
     "nodal_01": _nodal_01_period,
+    "nodal_02": _nodal_02_period,
     "nodal_03": _nodal_03_period,
 }
 

@@ -376,12 +376,28 @@ def test_periods_vanish_off_multiples_of_the_grading(corpus):
             assert [d for d in range(17) if cs[d]] == list(range(0, 17, m)), name
 
 
+def test_grading_in_a_plane_or_a_line(corpus):
+    # the polynomials of the splits are graded in their own lattice:
+    # nodal_03's A' has c'_d = 0 at odd d, and p2xp1's parts z + 1/z and
+    # x + y + 1/(xy) at odd d and at d prime to 3
+    w = from_fan_polytope(corpus["nodal_03"])
+    flat = laurent._flat(w.terms, laurent._prism(w.terms))[2]
+    parts = sorted(laurent._parts(from_fan_polytope(corpus["p2xp1"]).terms), key=len)
+    for terms, m in [(flat, 2), (parts[0], 2), (parts[1], 3)]:
+        v = LaurentPolynomial(3, terms)
+        assert grading(v) == m
+        cs = iterated_periods(v, 12)
+        assert [d for d in range(13) if cs[d]] == list(range(0, 13, m))
+
+
 @pytest.mark.parametrize("stem", ["p2xp1", "nodal_02"])
 def test_periods_to_degree_20_equal_iterated_multiplication(corpus, stem):
-    # neither sequence has a closed form here, and nodal_02's plan is the
-    # one with a lone monomial inside a binomial
+    # period_sequence splits both, so the engine is also run on the whole
+    # W: nodal_02's plan is the one with a lone monomial inside a binomial
     w = from_fan_polytope(corpus[stem])
-    assert list(period_sequence(w, 20).terms) == iterated_periods(w, 20)
+    periods = iterated_periods(w, 20)
+    assert list(period_sequence(w, 20).terms) == periods
+    assert laurent._periods(w.terms, 3, 20) == periods
 
 
 # ------------------------------------------------------- product polytopes
@@ -508,8 +524,8 @@ HEXAGONAL_PRISM = [(x, y, z) for x, y in [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, 
                                (0, 1, 1): 2, (-1, -1, 1): -1}), 12)
 @settings(max_examples=80, deadline=None)
 def test_prisms_split_and_equal_iterated_multiplication(w, dmax):
-    p, q, a = laurent._prism(w.terms)
-    assert 2 * len(a) == len(w.terms) and rank([list(e) for e in a]) == 2
+    _, a, apex, _, _ = laurent._prism(w.terms)
+    assert apex is None and 2 * len(a) == len(w.terms) and _affine_rank(a) == 2
     periods, sizes = engine_sizes(w, dmax)
     assert sizes == [len(a)]
     assert periods == iterated_periods(w, dmax)
@@ -563,7 +579,8 @@ def test_prism_split_moves_no_budget_edge(w, dmax):
 
 def prism_ratio(w):
     prism = laurent._prism(w.terms)
-    return prism and prism[:2]
+    if prism and prism[2] is None:
+        return laurent._flat(w.terms, prism)[:2]
 
 
 def test_prisms_of_the_corpus(corpus):
@@ -586,3 +603,125 @@ def test_nodal_03_periods_equal_the_closed_form(corpus, dmax, split):
     periods, sizes = engine_sizes(w, dmax)
     assert sizes == [4 if split else 8]
     assert periods == [CLOSED_FORM_PERIODS["nodal_03"](d) for d in range(dmax + 1)]
+
+
+# ------------------------------------------------- apexed prisms and pyramids
+
+APEXES = {"p3": (0, 3), "nodal_01": (1, 2), "nodal_02": (1, 3)}  # (eps, |A|)
+
+
+@st.composite
+def apexed(draw):
+    """W = (1 + y^t)^eps A + c y^rho, mapped by a unimodular matrix: A of
+    2-5 signed monomials on the plane z = h, h in -2..2.  A pyramid (eps =
+    0) has A of affine rank 2 and rho's last coordinate not h; an apexed
+    prism (eps = 1) has A of rank 1 or 2, t's last coordinate in +-1..3,
+    and rho anywhere but at a monomial of (1 + y^t) A or at 1 or 2 steps
+    of t from one, where pairing rho would hide the split.  W is not a free
+    sum."""
+    coeff = st.integers(-3, 3).filter(bool)
+    h, eps = draw(st.integers(-2, 2)), draw(st.booleans())
+    base = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff,
+                                min_size=3 - eps, max_size=5))
+    assume(eps or _affine_rank(list(base)) == 2)
+    body = LaurentPolynomial(3, {(x, y, h): c for (x, y), c in base.items()})
+    if eps:
+        t = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)),
+             draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        body = multiply(LaurentPolynomial(3, {(0, 0, 0): 1, t: 1}), body)
+        rho = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        assume(all(tuple(r + k * s for r, s in zip(rho, t)) not in body.terms
+                   for k in range(-2, 3)))
+    else:
+        rho = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)),
+               draw(st.integers(-3, 3).filter(lambda z: z != h)))
+    w = LaurentPolynomial(3, [*body.terms.items(), (rho, draw(coeff))])
+    assume(len(laurent._parts(w.terms)) == 1)  # a free sum splits into parts first
+    m = draw(unimodular_matrices(dim=3))
+    return LaurentPolynomial(3, {tuple(dot(row, e) for row in m): c for e, c in w.terms.items()})
+
+
+def apex_shape(w):
+    """(eps, |A|) of the apex split ``_prism`` finds on W, or None."""
+    prism = laurent._prism(w.terms)
+    if prism and prism[2] is not None:
+        return int(prism[0] is not None), len(prism[1])
+
+
+# The examples: p3, a pyramid whose c_d reads A^(3d/4); nodal_01 and
+# nodal_02, apexed prisms over a segment and a triangle; an apex at the
+# origin, which only A^0 reaches; and (1 + z) y (x - 1 - 1/x) - 2/y, an
+# apex with coefficient -2 over a signed segment whose cube loses its
+# terms at x and 1/x.
+@given(apexed(), st.integers(0, 10))
+@example(w_p3(), 10)
+@example(LaurentPolynomial(3, {(-1, -1, -2): 1, (0, 0, 1): 1, (0, 1, 1): 1, (1, 0, 1): 1,
+                               (1, 1, 1): 1}), 10)
+@example(LaurentPolynomial(3, {(-1, 0, -1): 1, (0, -1, 0): 1, (0, 0, 1): 1, (0, 1, 1): 1,
+                               (1, -1, 0): 1, (1, 0, 1): 1, (1, 1, 1): 1}), 10)
+@example(LaurentPolynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1, (-1, -1, 1): 1, (1, 1, 1): 1,
+                               (0, 0, 0): 3}), 8)
+@example(LaurentPolynomial(3, {(1, 1, 0): 1, (0, 1, 0): -1, (-1, 1, 0): -1, (1, 1, 1): 1,
+                               (0, 1, 1): -1, (-1, 1, 1): -1, (0, -1, 0): -2}), 10)
+@settings(max_examples=80, deadline=None)
+def test_apexes_split_and_equal_iterated_multiplication(w, dmax):
+    assert apex_shape(w)
+    periods, sizes = engine_sizes(w, dmax)
+    assert sizes == []
+    assert periods == iterated_periods(w, dmax)
+
+
+@given(apexed(), st.integers(0, 10))
+@settings(max_examples=40, deadline=None)
+def test_apex_split_moves_no_budget_edge(w, dmax):
+    # as for prisms: the split runs only where the unsplit charge cannot
+    # pass the budget, and charges nothing itself
+    admitted_at_its_charge(w, dmax)
+
+
+def test_apex_split_needs_its_own_bound(monkeypatch):
+    # p3 to dmax 8: the guard's bound is 4 C(7, 4) = 140 and the split's
+    # own, for forming A^1 .. A^6, is 3 C(8, 3) = 168; under a budget
+    # between them the unsplit engine runs, and charges 140
+    for budget, sizes in [(150, [4]), (168, [])]:
+        monkeypatch.setattr(laurent, "PERIOD_WORK_BUDGET", budget)
+        assert engine_sizes(w_p3(), 8) == (P3_PERIODS_12[:9], sizes)
+
+
+def test_apexes_of_the_corpus(corpus):
+    assert {stem: shape for stem, p in corpus.items()
+            if (shape := apex_shape(from_fan_polytope(p)))} == APEXES
+
+
+@given(unimodular_matrices(dim=3))
+@settings(max_examples=20, deadline=None)
+def test_apexes_are_invariant_under_lattice_isomorphism(corpus, m):
+    for stem, p in corpus.items():
+        assert apex_shape(from_fan_polytope(transform(p, m))) == APEXES.get(stem), stem
+
+
+# The near misses: a pyramid's apex on A's plane; two monomials left
+# unpaired by (1 + z) A, A of rank 2; and t in A's plane, with the apex
+# there too, since an apex off that plane makes W a pyramid over (1 + y^t) A.
+@pytest.mark.parametrize("w", [
+    LaurentPolynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1, (-1, -1, 1): 1, (2, 2, 1): 1}),
+    LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (-1, -1, 0): 1, (1, 0, 1): 1,
+                          (0, 1, 1): 1, (-1, -1, 1): 1, (0, 0, -1): 1, (2, 2, 3): 1}),
+    LaurentPolynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1, (-1, -1, 1): 1, (2, 0, 1): 1,
+                          (1, 1, 1): 1, (0, -1, 1): 1, (3, 3, 1): 1}),
+])
+def test_near_apexes_do_not_split_and_equal_iterated_multiplication(w):
+    assert laurent._prism(w.terms) is None
+    periods, sizes = engine_sizes(w, 10)
+    assert sizes == [len(w.terms)]
+    assert periods == iterated_periods(w, 10)
+
+
+@pytest.mark.parametrize("dmax, split", [(44, True), (45, False)])
+def test_nodal_02_periods_equal_the_closed_form(corpus, dmax, split):
+    # 7 C(top + 6, 7) is 8,288,280 at dmax 44 and 10,925,460 at dmax 45,
+    # so dmax 44 is the last degree inside the split's guard
+    w = from_fan_polytope(corpus["nodal_02"])
+    periods, sizes = engine_sizes(w, dmax)
+    assert sizes == ([] if split else [7])
+    assert periods == [CLOSED_FORM_PERIODS["nodal_02"](d) for d in range(dmax + 1)]
