@@ -3,10 +3,12 @@
 
 Prints one row per bundled polytope with its transition invariants, the
 path the period engine takes on it (split into free-sum parts, split as
-a prism W = (1 + y^t) A with lambda = -h / phi(t), read from the powers
-of A as an apexed prism W = (1 + y^t) A + c y^rho or a pyramid W = A +
-c y^rho, or unsplit), and the first period terms, then hunts for
-recurrences in two interesting cases:
+a prism W = (1 + y^t) A with lambda = -h / phi(t) and A' split into
+parts, read from A as an apexed prism W = (1 + y^t) A + c y^rho or a
+pyramid W = A + c y^rho, or unsplit; and, for a split, whether its
+polynomials are simplices read as one multinomial or run the engine or
+form powers), and the first period terms, then hunts for recurrences in
+two interesting cases:
 
 * p3 — the classic order-4 operator with (d+4)^3 leading term;
 * octahedron — stride 2 (odd terms vanish), which uncovers the
@@ -46,22 +48,34 @@ def load(stem: str):
     return convex_hull([tuple(v) for v in data["vertices"]])
 
 
+def multinomials(parts: list) -> str:
+    """How many of the polynomials ``period_sequence`` splits W into are
+    simplices, each read as one multinomial; the rest run the engine."""
+    n = sum(1 for part in parts if laurent._simplex(part))
+    if len(parts) == 1:
+        return "multinomial" if n else "engine"
+    return f"{len(parts)} parts, {n} multinomial"
+
+
 def engine_path(w, dmax: int) -> str:
-    """The split ``period_sequence`` takes on W to degree dmax."""
+    """The split ``period_sequence`` takes on W to degree dmax, and how it
+    reads the polynomials of the split."""
     parts, prism, reach = laurent._split(w, dmax)
     if reach:
-        return "pyramid" if prism[0] is None else "apex prism"
+        base = {e: w.terms[e] for e in prism[1]}
+        shape = "pyramid" if prism[0] is None else "apex prism"
+        return f"{shape}, {'multinomial' if laurent._simplex(base) else 'powers'}"
     if prism:
-        p, q, _ = laurent._flat(w.terms, prism)
-        return f"prism {p}/{q}"
-    return f"{len(parts)} parts" if len(parts) > 1 else "unsplit"
+        p, q, flat = laurent._flat(w.terms, prism)
+        return f"prism {p}/{q}, {multinomials(laurent._parts(flat))}"
+    return multinomials(parts) if len(parts) > 1 else "unsplit"
 
 
 def main() -> int:
     stems = sorted(p.stem for p in (DATA / "polytopes").glob("*.json"))
     header = (
         f"{'polytope':<12} {'N':>2} {'k':>2} {'deg':>4} {'e_sm':>4} "
-        f"{'b2':>3} {'b3':>3} {'regular':>9}  {'engine':<11} periods (d <= {SURVEY_DMAX})"
+        f"{'b2':>3} {'b3':>3} {'regular':>9}  {'engine':<34} periods (d <= {SURVEY_DMAX})"
     )
     print(header)
     print("-" * len(header))
@@ -76,7 +90,7 @@ def main() -> int:
         print(
             f"{stem:<12} {rep['N']:>2} {rep['k']:>2} "
             f"{rep['degree']:>4} {rep['e_sm']:>4} {rep['b2_sm']:>3} {rep['b3_sm']:>3} "
-            f"{nreg:>4}/{len(rs):<4}  {engine_path(w, SURVEY_DMAX):<11} {list(seq.terms)}"
+            f"{nreg:>4}/{len(rs):<4}  {engine_path(w, SURVEY_DMAX):<34} {list(seq.terms)}"
         )
 
     print()

@@ -46,22 +46,40 @@ bundled corpus m is 4 (p3), 3 (nodal_01), 2 (octahedron, nodal_03) and
 index(L) / index(L') when L and L' have one rank k, each index the gcd of
 the k x k minors of a spanning set (``_index``); m = 1 in other
 dimensions or ranks, which is always sound.  So the parts and prism
-bases below, of rank 1 or 2, are graded in their own plane or line:
-nodal_03's A' has m = 2 and p2xp1's part x + y + 1/(xy) has m = 3.
+bases below that run the engine, of rank 1 or 2, are graded in their
+own plane or line, as nodal_03's A' would be with m = 2 and p2xp1's part
+x + y + 1/(xy) with m = 3.
 From d = 4 on the pairing runs only where m divides d.  m is not taken
 when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
+A simplex, a polynomial A = sum_k c_k y^(p_k) whose exponents p_0 ..
+p_r are affinely independent (r <= 3), needs no powers.  By the
+multinomial theorem [A^i]_q is the sum of i! / prod m_k! prod c_k^m_k over
+the multisets m with sum m_k = i and sum m_k p_k = q, and affine
+independence leaves at most one: sum_(k >= 1) m_k (p_k - p_0) = q - i p_0
+fixes m_1 .. m_r, and then m_0.  ``_simplex`` completes the p_k - p_0 by
+cross products to a basis of Q^3 and takes m from the dual vectors of
+Cramer's rule; [A^i]_q = 0 unless m is a vector of nonnegative integers
+and q - i p_0 has no coordinate along the completion.  So p3's c_d =
+d! / ((d/4)!)^4 is one multinomial.  The splits below read every
+polynomial they split W into as one multinomial when it is a simplex,
+as every one of them is on the corpus, and run the engine or form powers
+on any other; a read charges nothing and raises nothing.
+
 A product polytope's W, such as the octahedron's or p2xp1's, splits into
 the parts that ``_parts`` finds, the components of the linear matroid of
-a support spanning Q^3.  Parts W_1, W_2 span complementary subspaces, so
-f_1 + f_2 = 0 with f_i in W_i's span only when f_1 = f_2 = 0, and so
-const(W_1^k W_2^(d-k)) = const(W_1^k) const(W_2^(d-k)), and c_d = sum_k
-C(d, k) a_k b_{d-k} from the parts' periods a and b (a third part is
-folded in the same way).  The split is taken only when
-|W| C(top + |W| - 1, |W|) <= PERIOD_WORK_BUDGET: W^a has at most
+a support spanning Q^3 or a plane.  Parts W_1, W_2 span complementary
+subspaces, so f_1 + f_2 = 0 with f_i in W_i's span only when f_1 = f_2 =
+0, and so const(W_1^k W_2^(d-k)) = const(W_1^k) const(W_2^(d-k)), and c_d
+= sum_k C(d, k) a_k b_{d-k} from the parts' periods a and b (a third
+part is folded in the same way).  The octahedron's three segments and
+p2xp1's triangle and segment are simplices.  The split is taken only
+when |W| C(top + |W| - 1, |W|) <= PERIOD_WORK_BUDGET: W^a has at most
 C(a + |W| - 1, |W| - 1) terms, one per multiset of a monomials, so the
-unsplit engine could not have refused, and any other run is unsplit,
-with the same charges and messages.
+unsplit engine could not have refused.  The parts hold |W| terms between
+them, and C(top + k - 1, k) grows with k, so the engine's charges on the
+parts sum to at most the same bound, and the split refuses no run
+either; any other run is unsplit, with the same charges and messages.
 
 A prism's W, such as nodal_03's, has the form W = (1 + y^t) A with A's
 exponents of affine rank 1 or 2 on a plane phi = h, phi an integer
@@ -71,14 +89,15 @@ A^d, and phi is d h + j phi(t) on every exponent of y^(jt) A^d, so only
 j = lambda d, with lambda = -h / phi(t) = p / q in lowest terms and q >
 0, can reach the origin.  So c_d = C(d, lambda d) c'_d when lambda d is
 an integer in [0, d], and c_d = 0 otherwise, where c' are the periods of
-A' = {q a + p t : c_a}, which lies on the plane phi = 0: the constant term of A'^d is the coefficient of
-y^(-lambda d t) in A^d, since scaling by q is injective.  For nodal_03
-lambda = 1/2, and a rank-3 engine run becomes a rank-2 one plus one
-binomial coefficient per degree.  The split is taken under the same
-bound as ``_parts``.  A' has half W's terms, so the engine's charges on
-A' sum to at most |A'| C(top + |A'| - 1, |A'|) <= |W| C(top + |W| - 1,
-|W|) <= PERIOD_WORK_BUDGET, and its positive pre-check bounds those
-charges from below.  So the split refuses no run, and every run it
+A' = {q a + p t : c_a}, which lies on the plane phi = 0: the constant
+term of A'^d is the coefficient of y^(-lambda d t) in A^d, since scaling
+by q is injective.  A' is split into parts like a product's W: nodal_03's
+A' is the two segments 1/(x y^2 z^2) + x y^2 z^2 and 1/(x z^2) + x z^2
+through the origin, and its c'_d the convolution of two central binomial
+sequences.  The split is taken under the same bound as ``_parts``.  A'
+has half W's terms, so the engine's charges on A''s parts sum to at most
+|A'| C(top + |A'| - 1, |A'|) <= |W| C(top + |W| - 1, |W|) <=
+PERIOD_WORK_BUDGET.  So the split refuses no run, and every run it
 takes is one the unsplit engine admits; any other run is unsplit, with
 the same charges, messages and exit codes as before.
 
@@ -97,20 +116,29 @@ which forces j from d and i when eps = 1, and i from d when eps = 0
 (then j = 0).  So c_d = sum_i C(d, i) C(eps i, j)
 c^(d - i) [A^i]_(-jt - (d - i) rho), over the i at which j is an integer
 in [0, eps i].  ``_reach`` lists those d for each i as an arithmetic
-progression, and ``_apexed`` forms A^0, A^1, ... once, reads each power at
-its degrees and drops it.  Powers of a segment or a triangle replace a
-rank-3 half-power run on W.
+progression.  ``_apexed`` reads each [A^i] as one multinomial when A is
+a simplex, as on the corpus, with q - i p_0 linear in (i, j, d - i), so
+that a read is a few products of small integers; any other A has A^0,
+A^1, ... formed once, each read at its degrees and dropped.
 
 The apex split is taken under the bound of ``_parts``, and only when
 |A| C(imax + |A| - 1, |A|) <= PERIOD_WORK_BUDGET, imax the last power it
 reads: forming A^(i+1) through A's plan makes at most |A^i| |A| <= |A|
 C(i + |A| - 1, |A| - 1) term updates (the induction above), which sum to
-that bound.  The split charges nothing and raises nothing.  Under the
+that bound.  The bound is kept for a simplex A too, whose powers are not
+formed, so that the split is taken on the same runs whatever A is.  The
+split charges nothing and raises nothing.  Under the
 first bound the unsplit engine's charges sum to at most |W| C(top + |W| -
 1, |W|) <= PERIOD_WORK_BUDGET, so the unsplit engine admits every run the
 split takes, and returns the same integers (the identity above).  Every
 other run is unsplit, with the charges, messages and exit codes of the
 unsplit engine.  So no refusal, message or exit code moves.
+
+In process at dmax 32 (2-vCPU host, Python 3.11, best of 15 runs
+interleaved with the engine that formed powers), the six corpus periods
+take 0.9 ms against 5.1 ms: p3 0.055 ms (0.96), nodal_01 0.15 (0.26),
+nodal_02 0.29 (2.0), nodal_03 0.15 (0.87), the octahedron 0.17 (0.44)
+and p2xp1 0.10 (0.58).
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
@@ -259,27 +287,68 @@ def _grading(exponent: dict, leaf, steps) -> int:
     return index // index1 if k1 == k else 1
 
 
+def _simplex(terms: dict, t=(0, 0, 0), rho=(0, 0, 0)):
+    """read(i, j, e) = [A^i]_q at q = -j t - e rho for A's terms in 3
+    variables, or None unless A's exponents p_0 .. p_r are affinely
+    independent.  The p_k - p_0 (k = 1 .. r), completed by cross products
+    to a basis b_1, b_2, b_3 of Q^3, give each f its coordinates f . D_k /
+    det in b, D_k = b_(k+1) x b_(k+2) with indices mod 3 (Cramer's rule).
+    So the one multiset m with q - i p_0 = sum m_k (p_k - p_0) has m_k =
+    (q - i p_0) . D_k / det for k <= r, needs (q - i p_0) . D_k = 0 for k
+    > r, and gives [A^i]_q = i! / prod m_k! prod c_k^m_k (module
+    docstring)."""
+    (p0, c0), *rest = terms.items()
+    b = [lattice.vsub(p, p0) for p, _ in rest] or [(1, 0, 0)]
+    if len(b) == 1:
+        b.append((0, b[0][2], -b[0][1]) if any(b[0][1:]) else (0, 1, 0))
+    if len(b) == 2:
+        b.append(lattice.cross(*b))
+    duals = [lattice.cross(b[k - 2], b[k - 1]) for k in range(3)]
+    if len(b) > 3 or not (det := lattice.dot(b[0], duals[0])):
+        return None
+    # the row of D_k holds -p_0 . D_k, -t . D_k and -rho . D_k
+    rows = [(-lattice.dot(p0, v), -lattice.dot(t, v), -lattice.dot(rho, v)) for v in duals]
+    checks, rows = rows[len(rest):], list(zip(rows, (c for _, c in rest)))
+
+    def read(i, j=0, e=0):
+        for p, s, r in checks:
+            if i * p + j * s + e * r:
+                return 0
+        value, left = 1, i
+        for (p, s, r), c in rows:
+            m, rem = divmod(i * p + j * s + e * r, det)
+            if rem or not 0 <= m <= left:
+                return 0
+            value *= comb(left, m) * c ** m
+            left -= m
+        return value * c0 ** left
+
+    return read
+
+
 # With a basis u, v, e of exponents, f = x u + y v + z e has x, y, z =
 # f.(v x e), f.(e x u), f.(u x v) over det(u, v, e) (Cramer's rule).  Bit i
 # of f's mask is set when f uses the i-th of u, v, e, and the basis vectors
 # one f uses are joined: a matroid's components are those of the
-# fundamental circuits of any basis.
+# fundamental circuits of any basis.  On a plane, e is its normal u x v,
+# which no exponent uses.
 def _parts(terms: dict) -> list:
     """W's terms grouped by the components of the matroid of a support
-    spanning Q^3, the constant monomial joining u's; [terms] when there
-    is one component or the support spans less."""
-    u = v = None
-    for e in terms:
+    spanning Q^3 or a plane, the constant monomial joining u's; [terms]
+    when there is one component or the support spans less."""
+    u = v = e = None
+    for f in terms:
         if u is None:
-            u = e if any(e) else None
+            u = f if any(f) else None
         elif v is None:
-            v = e if any(n := lattice.cross(u, e)) else None
-        elif lattice.dot(n, e):
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice.cross(v, e), lattice.cross(e, u), n
+            v = f if any(n := lattice.cross(u, f)) else None
+        elif lattice.dot(n, f):
+            e = f
             break
-    else:
+    if v is None:
         return [terms]
-    parts = {1: {}, 2: {}, 4: {}}  # a component's basis vectors -> its terms
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = lattice.cross(v, e or n), lattice.cross(e or n, u), n
+    parts = {1: {}, 2: {}, 4: {}} if e else {1: {}, 2: {}}  # basis vectors -> terms
     for (x, y, z), c in terms.items():
         mask = ((x * a0 + y * a1 + z * a2 != 0) | (x * b0 + y * b1 + z * b2 != 0) << 1
                 | (x * c0 + y * c1 + z * c2 != 0) << 2 or 1)
@@ -329,10 +398,15 @@ def _prism(terms: dict):
     second least lies in A, and t is the difference from it of a later
     exponent.  A is the lower members of the pairs {a, a + t} taken in
     increasing order, each with a + t unpaired and of a's coefficient, and
-    the one exponent left unpaired, if |W| is odd, is the apex.  A
-    pyramid's support spans Q^3 only through its apex, so the apex is in
-    every affine basis of it, and A's plane passes through the other three
-    basis points."""
+    the one exponent left unpaired, if |W| is odd, is the apex.  As phi(t)
+    != 0, a chain of W's exponents along t holds at most one of A and one
+    of A + t besides the apex.  An apex one step of t below a member of A
+    with that member's coefficient is paired with it, which leaves the
+    chain's last member unpaired; when A then fails the plane test, the
+    pairing is retried once with the chain's first member, two steps of t
+    below the unpaired one, as the apex.  A pyramid's support spans Q^3
+    only through its apex, so the apex is in every affine basis of it, and
+    A's plane passes through the other three basis points."""
     n = len(terms)
     if n > 4:
         # keys in the balanced base 6 M + 1 order the exponents as their
@@ -345,21 +419,27 @@ def _prism(terms: dict):
         odd = n % 2
         for first in keys[:1 + odd]:
             for k in keys[keys.index(first) + 1:]:
-                s = k - first
+                s, retry = k - first, odd
                 lower, upper, apex = [], set(), None
-                for a in keys:
-                    if a not in upper:
-                        if coeff.get(a + s) == coeff[a]:
-                            lower.append(exponent[a])
-                            upper.add(a + s)
-                        elif odd and apex is None:
-                            apex = exponent[a]
-                        else:
-                            break
-                else:
-                    t = lattice.vsub(exponent[k], exponent[first])
-                    if plane := _plane(lower, t):
-                        return (t, lower, apex, *plane)
+                while True:
+                    for a in keys:
+                        if a not in upper:
+                            if coeff.get(a + s) == coeff[a]:
+                                lower.append(exponent[a])
+                                upper.add(a + s)
+                            elif odd and apex is None:
+                                apex = a
+                            else:
+                                break
+                    else:
+                        t = lattice.vsub(exponent[k], exponent[first])
+                        if plane := _plane(lower, t):
+                            return (t, lower, exponent.get(apex), *plane)
+                        if retry and apex - s in coeff:
+                            retry, apex = False, apex - 2 * s
+                            lower, upper = [], {apex}
+                            continue
+                    break
     exps = list(terms)
     # an affine basis e0, e1, e2, e of the support
     e0, e1, e2 = exps[0], None, None
@@ -425,33 +505,34 @@ def _reach(prism, dmax: int) -> list:
 
 
 def _apexed(terms: dict, prism, reach: list, dmax: int) -> list:
-    """c_0 .. c_dmax of W = (1 + y^t)^eps A + c y^rho from A's powers, each
-    read at the degrees ``_reach`` gives it and then dropped.  W^d = sum_i
-    C(d, i) c^(d - i) y^((d - i) rho) (1 + y^t)^(eps i) A^i, so c_d = sum
-    C(d, i) C(i, j) c^(d - i) [A^i]_(-j t - (d - i) rho) over those (i, j).
-    Keys are packed in the balanced base 2 dmax M + 1, M the largest
-    |coordinate| of A, t and rho, whose digits hold every coordinate of
-    A^i (i <= dmax) and of every exponent looked up."""
+    """c_0 .. c_dmax of W = (1 + y^t)^eps A + c y^rho from [A^i] at the
+    degrees ``_reach`` gives each i: W^d = sum_i C(d, i) c^(d - i)
+    y^((d - i) rho) (1 + y^t)^(eps i) A^i, so c_d = sum C(d, i) C(i, j)
+    c^(d - i) [A^i]_(-j t - (d - i) rho) over those (i, j).  A simplex's
+    [A^i] is one multinomial (``_simplex``).  Any other A's powers are
+    formed once, each read at its degrees and then dropped, with keys
+    packed in the balanced base 2 dmax M + 1, M the largest |coordinate|
+    of A, t and rho, whose digits hold every coordinate of A^i (i <= dmax)
+    and of every exponent looked up."""
     t, lower, rho, _, _ = prism
+    t = t or (0, 0, 0)
     c = terms[rho]
     a, b, f, _ = _level(prism)
-    base = 2 * dmax * max(map(abs, chain(rho, t or (), *lower))) + 1
-    powers = (1, base, base * base)
-    kt = sum(map(mul, t, powers)) if t else 0
-    kr = sum(map(mul, rho, powers))
-    flat = {sum(map(mul, e, powers)): terms[e] for e in lower}
-    (s0, c0), steps = _plan(flat)
-    positive = min(flat.values()) > 0
+    terms_a = {e: terms[e] for e in lower}
+    if not (read := _simplex(terms_a, t, rho)):
+        base = 2 * dmax * max(map(abs, chain(t, rho, *lower))) + 1
+        kt, kr = (x + base * (y + base * z) for x, y, z in (t, rho))
+        (s0, c0), steps = _plan({x + base * (y + base * z): v for (x, y, z), v in terms_a.items()})
+        positive = min(terms_a.values()) > 0
+        power, formed = {0: 1}, 0
     cs = [0] * (dmax + 1)
-    power, formed = {0: 1}, 0
     for i, ds in reach:
-        while formed < i:
+        while not read and formed < i:
             power = _times(power, s0, c0, steps, positive)
             formed += 1
-        get = power.get
         for d in ds:
             j = -(i * b + d * a) // f
-            if v := get(-j * kt - (d - i) * kr):
+            if v := read(i, j, d - i) if read else power.get(-j * kt - (d - i) * kr):
                 cs[d] += comb(d, i) * comb(i, j) * c ** (d - i) * v
     return cs
 
@@ -507,11 +588,13 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     bound passes the budget is refused before any work; the bound grows
     with r, so the rank is taken only when the bound with r = dim already
     passes.  A product's W is split into parts whose periods are
-    convolved, a prism's W = (1 + y^t) A into A', whose periods times one
-    binomial coefficient per degree are W's, and an apexed prism's or a
-    pyramid's W = (1 + y^t)^eps A + c y^rho into the powers of A, each
-    read at the degrees whose level it reaches, only when the unsplit
-    engine could not have refused (module docstring)."""
+    convolved, a prism's W = (1 + y^t) A into A' and its parts, whose
+    periods times one binomial coefficient per degree are W's, and an
+    apexed prism's or a pyramid's W = (1 + y^t)^eps A + c y^rho into the
+    coefficients of the powers of A at the degrees whose level they
+    reach, only when the unsplit engine could not have refused; a part or
+    an A that is a simplex is read as one multinomial (module
+    docstring)."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
     parts, prism, reach = _split(w, dmax)
@@ -521,12 +604,28 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
         p, q, flat = _flat(w.terms, prism)
         return PeriodSequence(tuple(
             comb(d, p * d // q) * c if d % q == 0 and 0 <= p * d <= q * d else 0
-            for d, c in enumerate(_periods(flat, 3, dmax))))
-    cs = _periods(parts[0], w.dim, dmax)
-    for part in parts[1:]:
-        a, b = cs, _periods(part, 3, dmax)
-        cs = [sum(comb(d, k) * a[k] * b[d - k] for k in range(d + 1)) for d in range(dmax + 1)]
-    return PeriodSequence(tuple(cs))
+            for d, c in enumerate(_convolved(_parts(flat), dmax))))
+    if len(parts) > 1:
+        return PeriodSequence(tuple(_convolved(parts, dmax)))
+    return PeriodSequence(tuple(_periods(parts[0], w.dim, dmax)))
+
+
+def _convolved(parts: list, dmax: int) -> list:
+    """c_0 .. c_dmax of the sum of free-sum parts in 3 variables, c_d =
+    sum_k C(d, k) a_k b_(d - k) from two parts' periods a and b, each part
+    read by ``_simplex`` when it is a simplex and by the engine otherwise;
+    only the nonzero products are formed."""
+    cs = [1] + [0] * dmax
+    for part in parts:
+        read = _simplex(part)
+        b = [read(d) for d in range(dmax + 1)] if read else _periods(part, 3, dmax)
+        a, cs = cs, [0] * (dmax + 1)
+        for k, x in enumerate(a):
+            if x:
+                for l, y in enumerate(b[:dmax + 1 - k]):
+                    if y:
+                        cs[k + l] += comb(k + l, k) * x * y
+    return cs
 
 
 def _times(low: dict, s0, c0, steps, positive: bool) -> dict:

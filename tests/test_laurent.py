@@ -437,8 +437,13 @@ def free_sums(draw):
 @example(LaurentPolynomial(3, {v: 1 for v in DP6XP1}), 12)
 @settings(max_examples=80, deadline=None)
 def test_free_sums_split_and_equal_iterated_multiplication(w, dmax):
-    assert len(laurent._parts(w.terms)) > 1
-    assert list(period_sequence(w, dmax).terms) == iterated_periods(w, dmax)
+    # the parts that are simplices, such as the octahedron's segments, are
+    # read as multinomials; the rest, such as dP6's hexagon, run the engine
+    parts = laurent._parts(w.terms)
+    assert len(parts) > 1
+    periods, sizes = engine_sizes(w, dmax)
+    assert sizes == unsimplicial_sizes(parts)
+    assert periods == iterated_periods(w, dmax)
 
 
 @given(free_sums(), st.integers(0, 12))
@@ -463,12 +468,16 @@ def test_parts_are_invariant_under_lattice_isomorphism(corpus, m):
         assert len(laurent._parts(w.terms)) == PARTS[stem], stem
 
 
-@pytest.mark.parametrize("stem, dmax", [("octahedron", 60), ("p2xp1", 80)])
+@pytest.mark.parametrize("stem, dmax", [("octahedron", 60), ("p2xp1", 80), ("p3", 172)])
 def test_split_periods_equal_the_closed_forms(corpus, stem, dmax):
-    # the octahedron at dmax 60 is the last degree inside the split's guard
+    # the octahedron at dmax 60 and p3 at 172 are the last degrees inside
+    # the splits' guards (p3 at 173 is refused before any work); every
+    # part, and p3's base, is a simplex read as multinomials, not by the
+    # engine
     w = from_fan_polytope(corpus[stem])
     closed_form = CLOSED_FORM_PERIODS[stem]
-    assert list(period_sequence(w, dmax).terms) == [closed_form(d) for d in range(dmax + 1)]
+    periods, sizes = engine_sizes(w, dmax)
+    assert sizes == [] and periods == [closed_form(d) for d in range(dmax + 1)]
 
 
 # ------------------------------------------------------------------ prisms
@@ -494,6 +503,12 @@ def prisms(draw):
     w = multiply(LaurentPolynomial(3, {(0, 0, 0): 1, t: 1}), a)
     m = draw(unimodular_matrices(dim=3))
     return LaurentPolynomial(3, {tuple(dot(row, e) for row in m): c for e, c in w.terms.items()})
+
+
+def unsimplicial_sizes(parts):
+    """The term counts of the parts that are not simplices, which the
+    engine runs on; a simplex is read as one multinomial."""
+    return [len(part) for part in parts if _affine_rank(list(part)) < len(part) - 1]
 
 
 def engine_sizes(w, dmax):
@@ -524,10 +539,11 @@ HEXAGONAL_PRISM = [(x, y, z) for x, y in [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, 
                                (0, 1, 1): 2, (-1, -1, 1): -1}), 12)
 @settings(max_examples=80, deadline=None)
 def test_prisms_split_and_equal_iterated_multiplication(w, dmax):
-    _, a, apex, _, _ = laurent._prism(w.terms)
+    prism = laurent._prism(w.terms)
+    _, a, apex, _, _ = prism
     assert apex is None and 2 * len(a) == len(w.terms) and _affine_rank(a) == 2
     periods, sizes = engine_sizes(w, dmax)
-    assert sizes == [len(a)]
+    assert sizes == unsimplicial_sizes(laurent._parts(laurent._flat(w.terms, prism)[2]))
     assert periods == iterated_periods(w, dmax)
 
 
@@ -598,10 +614,11 @@ def test_prisms_are_invariant_under_lattice_isomorphism(corpus, m):
 @pytest.mark.parametrize("dmax, split", [(36, True), (37, False)])
 def test_nodal_03_periods_equal_the_closed_form(corpus, dmax, split):
     # 8 C(top + 7, 8) is 8,652,600 at dmax 36 and 12,498,200 at dmax 37,
-    # so dmax 36 is the last degree inside the split's guard
+    # so dmax 36 is the last degree inside the split's guard; A' is two
+    # segments, each read as one multinomial
     w = from_fan_polytope(corpus["nodal_03"])
     periods, sizes = engine_sizes(w, dmax)
-    assert sizes == [4 if split else 8]
+    assert sizes == ([] if split else [8])
     assert periods == [CLOSED_FORM_PERIODS["nodal_03"](d) for d in range(dmax + 1)]
 
 
@@ -650,9 +667,11 @@ def apex_shape(w):
 
 # The examples: p3, a pyramid whose c_d reads A^(3d/4); nodal_01 and
 # nodal_02, apexed prisms over a segment and a triangle; an apex at the
-# origin, which only A^0 reaches; and (1 + z) y (x - 1 - 1/x) - 2/y, an
+# origin, which only A^0 reaches; (1 + z) y (x - 1 - 1/x) - 2/y, an
 # apex with coefficient -2 over a signed segment whose cube loses its
-# terms at x and 1/x.
+# terms at x and 1/x; and (1 + x)(z + yz + 1/y + yz^2) + z/x, whose apex
+# sits one step of t below z, so that pairing in increasing order pairs
+# the apex with z and leaves xz unpaired.
 @given(apexed(), st.integers(0, 10))
 @example(w_p3(), 10)
 @example(LaurentPolynomial(3, {(-1, -1, -2): 1, (0, 0, 1): 1, (0, 1, 1): 1, (1, 0, 1): 1,
@@ -663,6 +682,9 @@ def apex_shape(w):
                                (0, 0, 0): 3}), 8)
 @example(LaurentPolynomial(3, {(1, 1, 0): 1, (0, 1, 0): -1, (-1, 1, 0): -1, (1, 1, 1): 1,
                                (0, 1, 1): -1, (-1, 1, 1): -1, (0, -1, 0): -2}), 10)
+@example(LaurentPolynomial(3, {(0, 0, 1): 1, (0, 1, 1): 1, (0, -1, 0): 1, (0, 1, 2): 1,
+                               (1, 0, 1): 1, (1, 1, 1): 1, (1, -1, 0): 1, (1, 1, 2): 1,
+                               (-1, 0, 1): 1}), 10)
 @settings(max_examples=80, deadline=None)
 def test_apexes_split_and_equal_iterated_multiplication(w, dmax):
     assert apex_shape(w)
@@ -725,3 +747,93 @@ def test_nodal_02_periods_equal_the_closed_form(corpus, dmax, split):
     periods, sizes = engine_sizes(w, dmax)
     assert sizes == ([] if split else [7])
     assert periods == [CLOSED_FORM_PERIODS["nodal_02"](d) for d in range(dmax + 1)]
+
+
+# ------------------------------------------------ simplices, one multinomial
+
+@st.composite
+def simplices(draw):
+    """A's terms: 1-4 monomials with coefficients +-1..3 at affinely
+    independent exponents, of affine rank 0-3, mapped by a unimodular
+    matrix."""
+    n = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=n, max_size=n,
+                         unique=True))
+    assume(_affine_rank(exps) == n - 1)
+    m = draw(unimodular_matrices(dim=3))
+    coeff = st.integers(-3, 3).filter(bool)
+    return {tuple(dot(row, e) for row in m): draw(coeff) for e in exps}
+
+
+# The examples: p3, whose c_d is d! / ((d/4)!)^4 at d divisible by 4; a
+# signed segment, x^2 - 2/x, with c_d nonzero at d divisible by 3; a lone
+# monomial; and a triangle whose plane misses the origin, so that every
+# c_d with d > 0 is 0.
+@given(simplices(), st.integers(0, 12))
+@example({v: 1 for v in P3}, 12)
+@example({(2, 0, 0): 1, (-1, 0, 0): -2}, 12)
+@example({(0, 0, 0): 3}, 5)
+@example({(1, 0, 1): 1, (0, 1, 1): 2, (-1, -1, 1): 1}, 6)
+@settings(max_examples=100, deadline=None)
+def test_simplex_periods_equal_the_engine_and_iterated_multiplication(a, dmax):
+    read = laurent._simplex(a)
+    assert ([read(d) for d in range(dmax + 1)] == laurent._periods(a, 3, dmax)
+            == iterated_periods(LaurentPolynomial(3, a), dmax))
+
+
+vectors = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@given(simplices(), vectors, vectors)
+@settings(max_examples=60, deadline=None)
+def test_simplex_reads_every_coefficient_of_its_powers(a, t, rho):
+    # read(i, j, e) is [A^i] at -j t - e rho, for j and e of either sign
+    read = laurent._simplex(a, t, rho)
+    power = LaurentPolynomial(3, {(0, 0, 0): 1})
+    for i in range(6):
+        for j in range(-2, 3):
+            for e in range(-2, 3):
+                q = tuple(-j * x - e * y for x, y in zip(t, rho))
+                assert read(i, j, e) == power.terms.get(q, 0), (i, j, e)
+        power = multiply(power, LaurentPolynomial(3, a))
+
+
+@given(st.dictionaries(vectors, st.integers(-3, 3).filter(bool), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_simplex_is_none_off_affinely_independent_exponents(terms):
+    assert (laurent._simplex(terms) is None) == (_affine_rank(list(terms)) < len(terms) - 1)
+
+
+@given(apexed(), st.integers(0, 10))
+@settings(max_examples=60, deadline=None)
+def test_simplex_bases_read_as_their_powers(w, dmax):
+    # at every (i, d) the apex split reads, one multinomial equals the
+    # coefficient of A^i at -j t - (d - i) rho
+    prism = laurent._prism(w.terms)
+    t, lower, rho = prism[0] or (0, 0, 0), prism[1], prism[2]
+    base = LaurentPolynomial(3, {e: w.terms[e] for e in lower})
+    read = laurent._simplex(base.terms, t, rho)
+    assert (read is None) == (_affine_rank(lower) < len(lower) - 1)
+    assume(read)
+    a, b, f, _ = laurent._level(prism)
+    power, formed = LaurentPolynomial(3, {(0, 0, 0): 1}), 0
+    for i, ds in laurent._reach(prism, dmax):
+        for _ in range(formed, i):
+            power = multiply(power, base)
+        formed = i
+        for d in ds:
+            j = -(i * b + d * a) // f
+            q = tuple(-j * x - (d - i) * y for x, y in zip(t, rho))
+            assert read(i, j, d - i) == power.terms.get(q, 0), (i, d)
+
+
+def test_parts_on_a_plane():
+    # nodal_03's A' is two segments through the origin and the hexagonal
+    # prism's A' one hexagon; a W on a plane splits as a free sum too
+    for vertices, n in [(NODAL_03, 2), (HEXAGONAL_PRISM, 1)]:
+        terms = {v: 1 for v in vertices}
+        assert len(laurent._parts(laurent._flat(terms, laurent._prism(terms))[2])) == n
+    w = LaurentPolynomial(3, {(1, 1, 0): 2, (-1, -1, 0): 1, (0, 1, 0): 1, (0, -2, 0): -1})
+    assert list(map(len, laurent._parts(w.terms))) == [2, 2]
+    periods, sizes = engine_sizes(w, 12)
+    assert sizes == [] and periods == iterated_periods(w, 12)
