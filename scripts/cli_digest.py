@@ -14,9 +14,10 @@ pyramids on either side of it (nodal_02 at degree 44 and 45, nodal_01 at
 90 and 91, p3 at 172 and at 173, where the work budget refuses it, and a
 nodal_02 image), database records
 that load and that fail with each of the loader's messages, recurrence
-searches on a sequence whose terms are all multiples of the screen's prime
-2^31 - 1, a hit on a sequence of alternating sign and a miss on wide terms
-near multiples of that prime, 30 zeros, on which the least cell's kernel
+searches on a sequence whose terms are all multiples of a prime and on
+wide terms near multiples of it, for 2^31 - 1 (kept so that digests
+compare with older trees) and for the screen's prime ``linalg.PRIME``, a
+hit on a sequence of alternating sign, 30 zeros, on which the least cell's kernel
 is the whole space, and inputs that must exit 2 or 3, flat point sets
 among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
@@ -54,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from conifold import cli  # noqa: E402
+from conifold import cli, linalg  # noqa: E402
 
 DATA = ROOT / "src" / "conifold" / "data"
 STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
@@ -88,6 +89,21 @@ def unimodular_image(vertices, rng: random.Random) -> list:
     return [[sum(a * x for a, x in zip(row, v)) for row in m] for v in vertices]
 
 
+def wide_noise(prime: int) -> list[int]:
+    """80 seeded terms, each below 10^9, below 2^90 or a multiple of
+    ``prime`` with its neighbours, of either sign."""
+    wide = random.Random(11)
+    return [wide.choice((wide.randrange(-10 ** 9, 10 ** 9), wide.randrange(-2 ** 90, 2 ** 90),
+                         prime * wide.randrange(-9, 10) + wide.randrange(-1, 2)))
+            for _ in range(80)]
+
+
+def p3_times(prime: int) -> list[int]:
+    """p3's periods (4k)!/(k!)^4 to degree 40 times ``prime``: 0 mod it."""
+    return [prime * math.factorial(d) // math.factorial(d // 4) ** 4 if d % 4 == 0 else 0
+            for d in range(41)]
+
+
 def write_inputs(tmp: Path) -> list[str]:
     """Write every input file into ``tmp``; return the polytope names."""
     shutil.copy(DATA / "fano.jsonl", tmp / "fano.jsonl")
@@ -101,22 +117,18 @@ def write_inputs(tmp: Path) -> list[str]:
             polytopes.append(f"{stem}_image{k}.json")
             (tmp / polytopes[-1]).write_text(json.dumps({"vertices": image}))
     rng = random.Random(7)
-    wide = random.Random(11)
     files = {
         "powers.json": [2 ** d for d in range(16)],
         "central.json": {"periods": [1, 2, 6, 20, 70, 252, 924, 3432, 12870, 48620,
                                      184756, 705432, 2704156, 10400600]},
         "noise.json": [1] + [rng.randrange(1, 10 ** 9) for _ in range(39)],
         # the screen packer's edges: negative terms, terms above 2^64, and
-        # multiples of 2^31 - 1 with their neighbours
+        # multiples of either prime with their neighbours
         "alternating.json": [(-1) ** n * math.comb(2 * n, n) for n in range(14)],
-        "wide_noise.json": [wide.choice((wide.randrange(-10 ** 9, 10 ** 9),
-                                         wide.randrange(-2 ** 90, 2 ** 90),
-                                         (2**31 - 1) * wide.randrange(-9, 10)
-                                         + wide.randrange(-1, 2))) for _ in range(80)],
-        # p3's periods (4k)!/(k!)^4 times 2^31 - 1: 0 mod the screen's prime
-        "p3_times_p.json": [(2**31 - 1) * math.factorial(d) // math.factorial(d // 4) ** 4
-                            if d % 4 == 0 else 0 for d in range(41)],
+        "wide_noise.json": wide_noise(2**31 - 1),
+        "wide_noise_prime.json": wide_noise(linalg.PRIME),
+        "p3_times_p.json": p3_times(2**31 - 1),
+        "p3_times_prime.json": p3_times(linalg.PRIME),
         "short.json": [1, 2, 4],
         "zeros.json": [0] * 30,
         "not_a_list.json": {"terms": [1, 2]},
@@ -200,6 +212,12 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("recurrence", "p3_times_p.json", "--output", "table"),
             ("recurrence", "p3_times_p.json", "--degree-max", "4"),
             ("recurrence", "zeros.json")]
+    # the same two inputs for the screen's prime, 0 mod it or near it
+    out += [("recurrence", "wide_noise_prime.json", "--rmax", "4", "--degree-max", "4",
+             "--stride", "2"),
+            ("recurrence", "p3_times_prime.json"),
+            ("recurrence", "p3_times_prime.json", "--output", "table"),
+            ("recurrence", "p3_times_prime.json", "--degree-max", "4")]
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     # products split into parts up to the bound the budget cannot pass:

@@ -7,15 +7,16 @@ which kernel bases are read and whose pivots ``rank`` counts, held by the
 tests to a rank through maximal nonzero minors (``tests/oracles.py``).
 
 The one screen, ``modular_pivots``, eliminates forward over GF(p),
-p = ``PRIME`` = 2^31 - 1, on rows its caller packs into one int of
-128-bit slots, one per column: a row operation is one multiply and one
-add, and a pivot row is reduced by four whole-row folds (2^31 = 1 mod p),
-whatever the row's length.  No slot reaches 2^128, so nothing carries
-into the next.  It certifies nothing by itself but bounds the exact rank
-from below: a minor that is nonzero mod p is a nonzero integer, so every
-column prefix has at least as many pivots over Q as mod p, and the pivot
-rows mod p are independent over Q.  ``recurrence`` skips and shrinks its exact
-work with it, never deciding an answer by it.
+p = ``PRIME`` = 2^17 - 1, on rows its caller packs into one int of
+``SLOT_BITS`` = 64-bit slots, one per column: a row operation is one
+multiply and one add, and a pivot row is reduced by three whole-row folds
+(2^17 = 1 mod p), whatever the row's length.  No slot reaches 2^64 while
+ncols < 2^12, so nothing carries into the next.  It certifies nothing by
+itself but bounds the exact rank from below: a minor that is nonzero mod
+p is a nonzero integer, so every column prefix has at least as many
+pivots over Q as mod p, and the pivot rows mod p are independent over Q.
+``recurrence`` skips and shrinks its exact work with it, never deciding
+an answer by it.
 
 No floating point is ever produced or consumed, and no ``Fraction``
 outside the simplex below, which imports it itself: no command runs the
@@ -34,10 +35,10 @@ tests and ``scripts/build_corpus.py`` hold that test to.
 
 from __future__ import annotations
 
-# The prime of ``modular_pivots``: a product of two residues fits in 62
-# bits, and one row of residues in 128-bit slots per column.
-PRIME = 2**31 - 1
-_SLOT_MASK = (1 << 128) - 1
+# The prime of ``modular_pivots`` and the width of a packed row's slots.
+PRIME = 2**17 - 1
+SLOT_BITS = 64
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
@@ -84,13 +85,13 @@ def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int], int]:
     return mat, pivots, prev
 
 
-def _fold(row: int, m31: int, m97: int) -> int:
-    """Four folds x <- (x & M31) + ((x >> 31) & M97) of a packed row, M31
-    and M97 holding 2^31 - 1 and 2^97 - 1 in every 128-bit slot: a slot
-    keeps its class mod p (2^31 = 1 mod p), drops the bits shifted down
-    from the next slot, and ends below 2^32 if it started below 2^128."""
-    for _ in range(4):
-        row = (row & m31) + ((row >> 31) & m97)
+def _fold(row: int, m17: int, m47: int) -> int:
+    """Three folds x <- (x & M17) + ((x >> 17) & M47) of a packed row, M17
+    and M47 holding 2^17 - 1 and 2^47 - 1 in every 64-bit slot: a slot
+    keeps its class mod p (2^17 = 1 mod p), drops the bits shifted down
+    from the next slot, and ends below 2^18 if it started below 2^64."""
+    for _ in range(3):
+        row = (row & m17) + ((row >> 17) & m47)
     return row
 
 
@@ -99,34 +100,47 @@ def modular_pivots(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     columns, and the original index of the row chosen at each, the first
     unused row whose entry there is nonzero mod p.
 
-    Each row holds its entry in column c in the 128-bit slot c, as an
+    Each row holds its entry in column c in the 64-bit slot c, as an
     integer below p^2 congruent to it mod p.  Only the leading slot is
     reduced to find a pivot.  The pivot row, that slot shifted out, is
-    multiplied by the inverse of its lead and folded to slots below 2^32
+    multiplied by the inverse of its lead and folded to slots below 2^18
     (``_fold``).  Every other row adds (p - lead) mod p times it and shifts
     out its leading slot, now 0 mod p.  So a slot stays below
-    p^2 + ncols*p*2^32, and times an inverse below 2^128 while ncols < 2^33:
-    nothing carries into the next slot.
+    p^2 + ncols*p*2^18, and times an inverse below 2^64 while ncols < 2^12,
+    asserted first: nothing carries into the next slot.  A row joins only
+    when no row before it has a nonzero lead, by replaying the pivot rows
+    so far (a column without a pivot lets every row join), so a block of
+    full column rank never updates its surplus rows.
 
     A k x k minor that is nonzero mod p is a nonzero integer, so every
     column prefix has at least as large a rank over Q as mod p: no prefix
     holds more of these pivots than of ``integer_rref``, and the pivot
     rows are linearly independent over Q.  An unlucky p finds fewer.
     """
-    ones = ((1 << 128 * ncols) - 1) // _SLOT_MASK
-    m31, m97 = ones * (2**31 - 1), ones * (2**97 - 1)
-    live, index = list(rows), list(range(len(rows)))
+    assert ncols < 2**12, "a slot could carry"
+    ones = ((1 << SLOT_BITS * ncols) - 1) // _SLOT_MASK
+    m17, m47 = ones * PRIME, ones * (2**47 - 1)
+    live, index, tops = [], [], []
     pivots, pivot_rows = [], []
     for c in range(ncols):
-        if not live:
-            break
         leads = [row & _SLOT_MASK for row in live]
         k = next((k for k, lead in enumerate(leads) if lead % PRIME), None)
+        while k is None and len(pivots) + len(live) < len(rows):
+            index.append(len(pivots) + len(live))
+            row = rows[index[-1]]
+            for top in tops:
+                row = (row >> SLOT_BITS) + (-(row & _SLOT_MASK) % PRIME) * top
+            live.append(row)
+            leads.append(row & _SLOT_MASK)
+            k = len(live) - 1 if leads[-1] % PRIME else None
         if k is None:
-            live = [row >> 128 for row in live]
+            if not live:
+                break
+            live = [row >> SLOT_BITS for row in live]
             continue
-        top = _fold((live.pop(k) >> 128) * pow(leads.pop(k), -1, PRIME), m31, m97)
-        live = [(row >> 128) + (-lead % PRIME) * top for row, lead in zip(live, leads)]
+        top = _fold((live.pop(k) >> SLOT_BITS) * pow(leads.pop(k), -1, PRIME), m17, m47)
+        live = [(row >> SLOT_BITS) + (-lead % PRIME) * top for row, lead in zip(live, leads)]
+        tops.append(top)
         pivots.append(c)
         pivot_rows.append(index.pop(k))
     return pivots, pivot_rows

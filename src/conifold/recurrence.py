@@ -14,14 +14,15 @@ coincidences; the constant sets that least length and the screen's row
 count below, never which cell is returned.  No candidate is ever
 accepted numerically.
 
-Arithmetic mod p = ``linalg.PRIME`` decides what can be skipped; exact
+Arithmetic mod p = ``linalg.PRIME`` = 2^17 - 1 decides what is skipped; exact
 integer arithmetic decides every answer.  An unlucky prime costs time,
 never a different cell, kernel or output.
 
 Most cells are never solved.  For each order r one block is eliminated
 forward mod p (``linalg.modular_pivots``): rows d = 0 .. min(L + 1 - r,
 (r+1)(degree_max+1) + HOLDOUT) - 1, entry c_{d+i} * d^j in column
-j(r+1) + i, packed from the terms reduced mod p once (``_packed_rows``).
+j(r+1) + i, packed from the terms reduced mod p once, one 64-bit slot
+(``linalg.SLOT_BITS``) per column (``_packed_rows``).
 Its first w = (r+1)(D+1) columns are some rows of the (r, D) cell's
 matrix, columns permuted.  When w pivots lie below w, some w x w minor
 of those rows is nonzero mod p, hence a nonzero integer: the cell's
@@ -50,7 +51,9 @@ for its block and one per cell solved, each the entry updates of an
 exact elimination of all its rows.  They bound the exact work: only a
 solve eliminates exactly, and a cell's two solves take its chosen rows
 and then at most all of them, so at most twice its charge.  A modular
-pass updates a whole row in one multiply and one add.
+pass updates a whole row in one multiply and one add; a block of w
+columns, charged at least (w + 5) w^2, has w < 99, far below the 2^12
+columns its slots allow.
 """
 
 from __future__ import annotations
@@ -169,16 +172,17 @@ def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
 
 def _packed_rows(residues: list[int], nrows: int, r: int, dD: int,
                  step: int, shift: int) -> list[int]:
-    """Rows d < nrows of c_{d+i} * d^j mod p, in slot i * step + j * shift for
-    ``linalg.modular_pivots``: the sums over j of (d^j mod p) times a window
-    of residues c_d .. c_{d+r} that slides a term a row, each slot below p^2."""
-    width, rows = 128 * step, []
+    """Rows d < nrows of c_{d+i} * d^j mod p, in the ``linalg.SLOT_BITS``-bit
+    slot i * step + j * shift for ``linalg.modular_pivots``: the sums over j
+    of (d^j mod p) times a window of residues c_d .. c_{d+r} that slides a
+    term a row, each slot below p^2."""
+    width, gap, rows = linalg.SLOT_BITS * step, linalg.SLOT_BITS * shift, []
     window = sum(a << width * (i + 1) for i, a in enumerate(residues[:r]))
     for d in range(nrows):
         window = (window >> width) + (residues[d + r] << width * r)
         row, power = 0, 1
         for j in range(dD + 1):
-            row, power = row + (power * window << 128 * shift * j), power * d % linalg.PRIME
+            row, power = row + (power * window << gap * j), power * d % linalg.PRIME
         rows.append(row)
     return rows
 

@@ -208,14 +208,16 @@ def rank_by_minors(rows: list[list]) -> int:
 
 def packed_rows(rows, p: int) -> list[int]:
     """Integer rows packed for ``linalg.modular_pivots``: entry c of a row,
-    reduced mod p, in the 128-bit slot c of one int."""
-    return [int.from_bytes(b"".join((a % p).to_bytes(16, "little") for a in row), "little")
+    reduced mod p, in the ``linalg.SLOT_BITS``-bit slot c of one int."""
+    size = linalg.SLOT_BITS // 8
+    return [int.from_bytes(b"".join((a % p).to_bytes(size, "little") for a in row), "little")
             for row in rows]
 
 
 def unpacked(row: int, ncols: int) -> list[int]:
-    """The ncols 128-bit slots of a packed row, column 0 first."""
-    return [row >> 128 * c & (1 << 128) - 1 for c in range(ncols)]
+    """The ncols ``linalg.SLOT_BITS``-bit slots of a packed row, column 0 first."""
+    bits = linalg.SLOT_BITS
+    return [row >> bits * c & (1 << bits) - 1 for c in range(ncols)]
 
 
 def pivots_mod(rows, p: int) -> tuple[list[int], list[int]]:

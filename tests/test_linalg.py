@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +167,7 @@ def modular_pivots(rows):
 @given(modular_inputs())
 @example([[linalg.PRIME, 1]])
 @example([[2 * linalg.PRIME, 0], [1, 0], [0, -linalg.PRIME]])
+@example([[1, 1], [1, 1], [0, 1]])
 @settings(max_examples=300, deadline=None)
 def test_modular_pivots_bound_the_exact_ones(m):
     pivots, pivot_rows = modular_pivots(m)
@@ -178,7 +180,7 @@ def test_modular_pivots_bound_the_exact_ones(m):
 
 def test_modular_pivots_keep_their_slots_apart():
     # 45 rows of 40 residues just below p: each of the 40 steps adds up
-    # to p * 2^32 to a slot, and a carry into the next slot would change
+    # to p * 2^18 to a slot, and a carry into the next slot would change
     # the pivots or their rows
     rng = random.Random(3)
     p = linalg.PRIME
@@ -192,37 +194,70 @@ def test_modular_pivots_keep_their_slots_apart():
 def test_modular_pivots_keep_slots_apart_from_the_top_of_their_range():
     # 40 to 60 columns and more rows than columns, every slot starting at
     # (p - 1)^2 or above, the largest values the recurrence packer makes:
-    # each of up to 60 steps adds up to p * 2^32 to a slot, and a carry
+    # each of up to 60 steps adds up to p * 2^18 to a slot, and a carry
     # into the next slot would change the pivots or their rows
     rng = random.Random(4)
-    p = linalg.PRIME
+    p, bits = linalg.PRIME, linalg.SLOT_BITS
     for ncols in (40, 51, 60):
         rows = [[p * (p - 1) + rng.randrange(p) for _ in range(ncols)]
                 for _ in range(ncols + rng.randrange(1, 8))]
         rows[rng.randrange(len(rows))] = [(p - 1) ** 2] * ncols
-        packed = [sum(a << 128 * c for c, a in enumerate(row)) for row in rows]
+        packed = [sum(a << bits * c for c, a in enumerate(row)) for row in rows]
         assert all(a >= (p - 1) ** 2 for row in packed for a in unpacked(row, ncols))
         pivots = linalg.modular_pivots(packed, ncols)
         assert pivots == pivots_mod(rows, p)
         assert len(pivots[0]) == ncols
-    assert linalg.modular_pivots([sum((p - 1) ** 2 << 128 * c for c in range(40))] * 45,
-                                 40) == ([0], [0])
+    # up to the widest row the slots allow, 4095 columns
+    for ncols, nrows in ((40, 45), (4095, 3)):
+        row = sum((p - 1) ** 2 << bits * c for c in range(ncols))
+        assert linalg.modular_pivots([row] * nrows, ncols) == ([0], [0])
 
 
-def test_fold_takes_a_pivot_row_at_its_bound_below_2_to_the_32():
-    # a slot stays below p^2 + ncols * p * 2^32, a pivot slot times an
-    # inverse (at most p - 1) below 2^128 for ncols < 2^33, and four folds
-    # take any slot below 2^128 below 2^32 in its class mod p
-    p = linalg.PRIME
-    assert p * (p**2 + 2**33 * p * 2**32) < 2**128
-    for ncols in (1, 40, 60):
-        ones = sum(1 << 128 * c for c in range(ncols))
-        m31, m97 = ones * (2**31 - 1), ones * (2**97 - 1)
-        bound = p**2 + ncols * p * 2**32 - 1
-        for value in (bound * (p - 1), 2**128 - 1, 2**127 + 2**97 - 1, (p - 1) ** 2):
-            folded = unpacked(linalg._fold(value * ones, m31, m97), ncols + 1)
+def test_modular_pivots_read_no_row_past_the_one_they_need():
+    # a row joins only when no row before it has a nonzero lead: of 30
+    # rows of full column rank 25 the last 5 are never read, and in rows
+    # whose column 1 is 0 under the first pivot every row joins
+    reads = []
+
+    class Rows(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    rng, p = random.Random(5), linalg.PRIME
+    m = [[rng.randrange(-10**6, 10**6) for _ in range(25)] for _ in range(30)]
+    assert linalg.modular_pivots(Rows(packed_rows(m, p)), 25) == pivots_mod(m, p)
+    assert reads == list(range(25))
+    reads.clear()
+    m = [[1, 1], [2, 2], [3, 3], [0, 1]]
+    assert linalg.modular_pivots(Rows(packed_rows(m, p)), 2) == ([0, 1], [0, 3])
+    assert reads == [0, 1, 2, 3]
+
+
+def test_modular_pivots_refuse_rows_their_slots_cannot_hold():
+    # 4096 columns could carry out of a slot: an internal invariant, so
+    # the command that made such a call would exit 4
+    with pytest.raises(AssertionError):
+        linalg.modular_pivots([], 2**12)
+    assert linalg.modular_pivots([], 2**12 - 1) == ([], [])
+
+
+def test_fold_takes_a_pivot_row_at_its_bound_below_2_to_the_18():
+    # a slot stays below p^2 + ncols * p * 2^18, a pivot slot times an
+    # inverse (at most p - 1) below 2^64 for ncols < 2^12, and three folds
+    # take any slot below 2^64 below 2^18 in its class mod p
+    p, bits = linalg.PRIME, linalg.SLOT_BITS
+    assert bits == 64
+    assert p * (p**2 + (2**12 - 1) * p * 2**18) < 2**64
+    for ncols in (1, 40, 60, 2**12 - 1):
+        ones = sum(1 << bits * c for c in range(ncols))
+        m17, m47 = ones * (2**17 - 1), ones * (2**47 - 1)
+        bound = p**2 + ncols * p * 2**18 - 1
+        for value in (bound * (p - 1), 2**64 - 1, 2**63 + 2**47 - 1,
+                      2**47 + 2**17 - 2, (p - 1) ** 2):
+            folded = unpacked(linalg._fold(value * ones, m17, m47), ncols + 1)
             assert folded[-1] == 0
-            assert all(a < 2**32 and a % p == value % p for a in folded[:-1])
+            assert all(a < 2**18 and a % p == value % p for a in folded[:-1])
 
 
 def test_kernel_basis_annihilates():

@@ -457,6 +457,64 @@ def test_recurrence_budget_edge_on_noise():
     assert time.perf_counter() - start < 0.1
 
 
+def test_recurrence_budget_keeps_every_screen_far_below_its_slots(monkeypatch):
+    # a block of w columns on w + 5 rows is charged (w + 5) w^2 words
+    # before it runs, and 98^2 * 103 <= 10^6 < 99^2 * 104: over caps on
+    # either side of that edge, every modular pass takes at most 98 of the
+    # 4095 columns its slots allow, or the budget refuses the search first
+    assert recurrence._charge(0, 103, 98, 1) == 98**2 * 103
+    with pytest.raises(BudgetExceeded):
+        recurrence._charge(0, 104, 99, 1)
+    widths, screen = [], linalg.modular_pivots
+
+    def spy(rows, ncols):
+        widths.append(ncols)
+        return screen(rows, ncols)
+
+    monkeypatch.setattr(linalg, "modular_pivots", spy)
+    rng = random.Random(6)
+    seq = [rng.randrange(1, 10**9) for _ in range(99 * 50 + 98 + 5)]
+    caps = list(product((1, 2, 4, 8, 20, 48, 97, 98), (0, 1, 3, 12, 48, 49)))
+    refused = 0
+    for rmax, degree_max in caps:
+        widths.clear()
+        try:
+            assert find_recurrence(seq, rmax, degree_max) is None
+        except BudgetExceeded:
+            refused += 1
+        assert max(widths, default=0) <= 98, (rmax, degree_max)
+    assert 0 < refused < len(caps)
+
+
+def test_block_screen_passes_exactly_the_cells_deficient_over_q(corpus):
+    # the recurrence-hunt workload's five searches, length, rmax, degree
+    # cap and stride as in its job list: under linalg.PRIME the block
+    # screen passes a cell exactly when the block's first (r+1)(D+1)
+    # columns have rank below that over Q, so no prime luck is needed
+    # for their cells
+    jobs = {"p3": (40, 4, 3, 1), "octahedron": (80, 4, 4, 2), "nodal_03": (80, 4, 4, 2),
+            "p2xp1": (60, 4, 4, 1), "nodal_02": (60, 4, 4, 1)}
+    p = linalg.PRIME
+    for stem, (length, rmax, degree_max, stride) in jobs.items():
+        if stem == "nodal_02":
+            seq = list(period_sequence(from_fan_polytope(corpus[stem]), length).terms)
+        else:
+            seq = [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)]
+        seq = seq[::stride]
+        for r in range(1, rmax + 1):
+            ncols = (r + 1) * (degree_max + 1)
+            nrows = min(len(seq) - r, ncols + recurrence.HOLDOUT)
+            block = [[seq[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
+                     for d in range(nrows)]
+            packed = recurrence._packed_rows([a % p for a in seq], nrows, r, degree_max, 1, r + 1)
+            modular = linalg.modular_pivots(packed, ncols)[0]
+            exact = linalg.integer_rref(block)[1]
+            for dD in range(degree_max + 1):
+                width = (r + 1) * (dD + 1)
+                assert (sum(c < width for c in modular) < width) == (
+                    sum(c < width for c in exact) < width), (stem, r, dD)
+
+
 def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
     # p3's sequence is zero off multiples of 4, so its order-1 block (the
     # first 13 rows) has rank 7 while the (1, 3) cell's full 40 x 8 matrix
@@ -564,7 +622,7 @@ def test_packed_rows_are_the_exact_rows_mod_p(terms, r, dD, data):
     for exact, step, shift in ((block, 1, r + 1), (cell, dD + 1, 1)):
         packed = recurrence._packed_rows(residues, nrows, r, dD, step, shift)
         slots = [unpacked(row, ncols) for row in packed]
-        assert all(row >> 128 * ncols == 0 for row in packed)
+        assert all(row >> linalg.SLOT_BITS * ncols == 0 for row in packed)
         assert all(a < p**2 for row in slots for a in row)
         assert packed_rows(slots, p) == packed_rows(exact, p)
         assert linalg.modular_pivots(packed, ncols) == pivots_mod(exact, p)
