@@ -18,8 +18,10 @@ searches on a sequence whose terms are all multiples of a prime and on
 wide terms near multiples of it, for 2^31 - 1 (kept so that digests
 compare with older trees) and for the screen's prime ``linalg.PRIME``, a
 hit on a sequence of alternating sign, 30 zeros, on which the least cell's kernel
-is the whole space, and inputs that must exit 2 or 3, flat point sets
-among them.
+is the whole space, searches on 400 terms whose screens take rows past
+an order's first ones (p3's periods, a miss and a budget refusal, and
+C(2n, n)^3 between zeros, a hit), and inputs that must exit 2 or 3,
+flat point sets among them.
 A call that raises out of ``main`` is recorded as exit 1 with the
 exception's type on stderr, as ``python -m conifold`` would exit 1 with a
 traceback.
@@ -98,10 +100,15 @@ def wide_noise(prime: int) -> list[int]:
             for _ in range(80)]
 
 
+def p3_periods(count: int) -> list[int]:
+    """The first ``count`` of p3's periods, (4k)!/(k!)^4 at d = 4k and 0 elsewhere."""
+    return [math.factorial(d) // math.factorial(d // 4) ** 4 if d % 4 == 0 else 0
+            for d in range(count)]
+
+
 def p3_times(prime: int) -> list[int]:
-    """p3's periods (4k)!/(k!)^4 to degree 40 times ``prime``: 0 mod it."""
-    return [prime * math.factorial(d) // math.factorial(d // 4) ** 4 if d % 4 == 0 else 0
-            for d in range(41)]
+    """p3's periods to degree 40 times ``prime``: 0 mod it."""
+    return [prime * c for c in p3_periods(41)]
 
 
 def write_inputs(tmp: Path) -> list[str]:
@@ -129,6 +136,10 @@ def write_inputs(tmp: Path) -> list[str]:
         "wide_noise_prime.json": wide_noise(linalg.PRIME),
         "p3_times_p.json": p3_times(2**31 - 1),
         "p3_times_prime.json": p3_times(linalg.PRIME),
+        # long sequences whose screens take rows past the capped first ones
+        "p3_400.json": p3_periods(400),
+        "central_cubes.json": [math.comb(d, d // 2) ** 3 if d % 2 == 0 else 0
+                               for d in range(400)],
         "short.json": [1, 2, 4],
         "zeros.json": [0] * 30,
         "not_a_list.json": {"terms": [1, 2]},
@@ -218,6 +229,13 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("recurrence", "p3_times_prime.json"),
             ("recurrence", "p3_times_prime.json", "--output", "table"),
             ("recurrence", "p3_times_prime.json", "--degree-max", "4")]
+    # rows past an order's first (r+1)(degree_max+1) + 5 join its screen
+    # only after a charge: p3's (1, 3) cell is charged and found empty on
+    # every row, at (4, 3) the (4, 3) cell's charge exits 3, and C(2n, n)^3
+    # hits (1, 3)
+    out += [("recurrence", "p3_400.json", "--rmax", "1", "--degree-max", "3"),
+            ("recurrence", "p3_400.json", "--rmax", "4", "--degree-max", "3"),
+            ("recurrence", "central_cubes.json", "--stride", "2")]
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     # products split into parts up to the bound the budget cannot pass:

@@ -11,7 +11,10 @@ p = ``PRIME`` = 2^17 - 1, on rows its caller packs into one int of
 ``SLOT_BITS`` = 64-bit slots, one per column: a row operation is one
 multiply and one add, and a pivot row is reduced by three whole-row folds
 (2^17 = 1 mod p), whatever the row's length.  No slot reaches 2^64 while
-ncols < 2^12, so nothing carries into the next.  It certifies nothing by
+ncols < 2^12, so nothing carries into the next.  An iterable of rows goes
+in, each pulled only when it must join, and a pivot row or None comes out
+per column, so the caller reads a prefix's pivots before any row past
+them is touched.  It certifies nothing by
 itself but bounds the exact rank from below: a minor that is nonzero mod
 p is a nonzero integer, so every column prefix has at least as many
 pivots over Q as mod p, and the pivot rows mod p are independent over Q.
@@ -95,22 +98,24 @@ def _fold(row: int, m17: int, m47: int) -> int:
     return row
 
 
-def modular_pivots(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Forward elimination over GF(``PRIME``) of packed rows: the pivot
-    columns, and the original index of the row chosen at each, the first
-    unused row whose entry there is nonzero mod p.
+def modular_pivots(rows, ncols: int):
+    """Forward elimination over GF(``PRIME``) of packed rows, one column at
+    a time: yields, for each of the ncols columns in turn, the original
+    index of the row chosen as its pivot, the first unused row whose entry
+    there is nonzero mod p, or None when no row has one.
 
-    Each row holds its entry in column c in the 64-bit slot c, as an
-    integer below p^2 congruent to it mod p.  Only the leading slot is
-    reduced to find a pivot.  The pivot row, that slot shifted out, is
-    multiplied by the inverse of its lead and folded to slots below 2^18
-    (``_fold``).  Every other row adds (p - lead) mod p times it and shifts
-    out its leading slot, now 0 mod p.  So a slot stays below
-    p^2 + ncols*p*2^18, and times an inverse below 2^64 while ncols < 2^12,
-    asserted first: nothing carries into the next slot.  A row joins only
-    when no row before it has a nonzero lead, by replaying the pivot rows
-    so far (a column without a pivot lets every row join), so a block of
-    full column rank never updates its surplus rows.
+    ``rows`` is any iterable.  Each row holds its entry in column c in the
+    64-bit slot c, as an integer below p^2 congruent to it mod p.  Only
+    the leading slot is reduced to find a pivot.  The pivot row, that slot
+    shifted out, is multiplied by the inverse of its lead and folded to
+    slots below 2^18 (``_fold``).  Every other row adds p - (lead mod p)
+    times it and shifts out its leading slot, now 0 mod p.  So a slot
+    stays below p^2 + ncols*p*2^18, and times an inverse below 2^64 while
+    ncols < 2^12, asserted before the first column: nothing carries into
+    the next slot.  A row is pulled from ``rows`` and joins only when no
+    row before it has a nonzero lead, by replaying the pivot rows so far
+    (a column without a pivot pulls every row), so no row past those a
+    prefix needs is read before the column after that prefix is asked for.
 
     A k x k minor that is nonzero mod p is a nonzero integer, so every
     column prefix has at least as large a rank over Q as mod p: no prefix
@@ -120,30 +125,29 @@ def modular_pivots(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     assert ncols < 2**12, "a slot could carry"
     ones = ((1 << SLOT_BITS * ncols) - 1) // _SLOT_MASK
     m17, m47 = ones * PRIME, ones * (2**47 - 1)
-    live, index, tops = [], [], []
-    pivots, pivot_rows = [], []
-    for c in range(ncols):
-        leads = [row & _SLOT_MASK for row in live]
-        k = next((k for k, lead in enumerate(leads) if lead % PRIME), None)
-        while k is None and len(pivots) + len(live) < len(rows):
-            index.append(len(pivots) + len(live))
-            row = rows[index[-1]]
+    rows = enumerate(rows)
+    live, tops = [], []  # (original index, row) of the rows that joined; pivot rows
+    for _ in range(ncols):
+        k = next((k for k, (_, row) in enumerate(live) if (row & _SLOT_MASK) % PRIME),
+                 None) if live else None
+        while k is None and (pulled := next(rows, None)) is not None:
+            i, row = pulled
             for top in tops:
-                row = (row >> SLOT_BITS) + (-(row & _SLOT_MASK) % PRIME) * top
-            live.append(row)
-            leads.append(row & _SLOT_MASK)
-            k = len(live) - 1 if leads[-1] % PRIME else None
+                row = (row >> SLOT_BITS) + (PRIME - (row & _SLOT_MASK) % PRIME) * top
+            live.append((i, row))
+            if (row & _SLOT_MASK) % PRIME:
+                k = len(live) - 1
         if k is None:
-            if not live:
-                break
-            live = [row >> SLOT_BITS for row in live]
+            live = [(i, row >> SLOT_BITS) for i, row in live]
+            yield None
             continue
-        top = _fold((live.pop(k) >> SLOT_BITS) * pow(leads.pop(k), -1, PRIME), m17, m47)
-        live = [(row >> SLOT_BITS) + (-lead % PRIME) * top for row, lead in zip(live, leads)]
+        i, pivot = live.pop(k)
+        top = _fold((pivot >> SLOT_BITS) * pow(pivot & _SLOT_MASK, -1, PRIME), m17, m47)
+        if live:  # in a prefix of full column rank, each row joins as the next pivot
+            live = [(j, (row >> SLOT_BITS) + (PRIME - (row & _SLOT_MASK) % PRIME) * top)
+                    for j, row in live]
         tops.append(top)
-        pivots.append(c)
-        pivot_rows.append(index.pop(k))
-    return pivots, pivot_rows
+        yield i
 
 
 def rank(rows: list[list]) -> int:

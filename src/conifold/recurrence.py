@@ -18,47 +18,56 @@ Arithmetic mod p = ``linalg.PRIME`` = 2^17 - 1 decides what is skipped; exact
 integer arithmetic decides every answer.  An unlucky prime costs time,
 never a different cell, kernel or output.
 
-Most cells are never solved.  For each order r one block is eliminated
-forward mod p (``linalg.modular_pivots``): rows d = 0 .. min(L + 1 - r,
-(r+1)(degree_max+1) + HOLDOUT) - 1, entry c_{d+i} * d^j in column
-j(r+1) + i, packed from the terms reduced mod p once, one 64-bit slot
-(``linalg.SLOT_BITS``) per column (``_packed_rows``).
-Its first w = (r+1)(D+1) columns are some rows of the (r, D) cell's
-matrix, columns permuted.  When w pivots lie below w, some w x w minor
-of those rows is nonzero mod p, hence a nonzero integer: the cell's
-matrix has full column rank over Q, its kernel is {0}, and the cell is
-skipped.  Every other cell is solved.  A prime that divides a minor of
-the block only hands the solver more cells, each of which it finds empty.
+Most cells are never solved.  For each order r one screen eliminates
+forward mod p (``linalg.modular_pivots``) over every row d = 0 .. L - r,
+entry c_{d+i} * d^j in column j(r+1) + i, each row packed only when it
+joins, from the terms reduced mod p once, one 64-bit slot
+(``linalg.SLOT_BITS``) per column (``_packed_rows``).  Its first
+w = (r+1)(D+1) columns are the (r, D) cell's matrix, columns permuted,
+and the screen runs them cell by cell, D = 0, 1, ...  When they have w
+pivots, some w x w minor is nonzero mod p, hence a nonzero integer: the
+cell's matrix has full column rank over Q, its kernel is {0}, and the
+cell is skipped.  Rows join only when the rows before them leave a column
+without a pivot, and those past
+nrows = min(L + 1 - r, (r+1)(degree_max+1) + ``HOLDOUT``) only after a
+charge (below): a cell whose pivots all come from rows d < nrows is
+skipped uncharged.  Every other cell is charged, and skipped if its
+columns have w pivots over all rows.  A prime that divides a minor only
+hands the solver more cells, each of which it finds empty.
 
-A cell that passes the screen is solved exactly (``_solve_cell``).  When
-its rows, packed alike in column order i(D+1) + j, have full column rank
-mod p, its kernel is {0} by the same minor argument and no exact row is
-built.  Otherwise the integer kernel K (``linalg.kernel_basis``,
-fraction-free) is taken on the rows the modular pass chose as pivots,
-the only rows built, and every window is checked against K by Horner's
-rule (``_window_sums``, as in ``verify_recurrence``).  A row that passes
-lies in the orthogonal complement of K, which is the span of the chosen
-rows; the rows that fail, if any, are built and added and the kernel is
-taken once more.  Then the chosen rows span the cell's row space, and
-the reduced echelon form depends on the row space alone: the kernel
-basis is the one that solving on every row gives, up to a positive
-factor, and ``_normalize`` returns the same vector.  No cell takes more
-than two solves.
+A cell that the screen cannot rule out is solved exactly
+(``_solve_cell``).  Its integer kernel K (``linalg.kernel_basis``,
+fraction-free) is taken on the screen's pivot rows of its columns, the
+only rows built, each divided by its content, which leaves the kernel and
+shrinks the entries of the elimination; then every window is checked
+against K by Horner's rule (``_window_sums``, as in ``verify_recurrence``).
+A row that passes lies in the orthogonal complement of K, which is the
+span of the chosen rows; the rows that fail, if any, are built and added
+and the kernel is taken once more.  Then the chosen rows span the cell's
+row space, and the reduced echelon form depends on the row space alone:
+the kernel basis is the one that solving on every row gives, up to a
+positive factor, and ``_normalize`` returns the same vector.  No cell
+takes more than two solves.
 
 The budget (``_charge``) is charged before any work, by the same
 formulas as when every screen and solve was exact: one charge per order
-for its block and one per cell solved, each the entry updates of an
-exact elimination of all its rows.  They bound the exact work: only a
-solve eliminates exactly, and a cell's two solves take its chosen rows
-and then at most all of them, so at most twice its charge.  A modular
-pass updates a whole row in one multiply and one add; a block of w
-columns, charged at least (w + 5) w^2, has w < 99, far below the 2^12
-columns its slots allow.
+for its first nrows rows, and one per cell that they leave deficient,
+each the entry updates of an exact elimination of all its rows.  The
+first time the screen asks for row nrows it charges the cell whose
+columns it is on, and every later cell of the order is charged before
+its columns run, since a deficient prefix stays deficient; so no modular
+work on a row past nrows comes before the charge that pays for it.  The
+charges bound the exact work: only a solve eliminates exactly, and a
+cell's two solves take its chosen rows and then at most all of them, so
+at most twice its charge.  A modular pass updates a whole row in one
+multiply and one add; a screen of w columns, charged at least
+(w + 5) w^2, has w < 99, far below the 2^12 columns its slots allow.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from math import gcd
 
 from . import linalg
@@ -170,21 +179,20 @@ def _charge(work: int, nrows: int, ncols: int, words: int) -> int:
     return work
 
 
-def _packed_rows(residues: list[int], nrows: int, r: int, dD: int,
-                 step: int, shift: int) -> list[int]:
-    """Rows d < nrows of c_{d+i} * d^j mod p, in the ``linalg.SLOT_BITS``-bit
-    slot i * step + j * shift for ``linalg.modular_pivots``: the sums over j
-    of (d^j mod p) times a window of residues c_d .. c_{d+r} that slides a
-    term a row, each slot below p^2."""
-    width, gap, rows = linalg.SLOT_BITS * step, linalg.SLOT_BITS * shift, []
+def _packed_rows(residues: list[int], r: int, dD: int):
+    """Rows d = 0 .. L - r of c_{d+i} * d^j mod p, one at a time, with
+    entry (i, j) in the ``linalg.SLOT_BITS``-bit slot j(r+1) + i for
+    ``linalg.modular_pivots``: the sums over j of (d^j mod p) times a
+    window of residues c_d .. c_{d+r} that slides a term a row, each slot
+    below p^2."""
+    width, gap = linalg.SLOT_BITS, linalg.SLOT_BITS * (r + 1)
     window = sum(a << width * (i + 1) for i, a in enumerate(residues[:r]))
-    for d in range(nrows):
+    for d in range(len(residues) - r):
         window = (window >> width) + (residues[d + r] << width * r)
         row, power = 0, 1
         for j in range(dD + 1):
             row, power = row + (power * window << gap * j), power * d % linalg.PRIME
-        rows.append(row)
-    return rows
+        yield row
 
 
 def _window_sums(coeffs, terms) -> list[int]:
@@ -200,18 +208,19 @@ def _window_sums(coeffs, terms) -> list[int]:
     return sums
 
 
-def _solve_cell(terms: list[int], r: int, dD: int, residues=None) -> tuple | None:
+def _solve_cell(terms: list[int], r: int, dD: int, chosen: list[int]) -> tuple | None:
     """Nontrivial normalized solution for the (r, D) cell over every usable
-    window of ``terms``, or None, from the rows ``linalg.modular_pivots``
-    picks and those of the windows their kernel fails (module docstring).
-    ``residues`` are the terms mod p, reduced here when not given."""
+    window of ``terms``, or None, from the windows ``chosen`` (any will
+    do; the search passes the screen's pivot rows) and those their kernel
+    fails, each row divided by its content (module docstring)."""
     nvars = (r + 1) * (dD + 1)
-    pivots, chosen = linalg.modular_pivots(_packed_rows(
-        residues or [a % linalg.PRIME for a in terms], len(terms) - r, r, dD, dD + 1, 1), nvars)
-    if len(pivots) == nvars:
-        return None
     def rows(ds):
-        return [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)] for d in ds]
+        out = []
+        for d in ds:
+            row = [terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
+            content = gcd(*row) or 1
+            out.append([a // content for a in row])
+        return out
     chosen = rows(chosen)
     basis = linalg.kernel_basis(chosen, ncols=nvars)
     sums = zip(*(_window_sums([v[i:i + dD + 1] for i in range(0, nvars, dD + 1)], terms)
@@ -238,23 +247,32 @@ def find_recurrence(terms, rmax: int, degree_max: int) -> Recurrence | None:
             f"with holdout {HOLDOUT} needs at least {needed}"
         )
     # every entry c_{d+i} * d^j, d < len(terms), fits in this many 64-bit
-    # words, so a block of long terms or high degree is charged its size
+    # words, so a screen of long terms or high degree is charged its size
     words = (max(map(abs, terms)).bit_length()
              + degree_max * len(terms).bit_length()) // 64 + 1
     work = 0
     residues = [a % linalg.PRIME for a in terms]
     for r in range(1, rmax + 1):
-        # the screen of the module docstring: one echelon per order
-        nrows = min(len(terms) - r, (r + 1) * (degree_max + 1) + HOLDOUT)
-        work = _charge(work, nrows, (r + 1) * (degree_max + 1), words)
-        block = _packed_rows(residues, nrows, r, degree_max, 1, r + 1)
-        pivots, _ = linalg.modular_pivots(block, (r + 1) * (degree_max + 1))
-        for dD in range(0, degree_max + 1):
-            width = (r + 1) * (dD + 1)
-            if sum(c < width for c in pivots) == width:
+        # the screen of the module docstring: one per order, over every row
+        ncols = (r + 1) * (degree_max + 1)
+        nrows = min(len(terms) - r, ncols + HOLDOUT)
+        work, released = _charge(work, nrows, ncols, words), False
+
+        def rows(packed=_packed_rows(residues, r, degree_max)):
+            # rows past nrows are packed only once the cell they join on is charged
+            nonlocal work, released
+            yield from islice(packed, nrows)
+            work, released = _charge(work, len(terms) - r, (r + 1) * (dD + 1), words), True
+            yield from packed
+
+        screen, chosen = linalg.modular_pivots(rows(), ncols), []
+        for dD in range(degree_max + 1):
+            if released:
+                work = _charge(work, len(terms) - r, (r + 1) * (dD + 1), words)
+            chosen += islice(screen, r + 1)
+            if not released or None not in chosen:
                 continue
-            work = _charge(work, len(terms) - r, width, words)
-            sol = _solve_cell(terms, r, dD, residues)
+            sol = _solve_cell(terms, r, dD, [k for k in chosen if k is not None])
             if sol is None:
                 continue
             rec = Recurrence(r, max(len(p) - 1 for p in sol), sol)

@@ -4,10 +4,10 @@ can use them as well as the tests: the general sparse product of Laurent
 polynomials and the period engine of plain repeated multiplication, the
 subset hull scan (with its ``primitive`` normals), Fraction elimination,
 elimination mod p, rank by minors, the per-window recurrence check, the
-every-row recurrence cell solve and the unscreened search, the
-arrangement region count, the image of a polytope under a matrix, the map
-of a conifold square onto the local model, and closed forms of the six
-bundled period sequences."""
+every-row recurrence cell solve, the unscreened search and the budget
+charges of capped screens, the arrangement region count, the image of a
+polytope under a matrix, the map of a conifold square onto the local
+model, and closed forms of the six bundled period sequences."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -238,6 +238,16 @@ def pivots_mod(rows, p: int) -> tuple[list[int], list[int]]:
     return pivots, pivot_rows
 
 
+def collected_pivots(rows, ncols: int) -> tuple[list[int], list[int]]:
+    """``linalg.modular_pivots`` run over all ncols columns, one item each,
+    and collected in the form of ``pivots_mod``: the pivot columns and
+    the original index of each pivot row."""
+    found = list(linalg.modular_pivots(rows, ncols))
+    assert len(found) == ncols
+    return ([c for c, k in enumerate(found) if k is not None],
+            [k for k in found if k is not None])
+
+
 def fraction_kernel_basis(rows, ncols):
     """Reference kernel: the vector of free column fc has 1 there and
     -RREF[r][fc] in the r-th pivot column, RREF taken by ``row_reduce``."""
@@ -300,6 +310,31 @@ def find_recurrence_unscreened(terms, rmax: int, degree_max: int) -> Recurrence 
             assert verify_recurrence(rec, terms)
             return rec
     return None
+
+
+def charge_schedule(terms, rmax: int, degree_max: int) -> list[tuple[int, int, int]]:
+    """Reference for the (nrows, ncols, words) of every budget charge of
+    ``find_recurrence``, in order, replayed from ``pivots_mod`` on each
+    order's capped rows d < nrows: one charge per order for them, then one
+    on all L + 1 - r rows for each D whose first (r+1)(D+1) columns are
+    deficient there, up to the cell of the unscreened search's answer."""
+    rec = find_recurrence_unscreened(terms, rmax, degree_max)
+    stop = (rec.order, rec.degree) if rec else (rmax, degree_max)
+    words = (max(map(abs, terms)).bit_length()
+             + degree_max * len(terms).bit_length()) // 64 + 1
+    schedule = []
+    for r in range(1, stop[0] + 1):
+        ncols = (r + 1) * (degree_max + 1)
+        nrows = min(len(terms) - r, ncols + HOLDOUT)
+        schedule.append((nrows, ncols, words))
+        block = [[terms[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
+                 for d in range(nrows)]
+        pivots = pivots_mod(block, linalg.PRIME)[0]
+        for dD in range(stop[1] + 1 if r == stop[0] else degree_max + 1):
+            width = (r + 1) * (dD + 1)
+            if sum(c < width for c in pivots) < width:
+                schedule.append((len(terms) - r, width, words))
+    return schedule
 
 
 def square_to_model_map(cycle):

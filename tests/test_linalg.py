@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conifold import linalg
-from oracles import (fraction_kernel_basis, packed_rows, pivots_mod, rank_by_minors,
-                     row_reduce, unpacked)
+from oracles import (collected_pivots, fraction_kernel_basis, packed_rows, pivots_mod,
+                     rank_by_minors, row_reduce, unpacked)
 from strategies import wide_int
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -160,8 +160,9 @@ def modular_inputs(draw):
 
 
 def modular_pivots(rows):
-    """``linalg.modular_pivots`` on integer rows, packed by the oracle."""
-    return linalg.modular_pivots(packed_rows(rows, linalg.PRIME), len(rows[0]) if rows else 0)
+    """``linalg.modular_pivots`` on integer rows, packed by the oracle, and
+    collected as (pivot columns, pivot rows)."""
+    return collected_pivots(packed_rows(rows, linalg.PRIME), len(rows[0]) if rows else 0)
 
 
 @given(modular_inputs())
@@ -204,42 +205,44 @@ def test_modular_pivots_keep_slots_apart_from_the_top_of_their_range():
         rows[rng.randrange(len(rows))] = [(p - 1) ** 2] * ncols
         packed = [sum(a << bits * c for c, a in enumerate(row)) for row in rows]
         assert all(a >= (p - 1) ** 2 for row in packed for a in unpacked(row, ncols))
-        pivots = linalg.modular_pivots(packed, ncols)
+        pivots = collected_pivots(packed, ncols)
         assert pivots == pivots_mod(rows, p)
         assert len(pivots[0]) == ncols
     # up to the widest row the slots allow, 4095 columns
     for ncols, nrows in ((40, 45), (4095, 3)):
         row = sum((p - 1) ** 2 << bits * c for c in range(ncols))
-        assert linalg.modular_pivots([row] * nrows, ncols) == ([0], [0])
+        assert collected_pivots([row] * nrows, ncols) == ([0], [0])
 
 
 def test_modular_pivots_read_no_row_past_the_one_they_need():
-    # a row joins only when no row before it has a nonzero lead: of 30
+    # a row is pulled only when no row before it has a nonzero lead: of 30
     # rows of full column rank 25 the last 5 are never read, and in rows
-    # whose column 1 is 0 under the first pivot every row joins
+    # whose column 1 is 0 under the first pivot every row is pulled
     reads = []
 
-    class Rows(list):
-        def __getitem__(self, i):
+    def pulled(rows):
+        for i, row in enumerate(rows):
             reads.append(i)
-            return super().__getitem__(i)
+            yield row
 
     rng, p = random.Random(5), linalg.PRIME
     m = [[rng.randrange(-10**6, 10**6) for _ in range(25)] for _ in range(30)]
-    assert linalg.modular_pivots(Rows(packed_rows(m, p)), 25) == pivots_mod(m, p)
+    assert collected_pivots(pulled(packed_rows(m, p)), 25) == pivots_mod(m, p)
     assert reads == list(range(25))
     reads.clear()
     m = [[1, 1], [2, 2], [3, 3], [0, 1]]
-    assert linalg.modular_pivots(Rows(packed_rows(m, p)), 2) == ([0, 1], [0, 3])
+    assert collected_pivots(pulled(packed_rows(m, p)), 2) == ([0, 1], [0, 3])
     assert reads == [0, 1, 2, 3]
 
 
 def test_modular_pivots_refuse_rows_their_slots_cannot_hold():
     # 4096 columns could carry out of a slot: an internal invariant, so
-    # the command that made such a call would exit 4
+    # the command that made such a call would exit 4; the generator checks
+    # it when its first column is asked for
+    screen = linalg.modular_pivots([], 2**12)
     with pytest.raises(AssertionError):
-        linalg.modular_pivots([], 2**12)
-    assert linalg.modular_pivots([], 2**12 - 1) == ([], [])
+        next(screen)
+    assert collected_pivots([], 2**12 - 1) == ([], [])
 
 
 def test_fold_takes_a_pivot_row_at_its_bound_below_2_to_the_18():

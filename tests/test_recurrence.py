@@ -4,7 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -23,6 +23,8 @@ from conifold.recurrence import (
 )
 from oracles import (
     CLOSED_FORM_PERIODS,
+    charge_schedule,
+    collected_pivots,
     find_recurrence_unscreened,
     packed_rows,
     pivots_mod,
@@ -302,16 +304,16 @@ def solved_cells(monkeypatch):
 
 def test_screen_solves_only_cells_it_cannot_rule_out(corpus, solved_cells):
     # the benchmark's five searches and nodal_01's: the screen rules out
-    # every cell of the two exhaustive (4, 4) misses, every cell before
-    # the hit of octahedron, nodal_03 and nodal_01, and all but one miss
-    # of p3
+    # every cell of the two exhaustive (4, 4) misses and every cell before
+    # the hit of all four others; p3's (1, 3) cell, which its capped rows
+    # leave deficient, is charged and then ruled out on every row
     nodal_02 = list(period_sequence(from_fan_polytope(corpus["nodal_02"]), 60).terms)
     searches = [(stem, [CLOSED_FORM_PERIODS[stem](d) for d in range(length + 1)],
                  rmax, degree_max, stride)
                 for stem, length, rmax, degree_max, stride, _, _ in PINNED_SEARCHES]
     searches.append(("nodal_02", nodal_02, 4, 4, 1))
     expected = {
-        "p3": [(1, 3, False), (4, 3, True)],
+        "p3": [(4, 3, True)],
         "octahedron": [(2, 3, True)],
         "nodal_03": [(1, 3, True)],
         "nodal_01": [(1, 3, True)],
@@ -354,14 +356,17 @@ def test_unlucky_prime_changes_no_answer(monkeypatch, solved_cells):
         extra = [cell for cell in solved_cells if cell not in log]
         assert extra and not any(found for _, _, found in extra), stem
     # the hit cell of p3: the pivot rows mod p are none, so every nonzero
-    # row fails the first kernel and the second solve takes them all
+    # row fails the first kernel and the second solve takes them all; the
+    # real prime's 19 pivot rows span the cell's rows, so one solve is enough
     calls = {"kernel_basis": 0}
     monkeypatch.setattr(linalg, "kernel_basis",
                         _counting(calls, "kernel_basis", linalg.kernel_basis))
     seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
     p3_coeffs = PINNED_SEARCHES[0][6]
-    assert _solve_cell([p * c for c in seq], 4, 3) == p3_coeffs
-    assert _solve_cell(seq, 4, 3) == p3_coeffs
+    chosen = collected_pivots(recurrence._packed_rows([a % p for a in seq], 4, 3), 20)[1]
+    assert len(chosen) == 19
+    assert _solve_cell([p * c for c in seq], 4, 3, []) == p3_coeffs
+    assert _solve_cell(seq, 4, 3, chosen) == p3_coeffs
     assert calls["kernel_basis"] == 3
 
 
@@ -506,8 +511,8 @@ def test_block_screen_passes_exactly_the_cells_deficient_over_q(corpus):
             nrows = min(len(seq) - r, ncols + recurrence.HOLDOUT)
             block = [[seq[d + i] * d**j for j in range(degree_max + 1) for i in range(r + 1)]
                      for d in range(nrows)]
-            packed = recurrence._packed_rows([a % p for a in seq], nrows, r, degree_max, 1, r + 1)
-            modular = linalg.modular_pivots(packed, ncols)[0]
+            packed = recurrence._packed_rows([a % p for a in seq], r, degree_max)
+            modular = collected_pivots(islice(packed, nrows), ncols)[0]
             exact = linalg.integer_rref(block)[1]
             for dD in range(degree_max + 1):
                 width = (r + 1) * (dD + 1)
@@ -515,16 +520,25 @@ def test_block_screen_passes_exactly_the_cells_deficient_over_q(corpus):
                     sum(c < width for c in exact) < width), (stem, r, dD)
 
 
-def test_p3_block_deficiency_that_is_no_hit_falls_through(solved_cells):
+def test_p3_block_deficiency_that_is_no_hit_falls_through(monkeypatch, solved_cells):
     # p3's sequence is zero off multiples of 4, so its order-1 block (the
     # first 13 rows) has rank 7 while the (1, 3) cell's full 40 x 8 matrix
-    # has rank 8: the cell is solved and found empty, and the search goes
-    # on to the (4, 3) hit
+    # has rank 8: the cell is charged on its 40 rows, the screen finds it
+    # full rank on them and no solve runs, and the search goes on to the
+    # (4, 3) hit
     seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(41)]
     block = [[seq[d + i] * d**j for j in range(4) for i in range(2)] for d in range(13)]
     assert linalg.integer_rref(block)[1] == [0, 1, 2, 3, 4, 5, 6]
+    charges, charge = [], recurrence._charge
+
+    def logged(work, nrows, ncols, words):
+        charges.append((nrows, ncols))
+        return charge(work, nrows, ncols, words)
+
+    monkeypatch.setattr(recurrence, "_charge", logged)
     rec = find_recurrence(seq, rmax=4, degree_max=3)
-    assert solved_cells == [(1, 3, False), (4, 3, True)]
+    assert charges[:2] == [(13, 8), (40, 8)]
+    assert solved_cells == [(4, 3, True)]
     assert rec == find_recurrence_unscreened(seq, rmax=4, degree_max=3)
     assert (rec.order, rec.degree) == (4, 3)
 
@@ -591,41 +605,87 @@ def test_screened_search_equals_unscreened(seq, rmax, degree_max, stride, extra)
     stop = max(tried) if screened is not None else (rmax, degree_max)
     for cell in product(range(1, rmax + 1), range(degree_max + 1)):
         if cell <= stop and cell not in tried:
-            assert _solve_cell(seq, *cell) is None, cell
+            assert solve_cell_on_every_row(seq, *cell) is None, cell
 
 
 @given(SEQUENCES, st.integers(1, 3), st.integers(0, 3),
-       st.sampled_from((1, linalg.PRIME)), st.integers(0, 10))
+       st.sampled_from((1, linalg.PRIME)), st.integers(0, 10), st.data())
 @settings(max_examples=100, deadline=None)
-def test_cell_solve_equals_every_row_oracle(seq, r, dD, scale, cut):
-    # p times a sequence leaves the modular pass no pivots, so the second
-    # solve runs on every nonzero row
+def test_cell_solve_equals_every_row_oracle(seq, r, dD, scale, cut, data):
+    # from the screen's pivot rows, or any rows at all: p times a sequence
+    # leaves the modular pass no pivots, so the second solve runs on every
+    # nonzero row
     seq = [scale * c for c in seq[: (r + 1) * (dD + 1) + r + cut]]
-    assert _solve_cell(seq, r, dD) == solve_cell_on_every_row(seq, r, dD)
+    ncols = (r + 1) * (dD + 1)
+    pivot_rows = collected_pivots(
+        recurrence._packed_rows([a % linalg.PRIME for a in seq], r, dD), ncols)[1]
+    chosen = data.draw(st.one_of(st.just(pivot_rows), st.lists(
+        st.integers(0, len(seq) - r - 1), max_size=ncols + 2, unique=True)))
+    assert _solve_cell(seq, r, dD, chosen) == solve_cell_on_every_row(seq, r, dD)
 
 
-@given(st.lists(wide_int, min_size=1, max_size=40), st.integers(0, 4), st.integers(0, 4),
-       st.data())
+@given(st.lists(wide_int, min_size=1, max_size=40), st.integers(0, 4), st.integers(0, 4))
 @settings(max_examples=200, deadline=None)
-def test_packed_rows_are_the_exact_rows_mod_p(terms, r, dD, data):
-    # both column orders: j(r+1) + i for an order's block, i(D+1) + j for
-    # a cell; every slot a product of two residues, below p^2
+def test_packed_rows_are_the_exact_rows_mod_p(terms, r, dD):
+    # the block layout j(r+1) + i, one row per window, iterated once;
+    # every slot a product of two residues, below p^2
     p = linalg.PRIME
     r = min(r, len(terms) - 1)
-    nrows = data.draw(st.integers(0, len(terms) - r))
     ncols = (r + 1) * (dD + 1)
     block = [[terms[d + i] * d**j for j in range(dD + 1) for i in range(r + 1)]
-             for d in range(nrows)]
-    cell = [[terms[d + i] * d**j for i in range(r + 1) for j in range(dD + 1)]
-            for d in range(nrows)]
-    residues = [a % p for a in terms]
-    for exact, step, shift in ((block, 1, r + 1), (cell, dD + 1, 1)):
-        packed = recurrence._packed_rows(residues, nrows, r, dD, step, shift)
-        slots = [unpacked(row, ncols) for row in packed]
-        assert all(row >> linalg.SLOT_BITS * ncols == 0 for row in packed)
-        assert all(a < p**2 for row in slots for a in row)
-        assert packed_rows(slots, p) == packed_rows(exact, p)
-        assert linalg.modular_pivots(packed, ncols) == pivots_mod(exact, p)
+             for d in range(len(terms) - r)]
+    packed = list(recurrence._packed_rows([a % p for a in terms], r, dD))
+    slots = [unpacked(row, ncols) for row in packed]
+    assert all(row >> linalg.SLOT_BITS * ncols == 0 for row in packed)
+    assert all(a < p**2 for row in slots for a in row)
+    assert packed_rows(slots, p) == packed_rows(block, p)
+    assert collected_pivots(packed, ncols) == pivots_mod(block, p)
+
+
+@given(SEQUENCES, st.integers(1, 3), st.integers(0, 3), st.integers(1, 2),
+       st.integers(-7, 11), st.sampled_from((1, linalg.PRIME)))
+@settings(max_examples=150, deadline=None)
+def test_charges_are_those_of_the_capped_screens(seq, rmax, degree_max, stride, extra, scale):
+    # every charge, its amount and its order: one per order for its first
+    # nrows rows, then one per cell that those rows leave deficient, up to
+    # the answer, as when each order's screen took the capped rows alone;
+    # p times a sequence leaves every cell deficient mod p
+    needed = (rmax + 1) * (degree_max + 1) + rmax + recurrence.HOLDOUT
+    seq = [scale * c for c in seq[::stride][: needed + extra]]
+    charges, charge = [], recurrence._charge
+
+    def logged(work, nrows, ncols, words):
+        charges.append((nrows, ncols, words))
+        return charge(work, nrows, ncols, words)
+
+    with mock.patch.object(recurrence, "_charge", logged):
+        try:
+            find_recurrence(seq, rmax, degree_max)
+        except InsufficientData:
+            assert charges == []
+            return
+    assert charges == charge_schedule(seq, rmax, degree_max)
+
+
+def test_p3_refusal_packs_no_row_past_the_capped_screen(monkeypatch):
+    # 400 terms of p3 at (4, 3): entries take 13 words, and the order-4
+    # screen's 25 capped rows leave the (4, 3) cell deficient, so asking
+    # for row 25 charges it on 396 rows, past the budget; the refusal
+    # comes before that row is packed
+    seq = [CLOSED_FORM_PERIODS["p3"](d) for d in range(400)]
+    packed, pack = {}, recurrence._packed_rows
+
+    def counted(residues, r, dD):
+        packed[r] = 0
+        for row in pack(residues, r, dD):
+            packed[r] += 1
+            yield row
+
+    monkeypatch.setattr(recurrence, "_packed_rows", counted)
+    with pytest.raises(BudgetExceeded):
+        find_recurrence(seq, rmax=4, degree_max=3)
+    assert list(packed) == [1, 2, 3, 4]
+    assert packed[4] == min(len(seq) - 4, 5 * 4 + recurrence.HOLDOUT) == 25
 
 
 def test_str_rendering():
