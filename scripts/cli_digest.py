@@ -5,14 +5,16 @@ Each run calls ``conifold.cli.main(argv)`` in process and hashes its exit
 code, stdout and stderr.  The runs cover the bundled polytopes and two
 seeded unimodular images of each under every subcommand, in JSON and in
 table form, ``--mode cy``, periods to an even and an odd degree and in
-dimensions 2 and 4, product polytopes on either side of the guard of the
-period engine's split (the octahedron at degree 60 and 61, a p2xp1 image,
-and the free sum dP6 x P1 under three subcommands), prisms on either side
-of the same guard (nodal_03 at degree 36 and 37, a nodal_03 image, the
-cube and the hexagonal prism over dP6's hexagon), apexed prisms and
-pyramids on either side of it (nodal_02 at degree 44 and 45, nodal_01 at
-90 and 91, p3 at 172 and at 173, where the work budget refuses it, and a
-nodal_02 image), database records
+dimensions 2 and 4, polytopes on either side of the guard under which the
+period engine splits W into free-sum parts and reads each part's fibres
+when they have dimension 0 or 1: products (the octahedron at degree 60
+and 61, a p2xp1 image, and the free sum dP6 x P1 under three
+subcommands), prisms (nodal_03 at degree 36 and 37, a nodal_03 image, the
+cube, and the hexagonal prism over dP6's hexagon, whose fibres have
+dimension 2, by default and at degree 22 and 23), apexed prisms and
+pyramids (nodal_02 at degree 44 and 45, nodal_01 at 90 and 91, p3 at 172
+and at 173, where the work budget refuses it, and a nodal_02 image),
+database records
 that load and that fail with each of the loader's messages, recurrence
 searches on a sequence whose terms are all multiples of a prime and on
 wide terms near multiples of it, for 2^31 - 1 (kept so that digests
@@ -239,24 +241,30 @@ def runs(polytopes: list[str]) -> list[tuple]:
     # periods in dimensions 2 and 4, where the engine skips no degree
     out += [("periods", "plane.json", "--dmax", "13"), ("periods", "simplex4.json", "--dmax", "11")]
     # products split into parts up to the bound the budget cannot pass:
-    # the octahedron's last degree inside it and its first past it
+    # the octahedron's last degree inside it and its first past it, each
+    # part read by its fibres
     out += [("periods", "octahedron.json", "--dmax", "60"),
             ("periods", "octahedron.json", "--dmax", "61"),
             ("periods", "p2xp1_image1.json", "--dmax", "40"),
             ("periods", "dp6xp1.json"), ("transition", "dp6xp1.json"),
             ("match", "dp6xp1.json", "fano.jsonl")]
-    # prisms W = (1 + y^t) A split under the same bound: nodal_03's last
-    # degree inside it and its first past it; the cube and the hexagonal
-    # prism have facets that are neither triangles nor conifold squares, so
-    # `transition` exits 2 on them (the cube's run is among the errors below)
+    # prisms W = (1 + y^t) A read by their fibres under the same bound:
+    # nodal_03's last degree inside it and its first past it, and the
+    # hexagonal prism's, whose fibres have dimension 2, so that it runs the
+    # engine on both sides; the cube and the hexagonal prism have facets
+    # that are neither triangles nor conifold squares, so `transition`
+    # exits 2 on them (the cube's run is among the errors below)
     out += [("periods", "nodal_03.json", "--dmax", "36"),
             ("periods", "nodal_03.json", "--dmax", "37"),
             ("periods", "nodal_03_image0.json", "--dmax", "32"),
             ("periods", "cube.json"), ("periods", "hexprism.json"),
+            ("periods", "hexprism.json", "--dmax", "22"),
+            ("periods", "hexprism.json", "--dmax", "23"),
             ("transition", "hexprism.json")]
-    # W = (1 + y^t)^eps A + c y^rho split under the same bound, on either
-    # side of it: nodal_02 and nodal_01 (apexed prisms), p3 (a pyramid),
-    # whose first degree past it is past the work budget too, and an image
+    # W = (1 + y^t)^eps A + c y^rho read by its fibres under the same
+    # bound, on either side of it: nodal_02 and nodal_01 (apexed prisms),
+    # p3 (a pyramid), whose first degree past it is past the work budget
+    # too, and an image
     out += [("periods", "nodal_02.json", "--dmax", "44"),
             ("periods", "nodal_02.json", "--dmax", "45"),
             ("periods", "nodal_01.json", "--dmax", "90"),

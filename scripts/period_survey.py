@@ -2,13 +2,10 @@
 """Survey the bundled corpus: invariants, period heads, recurrences.
 
 Prints one row per bundled polytope with its transition invariants, the
-path the period engine takes on it (split into free-sum parts, split as
-a prism W = (1 + y^t) A with lambda = -h / phi(t) and A' split into
-parts, read from A as an apexed prism W = (1 + y^t) A + c y^rho or a
-pyramid W = A + c y^rho, or unsplit; and, for a split, whether its
-polynomials are simplices read as one multinomial or run the engine or
-form powers), and the first period terms, then hunts for recurrences in
-two interesting cases:
+path the period engine takes on it (one sum over the lattice points of
+W's fibres, of dimension f = 0 or 1; free-sum parts, each read that way
+or by the engine; or the engine on all of W), and the first period
+terms, then hunts for recurrences in two interesting cases:
 
 * p3 — the classic order-4 operator with (d+4)^3 leading term;
 * octahedron — stride 2 (odd terms vanish), which uncovers the
@@ -21,6 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -28,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from conifold import laurent
 from conifold.lattice import convex_hull
 from conifold.laurent import from_fan_polytope, period_sequence
+from conifold.linalg import rank
 from conifold.nodal import check_regularity, nodal_profile, transition_invariants
 from conifold.recurrence import find_recurrence
 import json
@@ -48,27 +47,27 @@ def load(stem: str):
     return convex_hull([tuple(v) for v in data["vertices"]])
 
 
-def multinomials(parts: list) -> str:
-    """How many of the polynomials ``period_sequence`` splits W into are
-    simplices, each read as one multinomial; the rest run the engine."""
-    n = sum(1 for part in parts if laurent._simplex(part))
-    if len(parts) == 1:
-        return "multinomial" if n else "engine"
-    return f"{len(parts)} parts, {n} multinomial"
+def fibre_path(terms: dict) -> str:
+    """``f=0`` or ``f=1`` for a W read as a sum over its fibres, f = K + J -
+    rank of its Minkowski form's exponent system; ``engine`` from f = 2
+    on."""
+    _, columns = laurent._minkowski(terms)
+    f = len(columns) - rank([list(c) for c in columns])
+    return f"f={f}" if f <= 1 else "engine"
 
 
 def engine_path(w, dmax: int) -> str:
-    """The split ``period_sequence`` takes on W to degree dmax, and how it
-    reads the polynomials of the split."""
-    parts, prism, reach = laurent._split(w, dmax)
-    if reach:
-        base = {e: w.terms[e] for e in prism[1]}
-        shape = "pyramid" if prism[0] is None else "apex prism"
-        return f"{shape}, {'multinomial' if laurent._simplex(base) else 'powers'}"
-    if prism:
-        p, q, flat = laurent._flat(w.terms, prism)
-        return f"prism {p}/{q}, {multinomials(laurent._parts(flat))}"
-    return multinomials(parts) if len(parts) > 1 else "unsplit"
+    """The path ``period_sequence`` takes on W to degree dmax: W's fibres,
+    its free-sum parts each read by theirs or by the engine, or the engine
+    outside the guard |W| C(top + |W| - 1, |W|) <= PERIOD_WORK_BUDGET."""
+    size = len(w.terms)
+    if (w.dim != 3 or not size
+            or size * comb((dmax + 1) // 2 + size - 1, size) > laurent.PERIOD_WORK_BUDGET):
+        return "engine"
+    paths = [fibre_path(part) for part in laurent._parts(w.terms)]
+    if len(paths) > 1:
+        return f"{len(paths)} parts ({', '.join(paths)})"
+    return "engine" if paths[0] == "engine" else f"fibre {paths[0]}"
 
 
 def main() -> int:

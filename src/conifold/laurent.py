@@ -45,26 +45,41 @@ bundled corpus m is 4 (p3), 3 (nodal_01), 2 (octahedron, nodal_03) and
 1 (p2xp1, nodal_02).  In dimension 3 ``_grading`` finds m =
 index(L) / index(L') when L and L' have one rank k, each index the gcd of
 the k x k minors of a spanning set (``_index``); m = 1 in other
-dimensions or ranks, which is always sound.  So the parts and prism
-bases below that run the engine, of rank 1 or 2, are graded in their
-own plane or line, as nodal_03's A' would be with m = 2 and p2xp1's part
-x + y + 1/(xy) with m = 3.
+dimensions or ranks, which is always sound.  So a free-sum part below
+that runs the engine, of rank 1 or 2, is graded in its own plane or
+line, as p2xp1's part x + y + 1/(xy) would be with m = 3.
 From d = 4 on the pairing runs only where m divides d.  m is not taken
 when c_2 and c_3 are both nonzero, since c_d != 0 forces m | d.
 
-A simplex, a polynomial A = sum_k c_k y^(p_k) whose exponents p_0 ..
-p_r are affinely independent (r <= 3), needs no powers.  By the
-multinomial theorem [A^i]_q is the sum of i! / prod m_k! prod c_k^m_k over
-the multisets m with sum m_k = i and sum m_k p_k = q, and affine
-independence leaves at most one: sum_(k >= 1) m_k (p_k - p_0) = q - i p_0
-fixes m_1 .. m_r, and then m_0.  ``_simplex`` completes the p_k - p_0 by
-cross products to a basis of Q^3 and takes m from the dual vectors of
-Cramer's rule; [A^i]_q = 0 unless m is a vector of nonnegative integers
-and q - i p_0 has no coordinate along the completion.  So p3's c_d =
-d! / ((d/4)!)^4 is one multinomial.  The splits below read every
-polynomial they split W into as one multinomial when it is a simplex,
-as every one of them is on the corpus, and run the engine or form powers
-on any other; a read charges nothing and raises nothing.
+The plan also writes W in the Minkowski form
+W = sum_k c_k y^(rho_k) prod_(j in B_k) (1 + y^(t_j)): the leaf and the
+lone monomials are the K monomials c_k y^(rho_k), the J binomial steps
+are the factors, and B_k holds the binomials planned after monomial k.
+By the multinomial and binomial theorems c_d is one sum
+
+    c_d = sum d! / prod_k n_k! * prod_k c_k^(n_k) * prod_j C(N_j, m_j),
+
+N_j = sum_(k : j in B_k) n_k, over the lattice points (n, m) of the fibre
+n >= 0, 0 <= m <= N, sum_k n_k = d, sum_k n_k rho_k + sum_j m_j t_j = 0.
+The fibre lies in the solutions of a 4 x (K + J + 1) integer system in
+(n, m, d), of dimension f = K + J - rank over the columns of n and m.
+``_fibre`` takes the system to fraction-free reduced echelon form
+(``linalg.integer_rref``), so that every variable is (a x + b d) / D, D
+the form's denominator, in the one free variable x when f = 1 and in d
+alone (a = 0) when f = 0.  The (x, d) at which all of them are integers
+form a lattice with a basis (s, 0), (r, e), found one variable at a time
+by a gcd and a modular inverse: the fibre has points only at the d
+divisible by e, and there at the x = r d / e mod s that the inequalities
+bound to an interval.  That costs O(rows) per degree and one term per
+point, never O(D): D is a minor of the exponents and grows with an
+image's coordinates, so a scan over its residues would not.  When the
+degree's column is a pivot, the fibre is empty past d = 0.  f is 0 or 1
+on every bundled polytope and on each of its free-sum parts, with (K, J,
+f) = (4, 0, 0) for p3, (3, 1, 0) for nodal_01, (4, 1, 1) for nodal_02,
+(2, 2, 0) for nodal_03, (2, 0, 0) for each of the octahedron's three
+segments, and (3, 0, 0) and (2, 0, 0) for p2xp1's triangle and segment:
+p3's c_d = d! / ((d/4)!)^4 is one multinomial.  A W or part with f >= 2,
+such as the hexagonal prism (4, 2, 2), runs the engine.
 
 A product polytope's W, such as the octahedron's or p2xp1's, splits into
 the parts that ``_parts`` finds, the components of the linear matroid of
@@ -72,73 +87,17 @@ a support spanning Q^3 or a plane.  Parts W_1, W_2 span complementary
 subspaces, so f_1 + f_2 = 0 with f_i in W_i's span only when f_1 = f_2 =
 0, and so const(W_1^k W_2^(d-k)) = const(W_1^k) const(W_2^(d-k)), and c_d
 = sum_k C(d, k) a_k b_{d-k} from the parts' periods a and b (a third
-part is folded in the same way).  The octahedron's three segments and
-p2xp1's triangle and segment are simplices.  The split is taken only
-when |W| C(top + |W| - 1, |W|) <= PERIOD_WORK_BUDGET: W^a has at most
-C(a + |W| - 1, |W| - 1) terms, one per multiset of a monomials, so the
-unsplit engine could not have refused.  The parts hold |W| terms between
-them, and C(top + k - 1, k) grows with k, so the engine's charges on the
-parts sum to at most the same bound, and the split refuses no run
-either; any other run is unsplit, with the same charges and messages.
+part is folded in the same way).  A whole-W fibre would read a free sum
+too, but the convolution of its parts' fibres is faster.
 
-A prism's W, such as nodal_03's, has the form W = (1 + y^t) A with A's
-exponents of affine rank 1 or 2 on a plane phi = h, phi an integer
-functional and phi(t) != 0 (nodal_03 has t = (1, 0, 0), phi = (2, 0,
--1), h = -1).  ``_prism`` finds this split.  W^d = sum_j C(d, j) y^(jt)
-A^d, and phi is d h + j phi(t) on every exponent of y^(jt) A^d, so only
-j = lambda d, with lambda = -h / phi(t) = p / q in lowest terms and q >
-0, can reach the origin.  So c_d = C(d, lambda d) c'_d when lambda d is
-an integer in [0, d], and c_d = 0 otherwise, where c' are the periods of
-A' = {q a + p t : c_a}, which lies on the plane phi = 0: the constant
-term of A'^d is the coefficient of y^(-lambda d t) in A^d, since scaling
-by q is injective.  A' is split into parts like a product's W: nodal_03's
-A' is the two segments 1/(x y^2 z^2) + x y^2 z^2 and 1/(x z^2) + x z^2
-through the origin, and its c'_d the convolution of two central binomial
-sequences.  The split is taken under the same bound as ``_parts``.  A'
-has half W's terms, so the engine's charges on A''s parts sum to at most
-|A'| C(top + |A'| - 1, |A'|) <= |W| C(top + |W| - 1, |W|) <=
-PERIOD_WORK_BUDGET.  So the split refuses no run, and every run it
-takes is one the unsplit engine admits; any other run is unsplit, with
-the same charges, messages and exit codes as before.
-
-An apexed prism's or a pyramid's W has one more monomial, the apex: W =
-(1 + y^t)^eps A + c y^rho, eps in {0, 1}, with A of affine rank 1 or 2
-on a plane phi = h, phi(t) != 0 when eps = 1 and phi(rho) != h when eps
-= 0.  nodal_02 is (1 + x)(z + yz + 1/y) + 1/(xz) and nodal_01 is (1 +
-x)(z + yz) + 1/(xyz^2), with A a triangle and a segment; p3 is a pyramid
-over three of its vertices.  ``_prism`` finds an apexed prism in its
-scan for prisms, which may leave one exponent unpaired, and a pyramid
-from an affine basis of the support, which must hold the apex.  By the
-binomial theorem W^d = sum_i C(d, i) c^(d - i) y^((d - i) rho) (1 +
-y^t)^(eps i) A^i, and phi is j phi(t) + i h + (d - i) phi(rho) on every
-exponent of y^(jt + (d - i) rho) A^i.  That level is 0 at the origin,
-which forces j from d and i when eps = 1, and i from d when eps = 0
-(then j = 0).  So c_d = sum_i C(d, i) C(eps i, j)
-c^(d - i) [A^i]_(-jt - (d - i) rho), over the i at which j is an integer
-in [0, eps i].  ``_reach`` lists those d for each i as an arithmetic
-progression.  ``_apexed`` reads each [A^i] as one multinomial when A is
-a simplex, as on the corpus, with q - i p_0 linear in (i, j, d - i), so
-that a read is a few products of small integers; any other A has A^0,
-A^1, ... formed once, each read at its degrees and dropped.
-
-The apex split is taken under the bound of ``_parts``, and only when
-|A| C(imax + |A| - 1, |A|) <= PERIOD_WORK_BUDGET, imax the last power it
-reads: forming A^(i+1) through A's plan makes at most |A^i| |A| <= |A|
-C(i + |A| - 1, |A| - 1) term updates (the induction above), which sum to
-that bound.  The bound is kept for a simplex A too, whose powers are not
-formed, so that the split is taken on the same runs whatever A is.  The
-split charges nothing and raises nothing.  Under the
-first bound the unsplit engine's charges sum to at most |W| C(top + |W| -
-1, |W|) <= PERIOD_WORK_BUDGET, so the unsplit engine admits every run the
-split takes, and returns the same integers (the identity above).  Every
-other run is unsplit, with the charges, messages and exit codes of the
-unsplit engine.  So no refusal, message or exit code moves.
-
-In process at dmax 32 (2-vCPU host, Python 3.11, best of 15 runs
-interleaved with the engine that formed powers), the six corpus periods
-take 0.9 ms against 5.1 ms: p3 0.055 ms (0.96), nodal_01 0.15 (0.26),
-nodal_02 0.29 (2.0), nodal_03 0.15 (0.87), the octahedron 0.17 (0.44)
-and p2xp1 0.10 (0.58).
+Parts and fibres are taken only when |W| C(top + |W| - 1, |W|) <=
+PERIOD_WORK_BUDGET: W^a has at most C(a + |W| - 1, |W| - 1) terms, one
+per multiset of a monomials, so the unsplit engine could not have
+refused.  The parts hold |W| terms between them, and C(top + k - 1, k)
+grows with k, so the engine's charges on the parts with f >= 2 sum to at
+most the same bound; a fibre forms no power, charges nothing and raises
+nothing.  So no run inside the guard is refused, and every other run is
+unsplit, with the same charges, messages and exit codes as the engine.
 
 ``period_term_direct`` recomputes a single term from scratch as a sum
 over exponent multi-combinations; it shares no code with the fast path
@@ -154,7 +113,7 @@ from itertools import chain, combinations, compress, repeat, starmap
 from math import comb, factorial, gcd
 from operator import add, eq, mul, neg, sub
 
-from . import lattice
+from . import lattice, linalg
 from .errors import BudgetExceeded, DimensionMismatch
 
 ORACLE_DEGREE_CAP = 16
@@ -287,43 +246,91 @@ def _grading(exponent: dict, leaf, steps) -> int:
     return index // index1 if k1 == k else 1
 
 
-def _simplex(terms: dict, t=(0, 0, 0), rho=(0, 0, 0)):
-    """read(i, j, e) = [A^i]_q at q = -j t - e rho for A's terms in 3
-    variables, or None unless A's exponents p_0 .. p_r are affinely
-    independent.  The p_k - p_0 (k = 1 .. r), completed by cross products
-    to a basis b_1, b_2, b_3 of Q^3, give each f its coordinates f . D_k /
-    det in b, D_k = b_(k+1) x b_(k+2) with indices mod 3 (Cramer's rule).
-    So the one multiset m with q - i p_0 = sum m_k (p_k - p_0) has m_k =
-    (q - i p_0) . D_k / det for k <= r, needs (q - i p_0) . D_k = 0 for k
-    > r, and gives [A^i]_q = i! / prod m_k! prod c_k^m_k (module
-    docstring)."""
-    (p0, c0), *rest = terms.items()
-    b = [lattice.vsub(p, p0) for p, _ in rest] or [(1, 0, 0)]
-    if len(b) == 1:
-        b.append((0, b[0][2], -b[0][1]) if any(b[0][1:]) else (0, 1, 0))
-    if len(b) == 2:
-        b.append(lattice.cross(*b))
-    duals = [lattice.cross(b[k - 2], b[k - 1]) for k in range(3)]
-    if len(b) > 3 or not (det := lattice.dot(b[0], duals[0])):
+def _minkowski(terms: dict) -> tuple:
+    """W's Minkowski form sum_k c_k y^(rho_k) prod_(j in B_k) (1 + y^(t_j))
+    from its plan, for W in 3 variables: (coeffs, columns) in plan order,
+    c_k and the column (rho_k, 1) for the leaf and each lone monomial, and
+    None and (t_j, 0) for each binomial j, which multiplies the monomials
+    planned before it (the k with j in B_k).  Keys in the balanced base
+    4 M + 1 are injective on the sums and differences of two monomials
+    that ``_plan`` compares, and the leaf plus each t_j is a monomial
+    (``_grading``)."""
+    base = 4 * max(map(abs, chain.from_iterable(terms))) + 1
+    exponent = {x + base * (y + base * z): (x, y, z) for x, y, z in terms}
+    (leaf, c), steps = _plan({k: terms[e] for k, e in exponent.items()})
+    x0, y0, z0 = exponent[leaf]
+    coeffs, columns = [c], [(x0, y0, z0, 1)]
+    for s, c in steps:
+        coeffs.append(c)
+        if c is None:
+            x, y, z = exponent[leaf + s]
+            columns.append((x - x0, y - y0, z - z0, 0))
+        else:
+            columns.append((*exponent[s], 1))
+    return coeffs, columns
+
+
+def _fibre(terms: dict, dmax: int):
+    """c_0 .. c_dmax of W in 3 variables as sums over the lattice points of
+    its fibres (module docstring), or None when they have dimension f >=
+    2.  Each variable is (a x + b d) / D in the free variable x (a = 0
+    when f = 0), and it and each N_j - m_j must be a nonnegative integer.
+    The (x, d) at which every variable is an integer form a lattice, built
+    one variable at a time in the basis (step, 0), (r, every): d runs over
+    the multiples of every, x over one class mod step, and the
+    inequalities bound x to an interval.  The basis costs O(rows), never
+    O(D): D is a minor of the exponents and grows with their size."""
+    coeffs, columns = _minkowski(terms)
+    n = len(columns)
+    rows, pivots, det = linalg.integer_rref(list(zip(*columns, (0, 0, 0, -1))))
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) > 1:
         return None
-    # the row of D_k holds -p_0 . D_k, -t . D_k and -rho . D_k
-    rows = [(-lattice.dot(p0, v), -lattice.dot(t, v), -lattice.dot(rho, v)) for v in duals]
-    checks, rows = rows[len(rest):], list(zip(rows, (c for _, c in rest)))
-
-    def read(i, j=0, e=0):
-        for p, s, r in checks:
-            if i * p + j * s + e * r:
-                return 0
-        value, left = 1, i
-        for (p, s, r), c in rows:
-            m, rem = divmod(i * p + j * s + e * r, det)
-            if rem or not 0 <= m <= left:
-                return 0
-            value *= comb(left, m) * c ** m
-            left -= m
-        return value * c0 ** left
-
-    return read
+    cs = [1] + [0] * dmax
+    if n in pivots:  # the degree's column: d = 0 is the one degree reached
+        return cs
+    sign = -1 if det > 0 else 1
+    forms = [None] * n
+    for row, c in zip(rows, pivots):
+        forms[c] = (sign * row[free[0]] if free else 0, sign * row[n])
+    det = abs(det)
+    if free:
+        forms[free[0]] = (det, 0)
+    bounds, na, nb = list(forms), 0, 0
+    for (a, b), c in zip(forms, coeffs):
+        if c is None:
+            bounds.append((na - a, nb - b))  # N_j - m_j
+        else:
+            na, nb = na + a, nb + b
+    if any(b < 0 for a, b in bounds if not a):
+        return cs
+    bounds = [(a, b) for a, b in bounds if a]
+    step, r, every = 1, 0, 1
+    for a, b in forms:
+        # a x + b d = 0 mod D, with x = u step + v r and d = v every
+        alpha, beta = a * step, a * r + b * every
+        g = gcd(alpha, det)
+        v, m = g // gcd(g, beta), det // g
+        r = (v * r - beta * v // g * pow(alpha // g, -1, m) * step) % (step * m)
+        step, every = step * m, every * v
+    for d in range(every, dmax + 1, every):
+        lo, hi = 0, d if free else 0
+        for a, b in bounds:
+            if a > 0:
+                lo = max(lo, -(b * d // a))
+            else:
+                hi = min(hi, b * d // -a)
+        for x in range(lo + (r * (d // every) - lo) % step, hi + 1, step):
+            # d! / prod n_k! is the product of C(n_0 + .. + n_k, n_k)
+            term, total = 1, 0
+            for (a, b), c in zip(forms, coeffs):
+                e = (a * x + b * d) // det
+                if c is not None:
+                    total += e
+                    term *= c ** e
+                term *= comb(total, e)
+            cs[d] += term
+    return cs
 
 
 # With a basis u, v, e of exponents, f = x u + y v + z e has x, y, z =
@@ -365,208 +372,6 @@ def _parts(terms: dict) -> list:
     return list(parts.values())
 
 
-def _plane(points: list, t):
-    """(phi, h) with phi = h on ``points``, of affine rank 1 or 2, and
-    phi(t) != 0; None otherwise.  phi is the points' normal when they span
-    a plane, and u x (t x u) when they lie on a line of direction u."""
-    a0 = points[0]
-    u = None
-    for a in points[1:]:
-        d = lattice.vsub(a, a0)
-        if u is None:
-            u = d
-        elif any(phi := lattice.cross(u, d)):
-            break
-    else:
-        phi = lattice.cross(u, lattice.cross(t, u))
-    h = lattice.dot(phi, a0)
-    if lattice.dot(phi, t) and all(lattice.dot(phi, a) == h for a in points):
-        return phi, h
-    return None
-
-
-def _prism(terms: dict):
-    """W as (1 + y^t)^eps A + c y^rho, with A = {a: c_a for a in lower}
-    on the plane phi = h: (t, lower, rho, phi, h), where t is None when
-    eps = 0 and rho is None for an exact prism; None when W has no such
-    form.  An exact prism (even |W| >= 6) and an apexed one (odd |W| >= 5)
-    have A of affine rank 1 or 2 and phi(t) != 0; a pyramid (eps = 0,
-    |W| >= 4) has rho off A's plane.
-
-    Either of t and -t splits W, so t may be taken lexicographically
-    positive: then the least exponent lies in A, or is the apex and the
-    second least lies in A, and t is the difference from it of a later
-    exponent.  A is the lower members of the pairs {a, a + t} taken in
-    increasing order, each with a + t unpaired and of a's coefficient, and
-    the one exponent left unpaired, if |W| is odd, is the apex.  As phi(t)
-    != 0, a chain of W's exponents along t holds at most one of A and one
-    of A + t besides the apex.  An apex one step of t below a member of A
-    with that member's coefficient is paired with it, which leaves the
-    chain's last member unpaired; when A then fails the plane test, the
-    pairing is retried once with the chain's first member, two steps of t
-    below the unpaired one, as the apex.  A pyramid's support spans Q^3
-    only through its apex, so the apex is in every affine basis of it, and
-    A's plane passes through the other three basis points."""
-    n = len(terms)
-    if n > 4:
-        # keys in the balanced base 6 M + 1 order the exponents as their
-        # (z, y, x) do, and are injective on a + t, with coordinates in
-        # [-3 M, 3 M]
-        base = 6 * max(map(abs, chain.from_iterable(terms))) + 1
-        exponent = {x + base * (y + base * z): (x, y, z) for x, y, z in terms}
-        coeff = {k: terms[e] for k, e in exponent.items()}
-        keys = sorted(exponent)
-        odd = n % 2
-        for first in keys[:1 + odd]:
-            for k in keys[keys.index(first) + 1:]:
-                s, retry = k - first, odd
-                lower, upper, apex = [], set(), None
-                while True:
-                    for a in keys:
-                        if a not in upper:
-                            if coeff.get(a + s) == coeff[a]:
-                                lower.append(exponent[a])
-                                upper.add(a + s)
-                            elif odd and apex is None:
-                                apex = a
-                            else:
-                                break
-                    else:
-                        t = lattice.vsub(exponent[k], exponent[first])
-                        if plane := _plane(lower, t):
-                            return (t, lower, exponent.get(apex), *plane)
-                        if retry and apex - s in coeff:
-                            retry, apex = False, apex - 2 * s
-                            lower, upper = [], {apex}
-                            continue
-                    break
-    exps = list(terms)
-    # an affine basis e0, e1, e2, e of the support
-    e0, e1, e2 = exps[0], None, None
-    for e in exps:
-        v = lattice.vsub(e, e0)
-        if e1 is None:
-            if any(v):
-                e1, u = e, v
-        elif e2 is None:
-            if any(normal := lattice.cross(u, v)):
-                e2 = e
-        elif lattice.dot(normal, v):
-            break
-    else:
-        return None
-    basis = [e0, e1, e2, e]
-    for k in (3, 2, 1, 0):
-        apex, (p0, p1, p2) = basis[k], basis[:k] + basis[k + 1:]
-        phi = lattice.cross(lattice.vsub(p1, p0), lattice.vsub(p2, p0))
-        h = lattice.dot(phi, p0)
-        lower = [a for a in exps if lattice.dot(phi, a) == h]
-        if len(lower) == n - 1:
-            return None, lower, apex, phi, h
-    return None
-
-
-def _level(prism) -> tuple:
-    """(a, b, f, eps) with f > 0 for an apex split: phi is j phi(t) + i h +
-    (d - i) phi(rho) on the exponents of y^(jt + (d - i) rho) A^i, and
-    that level is 0 exactly when j f + i b + d a = 0.  A pyramid has eps =
-    0 and j = 0, and takes f = |a|, or 1 when a = 0."""
-    t, _, rho, phi, h = prism
-    a = lattice.dot(phi, rho)
-    b = h - a
-    f, eps = (lattice.dot(phi, t), 1) if t else (abs(a) or 1, 0)
-    return (a, b, f, eps) if f > 0 else (-a, -b, -f, eps)
-
-
-def _reach(prism, dmax: int) -> list:
-    """The powers i of A that the apex split reads to degree dmax, each
-    with the degrees d that read it, as pairs (i, range of d) in
-    increasing i.  An i reaches d when j f + i b + d a = 0 (``_level``)
-    for an integer j in [0, eps i]: d a lies between -(eps f + b) i and
-    -b i, and d a = -b i mod f, which needs g = gcd(a, f) to divide b i
-    and then takes one residue of d mod f / g."""
-    a, b, f, eps = _level(prism)
-    g = gcd(a, f)
-    step = f // g
-    inverse = pow(a // g, -1, step)
-    reach = []
-    for i in range(0, dmax + 1, g // gcd(g, b)):
-        low, high = -(eps * f + b) * i, -b * i
-        if a > 0:
-            lo, hi = -(-low // a), high // a
-        elif a < 0:
-            lo, hi = -(-high // a), low // a
-        else:
-            lo, hi = (i, dmax) if low <= 0 <= high else (1, 0)
-        lo = max(lo, i)
-        if ds := range(lo + (high // g * inverse - lo) % step, min(hi, dmax) + 1, step):
-            reach.append((i, ds))
-    return reach
-
-
-def _apexed(terms: dict, prism, reach: list, dmax: int) -> list:
-    """c_0 .. c_dmax of W = (1 + y^t)^eps A + c y^rho from [A^i] at the
-    degrees ``_reach`` gives each i: W^d = sum_i C(d, i) c^(d - i)
-    y^((d - i) rho) (1 + y^t)^(eps i) A^i, so c_d = sum C(d, i) C(i, j)
-    c^(d - i) [A^i]_(-j t - (d - i) rho) over those (i, j).  A simplex's
-    [A^i] is one multinomial (``_simplex``).  Any other A's powers are
-    formed once, each read at its degrees and then dropped, with keys
-    packed in the balanced base 2 dmax M + 1, M the largest |coordinate|
-    of A, t and rho, whose digits hold every coordinate of A^i (i <= dmax)
-    and of every exponent looked up."""
-    t, lower, rho, _, _ = prism
-    t = t or (0, 0, 0)
-    c = terms[rho]
-    a, b, f, _ = _level(prism)
-    terms_a = {e: terms[e] for e in lower}
-    if not (read := _simplex(terms_a, t, rho)):
-        base = 2 * dmax * max(map(abs, chain(t, rho, *lower))) + 1
-        kt, kr = (x + base * (y + base * z) for x, y, z in (t, rho))
-        (s0, c0), steps = _plan({x + base * (y + base * z): v for (x, y, z), v in terms_a.items()})
-        positive = min(terms_a.values()) > 0
-        power, formed = {0: 1}, 0
-    cs = [0] * (dmax + 1)
-    for i, ds in reach:
-        while not read and formed < i:
-            power = _times(power, s0, c0, steps, positive)
-            formed += 1
-        for d in ds:
-            j = -(i * b + d * a) // f
-            if v := read(i, j, d - i) if read else power.get(-j * kt - (d - i) * kr):
-                cs[d] += comb(d, i) * comb(i, j) * c ** (d - i) * v
-    return cs
-
-
-def _split(w: LaurentPolynomial, dmax: int):
-    """W's free-sum parts and its prism split (``_parts`` and ``_prism``)
-    as ``period_sequence`` takes them to degree dmax, with the apex
-    split's ``_reach``: ([W's terms], None, None) unless W is in 3
-    variables and |W| C(top + |W| - 1, |W|) is within the budget, and
-    an apex split only when |A| C(imax + |A| - 1, |A|) is within it too."""
-    size = len(w.terms)
-    if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
-        parts = _parts(w.terms)
-        if len(parts) == 1 and (prism := _prism(w.terms)):
-            if prism[2] is None:
-                return parts, prism, None
-            reach = _reach(prism, dmax)
-            n = len(prism[1])
-            if n * comb(reach[-1][0] + n - 1, n) <= PERIOD_WORK_BUDGET:
-                return parts, prism, reach
-        return parts, None, None
-    return [w.terms], None, None
-
-
-def _flat(terms: dict, prism):
-    """(p, q, A') for an exact prism: p / q = -h / phi(t) in lowest terms
-    with q > 0 and A' = {q a + p t : c_a}."""
-    t, lower, _, phi, h = prism
-    ft = lattice.dot(phi, t)
-    g = gcd(h, ft) if ft > 0 else -gcd(h, ft)
-    p, q = -h // g, ft // g
-    return p, q, {tuple(q * x + p * y for x, y in zip(a, t)): terms[a] for a in lower}
-
-
 def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     """c_d = constant term of W^d for d = 0 .. dmax.  c_{2a} pairs W^a
     with itself and c_{2a+1} pairs W^a with W^{a+1}, so the highest power
@@ -587,38 +392,25 @@ def period_sequence(w: LaurentPolynomial, dmax: int) -> PeriodSequence:
     the charges sum to at least |W| * C(top + r, r + 1).  A run whose
     bound passes the budget is refused before any work; the bound grows
     with r, so the rank is taken only when the bound with r = dim already
-    passes.  A product's W is split into parts whose periods are
-    convolved, a prism's W = (1 + y^t) A into A' and its parts, whose
-    periods times one binomial coefficient per degree are W's, and an
-    apexed prism's or a pyramid's W = (1 + y^t)^eps A + c y^rho into the
-    coefficients of the powers of A at the degrees whose level they
-    reach, only when the unsplit engine could not have refused; a part or
-    an A that is a simplex is read as one multinomial (module
-    docstring)."""
+    passes.  Only when the unsplit engine could not have refused is a W in
+    3 variables split into free-sum parts whose periods are convolved,
+    each part, or W itself, read as a sum over its fibres when they have
+    dimension 0 or 1 (module docstring)."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    parts, prism, reach = _split(w, dmax)
-    if reach:
-        return PeriodSequence(tuple(_apexed(w.terms, prism, reach, dmax)))
-    if prism:
-        p, q, flat = _flat(w.terms, prism)
-        return PeriodSequence(tuple(
-            comb(d, p * d // q) * c if d % q == 0 and 0 <= p * d <= q * d else 0
-            for d, c in enumerate(_convolved(_parts(flat), dmax))))
-    if len(parts) > 1:
-        return PeriodSequence(tuple(_convolved(parts, dmax)))
-    return PeriodSequence(tuple(_periods(parts[0], w.dim, dmax)))
+    size = len(w.terms)
+    if w.dim == 3 and size and size * comb((dmax + 1) // 2 + size - 1, size) <= PERIOD_WORK_BUDGET:
+        return PeriodSequence(tuple(_convolved(_parts(w.terms), dmax)))
+    return PeriodSequence(tuple(_periods(w.terms, w.dim, dmax)))
 
 
 def _convolved(parts: list, dmax: int) -> list:
     """c_0 .. c_dmax of the sum of free-sum parts in 3 variables, c_d =
     sum_k C(d, k) a_k b_(d - k) from two parts' periods a and b, each part
-    read by ``_simplex`` when it is a simplex and by the engine otherwise;
-    only the nonzero products are formed."""
-    cs = [1] + [0] * dmax
-    for part in parts:
-        read = _simplex(part)
-        b = [read(d) for d in range(dmax + 1)] if read else _periods(part, 3, dmax)
+    read by ``_fibre``, or by the engine when its fibres have dimension 2
+    or more; only the nonzero products are formed."""
+    cs, *rest = [_fibre(part, dmax) or _periods(part, 3, dmax) for part in parts]
+    for b in rest:
         a, cs = cs, [0] * (dmax + 1)
         for k, x in enumerate(a):
             if x:

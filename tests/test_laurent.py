@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conifold import laurent
 from conifold.errors import BudgetExceeded, DimensionMismatch, OriginNotInterior
 from conifold.lattice import _affine_rank, convex_hull, dot
-from conifold.linalg import rank
+from conifold.linalg import integer_rref, rank
 from conifold.laurent import (
     ORACLE_DEGREE_CAP,
     LaurentPolynomial,
@@ -264,6 +264,10 @@ NODAL_03 = [(-1, -1, -1), (-1, 0, -1), (0, -1, -1), (0, 0, -1),
             (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 # the six-vertex square mutant of nodal_02 in test_fanodb
 NODAL_02_MUTANT = [(-1, -1, 0), (-1, -1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1)]
+# nodal_03's W = (1 + y) A with A = (1 + x)(z + 1/(xyz)) has c_d = C(d, d/2)
+# c'_d, c' the periods of A' = {2a + (0, 1, 0) : a in A}, two segments
+# through the origin on a plane
+NODAL_03_FLAT = {(-2, -1, -2): 1, (0, -1, -2): 1, (0, 1, 2): 1, (2, 1, 2): 1}
 GRADINGS = {"p3": 4, "nodal_01": 3, "octahedron": 2, "nodal_03": 2, "p2xp1": 1, "nodal_02": 1}
 
 
@@ -377,13 +381,11 @@ def test_periods_vanish_off_multiples_of_the_grading(corpus):
 
 
 def test_grading_in_a_plane_or_a_line(corpus):
-    # the polynomials of the splits are graded in their own lattice:
-    # nodal_03's A' has c'_d = 0 at odd d, and p2xp1's parts z + 1/z and
-    # x + y + 1/(xy) at odd d and at d prime to 3
-    w = from_fan_polytope(corpus["nodal_03"])
-    flat = laurent._flat(w.terms, laurent._prism(w.terms))[2]
+    # a polynomial of rank 1 or 2 is graded in its own lattice: nodal_03's
+    # A' has c'_d = 0 at odd d, and p2xp1's parts z + 1/z and x + y +
+    # 1/(xy) at odd d and at d prime to 3
     parts = sorted(laurent._parts(from_fan_polytope(corpus["p2xp1"]).terms), key=len)
-    for terms, m in [(flat, 2), (parts[0], 2), (parts[1], 3)]:
+    for terms, m in [(NODAL_03_FLAT, 2), (parts[0], 2), (parts[1], 3)]:
         v = LaurentPolynomial(3, terms)
         assert grading(v) == m
         cs = iterated_periods(v, 12)
@@ -404,7 +406,9 @@ def test_periods_to_degree_20_equal_iterated_multiplication(corpus, stem):
 
 DP6XP1 = [(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (-1, -1, 0),
           (0, 0, 1), (0, 0, -1)]
-PARTS = {"octahedron": 3, "p2xp1": 2, "p3": 1, "nodal_01": 1, "nodal_02": 1, "nodal_03": 1}
+# (K, J, f) of each free-sum part's Minkowski form (``fibre_shape``)
+PARTS = {"octahedron": [(2, 0, 0)] * 3, "p2xp1": [(2, 0, 0), (3, 0, 0)], "p3": [(4, 0, 0)],
+         "nodal_01": [(3, 1, 0)], "nodal_02": [(4, 1, 1)], "nodal_03": [(2, 2, 0)]}
 
 
 @st.composite
@@ -437,12 +441,12 @@ def free_sums(draw):
 @example(LaurentPolynomial(3, {v: 1 for v in DP6XP1}), 12)
 @settings(max_examples=80, deadline=None)
 def test_free_sums_split_and_equal_iterated_multiplication(w, dmax):
-    # the parts that are simplices, such as the octahedron's segments, are
-    # read as multinomials; the rest, such as dP6's hexagon, run the engine
-    parts = laurent._parts(w.terms)
-    assert len(parts) > 1
+    # the parts whose fibres have dimension 0 or 1, such as the
+    # octahedron's segments, are read as sums over them; the rest, such as
+    # dP6's hexagon, run the engine
+    assert len(laurent._parts(w.terms)) > 1
     periods, sizes = engine_sizes(w, dmax)
-    assert sizes == unsimplicial_sizes(parts)
+    assert sizes == engine_parts(w)
     assert periods == iterated_periods(w, dmax)
 
 
@@ -455,17 +459,20 @@ def test_split_moves_no_budget_edge(w, dmax):
     admitted_at_its_charge(w, dmax)
 
 
+def part_shapes(vertices):
+    return sorted(map(fibre_shape, laurent._parts({v: 1 for v in vertices})))
+
+
 def test_parts_of_the_corpus(corpus):
-    assert {stem: len(laurent._parts(from_fan_polytope(p).terms))
-            for stem, p in corpus.items()} == PARTS
+    assert {stem: part_shapes(p.vertices) for stem, p in corpus.items()} == PARTS
 
 
-@given(unimodular_matrices(dim=3))
+# the shapes depend neither on the basis nor on the order of the vertices
+@given(unimodular_matrices(dim=3), st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
-def test_parts_are_invariant_under_lattice_isomorphism(corpus, m):
-    for stem, p in corpus.items():
-        w = from_fan_polytope(transform(p, m))
-        assert len(laurent._parts(w.terms)) == PARTS[stem], stem
+def test_parts_are_invariant_under_lattice_isomorphism(corpus, m, rng):
+    for stem, vertices in shuffled_images(corpus, m, rng).items():
+        assert part_shapes(vertices) == PARTS[stem], stem
 
 
 @pytest.mark.parametrize("stem, dmax", [("octahedron", 60), ("p2xp1", 80), ("p3", 172)])
@@ -482,7 +489,9 @@ def test_split_periods_equal_the_closed_forms(corpus, stem, dmax):
 
 # ------------------------------------------------------------------ prisms
 
-PRISMS = {"nodal_03": (1, 2)}  # p / q = lambda = -h / phi(t)
+# (K, J, f) of the corpus W's of one part whose plan ends in a binomial, so
+# that every monomial lies under every factor: W = (1 + y^t) A
+PRISMS = {"nodal_03": (2, 2, 0)}
 
 
 @st.composite
@@ -505,10 +514,20 @@ def prisms(draw):
     return LaurentPolynomial(3, {tuple(dot(row, e) for row in m): c for e, c in w.terms.items()})
 
 
-def unsimplicial_sizes(parts):
-    """The term counts of the parts that are not simplices, which the
-    engine runs on; a simplex is read as one multinomial."""
-    return [len(part) for part in parts if _affine_rank(list(part)) < len(part) - 1]
+def fibre_shape(terms):
+    """(K, J, f) of W's Minkowski form: the K monomials and J binomials of
+    its plan, and the dimension f = K + J - rank of its fibres, the rank
+    taken afresh over the columns of the exponent system."""
+    coeffs, columns = laurent._minkowski(terms)
+    j = coeffs.count(None)
+    return len(coeffs) - j, j, len(columns) - rank([list(c) for c in columns])
+
+
+def engine_parts(w):
+    """The term counts of W's free-sum parts whose fibres have dimension 2
+    or more, which ``period_sequence`` hands the engine inside its guard;
+    every other part is read as a sum over its fibres."""
+    return [len(part) for part in laurent._parts(w.terms) if fibre_shape(part)[2] >= 2]
 
 
 def engine_sizes(w, dmax):
@@ -521,15 +540,37 @@ def engine_sizes(w, dmax):
         return list(period_sequence(w, dmax).terms), sizes
 
 
-HEXAGONAL_PRISM = [(x, y, z) for x, y in [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-                   for z in (-1, 1)]
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+HEXAGONAL_PRISM = [(x, y, z) for x, y in HEXAGON for z in (-1, 1)]
+# the hexagonal prism's W = (1 + z^2) A, with A the hexagon on z = -1, read
+# as A' = {2a + (0, 0, 2) : a in A}, one hexagon through the origin
+HEXAGON_FLAT = {(2 * x, 2 * y, 0): 1 for x, y in HEXAGON}
 
 
-# The examples: nodal_03, lambda = 1/2; the hexagonal prism, whose t =
-# (0, 0, 2) is not primitive, so that A' has nonzero periods in odd degree
-# where lambda d is not an integer; A on a plane through the origin,
-# lambda = 0; and lambda = 2/3 with signs, where lambda d is an integer
-# only for d divisible by 3.
+def corpus_shapes(polytopes: dict, exact: bool) -> dict:
+    """``fibre_shape`` of each W of one free-sum part whose plan ends in a
+    binomial (``exact``: a prism) or in a monomial under no binomial (an
+    apexed prism or a pyramid), from each polytope's vertices."""
+    shapes = {}
+    for stem, vertices in polytopes.items():
+        terms = {v: 1 for v in vertices}
+        if len(laurent._parts(terms)) == 1 and (laurent._minkowski(terms)[0][-1] is None) == exact:
+            shapes[stem] = fibre_shape(terms)
+    return shapes
+
+
+def shuffled_images(corpus, m, rng) -> dict:
+    images = {}
+    for stem, p in corpus.items():
+        images[stem] = list(transform(p, m).vertices)
+        rng.shuffle(images[stem])
+    return images
+
+
+# The examples: nodal_03, whose fibres are points; the hexagonal prism,
+# whose fibres are planes, so that it runs the engine; A on a plane
+# through the origin; and A with signs on z = -2 under t = (0, 0, 3), whose
+# c_d vanish unless 3 divides d.
 @given(prisms(), st.integers(0, 12))
 @example(LaurentPolynomial(3, {v: 1 for v in NODAL_03}), 12)
 @example(LaurentPolynomial(3, {v: 1 for v in HEXAGONAL_PRISM}), 12)
@@ -539,11 +580,10 @@ HEXAGONAL_PRISM = [(x, y, z) for x, y in [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, 
                                (0, 1, 1): 2, (-1, -1, 1): -1}), 12)
 @settings(max_examples=80, deadline=None)
 def test_prisms_split_and_equal_iterated_multiplication(w, dmax):
-    prism = laurent._prism(w.terms)
-    _, a, apex, _, _ = prism
-    assert apex is None and 2 * len(a) == len(w.terms) and _affine_rank(a) == 2
+    # when the plan splits off the factor 1 + y^t, a base A of 3 monomials
+    # gives fibres of dimension 0, of 4 dimension 1, and of 5 or 6 the engine
     periods, sizes = engine_sizes(w, dmax)
-    assert sizes == unsimplicial_sizes(laurent._parts(laurent._flat(w.terms, prism)[2]))
+    assert sizes == engine_parts(w)
     assert periods == iterated_periods(w, dmax)
 
 
@@ -570,8 +610,8 @@ def paired_polys(draw):
                                  for e, c in [*w.terms.items(), *rest.items()]])
 
 
-# The examples: the two-level sets that are not prisms, which ``_prism``
-# must not split: A off a plane, a factor 1 + 2z^2, and t in A's plane.
+# The examples: two-level sets that are not prisms: A off a plane, a
+# factor 1 + 2z^2, and t in A's plane.
 @given(paired_polys(), st.integers(0, 10))
 @example(LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (-1, -1, -1): 1,
                                (1, 0, 1): 1, (0, 1, 1): 1, (0, 0, 2): 1, (-1, -1, 0): 1}), 8)
@@ -593,22 +633,15 @@ def test_prism_split_moves_no_budget_edge(w, dmax):
     admitted_at_its_charge(w, dmax)
 
 
-def prism_ratio(w):
-    prism = laurent._prism(w.terms)
-    if prism and prism[2] is None:
-        return laurent._flat(w.terms, prism)[:2]
-
-
 def test_prisms_of_the_corpus(corpus):
-    assert {stem: ratio for stem, p in corpus.items()
-            if (ratio := prism_ratio(from_fan_polytope(p)))} == PRISMS
+    polytopes = {stem: p.vertices for stem, p in corpus.items()}
+    assert corpus_shapes(polytopes, True) == PRISMS
 
 
-@given(unimodular_matrices(dim=3))
+@given(unimodular_matrices(dim=3), st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
-def test_prisms_are_invariant_under_lattice_isomorphism(corpus, m):
-    for stem, p in corpus.items():
-        assert prism_ratio(from_fan_polytope(transform(p, m))) == PRISMS.get(stem), stem
+def test_prisms_are_invariant_under_lattice_isomorphism(corpus, m, rng):
+    assert corpus_shapes(shuffled_images(corpus, m, rng), True) == PRISMS
 
 
 @pytest.mark.parametrize("dmax, split", [(36, True), (37, False)])
@@ -624,24 +657,27 @@ def test_nodal_03_periods_equal_the_closed_form(corpus, dmax, split):
 
 # ------------------------------------------------- apexed prisms and pyramids
 
-APEXES = {"p3": (0, 3), "nodal_01": (1, 2), "nodal_02": (1, 3)}  # (eps, |A|)
+# (K, J, f) of the corpus W's of one part whose plan ends in a monomial
+# under no binomial: W = (1 + y^t)^eps A + c y^rho, eps = 0 for the pyramid
+APEXES = {"p3": (4, 0, 0), "nodal_01": (3, 1, 0), "nodal_02": (4, 1, 1)}
 
 
 @st.composite
-def apexed(draw):
+def apexed(draw, pieces=False):
     """W = (1 + y^t)^eps A + c y^rho, mapped by a unimodular matrix: A of
     2-5 signed monomials on the plane z = h, h in -2..2.  A pyramid (eps =
     0) has A of affine rank 2 and rho's last coordinate not h; an apexed
     prism (eps = 1) has A of rank 1 or 2, t's last coordinate in +-1..3,
     and rho anywhere but at a monomial of (1 + y^t) A or at 1 or 2 steps
-    of t from one, where pairing rho would hide the split.  W is not a free
-    sum."""
+    of t from one, where pairing rho would hide the apex.  W is not a free
+    sum.  With ``pieces``, (W, A's terms, t or None, rho, c), all mapped."""
     coeff = st.integers(-3, 3).filter(bool)
     h, eps = draw(st.integers(-2, 2)), draw(st.booleans())
     base = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), coeff,
                                 min_size=3 - eps, max_size=5))
     assume(eps or _affine_rank(list(base)) == 2)
-    body = LaurentPolynomial(3, {(x, y, h): c for (x, y), c in base.items()})
+    a = {(x, y, h): c for (x, y), c in base.items()}
+    body, t = LaurentPolynomial(3, a), None
     if eps:
         t = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)),
              draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
@@ -652,26 +688,26 @@ def apexed(draw):
     else:
         rho = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)),
                draw(st.integers(-3, 3).filter(lambda z: z != h)))
-    w = LaurentPolynomial(3, [*body.terms.items(), (rho, draw(coeff))])
+    c = draw(coeff)
+    w = LaurentPolynomial(3, [*body.terms.items(), (rho, c)])
     assume(len(laurent._parts(w.terms)) == 1)  # a free sum splits into parts first
     m = draw(unimodular_matrices(dim=3))
-    return LaurentPolynomial(3, {tuple(dot(row, e) for row in m): c for e, c in w.terms.items()})
+
+    def image(e):
+        return tuple(dot(row, e) for row in m)
+
+    w = LaurentPolynomial(3, {image(e): v for e, v in w.terms.items()})
+    if not pieces:
+        return w
+    return w, {image(e): v for e, v in a.items()}, t and image(t), image(rho), c
 
 
-def apex_shape(w):
-    """(eps, |A|) of the apex split ``_prism`` finds on W, or None."""
-    prism = laurent._prism(w.terms)
-    if prism and prism[2] is not None:
-        return int(prism[0] is not None), len(prism[1])
-
-
-# The examples: p3, a pyramid whose c_d reads A^(3d/4); nodal_01 and
-# nodal_02, apexed prisms over a segment and a triangle; an apex at the
-# origin, which only A^0 reaches; (1 + z) y (x - 1 - 1/x) - 2/y, an
-# apex with coefficient -2 over a signed segment whose cube loses its
-# terms at x and 1/x; and (1 + x)(z + yz + 1/y + yz^2) + z/x, whose apex
-# sits one step of t below z, so that pairing in increasing order pairs
-# the apex with z and leaves xz unpaired.
+# The examples: p3, a pyramid whose fibre is one point at each d divisible
+# by 4; nodal_01 and nodal_02, apexed prisms over a segment and a
+# triangle, with fibres of dimension 0 and 1; an apex at the origin; (1 +
+# z) y (x - 1 - 1/x) - 2/y, an apex with coefficient -2 over a signed
+# segment whose cube loses its terms at x and 1/x; and (1 + x)(z + yz +
+# 1/y + yz^2) + z/x, whose apex sits one step of t below z.
 @given(apexed(), st.integers(0, 10))
 @example(w_p3(), 10)
 @example(LaurentPolynomial(3, {(-1, -1, -2): 1, (0, 0, 1): 1, (0, 1, 1): 1, (1, 0, 1): 1,
@@ -687,9 +723,8 @@ def apex_shape(w):
                                (-1, 0, 1): 1}), 10)
 @settings(max_examples=80, deadline=None)
 def test_apexes_split_and_equal_iterated_multiplication(w, dmax):
-    assert apex_shape(w)
     periods, sizes = engine_sizes(w, dmax)
-    assert sizes == []
+    assert sizes == engine_parts(w)
     assert periods == iterated_periods(w, dmax)
 
 
@@ -701,30 +736,22 @@ def test_apex_split_moves_no_budget_edge(w, dmax):
     admitted_at_its_charge(w, dmax)
 
 
-def test_apex_split_needs_its_own_bound(monkeypatch):
-    # p3 to dmax 8: the guard's bound is 4 C(7, 4) = 140 and the split's
-    # own, for forming A^1 .. A^6, is 3 C(8, 3) = 168; under a budget
-    # between them the unsplit engine runs, and charges 140
-    for budget, sizes in [(150, [4]), (168, [])]:
-        monkeypatch.setattr(laurent, "PERIOD_WORK_BUDGET", budget)
-        assert engine_sizes(w_p3(), 8) == (P3_PERIODS_12[:9], sizes)
-
-
 def test_apexes_of_the_corpus(corpus):
-    assert {stem: shape for stem, p in corpus.items()
-            if (shape := apex_shape(from_fan_polytope(p)))} == APEXES
+    polytopes = {stem: p.vertices for stem, p in corpus.items()}
+    assert corpus_shapes(polytopes, False) == APEXES
 
 
-@given(unimodular_matrices(dim=3))
+@given(unimodular_matrices(dim=3), st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
-def test_apexes_are_invariant_under_lattice_isomorphism(corpus, m):
-    for stem, p in corpus.items():
-        assert apex_shape(from_fan_polytope(transform(p, m))) == APEXES.get(stem), stem
+def test_apexes_are_invariant_under_lattice_isomorphism(corpus, m, rng):
+    assert corpus_shapes(shuffled_images(corpus, m, rng), False) == APEXES
 
 
-# The near misses: a pyramid's apex on A's plane; two monomials left
-# unpaired by (1 + z) A, A of rank 2; and t in A's plane, with the apex
-# there too, since an apex off that plane makes W a pyramid over (1 + y^t) A.
+# The near misses: a pyramid's apex on A's plane, which puts W on a plane
+# that misses the origin; two monomials left unpaired by (1 + z) A, A of
+# rank 2; and t in A's plane, with the apex there too.  Each is one
+# free-sum part; the first has fibres of dimension 0, the other two of
+# dimension 2, and those run the engine.
 @pytest.mark.parametrize("w", [
     LaurentPolynomial(3, {(1, 0, 1): 1, (0, 1, 1): 1, (-1, -1, 1): 1, (2, 2, 1): 1}),
     LaurentPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (-1, -1, 0): 1, (1, 0, 1): 1,
@@ -733,9 +760,9 @@ def test_apexes_are_invariant_under_lattice_isomorphism(corpus, m):
                           (1, 1, 1): 1, (0, -1, 1): 1, (3, 3, 1): 1}),
 ])
 def test_near_apexes_do_not_split_and_equal_iterated_multiplication(w):
-    assert laurent._prism(w.terms) is None
+    assert len(laurent._parts(w.terms)) == 1
     periods, sizes = engine_sizes(w, 10)
-    assert sizes == [len(w.terms)]
+    assert sizes == engine_parts(w)
     assert periods == iterated_periods(w, 10)
 
 
@@ -765,6 +792,15 @@ def simplices(draw):
     return {tuple(dot(row, e) for row in m): draw(coeff) for e in exps}
 
 
+def powers_of(a, imax):
+    """[A^0, .., A^imax] as term dicts, by plain repeated multiplication."""
+    power, powers = LaurentPolynomial(3, {(0, 0, 0): 1}), []
+    for _ in range(imax + 1):
+        powers.append(power.terms)
+        power = multiply(power, LaurentPolynomial(3, a))
+    return powers
+
+
 # The examples: p3, whose c_d is d! / ((d/4)!)^4 at d divisible by 4; a
 # signed segment, x^2 - 2/x, with c_d nonzero at d divisible by 3; a lone
 # monomial; and a triangle whose plane misses the origin, so that every
@@ -776,64 +812,135 @@ def simplices(draw):
 @example({(1, 0, 1): 1, (0, 1, 1): 2, (-1, -1, 1): 1}, 6)
 @settings(max_examples=100, deadline=None)
 def test_simplex_periods_equal_the_engine_and_iterated_multiplication(a, dmax):
-    read = laurent._simplex(a)
-    assert ([read(d) for d in range(dmax + 1)] == laurent._periods(a, 3, dmax)
+    # a simplex's plan has no factor, and its fibre is one point or none
+    # in each degree: c_d is one multinomial
+    assert fibre_shape(a) == (len(a), 0, 0)
+    assert (laurent._fibre(a, dmax) == laurent._periods(a, 3, dmax)
             == iterated_periods(LaurentPolynomial(3, a), dmax))
 
 
 vectors = st.tuples(*[st.integers(-2, 2)] * 3)
 
 
-@given(simplices(), vectors, vectors)
+@given(simplices(), vectors, st.sampled_from([-1, 1, 2, 3]))
 @settings(max_examples=60, deadline=None)
-def test_simplex_reads_every_coefficient_of_its_powers(a, t, rho):
-    # read(i, j, e) is [A^i] at -j t - e rho, for j and e of either sign
-    read = laurent._simplex(a, t, rho)
-    power = LaurentPolynomial(3, {(0, 0, 0): 1})
-    for i in range(6):
-        for j in range(-2, 3):
-            for e in range(-2, 3):
-                q = tuple(-j * x - e * y for x, y in zip(t, rho))
-                assert read(i, j, e) == power.terms.get(q, 0), (i, j, e)
-        power = multiply(power, LaurentPolynomial(3, a))
+def test_simplex_reads_every_coefficient_of_its_powers(a, rho, c):
+    # W = A + c y^rho has c_d = sum_i C(d, i) c^(d - i) [A^i] at -(d - i)
+    # rho, so W's fibres read the coefficient of every A^i at every
+    # multiple of -rho
+    assume(rho not in a)
+    w = LaurentPolynomial(3, {**a, rho: c})
+    powers = powers_of(a, 6)
+    reads = [sum(comb(d, i) * c ** (d - i) * powers[i].get(tuple(-(d - i) * x for x in rho), 0)
+                 for i in range(d + 1)) for d in range(7)]
+    assert laurent._fibre(w.terms, 6) == reads == iterated_periods(w, 6)
 
 
 @given(st.dictionaries(vectors, st.integers(-3, 3).filter(bool), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_simplex_is_none_off_affinely_independent_exponents(terms):
-    assert (laurent._simplex(terms) is None) == (_affine_rank(list(terms)) < len(terms) - 1)
+def test_fibres_are_points_exactly_on_affinely_independent_exponents(terms):
+    # with no factor in the plan, f = |W| - 1 - affine rank: 0 on a
+    # simplex, and ``_fibre`` hands W to the engine from two affine
+    # dependencies on
+    _, j, f = fibre_shape(terms)
+    if not j:
+        assert f == len(terms) - 1 - _affine_rank(list(terms))
+    assert (laurent._fibre(terms, 4) is None) == (f >= 2)
 
 
-@given(apexed(), st.integers(0, 10))
+@given(apexed(pieces=True), st.integers(0, 10))
 @settings(max_examples=60, deadline=None)
-def test_simplex_bases_read_as_their_powers(w, dmax):
-    # at every (i, d) the apex split reads, one multinomial equals the
-    # coefficient of A^i at -j t - (d - i) rho
-    prism = laurent._prism(w.terms)
-    t, lower, rho = prism[0] or (0, 0, 0), prism[1], prism[2]
-    base = LaurentPolynomial(3, {e: w.terms[e] for e in lower})
-    read = laurent._simplex(base.terms, t, rho)
-    assert (read is None) == (_affine_rank(lower) < len(lower) - 1)
-    assume(read)
-    a, b, f, _ = laurent._level(prism)
-    power, formed = LaurentPolynomial(3, {(0, 0, 0): 1}), 0
-    for i, ds in laurent._reach(prism, dmax):
-        for _ in range(formed, i):
-            power = multiply(power, base)
-        formed = i
-        for d in ds:
-            j = -(i * b + d * a) // f
-            q = tuple(-j * x - (d - i) * y for x, y in zip(t, rho))
-            assert read(i, j, d - i) == power.terms.get(q, 0), (i, d)
+def test_simplex_bases_read_as_their_powers(pieces, dmax):
+    # W = (1 + y^t)^eps A + c y^rho has c_d = sum C(d, i) C(eps i, j) c^(d
+    # - i) [A^i] at -j t - (d - i) rho over 0 <= j <= eps i <= eps d; over a
+    # simplex A, W's fibres read those coefficients, unless the plan pairs
+    # W's monomials by another t and leaves fibres of dimension 2
+    w, a, t, rho, c = pieces
+    assume(_affine_rank(list(a)) == len(a) - 1)
+    eps, t = (1, t) if t else (0, (0, 0, 0))
+    powers = powers_of(a, dmax)
+    reads = [sum(comb(d, i) * comb(eps * i, j) * c ** (d - i)
+                 * powers[i].get(tuple(-j * x - (d - i) * y for x, y in zip(t, rho)), 0)
+                 for i in range(d + 1) for j in range(eps * i + 1)) for d in range(dmax + 1)]
+    assert reads == iterated_periods(w, dmax)
+    assert laurent._fibre(w.terms, dmax) in (None, reads)
 
 
 def test_parts_on_a_plane():
     # nodal_03's A' is two segments through the origin and the hexagonal
     # prism's A' one hexagon; a W on a plane splits as a free sum too
-    for vertices, n in [(NODAL_03, 2), (HEXAGONAL_PRISM, 1)]:
-        terms = {v: 1 for v in vertices}
-        assert len(laurent._parts(laurent._flat(terms, laurent._prism(terms))[2])) == n
+    for terms, n in [(NODAL_03_FLAT, 2), (HEXAGON_FLAT, 1)]:
+        assert len(laurent._parts(terms)) == n
     w = LaurentPolynomial(3, {(1, 1, 0): 2, (-1, -1, 0): 1, (0, 1, 0): 1, (0, -2, 0): -1})
     assert list(map(len, laurent._parts(w.terms))) == [2, 2]
     periods, sizes = engine_sizes(w, 12)
     assert sizes == [] and periods == iterated_periods(w, 12)
+
+
+# ------------------------------------------------------------------ fibres
+
+@st.composite
+def fibre_polys(draw):
+    """W's terms: 1-7 monomials with coefficients in {-1, 1, 2, 3}, at
+    random, or c y^o (1 + y^t_1) .. (1 + y^t_n) with one or two binomials
+    and lone monomials, so that plans with factors are drawn too."""
+    coeff = st.sampled_from([-1, 1, 2, 3])
+    if draw(st.booleans()):
+        return draw(st.dictionaries(vectors, coeff, min_size=1, max_size=7))
+    w = LaurentPolynomial(3, {draw(vectors): draw(coeff)})
+    for t in draw(st.lists(vectors.filter(any), min_size=1, max_size=2)):
+        w = multiply(w, LaurentPolynomial(3, {(0, 0, 0): 1, t: 1}))
+    lone = draw(st.dictionaries(vectors, coeff, max_size=7 - len(w.terms)))
+    return {**w.terms, **lone}
+
+
+# The examples: nodal_03; x + 1 + 1/x, whose fibre is a segment of
+# dimension 1 in each degree; and a W on a plane that misses the origin.
+@given(fibre_polys(), st.integers(0, 8))
+@example({v: 1 for v in NODAL_03}, 8)
+@example({(1, 0, 0): 1, (0, 0, 0): 1, (-1, 0, 0): 1}, 8)
+@example({(1, 0, 1): 1, (0, 1, 1): 2, (-1, -1, 1): 1, (2, 2, 1): -1}, 6)
+@settings(max_examples=150, deadline=None)
+def test_fibres_equal_iterated_multiplication(terms, dmax):
+    cs = laurent._fibre(terms, dmax)
+    assert (cs is None) == (fibre_shape(terms)[2] >= 2)
+    if cs is not None:
+        assert cs == iterated_periods(LaurentPolynomial(3, terms), dmax)
+
+
+def test_hexagonal_prism_runs_the_engine_whole():
+    # its fibres are planes, (K, J, f) = (4, 2, 2), and 12 C(11 + 11, 12)
+    # = 7,759,752, so dmax 22 is the guard's last degree.  The prism is
+    # dP6 x P1: c_d = h_d C(d, d/2) at even d, h the hexagon's periods,
+    # which the engine forms in two variables.
+    w = LaurentPolynomial(3, {v: 1 for v in HEXAGONAL_PRISM})
+    assert fibre_shape(w.terms) == (4, 2, 2)
+    periods, sizes = engine_sizes(w, 22)
+    h = period_sequence(LaurentPolynomial(2, {v: 1 for v in HEXAGON}), 22).terms
+    assert sizes == [12]
+    assert periods == [0 if d % 2 else h[d] * comb(d, d // 2) for d in range(23)]
+
+
+# nodal_02 under a unimodular map, with max |coordinate| 53
+NODAL_02_IMAGE = [(41, -37, -7), (12, -11, -2), (-18, 16, 3), (-30, 27, 5), (-11, 10, 2),
+                  (-41, 37, 7), (-53, 48, 9)]
+# x + y + 1/(xy) + 1 in a basis of the plane x + y + C z = 0
+C = 10**9 + 7
+WIDE_TRIANGLE = {(1, -1, 0): 1, (C, 0, -1): 1, (-1 - C, 1, 1): 1, (0, 0, 0): 1}
+
+
+def test_wide_images_read_their_fibres(golden):
+    # both have fibres of dimension 1, whose points are found as a
+    # progression in O(rows) per degree, whatever the denominator D of
+    # the echelon form: a minor of the exponents, 3 C on the triangle
+    w = LaurentPolynomial(3, {v: 1 for v in NODAL_02_IMAGE})
+    assert fibre_shape(w.terms) == (4, 1, 1)
+    periods, sizes = engine_sizes(w, 32)
+    assert sizes == [] and periods[:11] == golden["polytopes"]["nodal_02"]["periods"]
+    assert periods == [CLOSED_FORM_PERIODS["nodal_02"](d) for d in range(33)]
+    assert fibre_shape(WIDE_TRIANGLE) == (4, 0, 1)
+    _, columns = laurent._minkowski(WIDE_TRIANGLE)
+    assert abs(integer_rref(list(zip(*columns, (0, 0, 0, -1))))[2]) == 3 * C
+    cs = laurent._fibre(WIDE_TRIANGLE, 32)
+    assert cs == laurent._periods(WIDE_TRIANGLE, 3, 32)
+    assert cs[:11] == iterated_periods(LaurentPolynomial(3, WIDE_TRIANGLE), 10)
