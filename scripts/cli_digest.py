@@ -14,7 +14,9 @@ cube, and the hexagonal prism over dP6's hexagon, whose fibres have
 dimension 2, by default and at degree 22 and 23), apexed prisms and
 pyramids (nodal_02 at degree 44 and 45, nodal_01 at 90 and 91, p3 at 172
 and at 173, where the work budget refuses it, and a nodal_02 image),
-database records
+the regularity census's largest inputs, the A3 root polytope (N = 6) and
+the rhombic dodecahedron (N = 12, 4,096 resolutions) under `transition`
+and `resolve`, database records
 that load and that fail with each of the loader's messages, recurrence
 searches on a sequence whose terms are all multiples of a prime and on
 wide terms near multiples of it, for 2^31 - 1 (kept so that digests
@@ -47,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -64,6 +67,7 @@ from conifold import cli, linalg  # noqa: E402
 DATA = ROOT / "src" / "conifold" / "data"
 STEMS = ("nodal_01", "nodal_02", "nodal_03", "octahedron", "p2xp1", "p3")
 IMAGES_PER_POLYTOPE = 2
+UNIT = [[int(i == j) for j in range(3)] for i in range(3)]
 # one-line databases: a user record with an extra key, which loads, and
 # one record per message of the loader, each matched against p3
 USER_RECORD = {"name": "Y", "degree": 64, "e": 4, "b2": 1, "b3": 0,
@@ -159,6 +163,14 @@ def write_inputs(tmp: Path) -> list[str]:
         # the free sum of dP6's hexagon and P1's segment
         "dp6xp1.json": {"vertices": [[1, 0, 0], [1, 1, 0], [0, 1, 0], [-1, 0, 0],
                                      [-1, -1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
+        # the A3 root polytope and its polar dual, the rhombic
+        # dodecahedron: every square facet of either is a conifold square
+        "a3_roots.json": {"vertices": [[s * x for x in e] for e in UNIT for s in (1, -1)]
+                          + [[a - b for a, b in zip(UNIT[i], UNIT[j])]
+                             for i in range(3) for j in range(3) if i != j]},
+        "rhombic_dodecahedron.json": {"vertices": [[s * x for x in v] for v in
+                                                   itertools.product((0, 1), repeat=3)
+                                                   if any(v) for s in (1, -1)]},
         # the prism over dP6's hexagon
         "hexprism.json": {"vertices": [[x, y, z] for x, y in ((1, 0), (1, 1), (0, 1), (-1, 0),
                                                               (-1, -1), (0, -1)) for z in (-1, 1)]},
@@ -272,6 +284,9 @@ def runs(polytopes: list[str]) -> list[tuple]:
             ("periods", "p3.json", "--dmax", "172"),
             ("periods", "p3.json", "--dmax", "173"),
             ("periods", "nodal_02_image1.json", "--dmax", "32")]
+    # the census's largest inputs: 64 and 4,096 resolutions
+    for p in ("a3_roots.json", "rhombic_dodecahedron.json"):
+        out += [("transition", p), ("transition", p, "--output", "table"), ("resolve", p)]
     out += [
         # handled input errors (exit 2) and budgets (exit 3)
         ("--version",), ("periods", "--help"), ("periods",), ("frobnicate", "p3.json"),

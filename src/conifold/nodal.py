@@ -55,8 +55,15 @@ some m - 1 columns Z; y then spans the left kernel of the m x (m - 1)
 matrix B_Z (Bjorner et al., *Oriented Matroids*, 1993).
 ``nodal_profile`` builds R once; the profile takes B from it by one
 ``linalg.kernel_basis`` of R^T on first use, and k = N - m, the circuits
-(``signed_circuits``, which ``check_regularity`` tests each of the 2^N
-sign vectors against) and the Calabi-Yau certificate are all read off B.
+(``signed_circuits``) and the Calabi-Yau certificate are all read off B.
+The census (``check_regularity``) is a sieve over the circuits rather
+than a test of each of the 2^N sign vectors against each circuit: a
+circuit with support S rules out exactly the 2^(N - |S| + 1) sign
+vectors that agree with it, or with its negative, on S, whatever they
+hold off S.  Each circuit marks those once, by the submasks of the
+complement of S, in a flag per resolution; that is at most 2^N marks
+per circuit, so the sieve never does more work than the per-row scan it
+replaces, and each row is then read with one lookup.
 Triangles (``resolution_triangles``) are built only for
 ``is_regular_triangulation``, the LP over every wall, which stays with the
 exact LP on the rows s_i * R_i (``linalg.strictly_feasible``) as the
@@ -90,6 +97,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, gcd
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -286,19 +294,36 @@ def is_regular_triangulation(p: Polytope, profile: NodalProfile, diagonals: str)
 
 
 def check_regularity(profile: NodalProfile) -> list[SmallResolution]:
-    """The census: each of ``enumerate_small_resolutions(profile)`` with
-    its regularity decided by the circuit test of the module docstring: no
-    signed circuit of the exceptional relation matrix may match the
-    resolution's sign vector or its negative.  The exact simplex
-    (``linalg.strictly_feasible`` on the rows s_i * R_i) is only the test
-    oracle for this."""
+    """The census: each of ``enumerate_small_resolutions(profile)``, in its
+    order, with its regularity decided by the circuit test of the module
+    docstring: no signed circuit of the exceptional relation matrix may
+    match the resolution's sign vector or its negative.
+
+    The test runs as a sieve.  A circuit with support S and plus-set P
+    rules out the 2^(N - |S| + 1) sign vectors equal to P, or to S ^ P, on
+    S: both, joined with each submask of the complement of S, are marked
+    in a ``bytearray`` with one entry per resolution, at most 2^N marks
+    per circuit.  Row j of the census is the N-digit binary numeral of j,
+    square i at bit N - 1 - i, so each circuit's masks are reversed once
+    and row j reads entry j.  ``is_regular_sign_vector`` is the per-vector
+    form of the same test, and the exact simplex
+    (``linalg.strictly_feasible`` on the rows s_i * R_i) the oracle both
+    are tested against."""
     resolutions = enumerate_small_resolutions(profile)
-    circuits = signed_circuits(profile.left_kernel)
-    out = []
-    for r in resolutions:
-        plus = sum(1 << i for i, d in enumerate(r) if d == "1")
-        out.append(SmallResolution(r, is_regular_sign_vector(circuits, plus)))
-    return out
+    n = profile.node_count
+    full = len(resolutions) - 1
+    ruled_out = bytearray(len(resolutions))
+    for support, plus in signed_circuits(profile.left_kernel):
+        support, plus = (int(f"{mask:0{n}b}"[::-1], 2) for mask in (support, plus))
+        free = full ^ support
+        for agree in (plus, plus ^ support):
+            sub = free
+            while True:
+                ruled_out[agree | sub] = 1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    return [SmallResolution(r, not out) for r, out in zip(resolutions, ruled_out)]
 
 
 def signed_circuits(basis: tuple) -> list[tuple[int, int]]:
@@ -309,14 +334,17 @@ def signed_circuits(basis: tuple) -> list[tuple[int, int]]:
     and -c, the one positive at its lowest support bit is kept.
 
     Each (m - 1)-subset of rows on which B has rank m - 1 gives the
-    circuit vanishing there (module docstring).  Raises BudgetExceeded,
-    before any subset kernel, when the C(N, m - 1) subsets pass
-    ``CIRCUIT_WORK_BUDGET``.
+    circuit vanishing there (module docstring): the one vector y of the
+    subset's kernel, and c_i = y . B_i for column B_i.  One pass over the
+    columns reads c's support and plus bits together.  Raises
+    BudgetExceeded, before any subset kernel, when the C(N, m - 1)
+    subsets pass ``CIRCUIT_WORK_BUDGET``.
     """
     m = len(basis)
     if m == 0:
         return []
-    n = len(basis[0])
+    columns = tuple(zip(*basis))
+    n = len(columns)
     if comb(n, m - 1) > CIRCUIT_WORK_BUDGET:
         raise BudgetExceeded(
             f"circuits of {n} relation rows with a {m}-dimensional left kernel "
@@ -324,12 +352,19 @@ def signed_circuits(basis: tuple) -> list[tuple[int, int]]:
         )
     circuits = set()
     for zeros in combinations(range(n), m - 1):
-        ys = linalg.kernel_basis([[b[i] for b in basis] for i in zeros], ncols=m)
+        ys = linalg.kernel_basis([columns[i] for i in zeros], ncols=m)
         if len(ys) > 1:  # B has rank < m - 1 on these rows
             continue
-        c = [sum(y * b[i] for y, b in zip(ys[0], basis)) for i in range(n)]
-        support = sum(1 << i for i, x in enumerate(c) if x)
-        plus = sum(1 << i for i, x in enumerate(c) if x > 0)
+        y = ys[0]
+        support = plus = 0
+        bit = 1
+        for column in columns:
+            c = sum(map(mul, y, column))
+            if c:
+                support |= bit
+                if c > 0:
+                    plus |= bit
+            bit <<= 1
         if not plus & support & -support:
             plus ^= support
         circuits.add((support, plus))
@@ -340,7 +375,8 @@ def is_regular_sign_vector(circuits: list[tuple[int, int]], plus: int) -> bool:
     """Is some g strictly positive on every row s_i * R_i, where s_i = +1
     on the bits of ``plus`` and -1 elsewhere?  True iff no circuit from
     ``signed_circuits(R)`` agrees with s, or with -s, on its whole
-    support."""
+    support.  The census sieves all 2^N sign vectors at once
+    (``check_regularity``); this is the per-vector test it is held to."""
     return all((plus ^ c_plus) & sup not in (0, sup) for sup, c_plus in circuits)
 
 

@@ -303,6 +303,42 @@ def test_circuit_test_matches_sign_vector_lp(rows):
         assert is_regular_sign_vector(circuits, plus) == expected, (rows, plus)
 
 
+def relation_profile(rows):
+    # the census reads only N and R; no square is needed
+    return NodalProfile(len(rows), (), tuple(map(tuple, rows)))
+
+
+@given(relation_matrices())
+@example([[0, 0]])
+@example([[1, 2], [-1, -2]])
+@example([[1, 0], [0, 1], [1, 1], [1, -1], [2, 1]])
+@settings(max_examples=100, deadline=None)
+def test_census_sieve_matches_the_per_vector_test(rows):
+    # the sieve flags each row as testing its sign vector against every
+    # circuit does; a circuit rules out masks agreeing with -c on S too
+    profile = relation_profile(rows)
+    circuits = signed_circuits(profile.left_kernel)
+    census = check_regularity(profile)
+    assert [r.diagonals for r in census] == enumerate_small_resolutions(profile)
+    for r in census:
+        plus = sum(1 << i for i, d in enumerate(r.diagonals) if d == "1")
+        assert r.regular is is_regular_sign_vector(circuits, plus), (rows, r)
+
+
+def test_census_of_no_nodes_is_one_regular_row():
+    assert check_regularity(relation_profile([])) == [("", True)]
+
+
+def test_circuit_on_one_row_rules_out_every_resolution():
+    # a zero row of R is a circuit with support {0}: every sign vector
+    # agrees with it or with its negative there
+    rows = [[0, 0], [1, -1], [2, 1]]
+    profile = relation_profile(rows)
+    assert (1, 1) in signed_circuits(profile.left_kernel)
+    census = check_regularity(profile)
+    assert len(census) == 8 and not any(r.regular for r in census)
+
+
 def test_circuits_of_nodal_03(corpus):
     # three circuits (one per +-pair), each on four of the six squares
     profile = nodal_profile(corpus["nodal_03"])
