@@ -294,25 +294,10 @@ def main(argv=None) -> int:
     return 0
 
 
-# the JSON text of a scalar of exactly one of these types; a subclass of
-# str or int, or any other value, takes the branches of ``_json``
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda value: "null",
-}.get
-
-
 def _json(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for the str, int,
     bool, None, list, tuple and dict values a payload holds, in one pass:
-    the stdlib ignores its C encoder when asked to indent.  A member of a
-    dict or list whose type is exactly str, int, bool or NoneType is
-    written inline through one lookup in ``_SCALARS``, so a row of
-    scalars takes no call of ``_json`` per scalar; the members are
-    gathered by plain loops, as a comprehension is one more call per
-    container before Python 3.12."""
+    the stdlib ignores its C encoder when asked to indent."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -320,19 +305,16 @@ def _json(value, indent: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
-    scalars = _SCALARS
-    items = []
     if isinstance(value, dict):
-        for key in sorted(value):
-            v = value[key]
-            scalar = scalars(type(v))
-            items.append(f"{encode_basestring_ascii(key)}: "
-                         f"{scalar(v) if scalar else _json(v, inner)}")
-        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
-    for v in value:
-        scalar = scalars(type(v))
-        items.append(scalar(v) if scalar else _json(v, inner))
-    return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
 
 
 def _to_devnull(stream) -> None:
